@@ -392,15 +392,11 @@ def read_manifest(path: Path) -> list[dict]:
     return entries
 
 
-_EVAL_CTX: dict = {}
-
-
-def _eval_one(args: tuple[str, list[int]]) -> dict:
-    """Estimate one corpus file; runs in the parent or a forked worker."""
-    filename, truth = args
-    ds = _EVAL_CTX["ds"]
-    params = _EVAL_CTX["params"]
-    corpus = _EVAL_CTX["corpus"]
+def _eval_one(
+    ds: ReferenceDataset, params: EstimationParams, corpus: Path, item: tuple[str, list[int]]
+) -> dict:
+    """Estimate one corpus file."""
+    filename, truth = item
     result = estimate((corpus / filename).read_bytes(), ds, params)
     dm = result.distances
     return {
@@ -410,6 +406,20 @@ def _eval_one(args: tuple[str, list[int]]) -> dict:
         "reg": result.estimates,
         "truth": truth[: params.k],
     }
+
+
+# A pool worker's (dataset, params, corpus dir), set by _init_eval_worker in
+# the worker process itself, so it works under every start method.
+_worker_ctx: tuple[ReferenceDataset, EstimationParams, Path] | None = None
+
+
+def _init_eval_worker(blob: bytes, params: EstimationParams, corpus: Path) -> None:
+    global _worker_ctx
+    _worker_ctx = (deserialize(blob), params, corpus)
+
+
+def _eval_in_worker(item: tuple[str, list[int]]) -> dict:
+    return _eval_one(*_worker_ctx, item)
 
 
 def evaluate_corpus(
@@ -423,16 +433,16 @@ def evaluate_corpus(
         if not (corpus_dir / e["filename"]).is_file():
             raise ValueError(f"manifest lists missing file {e['filename']}")
 
-    _EVAL_CTX.update(ds=ds, params=params, corpus=corpus_dir)
     work = [(e["filename"], e["truth"]) for e in entries]
-    try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(_eval_one, work, chunksize=8))
-        else:
-            outcomes = [_eval_one(item) for item in work]
-    finally:
-        _EVAL_CTX.clear()
+    if jobs > 1:
+        with ProcessPoolExecutor(
+            max_workers=jobs,
+            initializer=_init_eval_worker,
+            initargs=(serialize(ds), params, corpus_dir),
+        ) as pool:
+            outcomes = list(pool.map(_eval_in_worker, work, chunksize=8))
+    else:
+        outcomes = [_eval_one(ds, params, corpus_dir, item) for item in work]
 
     labels = sorted({e["label"] for e in entries})
     by_label = {e["filename"]: e["label"] for e in entries}

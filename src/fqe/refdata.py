@@ -10,6 +10,7 @@ chi-square scan over a window is one vectorized pass.
 
 from __future__ import annotations
 
+import itertools
 import struct
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -46,18 +47,22 @@ class RefRecord:
 class PackedRecords:
     """Records of one (sub-dataset, kind), packed into flat arrays.
 
-    keys is sorted ascending; record i owns bins values[offsets[i]:offsets[i+1]]
-    with matching masses, and counts[i] samples behind the masses.
+    keys is sorted ascending; record i owns the support values[offsets[i]:offsets[i+1]]
+    with matching integer bin counts bins, counts[i] samples behind them and
+    masses = bins / counts[i]. The masses are computed here for built and
+    loaded records alike, so both hold the same f64 values bit for bit.
     """
 
-    __slots__ = ("keys", "offsets", "values", "masses", "counts")
+    __slots__ = ("keys", "offsets", "values", "bins", "counts", "masses")
 
-    def __init__(self, keys, offsets, values, masses, counts):
+    def __init__(self, keys, offsets, values, bins, counts):
         self.keys = keys
         self.offsets = offsets
         self.values = values
-        self.masses = masses
+        self.bins = bins
         self.counts = counts
+        self.masses = np.repeat(counts.astype(np.float64), np.diff(offsets))
+        np.divide(bins, self.masses, out=self.masses)
 
     @classmethod
     def empty(cls) -> "PackedRecords":
@@ -65,7 +70,7 @@ class PackedRecords:
             keys=np.empty(0, dtype=np.float64),
             offsets=np.zeros(1, dtype=np.int64),
             values=np.empty(0, dtype=np.int16),
-            masses=np.empty(0, dtype=np.float64),
+            bins=np.empty(0, dtype=np.uint16),
             counts=np.empty(0, dtype=np.uint32),
         )
 
@@ -73,7 +78,7 @@ class PackedRecords:
     def from_items(
         cls, items: list[tuple[float, np.ndarray, np.ndarray, int]]
     ) -> "PackedRecords":
-        """Pack (key, support, mass, count) items, stably sorted by key."""
+        """Pack (key, support, bin counts, sample count) items, stably sorted by key."""
         if not items:
             return cls.empty()
         keys = np.array([it[0] for it in items], dtype=np.float64)
@@ -85,7 +90,7 @@ class PackedRecords:
             keys=keys[order],
             offsets=offsets,
             values=np.concatenate([items[i][1] for i in order]).astype(np.int16),
-            masses=np.concatenate([items[i][2] for i in order]),
+            bins=np.concatenate([items[i][2] for i in order]).astype(np.uint16, copy=False),
             counts=np.array([items[i][3] for i in order], dtype=np.uint32),
         )
 
@@ -185,13 +190,12 @@ def _patch_items(patch: GrayImage, q1_max: int, k: int):
                 support, counts = np.unique(quantized[:, i], return_counts=True)
                 if support.size == 1:
                     continue  # degenerate: carries no information about q1
-                mass = counts / n_blocks
                 params = fit_laplacian(
-                    CoeffHistogram(support=support, mass=mass, count=n_blocks)
+                    CoeffHistogram(support=support, mass=counts / n_blocks, count=n_blocks)
                 )
                 key = params.mu if i == 0 else params.beta
                 (dc_items if i == 0 else ac_items).append(
-                    (key, support.astype(np.int16), mass, n_blocks)
+                    (key, support.astype(np.int16), counts.astype(np.uint16), n_blocks)
                 )
             out[(q1, q2)] = (dc_items, ac_items)
     return out
@@ -224,6 +228,11 @@ def build_reference(
     for p in patches:
         if p.width != side or p.height != side:
             raise ValueError("all patches must share one square size")
+    if (side // 8) ** 2 > _MAX_BIN:
+        raise ValueError(
+            f"patch side {side} gives {(side // 8) ** 2} blocks; bin counts "
+            f"are stored as u16, so a patch may have at most {_MAX_BIN} blocks"
+        )
 
     if jobs is not None and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -314,122 +323,103 @@ def batch_min_distance(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: little-endian, CRC-32 trailer. Record masses are stored as
-# f32; because every mass is bin_count / sample_count, the exact f64 masses
-# are recovered on load by rounding mass * count back to integers (valid up
-# to counts of ~8 million, far beyond any patch), so serialize/deserialize
-# round-trips both the bytes and the in-memory values.
+# Serialization (FQE2), little-endian: a 30-byte header, one u32 record count
+# per (q1, q2) x (dc, ac) section in row-major order, whole-dataset columns
+# (keys f8, support lengths u2 and sample counts u4 per record, then support
+# values i2 and bin counts u2 per bin) and a CRC-32 trailer. Each section owns
+# a contiguous run of every column, so it loads as a view of the columns.
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"FQE1"
-_VERSION = 1
+_MAGIC = b"FQE2"
+_VERSION = 2
 _HEADER = struct.Struct("<HBBHI")
-_SUB_HEADER = struct.Struct("<II")
-_REC_HEADER = struct.Struct("<dH")
-_REC_COUNT = struct.Struct("<I")
-_PAIR_DTYPE = np.dtype([("v", "<i2"), ("m", "<f4")])
-
-
-def _write_records(out: bytearray, packed: PackedRecords) -> None:
-    offsets = packed.offsets
-    for i in range(len(packed)):
-        lo, hi = int(offsets[i]), int(offsets[i + 1])
-        out += _REC_HEADER.pack(float(packed.keys[i]), hi - lo)
-        pairs = np.empty(hi - lo, dtype=_PAIR_DTYPE)
-        pairs["v"] = packed.values[lo:hi]
-        pairs["m"] = packed.masses[lo:hi]
-        out += pairs.tobytes()
-        out += _REC_COUNT.pack(int(packed.counts[i]))
+_HEADER_SIZE = 30
+_KINDS = ("dc", "ac")
+_REC_BYTES = 8 + 2 + 4
+_BIN_BYTES = 2 + 2
+_MAX_BIN = 0xFFFF
 
 
 def serialize(ds: ReferenceDataset) -> bytes:
-    out = bytearray()
-    out += _MAGIC
-    out += _HEADER.pack(_VERSION, ds.q1_max, ds.k, ds.patch_side, ds.source_count)
-    out += bytes(16)
-    for q1 in range(1, ds.q1_max + 1):
-        for q2 in range(1, ds.q1_max + 1):
-            sub = ds.sub(q1, q2)
-            out += _SUB_HEADER.pack(len(sub.dc), len(sub.ac))
-            _write_records(out, sub.dc)
-            _write_records(out, sub.ac)
-    out += struct.pack("<I", zlib.crc32(bytes(out)))
-    return bytes(out)
-
-
-def _read_records(data: bytes, pos: int, count: int) -> tuple[PackedRecords, int]:
-    keys = np.empty(count, dtype=np.float64)
-    counts = np.empty(count, dtype=np.uint32)
-    lengths = np.empty(count, dtype=np.int64)
-    val_chunks = []
-    mass_chunks = []
-    for i in range(count):
-        if pos + 10 > len(data) - 4:
-            raise DatasetFormatError("dataset file is truncated")
-        key, slen = _REC_HEADER.unpack_from(data, pos)
-        pos += 10
-        if slen < 1:
-            raise DatasetFormatError("record with empty support")
-        if pos + 6 * slen + 4 > len(data) - 4:
-            raise DatasetFormatError("dataset file is truncated")
-        pairs = np.frombuffer(data, dtype=_PAIR_DTYPE, count=slen, offset=pos)
-        pos += 6 * slen
-        (n,) = _REC_COUNT.unpack_from(data, pos)
-        pos += 4
-        if n < 1:
-            raise DatasetFormatError("record with zero sample count")
-        m32 = pairs["m"]
-        approx = np.rint(m32.astype(np.float64) * n)
-        mass = approx / n
-        if approx.min() < 1 or not np.array_equal(mass.astype(np.float32), m32):
-            mass = m32.astype(np.float64)
-        keys[i] = key
-        counts[i] = n
-        lengths[i] = slen
-        val_chunks.append(pairs["v"])
-        mass_chunks.append(mass)
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    packed = PackedRecords(
-        keys=keys,
-        offsets=offsets,
-        values=(
-            np.concatenate(val_chunks).astype(np.int16)
-            if val_chunks
-            else np.empty(0, dtype=np.int16)
-        ),
-        masses=(
-            np.concatenate(mass_chunks) if mass_chunks else np.empty(0, dtype=np.float64)
-        ),
-        counts=counts,
-    )
-    return packed, pos
+    parts = [
+        ds.sub(q1, q2).kind(kind)
+        for q1 in range(1, ds.q1_max + 1)
+        for q2 in range(1, ds.q1_max + 1)
+        for kind in _KINDS
+    ]
+    pieces = [
+        _MAGIC + _HEADER.pack(_VERSION, ds.q1_max, ds.k, ds.patch_side, ds.source_count),
+        bytes(16),
+        np.array([len(p) for p in parts], dtype="<u4"),
+        np.concatenate([p.keys for p in parts]).astype("<f8", copy=False),
+        np.concatenate([np.diff(p.offsets) for p in parts]).astype("<u2"),
+        np.concatenate([p.counts for p in parts]).astype("<u4", copy=False),
+        np.concatenate([p.values for p in parts]).astype("<i2", copy=False),
+        np.concatenate([p.bins for p in parts]).astype("<u2", copy=False),
+    ]
+    crc = 0
+    for piece in pieces:
+        crc = zlib.crc32(piece, crc)
+    return b"".join([*pieces, struct.pack("<I", crc)])
 
 
 def deserialize(data: bytes) -> ReferenceDataset:
-    if len(data) < 30 + 4:
+    size = len(data)
+    if size < _HEADER_SIZE + 4:
         raise DatasetFormatError("dataset file is truncated")
-    (crc_stored,) = struct.unpack("<I", data[-4:])
-    if zlib.crc32(data[:-4]) != crc_stored:
+    (crc_stored,) = struct.unpack_from("<I", data, size - 4)
+    if zlib.crc32(memoryview(data)[:-4]) != crc_stored:
         raise DatasetFormatError("dataset checksum mismatch")
+    if data[:4] == b"FQE1":
+        raise DatasetFormatError(
+            "FQE1 dataset files are no longer supported; rebuild the dataset with `fqe build`"
+        )
     if data[:4] != _MAGIC:
         raise DatasetFormatError("bad dataset magic")
     version, q1_max, k, patch_side, source_count = _HEADER.unpack_from(data, 4)
     if version != _VERSION:
         raise DatasetFormatError(f"unsupported dataset version {version}")
-    pos = 30
+    if q1_max < 1:
+        raise DatasetFormatError("dataset declares q1_max 0")
+
+    n_sections = len(_KINDS) * q1_max * q1_max
+    pos = _HEADER_SIZE + 4 * n_sections
+    if pos > size - 4:
+        raise DatasetFormatError("dataset file is truncated")
+    bounds = np.zeros(n_sections + 1, dtype=np.int64)
+    np.cumsum(np.frombuffer(data, "<u4", n_sections, _HEADER_SIZE), out=bounds[1:])
+    n_rec = int(bounds[-1])
+    n_bins, rest = divmod(size - 4 - pos - _REC_BYTES * n_rec, _BIN_BYTES)
+    if n_bins < 0 or rest:
+        raise DatasetFormatError("dataset file size does not match its section table")
+
+    # keys and counts sit at offsets of no fixed alignment, so they are copied
+    # once to aligned arrays; the two large per-bin columns stay views of data.
+    keys = np.frombuffer(data, "<f8", n_rec, pos).astype(np.float64)
+    lengths = np.frombuffer(data, "<u2", n_rec, pos + 8 * n_rec)
+    counts = np.frombuffer(data, "<u4", n_rec, pos + 10 * n_rec).astype(np.uint32)
+    values = np.frombuffer(data, "<i2", n_bins, pos + _REC_BYTES * n_rec)
+    bins = np.frombuffer(data, "<u2", n_bins, pos + _REC_BYTES * n_rec + 2 * n_bins)
+    offsets = np.zeros(n_rec + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    if offsets[-1] != n_bins:
+        raise DatasetFormatError("support lengths do not match the file size")
+    if n_rec and (lengths.min() == 0 or counts.min() == 0 or bins.min() == 0):
+        raise DatasetFormatError("record with an empty support, sample count or bin")
+    descents = np.flatnonzero(~(keys[1:] >= keys[:-1])) + 1
+    if not (np.isfinite(keys).all() and np.isin(descents, bounds).all()):
+        raise DatasetFormatError("record keys are not finite and sorted within each section")
+
+    def section(s: int) -> PackedRecords:
+        r0, r1 = bounds[s], bounds[s + 1]
+        b0, b1 = offsets[r0], offsets[r1]
+        return PackedRecords(
+            keys[r0:r1], offsets[r0 : r1 + 1] - b0, values[b0:b1], bins[b0:b1], counts[r0:r1]
+        )
+
     subs = {}
-    for q1 in range(1, q1_max + 1):
-        for q2 in range(1, q1_max + 1):
-            if pos + 8 > len(data) - 4:
-                raise DatasetFormatError("dataset file is truncated")
-            dc_count, ac_count = _SUB_HEADER.unpack_from(data, pos)
-            pos += 8
-            dc, pos = _read_records(data, pos, dc_count)
-            ac, pos = _read_records(data, pos, ac_count)
-            subs[(q1, q2)] = SubDataset(q1=q1, q2=q2, dc=dc, ac=ac)
-    if pos != len(data) - 4:
-        raise DatasetFormatError("trailing bytes after the last sub-dataset")
+    for s, (q1, q2) in enumerate(itertools.product(range(1, q1_max + 1), repeat=2)):
+        subs[(q1, q2)] = SubDataset(q1=q1, q2=q2, dc=section(2 * s), ac=section(2 * s + 1))
     return ReferenceDataset(
         q1_max=q1_max,
         k=k,

@@ -292,7 +292,7 @@ def test_criterion_7_regularization_units():
 def test_criterion_8_degenerate_handling(tmp_path):
     ds = build_reference(synth_patches(seed=9801, count=10), q1_max=6, k=15)
     blob = serialize(ds)
-    ds_file = tmp_path / "ref.fqe1"
+    ds_file = tmp_path / "ref.fqe"
     ds_file.write_bytes(blob)
 
     corpus = tmp_path / "corpus"

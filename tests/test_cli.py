@@ -1,6 +1,9 @@
 """CLI surface tests: build, estimate, make-corpus, evaluate."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +32,7 @@ def raw_dir(tmp_path):
 
 @pytest.fixture
 def dataset_file(tmp_path, raw_dir, runner):
-    out = tmp_path / "ref.fqe1"
+    out = tmp_path / "ref.fqe"
     result = runner.invoke(
         main,
         ["build", "--raw-dir", str(raw_dir), "--out", str(out), "--q1-max", "6", "--jobs", "1"],
@@ -53,8 +56,8 @@ def make_corpus(runner, raw_dir, out_dir, *extra):
 
 class TestBuild:
     def test_counts_and_determinism(self, tmp_path, raw_dir, runner):
-        out1 = tmp_path / "a.fqe1"
-        out2 = tmp_path / "b.fqe1"
+        out1 = tmp_path / "a.fqe"
+        out2 = tmp_path / "b.fqe"
         for out, jobs in ((out1, "1"), (out2, "2")):
             result = runner.invoke(
                 main,
@@ -69,7 +72,7 @@ class TestBuild:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_cardinality_line(self, tmp_path, raw_dir, runner):
-        out = tmp_path / "c.fqe1"
+        out = tmp_path / "c.fqe"
         result = runner.invoke(
             main,
             ["build", "--raw-dir", str(raw_dir), "--out", str(out), "--q1-max", "4", "--jobs", "1"],
@@ -221,7 +224,7 @@ class TestEstimate:
     def test_dataset_failure_exit_code(self, tmp_path, raw_dir, runner):
         corpus = make_corpus(runner, raw_dir, tmp_path / "corpus4", "--qf1", "90")
         image = next(p for p in sorted(corpus.iterdir()) if p.suffix == ".jpg")
-        broken = tmp_path / "broken.fqe1"
+        broken = tmp_path / "broken.fqe"
         broken.write_bytes(b"FQE1 garbage garbage")
         result = runner.invoke(
             main, ["estimate", "--image", str(image), "--dataset", str(broken)]
@@ -348,6 +351,31 @@ class TestEvaluate:
             assert result.exit_code == 0, result.output
             reports.append((out_dir / "report.json").read_bytes())
         assert reports[0] == reports[1]
+
+    def test_parallel_evaluate_under_spawn(self, tmp_path, raw_dir, dataset_file, runner):
+        # Workers started by spawn import fqe afresh and inherit no state
+        # from the parent, so the pool must hand them everything they use.
+        corpus = make_corpus(runner, raw_dir, tmp_path / "spawn", "--qf1", "75")
+        script = (
+            "import json, multiprocessing, sys\n"
+            "from pathlib import Path\n"
+            "from fqe.cli import evaluate_corpus\n"
+            "from fqe.estimator import EstimationParams\n"
+            "from fqe.refdata import deserialize\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "ds = deserialize(Path(sys.argv[1]).read_bytes())\n"
+            "params = EstimationParams(q1_max=ds.q1_max)\n"
+            "reports = [evaluate_corpus(Path(sys.argv[2]), ds, params, jobs=j) for j in (1, 2)]\n"
+            "print(json.dumps(reports[0] == reports[1]))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(dataset_file), str(corpus)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "true"
 
     def test_missing_file_in_manifest(self, tmp_path, raw_dir, dataset_file, runner):
         corpus = make_corpus(runner, raw_dir, tmp_path / "mm", "--qf1", "80")

@@ -1,7 +1,14 @@
 """Reference dataset tests: build, query, distances, serialization."""
 
+import functools
+import hashlib
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqe import dctsim, refdata
 from fqe.refdata import (
@@ -24,6 +31,17 @@ from conftest import synth_patches
 @pytest.fixture(scope="module")
 def small_ds():
     return build_reference(synth_patches(seed=21, count=12), q1_max=5, k=15)
+
+
+@functools.cache
+def tiny_blob() -> bytes:
+    """A q1_max 2 dataset file; a plain function so hypothesis does not print it."""
+    return serialize(build_reference(synth_patches(seed=26, count=2), q1_max=2, k=4))
+
+
+def with_crc(body: bytes) -> bytes:
+    """body followed by its valid CRC-32 trailer."""
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
 
 
 def brute_force_nearest(keys: np.ndarray, key: float, n: int) -> list[float]:
@@ -105,6 +123,21 @@ class TestBuild:
         c = serialize(build_reference(patches, q1_max=3, k=5, jobs=2))
         assert a == b == c
 
+    def test_dataset_bytes_pinned(self):
+        # Any change to the build arithmetic or the file layout moves this hash.
+        patches = synth_patches(seed=27, count=3)
+        for jobs in (1, 2):
+            blob = serialize(build_reference(patches, q1_max=6, k=15, jobs=jobs))
+            assert hashlib.sha256(blob).hexdigest() == (
+                "8dea6e3fc26f5609c3d66352291a800159cbe25f3d0246e60be4700085adbfe9"
+            )
+
+    def test_rejects_block_counts_beyond_u16(self):
+        # 2048 / 8 = 256 blocks a side: 65536 blocks overflow a u16 bin count.
+        big = GrayImage(np.zeros((2048, 2048), dtype=np.uint8))
+        with pytest.raises(ValueError, match="65535"):
+            build_reference([big], q1_max=1, k=2)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             build_reference([], q1_max=3, k=5)
@@ -123,7 +156,7 @@ class TestQuery:
 
     def test_worked_example(self):
         items = [
-            (float(k), np.array([0, 1], dtype=np.int16), np.array([0.5, 0.5]), 2)
+            (float(k), np.array([0, 1], dtype=np.int16), np.array([1, 1]), 2)
             for k in [1, 2, 3, 4, 5]
         ]
         packed = PackedRecords.from_items(items)
@@ -132,7 +165,7 @@ class TestQuery:
 
     def test_below_all_keys(self):
         items = [
-            (float(k), np.array([0, 1], dtype=np.int16), np.array([0.5, 0.5]), 2)
+            (float(k), np.array([0, 1], dtype=np.int16), np.array([1, 1]), 2)
             for k in [10, 20, 30]
         ]
         packed = PackedRecords.from_items(items)
@@ -143,7 +176,7 @@ class TestQuery:
         for _ in range(100):
             keys = np.sort(rng.normal(0, 10, int(rng.integers(1, 50))))
             items = [
-                (float(k), np.array([0, 1], dtype=np.int16), np.array([0.5, 0.5]), 2)
+                (float(k), np.array([0, 1], dtype=np.int16), np.array([1, 1]), 2)
                 for k in keys
             ]
             packed = PackedRecords.from_items(items)
@@ -247,6 +280,7 @@ class TestSerialization:
                 assert np.array_equal(a.keys, b.keys)
                 assert np.array_equal(a.offsets, b.offsets)
                 assert np.array_equal(a.values, b.values)
+                assert np.array_equal(a.bins, b.bins)
                 assert np.array_equal(a.masses, b.masses)
                 assert np.array_equal(a.counts, b.counts)
 
@@ -294,3 +328,67 @@ class TestSerialization:
         blob += zlib.crc32(bytes(blob)).to_bytes(4, "little")
         with pytest.raises(DatasetFormatError, match="version"):
             deserialize(bytes(blob))
+
+    def test_fqe1_file_asks_for_rebuild(self):
+        # A complete FQE1 file: header for q1_max 1, one empty sub-dataset.
+        old = b"FQE1" + struct.pack("<HBBHI", 1, 1, 15, 64, 1) + bytes(16) + bytes(8)
+        with pytest.raises(DatasetFormatError, match="rebuild the dataset with `fqe build`"):
+            deserialize(with_crc(old))
+
+    @pytest.mark.parametrize("sections", [[0], [7], list(range(8))])
+    def test_huge_section_count(self, sections):
+        body = bytearray(tiny_blob()[:-4])
+        for s in sections:
+            body[30 + 4 * s : 34 + 4 * s] = b"\xff\xff\xff\xff"
+        with pytest.raises(DatasetFormatError, match="size"):
+            deserialize(with_crc(bytes(body)))
+
+    @pytest.mark.parametrize("column", ["lengths", "counts", "bins"])
+    def test_zero_counts_rejected(self, column):
+        blob = tiny_blob()
+        body = bytearray(blob[:-4])
+        n_rec = int(np.frombuffer(blob, "<u4", 8, 30).sum())
+        n_bins = (len(body) - 62 - 14 * n_rec) // 4
+        lengths = np.frombuffer(body, "<u2", n_rec, 62 + 8 * n_rec)
+        counts = np.frombuffer(body, "<u4", n_rec, 62 + 10 * n_rec)
+        bins = np.frombuffer(body, "<u2", n_bins, 62 + 14 * n_rec + 2 * n_bins)
+        if column == "lengths":  # keep the total so only the zero is wrong
+            lengths[1] += lengths[0]
+            lengths[0] = 0
+        else:
+            (counts if column == "counts" else bins)[0] = 0
+        with pytest.raises(DatasetFormatError, match="empty"):
+            deserialize(with_crc(bytes(body)))
+
+    @pytest.mark.parametrize("first_key", [1e300, float("nan")])
+    def test_unsorted_or_nan_keys_rejected(self, first_key):
+        # Section 0 holds two records; the window search needs sorted keys.
+        body = bytearray(tiny_blob()[:-4])
+        body[62:70] = struct.pack("<d", first_key)
+        with pytest.raises(DatasetFormatError, match="sorted"):
+            deserialize(with_crc(bytes(body)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_hostile_files(self, data):
+        # Mutate, truncate or extend the header, the section table or the
+        # columns, then stamp a valid CRC: the loader must return a usable
+        # dataset or raise DatasetFormatError, never anything else.
+        body = bytearray(tiny_blob()[:-4])
+        table_end = 30 + 4 * 2 * 2 * 2
+        lo, hi = data.draw(st.sampled_from([(0, 30), (30, table_end), (table_end, len(body))]))
+        pos = data.draw(st.integers(lo, hi - 1))
+        op = data.draw(st.sampled_from(["mutate", "truncate", "extend"]))
+        if op == "mutate":
+            chunk = data.draw(st.binary(min_size=1, max_size=8))
+            body[pos : pos + len(chunk)] = chunk
+        elif op == "truncate":
+            del body[pos : pos + data.draw(st.integers(1, len(body) - pos))]
+        else:
+            body[pos:pos] = data.draw(st.binary(min_size=1, max_size=16))
+        try:
+            ds = deserialize(with_crc(bytes(body)))
+        except DatasetFormatError:
+            return
+        again = serialize(ds)
+        assert serialize(deserialize(again)) == again
