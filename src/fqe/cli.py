@@ -86,12 +86,21 @@ def main() -> None:
 # ---------------------------------------------------------------------------
 
 
+def _patch_side(ctx: click.Context, param: click.Parameter, value: int) -> int:
+    # u16 bin counts hold at most 65535 blocks per patch: 255 x 255 at side 2040.
+    if value % 8 or not 8 <= value <= 2040:
+        raise click.BadParameter(f"{value} is not a multiple of 8 from 8 to 2040")
+    return value
+
+
 @main.command()
 @click.option("--raw-dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--q1-max", default=22, show_default=True)
-@click.option("--k", default=15, show_default=True)
-@click.option("--patch", default=64, show_default=True, help="Center-crop side.")
+@click.option("--q1-max", default=22, show_default=True, type=click.IntRange(1, 255))
+@click.option("--k", default=15, show_default=True, type=click.IntRange(2, 64))
+@click.option(
+    "--patch", default=64, show_default=True, callback=_patch_side, help="Center-crop side."
+)
 @click.option("--jobs", default=None, type=int, help="Worker processes (FQE_JOBS overrides).")
 def build(raw_dir: str, out: str, q1_max: int, k: int, patch: int, jobs: int | None) -> None:
     """Build a reference dataset from a directory of PGM images."""

@@ -88,11 +88,12 @@ def dequantize(values: np.ndarray, table: QuantTable) -> np.ndarray:
 # Batched versions of the block operations. These are what the compression
 # paths use; per-block functions above define the semantics.
 
-def _blocks_of(img: GrayImage) -> np.ndarray:
-    h, w = img.pixels.shape
+def blockify(pixels: np.ndarray) -> np.ndarray:
+    """The 8x8 blocks of a pixel array in raster order, as (n, 8, 8) float64."""
+    h, w = pixels.shape
     if h % 8 or w % 8:
         raise ValueError(f"image dimensions {w}x{h} are not multiples of 8")
-    a = img.pixels.reshape(h // 8, 8, w // 8, 8)
+    a = pixels.reshape(h // 8, 8, w // 8, 8)
     return a.transpose(0, 2, 1, 3).reshape(-1, 8, 8).astype(np.float64)
 
 
@@ -130,7 +131,7 @@ def reconstruct(grid: CoeffGrid, table: QuantTable) -> GrayImage:
 
 def compress_once(img: GrayImage, table: QuantTable) -> tuple[CoeffGrid, GrayImage]:
     """One JPEG compression cycle: quantized grid plus its reconstruction."""
-    blocks = _blocks_of(img)
+    blocks = blockify(img.pixels)
     grid = CoeffGrid(
         width_blocks=img.width // 8,
         height_blocks=img.height // 8,

@@ -224,6 +224,11 @@ def _decode_segment(
             if k == 0:
                 size = symbol
                 if size:
+                    # 8-bit baseline DC differences have categories 0..11
+                    # (T.81 F.1.2.1) and DC values lie within +-1024, so a
+                    # larger category or a prediction past +-2047 is corrupt.
+                    if size > 11:
+                        raise JpegFormatError(f"DC magnitude category {size} exceeds 11")
                     while nbits < size:
                         if pos >= n:
                             raise JpegFormatError("entropy-coded data is truncated")
@@ -236,6 +241,8 @@ def _decode_segment(
                     if v < (1 << (size - 1)):
                         v -= (1 << size) - 1
                     pred += v
+                    if not -2048 < pred < 2048:
+                        raise JpegFormatError("DC coefficient outside the 8-bit baseline range")
                 block[0] = pred
                 k = 1
                 continue
@@ -432,16 +439,12 @@ class _Parser:
 
         hmax = max(c.h for c in frame.components)
         vmax = max(c.v for c in frame.components)
-        units: list[tuple[int, int]] = []
         if ns == 1:
             comp = scan_comps[0]
             cw = -(-frame.width * comp.h // hmax)
             ch = -(-frame.height * comp.v // vmax)
-            bw, bh = -(-cw // 8), -(-ch // 8)
-            comp.blocks_w, comp.blocks_h = bw, bh
-            n_units = bw * bh
-            units = [(0, d) for d in range(n_units)]
-            n_mcus = n_units
+            comp.blocks_w, comp.blocks_h = -(-cw // 8), -(-ch // 8)
+            n_mcus = comp.blocks_w * comp.blocks_h
             per_mcu = 1
         else:
             mcus_x = -(-frame.width // (8 * hmax))
@@ -450,6 +453,22 @@ class _Parser:
             for comp in scan_comps:
                 comp.blocks_w = mcus_x * comp.h
                 comp.blocks_h = mcus_y * comp.v
+            per_mcu = sum(c.h * c.v for c in scan_comps)
+
+        # Every block codes a DC symbol and an EOB (or 63 AC terms), at least
+        # two bits, so the scan data bounds the block count before anything
+        # is allocated for the blocks.
+        segments, rst_indices, marker_pos = _split_entropy(self.data, entropy_start)
+        data_bytes = sum(len(s) for s in segments)
+        if n_mcus * per_mcu > 4 * data_bytes:
+            raise JpegFormatError(
+                f"{data_bytes} bytes of scan data cannot hold {n_mcus * per_mcu} blocks"
+            )
+
+        if ns == 1:
+            units = [(0, d) for d in range(n_mcus)]
+        else:
+            units = []
             for m in range(n_mcus):
                 my, mx = divmod(m, mcus_x)
                 for ci, comp in enumerate(scan_comps):
@@ -457,7 +476,6 @@ class _Parser:
                         row = my * comp.v + by
                         for bx in range(comp.h):
                             units.append((ci, row * comp.blocks_w + mx * comp.h + bx))
-            per_mcu = len(units) // n_mcus
 
         outputs = []
         for comp in scan_comps:
@@ -465,7 +483,6 @@ class _Parser:
             self.comp_coeffs[comp.comp_id] = arr
             outputs.append(arr)
 
-        segments, rst_indices, marker_pos = _split_entropy(self.data, entropy_start)
         ri = self.restart_interval
         expected = 1 if ri == 0 else -(-n_mcus // ri)
         if len(segments) != expected:
@@ -579,14 +596,7 @@ def encode_baseline_gray(img: GrayImage, table: QuantTable) -> bytes:
     pad_h = (-img.height) % 8
     pad_w = (-img.width) % 8
     pixels = np.pad(img.pixels, ((0, pad_h), (0, pad_w)), mode="edge")
-    padded = GrayImage(pixels)
-    blocks = dctsim.fdct_blocks(
-        pixels.reshape(padded.height // 8, 8, padded.width // 8, 8)
-        .transpose(0, 2, 1, 3)
-        .reshape(-1, 8, 8)
-        .astype(np.float64)
-    )
-    zz = dctsim.quantize_blocks(blocks, table)
+    zz = dctsim.quantize_blocks(dctsim.fdct_blocks(dctsim.blockify(pixels)), table)
 
     writer = _BitWriter()
     dc_enc, ac_enc = _DC_ENC, _AC_ENC

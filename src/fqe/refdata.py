@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dctsim
-from .stats import CoeffHistogram, chi2, fit_laplacian
+from .stats import CoeffHistogram, chi2, fit_laplacian_batch
+from .stats import fit_laplacian  # noqa: F401  (perfbench/spans.py traces this name)
 from .types import ZIGZAG_TO_NATURAL, GrayImage
 
 
@@ -160,49 +161,48 @@ def _nearest_window(keys: np.ndarray, key: float, n: int) -> tuple[int, int]:
     return lo, lo + n
 
 
-def _patch_items(patch: GrayImage, q1_max: int, k: int):
-    """Per-(q1, q2) DC and AC record items for one patch.
+def _patch_columns(patch: GrayImage, q1_max: int, k: int):
+    """The records of one patch as FQE2 columns, in (q1, q2, coefficient) order.
 
-    Bit-exact with double_compress followed by build_histogram: the forward
-    DCT of each q1 reconstruction is computed once and requantized for every
-    q2, which is the same arithmetic in the same order.
+    Returns, per record, its section id, key and support length, and per
+    bin its support value (i16) and count (u16); every record counts the
+    patch's block count of samples. Bit-exact with double_compress followed
+    by build_histogram and fit_laplacian per coefficient: the forward DCT of
+    each q1 reconstruction is computed once and requantized for all q2 at
+    once, and each (q2, coefficient) column is sorted once, so the bins are
+    the runs of equal values in its row.
     """
-    blocks = (
-        patch.pixels.reshape(patch.height // 8, 8, patch.width // 8, 8)
-        .transpose(0, 2, 1, 3)
-        .reshape(-1, 8, 8)
-        .astype(np.float64)
-    )
-    f0 = dctsim.fdct_blocks(blocks)
+    f0 = dctsim.fdct_blocks(dctsim.blockify(patch.pixels))
+    n_blocks = f0.shape[0]
     zz_first_k = ZIGZAG_TO_NATURAL[:k]
-    out = {}
+    q2s = np.arange(1, q1_max + 1, dtype=np.float64)[:, None, None]
+    # Row (q2 - 1) * k + i of one q1 holds coefficient i requantized by q2.
+    row_section = 2 * np.arange(q1_max).repeat(k) + (np.arange(q1_max * k) % k > 0)
+    sections, lengths, values, bins = [], [], [], []
     for q1 in range(1, q1_max + 1):
         t1 = dctsim.constant_table(q1)
-        zz1 = dctsim.quantize_blocks(f0, t1)
-        recon = dctsim.idct_blocks(dctsim.dequantize_blocks(zz1, t1))
+        recon = dctsim.idct_blocks(dctsim.dequantize_blocks(dctsim.quantize_blocks(f0, t1), t1))
         f1 = dctsim.fdct_blocks(recon).reshape(-1, 64)[:, zz_first_k]
-        n_blocks = f1.shape[0]
-        for q2 in range(1, q1_max + 1):
-            quantized = dctsim.round_half_away(f1 / float(q2)).astype(np.int32)
-            dc_items = []
-            ac_items = []
-            for i in range(k):
-                support, counts = np.unique(quantized[:, i], return_counts=True)
-                if support.size == 1:
-                    continue  # degenerate: carries no information about q1
-                params = fit_laplacian(
-                    CoeffHistogram(support=support, mass=counts / n_blocks, count=n_blocks)
-                )
-                key = params.mu if i == 0 else params.beta
-                (dc_items if i == 0 else ac_items).append(
-                    (key, support.astype(np.int16), counts.astype(np.uint16), n_blocks)
-                )
-            out[(q1, q2)] = (dc_items, ac_items)
-    return out
-
-
-def _patch_items_star(args):
-    return _patch_items(*args)
+        rows = np.sort(
+            dctsim.round_half_away(f1.T[None] / q2s).astype(np.int16).reshape(-1, n_blocks),
+            axis=1,
+        )
+        starts = np.ones(rows.shape, dtype=bool)
+        np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
+        row_lengths = np.count_nonzero(starts, axis=1)
+        first = np.flatnonzero(starts)
+        row_bins = np.diff(first, append=rows.size)
+        # A single-bin histogram carries no information about q1: no record.
+        keep = row_lengths > 1
+        bin_keep = np.repeat(keep, row_lengths)
+        sections.append(row_section[keep] + 2 * q1_max * (q1 - 1))
+        lengths.append(row_lengths[keep])
+        values.append(rows.reshape(-1)[first[bin_keep]])
+        bins.append(row_bins[bin_keep].astype(np.uint16))
+    sections, lengths, values, bins = map(np.concatenate, (sections, lengths, values, bins))
+    mu, beta = fit_laplacian_batch(values, bins / n_blocks, lengths)
+    keys = np.where(sections % 2 == 0, mu, beta)
+    return sections, keys, lengths, values, bins
 
 
 def build_reference(
@@ -214,7 +214,8 @@ def build_reference(
     """Build the reference dataset from raw patches.
 
     Deterministic given the patch sequence and parameters, independent of
-    the worker count: records merge in patch order and sort stably by key.
+    the worker count: the patches' records are stacked in patch order and
+    sorted stably by section, then key.
     """
     if not patches:
         raise ValueError("cannot build a reference dataset from no patches")
@@ -238,34 +239,56 @@ def build_reference(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_patch = list(
                 pool.map(
-                    _patch_items_star,
-                    [(p, q1_max, k) for p in patches],
+                    _patch_columns,
+                    patches,
+                    itertools.repeat(q1_max),
+                    itertools.repeat(k),
                     chunksize=max(1, -(-len(patches) // (4 * jobs))),
                 )
             )
     else:
-        per_patch = [_patch_items(p, q1_max, k) for p in patches]
+        per_patch = [_patch_columns(p, q1_max, k) for p in patches]
+
+    sections, keys, lengths, values, bins = map(np.concatenate, zip(*per_patch))
+    stacked = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=stacked[1:])
+    order = np.lexsort((keys, sections))
+    lengths = lengths[order]
+    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    # Bin b of sorted record j is bin b of stacked record order[j].
+    gather = np.repeat(stacked[order] - offsets[:-1], lengths) + np.arange(offsets[-1])
+    bounds = np.searchsorted(sections[order], np.arange(2 * q1_max * q1_max + 1))
+    return _from_columns(
+        q1_max, k, side, len(patches), bounds, keys[order], offsets,
+        values[gather], bins[gather], np.full(order.size, (side // 8) ** 2, dtype=np.uint32),
+    )
+
+
+def _from_columns(
+    q1_max, k, patch_side, source_count, bounds, keys, offsets, values, bins, counts
+) -> ReferenceDataset:
+    """A dataset whose records are views of whole-dataset columns.
+
+    Section s = 2 * ((q1 - 1) * q1_max + q2 - 1) + (0 for dc, 1 for ac) owns
+    records bounds[s]:bounds[s + 1]; record i owns bins offsets[i]:offsets[i + 1].
+    """
+
+    def section(s: int) -> PackedRecords:
+        r0, r1 = bounds[s], bounds[s + 1]
+        b0, b1 = offsets[r0], offsets[r1]
+        return PackedRecords(
+            keys[r0:r1], offsets[r0 : r1 + 1] - b0, values[b0:b1], bins[b0:b1], counts[r0:r1]
+        )
 
     subs = {}
-    for q1 in range(1, q1_max + 1):
-        for q2 in range(1, q1_max + 1):
-            dc_items = []
-            ac_items = []
-            for result in per_patch:
-                d, a = result[(q1, q2)]
-                dc_items.extend(d)
-                ac_items.extend(a)
-            subs[(q1, q2)] = SubDataset(
-                q1=q1,
-                q2=q2,
-                dc=PackedRecords.from_items(dc_items),
-                ac=PackedRecords.from_items(ac_items),
-            )
+    for s, (q1, q2) in enumerate(itertools.product(range(1, q1_max + 1), repeat=2)):
+        subs[(q1, q2)] = SubDataset(q1=q1, q2=q2, dc=section(2 * s), ac=section(2 * s + 1))
     return ReferenceDataset(
         q1_max=q1_max,
         k=k,
-        patch_side=side,
-        source_count=len(patches),
+        patch_side=patch_side,
+        source_count=source_count,
         subs=subs,
     )
 
@@ -410,20 +433,6 @@ def deserialize(data: bytes) -> ReferenceDataset:
     if not (np.isfinite(keys).all() and np.isin(descents, bounds).all()):
         raise DatasetFormatError("record keys are not finite and sorted within each section")
 
-    def section(s: int) -> PackedRecords:
-        r0, r1 = bounds[s], bounds[s + 1]
-        b0, b1 = offsets[r0], offsets[r1]
-        return PackedRecords(
-            keys[r0:r1], offsets[r0 : r1 + 1] - b0, values[b0:b1], bins[b0:b1], counts[r0:r1]
-        )
-
-    subs = {}
-    for s, (q1, q2) in enumerate(itertools.product(range(1, q1_max + 1), repeat=2)):
-        subs[(q1, q2)] = SubDataset(q1=q1, q2=q2, dc=section(2 * s), ac=section(2 * s + 1))
-    return ReferenceDataset(
-        q1_max=q1_max,
-        k=k,
-        patch_side=patch_side,
-        source_count=source_count,
-        subs=subs,
+    return _from_columns(
+        q1_max, k, patch_side, source_count, bounds, keys, offsets, values, bins, counts
     )

@@ -61,6 +61,35 @@ def fit_laplacian(h: CoeffHistogram) -> LaplacianParams:
     return LaplacianParams(mu=mu, beta=beta)
 
 
+def fit_laplacian_batch(
+    support: np.ndarray, mass: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """fit_laplacian of many histograms at once: arrays of mu and beta.
+
+    Histogram r is the next lengths[r] entries of support and mass, laid end
+    to end. Histograms of one length are fitted together as the rows of a
+    matrix. A row's cumsum and its sum(axis=1) run the additions of
+    np.cumsum and np.sum on that histogram alone, in the same order (np.sum
+    groups its terms pairwise by array length), so every mu and beta equals
+    fit_laplacian's bit for bit.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = np.zeros(lengths.size, dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    mu = np.empty(lengths.size)
+    beta = np.empty(lengths.size)
+    for n in np.unique(lengths):
+        rows = np.flatnonzero(lengths == n)
+        idx = starts[rows, None] + np.arange(n)
+        m, s = mass[idx], support[idx]
+        cum = np.cumsum(m, axis=1)
+        median = np.count_nonzero(cum < 0.5 * cum[:, -1:], axis=1)
+        mu_n = s[np.arange(rows.size), median].astype(np.float64)
+        mu[rows] = mu_n
+        beta[rows] = (m * np.abs(s - mu_n[:, None])).sum(axis=1)
+    return mu, beta
+
+
 def chi2(a: CoeffHistogram, b: CoeffHistogram) -> float:
     """Chi-square distance sum((x - y)^2 / (x + y)) over the union of supports.
 

@@ -91,6 +91,21 @@ class TestBuild:
         assert result.exit_code != 0
         assert "skipping" in result.output
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--q1-max", "0"), ("--q1-max", "256"), ("--k", "1"), ("--k", "65"),
+         ("--patch", "60"), ("--patch", "0"), ("--patch", "2048")],
+    )
+    def test_bad_arguments_are_usage_errors(self, tmp_path, raw_dir, runner, flag, value):
+        out = tmp_path / "o.fqe"
+        result = runner.invoke(
+            main, ["build", "--raw-dir", str(raw_dir), "--out", str(out), flag, value]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Invalid value for '{flag}'" in result.output
+        assert not out.exists()
+
     def test_env_overrides_jobs(self, tmp_path, raw_dir, runner, monkeypatch):
         monkeypatch.setenv("FQE_JOBS", "not-a-number")
         result = runner.invoke(

@@ -158,6 +158,54 @@ class TestParserErrors:
         with pytest.raises(jpegio.JpegFormatError):
             jpegio.parse_jpeg(bytes(data))
 
+    @staticmethod
+    def hand_built(width: int, height: int, dc_symbol: int, scan_bits: str) -> bytes:
+        """A one-component baseline stream whose DC table has the single code
+        '0' for dc_symbol and whose AC table has the single code '0' for EOB."""
+
+        def segment(marker: int, payload: bytes) -> bytes:
+            return bytes([0xFF, marker]) + (len(payload) + 2).to_bytes(2, "big") + payload
+
+        one_code = bytes([1] + [0] * 15)
+        scan_bits += "1" * (-len(scan_bits) % 8)
+        scan = bytes(int(scan_bits[i : i + 8], 2) for i in range(0, len(scan_bits), 8))
+        return (
+            b"\xff\xd8"
+            + segment(0xDB, bytes([0]) + bytes([1] * 64))
+            + segment(0xC0, bytes([8]) + height.to_bytes(2, "big") + width.to_bytes(2, "big")
+                      + bytes([1, 1, 0x11, 0]))
+            + segment(0xC4, bytes([0x00]) + one_code + bytes([dc_symbol])
+                      + bytes([0x10]) + one_code + bytes([0x00]))
+            + segment(0xDA, bytes([1, 1, 0x00, 0, 63, 0]))
+            + scan.replace(b"\xff", b"\xff\x00")
+            + b"\xff\xd9"
+        )
+
+    def test_hand_built_stream_parses(self):
+        # Two blocks with DC differences +5 and -5 (category 3, '101' / '010').
+        data = self.hand_built(16, 8, 3, "0" + "101" + "0" + "0" + "010" + "0")
+        assert jpegio.parse_jpeg(data).coeffs.values[:, 0].tolist() == [5, 0]
+
+    @pytest.mark.parametrize("category", [12, 32])
+    def test_dc_category_above_11_rejected(self, category):
+        # Category 32 used to overflow the int32 grid with OverflowError.
+        data = self.hand_built(8, 8, category, "0" + "1" * category + "0")
+        with pytest.raises(jpegio.JpegFormatError, match="category"):
+            jpegio.parse_jpeg(data)
+
+    def test_dc_drift_beyond_baseline_range_rejected(self):
+        # Category 11 differences of +2047 add up past any 8-bit DC value.
+        data = self.hand_built(16, 8, 11, ("0" + "1" * 11 + "0") * 2)
+        with pytest.raises(jpegio.JpegFormatError, match="DC coefficient"):
+            jpegio.parse_jpeg(data)
+
+    def test_block_count_beyond_scan_data_fails_fast(self):
+        # 65535 x 65535 is about 67M blocks; four bytes of scan data hold at
+        # most 16, so the frame is rejected before anything is allocated.
+        data = self.hand_built(65535, 65535, 0, "00" * 16)
+        with pytest.raises(jpegio.JpegFormatError, match="cannot hold"):
+            jpegio.parse_jpeg(data)
+
 
 @pytest.mark.skipif(PIL_Image is None, reason="Pillow cross-checks")
 class TestAgainstPillow:

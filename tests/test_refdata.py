@@ -25,7 +25,10 @@ from fqe.refdata import (
 from fqe.stats import CoeffHistogram, build_histogram, chi2, fit_laplacian, is_degenerate
 from fqe.types import GrayImage
 
-from conftest import synth_patches
+_KINDS = ("dc", "ac")
+
+from conftest import synth_patch, synth_patches
+from oracles import patch_items
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +108,64 @@ class TestBuild:
                         rec = packed.record(idx)
                         assert rec.key == key
                         assert rec.hist == hist
+
+    @staticmethod
+    def assert_columns_match_oracle(patch, q1_max, k):
+        # Record for record against the per-column loop, in (q1, q2, dc, ac) order.
+        sections, keys, lengths, values, bins = refdata._patch_columns(patch, q1_max, k)
+        items = patch_items(patch, q1_max, k)
+        expect = [
+            (2 * ((q1 - 1) * q1_max + q2 - 1) + kind, item)
+            for q1 in range(1, q1_max + 1)
+            for q2 in range(1, q1_max + 1)
+            for kind in (0, 1)
+            for item in items[(q1, q2)][kind]
+        ]
+        n_blocks = (patch.width // 8) * (patch.height // 8)
+        assert sections.tolist() == [s for s, _ in expect]
+        assert np.array_equal(
+            keys.view(np.uint64), np.array([it[0] for _, it in expect]).view(np.uint64)
+        )
+        assert lengths.tolist() == [it[1].size for _, it in expect]
+        assert np.array_equal(values, np.concatenate([it[1] for _, it in expect]))
+        assert np.array_equal(bins, np.concatenate([it[2] for _, it in expect]))
+        assert values.dtype == np.int16 and bins.dtype == np.uint16
+        assert {it[3] for _, it in expect} == {n_blocks}
+        return lengths
+
+    def test_patch_columns_match_oracle(self):
+        for patch in synth_patches(seed=28, count=3):
+            self.assert_columns_match_oracle(patch, q1_max=22, k=15)
+
+    def test_patch_columns_match_oracle_long_supports(self):
+        # 33 x 33 blocks: some supports exceed the 128 terms that np.sum adds
+        # in one unrolled block before it splits pairwise, and masses c / 1089
+        # are inexact, so the order of the additions shows in beta.
+        patch = synth_patch(np.random.default_rng(29), side=264)
+        lengths = self.assert_columns_match_oracle(patch, q1_max=22, k=15)
+        assert lengths.max() > 128
+
+    def test_dataset_matches_merged_oracle_items(self):
+        # The old assembly: items merged in patch order, stably sorted by key.
+        patches = synth_patches(seed=30, count=4)
+        q1_max = 22
+        ds = build_reference(patches, q1_max=q1_max, k=15)
+        per_patch = [patch_items(p, q1_max, 15) for p in patches]
+        for (q1, q2), sub in ds.subs.items():
+            for kind in (0, 1):
+                want = PackedRecords.from_items(
+                    [it for items in per_patch for it in items[(q1, q2)][kind]]
+                )
+                got = sub.kind(_KINDS[kind])
+                for name in ("keys", "offsets", "values", "bins", "counts", "masses"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (q1, q2, kind, name)
+
+    def test_jobs_give_identical_bytes_at_paper_grid(self):
+        patches = synth_patches(seed=31, count=4)
+        one = serialize(build_reference(patches, q1_max=22, k=15, jobs=1))
+        two = serialize(build_reference(patches, q1_max=22, k=15, jobs=2))
+        assert one == two
 
     def test_keys_sorted_and_consistent_with_fit(self, small_ds):
         for sub in small_ds.subs.values():

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqe.stats import CoeffHistogram, build_histogram, chi2, fit_laplacian, is_degenerate
+from fqe.stats import (
+    CoeffHistogram,
+    build_histogram,
+    chi2,
+    fit_laplacian,
+    fit_laplacian_batch,
+    is_degenerate,
+)
 
 
 def random_histogram(rng: np.random.Generator) -> CoeffHistogram:
@@ -79,6 +86,39 @@ class TestFitLaplacian:
             assert params.mu == brute_force_median(h)
             expected_beta = float(np.sum(h.mass * np.abs(h.support - params.mu)))
             assert params.beta == pytest.approx(expected_beta, abs=1e-12)
+
+
+class TestFitLaplacianBatch:
+    def test_matches_fit_laplacian_bit_for_bit(self, rng):
+        # Lengths around np.sum's 8-term unroll and 128-term block, and
+        # integer counts over a shared total so exact-half medians occur.
+        hists = []
+        for size in [1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 130, 255, 256, 300, 1000] * 3:
+            support = np.sort(rng.choice(np.arange(-2000, 2001), size=size, replace=False))
+            counts = rng.integers(1, 40, size)
+            total = int(counts.sum()) * int(rng.integers(1, 3))
+            hists.append(CoeffHistogram(support=support, mass=counts / total, count=total))
+        order = rng.permutation(len(hists))
+        hists = [hists[i] for i in order]
+        mu, beta = fit_laplacian_batch(
+            np.concatenate([h.support for h in hists]).astype(np.int16),
+            np.concatenate([h.mass for h in hists]),
+            [h.support.size for h in hists],
+        )
+        fits = [fit_laplacian(h) for h in hists]
+        assert np.array_equal(mu, [f.mu for f in fits])
+        assert np.array_equal(
+            beta.view(np.uint64), np.array([f.beta for f in fits]).view(np.uint64)
+        )
+
+    def test_lower_median_on_ties(self):
+        mu, beta = fit_laplacian_batch(np.array([-1, 1, 4, 6]), np.full(4, 0.5), [2, 2])
+        assert mu.tolist() == [-1.0, 4.0]
+        assert beta.tolist() == [1.0, 1.0]
+
+    def test_no_histograms(self):
+        mu, beta = fit_laplacian_batch(np.empty(0), np.empty(0), [])
+        assert mu.size == 0 and beta.size == 0
 
 
 class TestChi2:
