@@ -214,9 +214,17 @@ def _format_estimate(result: EstimationResult, fmt: str) -> str:
 @main.command("estimate")
 @click.option("--image", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--dataset", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--k", default=15, show_default=True)
-@click.option("--n", default=1000, show_default=True, help="Candidates per sub-dataset.")
-@click.option("--w", default=0.92, show_default=True, help="Data-term weight.")
+@click.option("--k", default=15, show_default=True, type=click.IntRange(2, 64))
+@click.option(
+    "--n",
+    default=1000,
+    show_default=True,
+    type=click.IntRange(min=1),
+    help="Candidates per sub-dataset.",
+)
+@click.option(
+    "--w", default=0.92, show_default=True, type=click.FloatRange(0, 1), help="Data-term weight."
+)
 @click.option(
     "--reg-variant",
     default="reg3",
@@ -580,9 +588,9 @@ def report_to_csv(report: dict) -> str:
 @main.command("evaluate")
 @click.option("--corpus-dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--dataset", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--k", default=15, show_default=True)
-@click.option("--n", default=1000, show_default=True)
-@click.option("--w", default=0.92, show_default=True)
+@click.option("--k", default=15, show_default=True, type=click.IntRange(2, 64))
+@click.option("--n", default=1000, show_default=True, type=click.IntRange(min=1))
+@click.option("--w", default=0.92, show_default=True, type=click.FloatRange(0, 1))
 @click.option(
     "--reg-variant",
     default="reg3",

@@ -40,6 +40,13 @@ def _dct_matrix() -> np.ndarray:
 _DCT = _dct_matrix()
 _DCT_T = _DCT.T
 
+# The contraction orders np.einsum(optimize=True) picks for the batched DCTs,
+# searched once here instead of on every call. The order is the same for any
+# block count, so the results are bit-identical to optimize=True.
+_ONE_BLOCK = np.empty((1, 8, 8))
+_FDCT_PATH = np.einsum_path("ux,nxy,vy->nuv", _DCT, _ONE_BLOCK, _DCT, optimize=True)[0]
+_IDCT_PATH = np.einsum_path("xu,nuv,yv->nxy", _DCT_T, _ONE_BLOCK, _DCT_T, optimize=True)[0]
+
 
 def zigzag_position(i: int) -> tuple[int, int]:
     """(row, col) of the 1-based zig-zag coefficient index i."""
@@ -103,7 +110,7 @@ def _unblock(blocks: np.ndarray, width: int, height: int) -> np.ndarray:
 
 
 def fdct_blocks(blocks: np.ndarray) -> np.ndarray:
-    return np.einsum("ux,nxy,vy->nuv", _DCT, blocks - 128.0, _DCT, optimize=True)
+    return np.einsum("ux,nxy,vy->nuv", _DCT, blocks - 128.0, _DCT, optimize=_FDCT_PATH)
 
 
 def quantize_blocks(coeff_blocks: np.ndarray, table: QuantTable) -> np.ndarray:
@@ -118,7 +125,7 @@ def dequantize_blocks(zz_values: np.ndarray, table: QuantTable) -> np.ndarray:
 
 
 def idct_blocks(coeff_blocks: np.ndarray) -> np.ndarray:
-    pixels = np.einsum("xu,nuv,yv->nxy", _DCT_T, coeff_blocks, _DCT_T, optimize=True)
+    pixels = np.einsum("xu,nuv,yv->nxy", _DCT_T, coeff_blocks, _DCT_T, optimize=_IDCT_PATH)
     return np.clip(round_half_away(pixels + 128.0), 0, 255)
 
 

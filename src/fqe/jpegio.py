@@ -11,7 +11,10 @@ simulated compression paths agree bit-exactly.
 
 from __future__ import annotations
 
+from array import array
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,11 +106,13 @@ class FrameInfo:
 
 @dataclass
 class ParsedJpeg:
-    """Quant tables keyed by component id, luminance grid, frame metadata."""
+    """Quant tables keyed by component id, luminance grid, frame metadata,
+    and the quantized zig-zag blocks of every scanned component by id."""
 
     tables: dict[int, QuantTable]
     coeffs: CoeffGrid
     frame: FrameInfo
+    component_coeffs: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def luma_table(self) -> QuantTable:
@@ -115,18 +120,27 @@ class ParsedJpeg:
 
 
 # ---------------------------------------------------------------------------
-# Huffman decode: 16-bit prefix lookup tables, cached per table definition.
-# lut[peek16] = (symbol << 8) | code_length, 0 for invalid prefixes.
+# Huffman decode tables, built once per table definition and kept in a small
+# cache. `lut` maps every 16-bit peek to (symbol << 8) | code_length, 0 for an
+# invalid prefix. `fast` maps every 12-bit peek whose code, and for a non-zero
+# coefficient also its magnitude bits, fit in 12 bits to the decoded result:
+# (bits used, DC difference) for a DC table and (run + 1, bits used, value as
+# 16 bits) for an AC table, where value 0 marks EOB or, with run + 1 = 16,
+# ZRL. Bits used 0 sends the decoder to `lut`.
 # ---------------------------------------------------------------------------
 
-_LUT_CACHE: dict[bytes, list[int]] = {}
+
+class _HuffTable(NamedTuple):
+    lut: array
+    fast: list[tuple[int, ...]]
 
 
-def _build_decode_lut(bits: tuple[int, ...], values: tuple[int, ...]) -> list[int]:
-    key = bytes(bits) + bytes(values)
-    cached = _LUT_CACHE.get(key)
-    if cached is not None:
-        return cached
+_FAST_BITS = 12
+_LUT_CACHE_SIZE = 8
+_LUT_CACHE: OrderedDict[bytes, _HuffTable] = OrderedDict()
+
+
+def _build_decode_lut(bits: tuple[int, ...], values: tuple[int, ...]) -> np.ndarray:
     lut = np.zeros(1 << 16, dtype=np.uint16)
     code = 0
     vi = 0
@@ -140,9 +154,40 @@ def _build_decode_lut(bits: tuple[int, ...], values: tuple[int, ...]) -> list[in
             vi += 1
             code += 1
         code <<= 1
-    result = lut.tolist()
-    _LUT_CACHE[key] = result
-    return result
+    return lut
+
+
+def _build_fast_table(lut: np.ndarray, dc: bool) -> list[tuple[int, ...]]:
+    peek = np.arange(1 << _FAST_BITS, dtype=np.int64)
+    entry = lut[peek << (16 - _FAST_BITS)].astype(np.int64)
+    length = entry & 0xFF
+    symbol = entry >> 8
+    run, size = (0, symbol) if dc else (symbol >> 4, symbol & 0x0F)
+    fits = (length > 0) & (length + size <= _FAST_BITS)
+    size = np.where(fits, size, 0)
+    used = np.where(fits, length + size, 0)
+    mask = (1 << size) - 1
+    raw = (peek >> (_FAST_BITS - used)) & mask
+    value = np.where(raw <= mask >> 1, raw - mask, raw)  # sign extension
+    if dc:
+        return list(zip(used.tolist(), value.tolist()))
+    run1 = np.where(fits, run + 1, 0)
+    return list(zip(run1.tolist(), used.tolist(), (value & 0xFFFF).tolist()))
+
+
+def _huffman_table(tc: int, bits: tuple[int, ...], values: tuple[int, ...]) -> _HuffTable:
+    """Decode tables of one DHT entry (class tc), from a bounded LRU cache."""
+    key = bytes([tc]) + bytes(bits) + bytes(values)
+    table = _LUT_CACHE.get(key)
+    if table is not None:
+        _LUT_CACHE.move_to_end(key)
+        return table
+    lut = _build_decode_lut(bits, values)
+    table = _HuffTable(array("H", lut.tobytes()), _build_fast_table(lut, dc=tc == 0))
+    _LUT_CACHE[key] = table
+    if len(_LUT_CACHE) > _LUT_CACHE_SIZE:
+        _LUT_CACHE.popitem(last=False)
+    return table
 
 
 def _split_entropy(data: bytes, start: int) -> tuple[list[bytes], list[int], int]:
@@ -179,109 +224,151 @@ def _split_entropy(data: bytes, start: int) -> tuple[list[bytes], list[int], int
             return segments, rst_indices, ff
 
 
-def _decode_segment(
-    data: bytes,
-    units: list[tuple[int, int]],
-    comp_tables: list[tuple[list[int], list[int]]],
+# A segment is decoded as if 1-bits followed its data. A 16-bit peek may reach
+# at most _LOOKAHEAD_BYTES of them: a peek further out means the scan data was
+# cut short. Magnitude bits come from padding only when an earlier peek already
+# reached it. Each segment is followed by _GAP 0xFF bytes in the window stream,
+# so no bit of padding a decode can read belongs to the next segment.
+_LOOKAHEAD_BYTES = 6
+_GAP = 8
+_WINDOW_BYTES = 5
+_WINDOW_BITS = 8 * _WINDOW_BYTES
+
+
+def _bit_windows(stream: bytes) -> memoryview:
+    """w[i] = the _WINDOW_BYTES bytes from offset i, big-endian, 0xFF past the end."""
+    raw = np.frombuffer(stream + b"\xff" * (_WINDOW_BYTES - 1), dtype=np.uint8)
+    n = len(stream)
+    windows = np.zeros(n, dtype=np.uint64)
+    for i in range(_WINDOW_BYTES):
+        windows <<= 8
+        windows |= raw[i : i + n]
+    return memoryview(windows)
+
+
+def _decode_scan(
+    segments: list[bytes],
+    segment_units: list[list[tuple[int, int]]],
+    comp_tables: list[tuple[_HuffTable, _HuffTable]],
     outputs: list[np.ndarray],
-    dc_pred: list[int],
 ) -> None:
-    """Decode `units` (comp_index, dest_block) from one restart segment."""
-    pos = 0
-    n = len(data)
-    buf = 0
-    nbits = 0
-    padded = 0
+    """Decode each restart segment's units (comp_index, dest_block) into the
+    zeroed component grids `outputs`."""
+    windows = _bit_windows(b"".join(s + b"\xff" * _GAP for s in segments))
+    tables = [(dc.fast, dc.lut, ac.fast, ac.lut) for dc, ac in comp_tables]
+    coeffs = [array("q") for _ in outputs]
+    start = 0
+    for segment, units in zip(segments, segment_units):
+        _decode_segment(windows, 8 * start, 8 * len(segment), units, tables, coeffs)
+        start += len(segment) + _GAP
+    del windows  # freed before the scatter, which is the decode's memory peak
+    for out, packed in zip(outputs, coeffs):
+        packed = np.frombuffer(packed, dtype=np.int64)
+        values = packed.astype(np.uint16).view(np.int16)
+        packed >>= 16  # in place: flat index + 1
+        packed -= 1
+        out.reshape(-1)[packed] = values
+
+
+def _decode_segment(
+    windows: memoryview,
+    p: int,
+    n_bits: int,
+    units: list[tuple[int, int]],
+    tables: list[tuple[list, array, list, array]],
+    coeffs: list[array],
+) -> None:
+    """Decode `units` from the segment of n_bits bits at bit p of `windows`.
+
+    Each non-zero coefficient is appended to its component's `coeffs` as
+    ((flat grid index + 1) << 16) | (value & 0xFFFF).
+    """
+    end = p + n_bits
+    limit = end + 8 * _LOOKAHEAD_BYTES - 16
+    fast_shift = _WINDOW_BITS - _FAST_BITS
+    lut_shift = _WINDOW_BITS - 16
+    dc_pred = [0] * len(tables)
     for ci, dest in units:
-        dc_lut, ac_lut = comp_tables[ci]
-        out = outputs[ci]
-        block = [0] * 64
+        dc_fast, dc_lut, ac_fast, ac_lut = tables[ci]
+        push = coeffs[ci].append
         pred = dc_pred[ci]
-        k = 0
-        while True:
-            # Refill so a 16-bit peek is available; pad with 1s at stream end.
-            # A legitimate stream touches at most a few pad bytes of lookahead,
-            # so sustained padding means the scan data was cut short.
-            while nbits < 16:
-                if pos < n:
-                    buf = (buf << 8) | data[pos]
-                    pos += 1
-                    nbits += 8
-                else:
-                    buf = (buf << 8) | 0xFF
-                    nbits += 8
-                    padded += 1
-                    if padded > 6:
-                        raise JpegFormatError("entropy-coded data is truncated")
-            peek = (buf >> (nbits - 16)) & 0xFFFF
-            entry = (dc_lut if k == 0 else ac_lut)[peek]
+        if p > limit:
+            raise JpegFormatError("entropy-coded data is truncated")
+        w = windows[p >> 3]
+        used, diff = dc_fast[(w >> (fast_shift - (p & 7))) & 0xFFF]
+        if not used:
+            entry = dc_lut[(w >> (lut_shift - (p & 7))) & 0xFFFF]
             if entry == 0:
                 raise JpegFormatError("invalid Huffman code in scan data")
-            length = entry & 0xFF
-            symbol = entry >> 8
-            nbits -= length
-            buf &= (1 << nbits) - 1
-            if k == 0:
-                size = symbol
+            used = entry & 0xFF
+            size = entry >> 8
+            if size:
+                # 8-bit baseline DC differences have categories 0..11
+                # (T.81 F.1.2.1) and DC values lie within +-1024, so a
+                # larger category or a prediction past +-2047 is corrupt.
+                if size > 11:
+                    raise JpegFormatError(f"DC magnitude category {size} exceeds 11")
+                used += size
+                # (p + 23) & ~7 ends the bytes that the 16-bit peek at p reached.
+                if p + used > end and p + used > (p + 23) & ~7:
+                    raise JpegFormatError("entropy-coded data is truncated")
+                diff = (w >> (_WINDOW_BITS - (p & 7) - used)) & ((1 << size) - 1)
+                if diff < (1 << (size - 1)):
+                    diff -= (1 << size) - 1
+        p += used
+        if diff:
+            pred += diff
+            if not -2048 < pred < 2048:
+                raise JpegFormatError("DC coefficient outside the 8-bit baseline range")
+        dc_pred[ci] = pred
+        # k is one past the flat index of the last coefficient decoded.
+        k = (dest << 6) + 1
+        stop = k + 63
+        if pred:
+            push((k << 16) | (pred & 0xFFFF))
+        while True:
+            if p > limit:
+                raise JpegFormatError("entropy-coded data is truncated")
+            w = windows[p >> 3]
+            run1, used, v = ac_fast[(w >> (fast_shift - (p & 7))) & 0xFFF]
+            if not used:
+                entry = ac_lut[(w >> (lut_shift - (p & 7))) & 0xFFFF]
+                if entry == 0:
+                    raise JpegFormatError("invalid Huffman code in scan data")
+                used = entry & 0xFF
+                run1 = (entry >> 12) + 1
+                size = (entry >> 8) & 0x0F
                 if size:
-                    # 8-bit baseline DC differences have categories 0..11
-                    # (T.81 F.1.2.1) and DC values lie within +-1024, so a
-                    # larger category or a prediction past +-2047 is corrupt.
-                    if size > 11:
-                        raise JpegFormatError(f"DC magnitude category {size} exceeds 11")
-                    while nbits < size:
-                        if pos >= n:
-                            raise JpegFormatError("entropy-coded data is truncated")
-                        buf = (buf << 8) | data[pos]
-                        pos += 1
-                        nbits += 8
-                    v = (buf >> (nbits - size)) & ((1 << size) - 1)
-                    nbits -= size
-                    buf &= (1 << nbits) - 1
+                    if k + run1 > stop:
+                        raise JpegFormatError("AC coefficient index overflows the block")
+                    used += size
+                    if p + used > end and p + used > (p + 23) & ~7:
+                        raise JpegFormatError("entropy-coded data is truncated")
+                    v = (w >> (_WINDOW_BITS - (p & 7) - used)) & ((1 << size) - 1)
                     if v < (1 << (size - 1)):
                         v -= (1 << size) - 1
-                    pred += v
-                    if not -2048 < pred < 2048:
-                        raise JpegFormatError("DC coefficient outside the 8-bit baseline range")
-                block[0] = pred
-                k = 1
-                continue
-            run = symbol >> 4
-            size = symbol & 0x0F
-            if size == 0:
-                if run == 15:
-                    k += 16
-                    if k > 64:
-                        raise JpegFormatError("AC run overflows the block")
-                    continue
-                break  # EOB
-            k += run
-            if k > 63:
-                raise JpegFormatError("AC coefficient index overflows the block")
-            while nbits < size:
-                if pos >= n:
-                    raise JpegFormatError("entropy-coded data is truncated")
-                buf = (buf << 8) | data[pos]
-                pos += 1
-                nbits += 8
-            v = (buf >> (nbits - size)) & ((1 << size) - 1)
-            nbits -= size
-            buf &= (1 << nbits) - 1
-            if v < (1 << (size - 1)):
-                v -= (1 << size) - 1
-            block[k] = v
-            k += 1
-            if k == 64:
-                break
-        dc_pred[ci] = pred
-        out[dest] = block
+                    v &= 0xFFFF
+            p += used
+            if v:
+                k += run1
+                if k > stop:
+                    raise JpegFormatError("AC coefficient index overflows the block")
+                push((k << 16) | v)
+                if k == stop:
+                    break
+            elif run1 == 16:  # ZRL
+                k += 16
+                if k > stop:
+                    raise JpegFormatError("AC run overflows the block")
+            else:
+                break  # EOB: any size-0 symbol other than ZRL
 
 
 class _Parser:
     def __init__(self, data: bytes):
         self.data = data
         self.quant_tables: dict[int, np.ndarray] = {}
-        self.huff_luts: dict[tuple[int, int], list[int]] = {}
+        self.huff_tables: dict[tuple[int, int], _HuffTable] = {}
         self.frame: FrameInfo | None = None
         self.restart_interval = 0
         self.comp_coeffs: dict[int, np.ndarray] = {}
@@ -378,7 +465,7 @@ class _Parser:
                 raise JpegFormatError("truncated DHT segment")
             values = tuple(seg[pos : pos + total])
             pos += total
-            self.huff_luts[(tc, th)] = _build_decode_lut(bits, values)
+            self.huff_tables[(tc, th)] = _huffman_table(tc, bits, values)
 
     def _read_sof(self, seg: bytes) -> None:
         if self.frame is not None:
@@ -419,7 +506,7 @@ class _Parser:
             raise JpegFormatError("bad SOS segment length")
         by_id = {c.comp_id: i for i, c in enumerate(frame.components)}
         scan_comps: list[ComponentInfo] = []
-        comp_tables: list[tuple[list[int], list[int]]] = []
+        comp_tables: list[tuple[_HuffTable, _HuffTable]] = []
         for s in range(ns):
             cid = seg[1 + 2 * s]
             tdta = seg[2 + 2 * s]
@@ -427,12 +514,12 @@ class _Parser:
                 raise JpegFormatError(f"scan references unknown component {cid}")
             comp = frame.components[by_id[cid]]
             td, ta = tdta >> 4, tdta & 0x0F
-            dc_lut = self.huff_luts.get((0, td))
-            ac_lut = self.huff_luts.get((1, ta))
-            if dc_lut is None or ac_lut is None:
+            dc_table = self.huff_tables.get((0, td))
+            ac_table = self.huff_tables.get((1, ta))
+            if dc_table is None or ac_table is None:
                 raise JpegFormatError("scan references a missing Huffman table")
             scan_comps.append(comp)
-            comp_tables.append((dc_lut, ac_lut))
+            comp_tables.append((dc_table, ac_table))
         ss, se, ahal = seg[1 + 2 * ns], seg[2 + 2 * ns], seg[3 + 2 * ns]
         if ss != 0 or se != 63 or ahal != 0:
             raise UnsupportedJpegError("spectral selection implies a non-baseline scan")
@@ -493,14 +580,9 @@ class _Parser:
             if n != i % 8:
                 raise JpegFormatError("restart markers out of sequence")
 
-        dc_pred = [0] * len(scan_comps)
-        for si, segment in enumerate(segments):
-            if ri:
-                lo, hi = si * ri * per_mcu, min((si * ri + ri) * per_mcu, len(units))
-                dc_pred = [0] * len(scan_comps)
-            else:
-                lo, hi = 0, len(units)
-            _decode_segment(segment, units[lo:hi], comp_tables, outputs, dc_pred)
+        step = ri * per_mcu if ri else len(units)
+        segment_units = [units[lo : lo + step] for lo in range(0, len(units), step)]
+        _decode_scan(segments, segment_units, comp_tables, outputs)
         return marker_pos
 
     def _assemble(self) -> ParsedJpeg:
@@ -524,7 +606,9 @@ class _Parser:
             height_blocks=luma.blocks_h,
             values=self.comp_coeffs[luma.comp_id],
         )
-        return ParsedJpeg(tables=tables, coeffs=grid, frame=frame)
+        return ParsedJpeg(
+            tables=tables, coeffs=grid, frame=frame, component_coeffs=self.comp_coeffs
+        )
 
 
 def parse_jpeg(data: bytes) -> ParsedJpeg:
@@ -581,6 +665,38 @@ class _BitWriter:
             self.write((1 << pad) - 1, pad)
 
 
+def _write_block(writer: _BitWriter, block: list[int], pred: int) -> None:
+    """Huffman-code one zig-zag block, its DC term as the difference from
+    pred, with the annex K luminance tables."""
+    dc_enc, ac_enc = _DC_ENC, _AC_ENC
+    diff = block[0] - pred
+    size = abs(diff).bit_length()
+    code, length = dc_enc[size]
+    writer.write(code, length)
+    if size:
+        v = diff if diff >= 0 else diff + (1 << size) - 1
+        writer.write(v, size)
+    run = 0
+    for k in range(1, 64):
+        val = block[k]
+        if val == 0:
+            run += 1
+            continue
+        while run > 15:
+            code, length = ac_enc[0xF0]
+            writer.write(code, length)
+            run -= 16
+        size = abs(val).bit_length()
+        code, length = ac_enc[(run << 4) | size]
+        writer.write(code, length)
+        v = val if val >= 0 else val + (1 << size) - 1
+        writer.write(v, size)
+        run = 0
+    if run:
+        code, length = ac_enc[0x00]
+        writer.write(code, length)
+
+
 def _segment(marker: int, payload: bytes) -> bytes:
     return bytes([0xFF, marker]) + (len(payload) + 2).to_bytes(2, "big") + payload
 
@@ -599,36 +715,10 @@ def encode_baseline_gray(img: GrayImage, table: QuantTable) -> bytes:
     zz = dctsim.quantize_blocks(dctsim.fdct_blocks(dctsim.blockify(pixels)), table)
 
     writer = _BitWriter()
-    dc_enc, ac_enc = _DC_ENC, _AC_ENC
     pred = 0
     for block in zz.tolist():
-        diff = block[0] - pred
+        _write_block(writer, block, pred)
         pred = block[0]
-        size = abs(diff).bit_length()
-        code, length = dc_enc[size]
-        writer.write(code, length)
-        if size:
-            v = diff if diff >= 0 else diff + (1 << size) - 1
-            writer.write(v, size)
-        run = 0
-        for k in range(1, 64):
-            val = block[k]
-            if val == 0:
-                run += 1
-                continue
-            while run > 15:
-                code, length = ac_enc[0xF0]
-                writer.write(code, length)
-                run -= 16
-            size = abs(val).bit_length()
-            code, length = ac_enc[(run << 4) | size]
-            writer.write(code, length)
-            v = val if val >= 0 else val + (1 << size) - 1
-            writer.write(v, size)
-            run = 0
-        if run:
-            code, length = ac_enc[0x00]
-            writer.write(code, length)
     writer.flush()
 
     dqt = _segment(_DQT, bytes([0x00]) + bytes(int(x) for x in table.to_zigzag()))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from fqe import dctsim
+from fqe.jpegio import JpegFormatError
 from fqe.stats import CoeffHistogram, fit_laplacian
 from fqe.types import ZIGZAG_TO_NATURAL, GrayImage
 
@@ -42,3 +43,108 @@ def patch_items(patch: GrayImage, q1_max: int, k: int):
                 )
             out[(q1, q2)] = (dc_items, ac_items)
     return out
+
+
+def decode_scan(segments, segment_units, comp_tables, outputs):
+    """Drop-in for jpegio._decode_scan: the byte-refill decoder, segment by segment."""
+    luts = [(dc.lut, ac.lut) for dc, ac in comp_tables]
+    for segment, units in zip(segments, segment_units):
+        decode_segment(segment, units, luts, outputs, [0] * len(luts))
+
+
+def decode_segment(
+    data: bytes,
+    units: list[tuple[int, int]],
+    comp_tables: list[tuple[list[int], list[int]]],
+    outputs: list[np.ndarray],
+    dc_pred: list[int],
+) -> None:
+    """Decode `units` (comp_index, dest_block) from one restart segment."""
+    pos = 0
+    n = len(data)
+    buf = 0
+    nbits = 0
+    padded = 0
+    for ci, dest in units:
+        dc_lut, ac_lut = comp_tables[ci]
+        out = outputs[ci]
+        block = [0] * 64
+        pred = dc_pred[ci]
+        k = 0
+        while True:
+            # Refill so a 16-bit peek is available; pad with 1s at stream end.
+            # A legitimate stream touches at most a few pad bytes of lookahead,
+            # so sustained padding means the scan data was cut short.
+            while nbits < 16:
+                if pos < n:
+                    buf = (buf << 8) | data[pos]
+                    pos += 1
+                    nbits += 8
+                else:
+                    buf = (buf << 8) | 0xFF
+                    nbits += 8
+                    padded += 1
+                    if padded > 6:
+                        raise JpegFormatError("entropy-coded data is truncated")
+            peek = (buf >> (nbits - 16)) & 0xFFFF
+            entry = (dc_lut if k == 0 else ac_lut)[peek]
+            if entry == 0:
+                raise JpegFormatError("invalid Huffman code in scan data")
+            length = entry & 0xFF
+            symbol = entry >> 8
+            nbits -= length
+            buf &= (1 << nbits) - 1
+            if k == 0:
+                size = symbol
+                if size:
+                    # 8-bit baseline DC differences have categories 0..11
+                    # (T.81 F.1.2.1) and DC values lie within +-1024, so a
+                    # larger category or a prediction past +-2047 is corrupt.
+                    if size > 11:
+                        raise JpegFormatError(f"DC magnitude category {size} exceeds 11")
+                    while nbits < size:
+                        if pos >= n:
+                            raise JpegFormatError("entropy-coded data is truncated")
+                        buf = (buf << 8) | data[pos]
+                        pos += 1
+                        nbits += 8
+                    v = (buf >> (nbits - size)) & ((1 << size) - 1)
+                    nbits -= size
+                    buf &= (1 << nbits) - 1
+                    if v < (1 << (size - 1)):
+                        v -= (1 << size) - 1
+                    pred += v
+                    if not -2048 < pred < 2048:
+                        raise JpegFormatError("DC coefficient outside the 8-bit baseline range")
+                block[0] = pred
+                k = 1
+                continue
+            run = symbol >> 4
+            size = symbol & 0x0F
+            if size == 0:
+                if run == 15:
+                    k += 16
+                    if k > 64:
+                        raise JpegFormatError("AC run overflows the block")
+                    continue
+                break  # EOB
+            k += run
+            if k > 63:
+                raise JpegFormatError("AC coefficient index overflows the block")
+            while nbits < size:
+                if pos >= n:
+                    raise JpegFormatError("entropy-coded data is truncated")
+                buf = (buf << 8) | data[pos]
+                pos += 1
+                nbits += 8
+            v = (buf >> (nbits - size)) & ((1 << size) - 1)
+            nbits -= size
+            buf &= (1 << nbits) - 1
+            if v < (1 << (size - 1)):
+                v -= (1 << size) - 1
+            block[k] = v
+            k += 1
+            if k == 64:
+                break
+        dc_pred[ci] = pred
+        out[dest] = block

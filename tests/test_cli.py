@@ -266,6 +266,23 @@ class TestEstimate:
         )
         assert result.exit_code == cli.EXIT_DATASET_FAILURE
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--k", "1"), ("--k", "80"), ("--n", "0"), ("--w", "1.5")]
+    )
+    def test_bad_arguments_are_usage_errors(self, tmp_path, runner, flag, value):
+        # The dataset is unreadable: exit 2 rather than 3 shows the argument
+        # was rejected before any file was read.
+        image = tmp_path / "x.jpg"
+        image.write_bytes(b"not a jpeg")
+        broken = tmp_path / "broken.fqe"
+        broken.write_bytes(b"not a dataset")
+        result = runner.invoke(
+            main, ["estimate", "--image", str(image), "--dataset", str(broken), flag, value]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Invalid value for '{flag}'" in result.output
+
 
 class TestEvaluate:
     def test_self_retrieval_corpus(self, tmp_path, raw_dir, dataset_file, runner):
@@ -433,3 +450,22 @@ class TestEvaluate:
                 (out_dir / "report.json").read_bytes() + (out_dir / "report.csv").read_bytes()
             )
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--k", "1"), ("--k", "80"), ("--n", "0"), ("--w", "1.5")]
+    )
+    def test_bad_arguments_are_usage_errors(self, tmp_path, runner, flag, value):
+        broken = tmp_path / "broken.fqe"
+        broken.write_bytes(b"not a dataset")
+        out_dir = tmp_path / "reports"
+        result = runner.invoke(
+            main,
+            [
+                "evaluate", "--corpus-dir", str(tmp_path), "--dataset", str(broken),
+                "--out-dir", str(out_dir), flag, value,
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Invalid value for '{flag}'" in result.output
+        assert not out_dir.exists()

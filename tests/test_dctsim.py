@@ -74,6 +74,27 @@ class TestFdct:
             )
 
 
+class TestEinsumPath:
+    # The batched DCTs use a contraction order searched once at import; it
+    # must give what optimize=True searches per call, bit for bit.
+    @pytest.mark.parametrize("n", [1, 64, 4096, 16384])
+    def test_fixed_path_matches_optimize_true(self, n):
+        rng = np.random.default_rng(n)
+        pixels = rng.integers(0, 256, (n, 8, 8)).astype(np.float64)
+        expected = np.einsum(
+            "ux,nxy,vy->nuv", dctsim._DCT, pixels - 128.0, dctsim._DCT, optimize=True
+        )
+        assert dctsim.fdct_blocks(pixels).tobytes() == expected.tobytes()
+        coeffs = rng.normal(0.0, 60.0, (n, 8, 8))
+        raw = np.einsum("xu,nuv,yv->nxy", dctsim._DCT_T, coeffs, dctsim._DCT_T, optimize=True)
+        fixed = np.einsum(
+            "xu,nuv,yv->nxy", dctsim._DCT_T, coeffs, dctsim._DCT_T, optimize=dctsim._IDCT_PATH
+        )
+        assert fixed.tobytes() == raw.tobytes()
+        expected = np.clip(dctsim.round_half_away(raw + 128.0), 0, 255)
+        assert dctsim.idct_blocks(coeffs).tobytes() == expected.tobytes()
+
+
 class TestIdct:
     def test_inverts_fdct_exactly(self, rng):
         for _ in range(50):

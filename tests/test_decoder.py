@@ -1,0 +1,334 @@
+"""Entropy decoder tests: restart intervals, several components and scans,
+the bounded decode-table cache, and differential fuzzing against the
+byte-refill decoder kept in tests/oracles.py.
+
+The oracle replaces jpegio._decode_scan only, so both decoders run behind
+the same marker parser and scan layout code.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from fqe import dctsim, jpegio
+
+from conftest import synth_patch
+from jpegwriter import encode_grids, random_grid, scan_layout
+
+
+def outcome(data: bytes):
+    """Every component grid of a parse, or the JpegError it raised."""
+    try:
+        parsed = jpegio.parse_jpeg(data)
+    except jpegio.JpegError as exc:
+        return type(exc), str(exc)
+    grids = {cid: (a.shape, a.tobytes()) for cid, a in parsed.component_coeffs.items()}
+    return grids, parsed.coeffs.values.tobytes()
+
+
+def oracle_outcome(data: bytes):
+    with mock.patch.object(jpegio, "_decode_scan", oracles.decode_scan):
+        return outcome(data)
+
+
+COLOR_420 = [(1, 2, 2), (2, 1, 1), (3, 1, 1)]
+
+
+def written(width, height, components, scans, restart_interval, seed):
+    """A written stream and the grids it codes."""
+    rng = np.random.default_rng(seed)
+    grids = {}
+    for scan in scans:
+        for cid, (bw, bh) in scan_layout(width, height, components, scan).items():
+            grids[cid] = random_grid(rng, bw, bh)
+    data = encode_grids(width, height, components, scans, grids, restart_interval)
+    return data, grids
+
+
+class TestRestartAndComponents:
+    def check(self, data, grids):
+        parsed = jpegio.parse_jpeg(data)
+        assert parsed.component_coeffs.keys() == grids.keys()
+        for cid, grid in grids.items():
+            assert np.array_equal(parsed.component_coeffs[cid], grid), cid
+        luma = parsed.frame.components[0].comp_id
+        assert np.array_equal(parsed.coeffs.values, grids[luma])
+        assert outcome(data) == oracle_outcome(data)
+        return parsed
+
+    def test_gray_restart_every_mcu(self):
+        # 39 segments: RST0-7 cycle almost five times, and every segment
+        # starts from DC prediction 0.
+        data, grids = written(104, 24, [(1, 1, 1)], [[1]], 1, seed=1)
+        assert data.count(b"\xff\xd7") == 4
+        parsed = self.check(data, grids)
+        assert parsed.frame.restart_interval == 1
+        assert (parsed.coeffs.width_blocks, parsed.coeffs.height_blocks) == (13, 3)
+
+    def test_interleaved_420_odd_dimensions_with_restarts(self):
+        # 45x61 pixels in 16x16 MCUs: 3x4 MCUs, so the luma grid is padded
+        # to 6x8 blocks and the chroma grids to 3x4. Restart every 5 MCUs
+        # leaves a short last segment.
+        data, grids = written(45, 61, COLOR_420, [[1, 2, 3]], 5, seed=2)
+        assert {cid: g.shape[0] for cid, g in grids.items()} == {1: 48, 2: 12, 3: 12}
+        parsed = self.check(data, grids)
+        assert (parsed.coeffs.width_blocks, parsed.coeffs.height_blocks) == (6, 8)
+
+    def test_interleaved_420_without_restarts(self):
+        data, grids = written(45, 61, COLOR_420, [[1, 2, 3]], 0, seed=3)
+        self.check(data, grids)
+
+    def test_three_single_component_scans(self):
+        # Non-interleaved scans cover only the blocks each component needs:
+        # chroma at half resolution is ceil(23 / 8) x ceil(31 / 8) = 3x4.
+        data, grids = written(45, 61, COLOR_420, [[1], [2], [3]], 4, seed=4)
+        assert {cid: g.shape[0] for cid, g in grids.items()} == {1: 48, 2: 12, 3: 12}
+        self.check(data, grids)
+
+    def test_restart_markers_out_of_sequence(self):
+        data, _ = written(104, 24, [(1, 1, 1)], [[1]], 1, seed=5)
+        swapped = data.replace(b"\xff\xd1", b"\xff\xd2", 1)
+        with pytest.raises(jpegio.JpegFormatError, match="sequence"):
+            jpegio.parse_jpeg(swapped)
+
+
+class TestDecodeTableCache:
+    def test_cache_is_bounded(self):
+        img = synth_patch(np.random.default_rng(0), side=16)
+        base = jpegio.encode_baseline_gray(img, dctsim.constant_table(3))
+        expected = outcome(base)
+        bound = jpegio._LUT_CACHE_SIZE
+        for i in range(bound + 4):
+            # An unused DC table 1 with one code for symbol i: a distinct
+            # table definition per file.
+            extra = jpegio._segment(0xC4, bytes([0x01, 1] + [0] * 15 + [i]))
+            assert outcome(base[:2] + extra + base[2:]) == expected
+            assert len(jpegio._LUT_CACHE) <= bound
+        assert len(jpegio._LUT_CACHE) == bound
+        # The tables every file uses stay cached.
+        std_dc = bytes([0]) + bytes(jpegio._DC_LUM_BITS) + bytes(jpegio._DC_LUM_VALS)
+        std_ac = bytes([1]) + bytes(jpegio._AC_LUM_BITS) + bytes(jpegio._AC_LUM_VALS)
+        assert std_dc in jpegio._LUT_CACHE and std_ac in jpegio._LUT_CACHE
+
+
+# ---------------------------------------------------------------------------
+# Differential fuzzing against the oracle
+# ---------------------------------------------------------------------------
+
+STANDARD_TABLES = [
+    (0x00, jpegio._DC_LUM_BITS, jpegio._DC_LUM_VALS),
+    (0x10, jpegio._AC_LUM_BITS, jpegio._AC_LUM_VALS),
+]
+
+
+def with_tables(data: bytes, tables) -> bytes:
+    """data with its (single) DHT segment replaced by `tables`."""
+    start = data.find(b"\xff\xc4")
+    length = int.from_bytes(data[start + 2 : start + 4], "big")
+    payload = b"".join(bytes([tcth]) + bytes(bits) + bytes(vals) for tcth, bits, vals in tables)
+    return data[:start] + jpegio._segment(0xC4, payload) + data[start + 2 + length :]
+
+
+def complete_code(bits, values, fill_symbol):
+    """Fill the code space left after the longest codes with more codes of that
+    length, so that the all-ones 16-bit code becomes valid."""
+    bits = list(bits)
+    longest = max(i for i in range(16) if bits[i])
+    free = (1 << 16) - sum(b << (15 - i) for i, b in enumerate(bits))
+    extra = free >> (15 - longest)
+    bits[longest] += extra
+    return bits, list(values) + [fill_symbol] * extra
+
+
+def regions(data: bytes) -> tuple[int, int]:
+    """Start of the first scan's entropy data and of the trailing EOI."""
+    sos = data.find(b"\xff\xda")
+    start = sos + 2 + int.from_bytes(data[sos + 2 : sos + 4], "big") if sos >= 0 else 0
+    start = min(start, len(data))
+    end = len(data) - 2 if data.endswith(b"\xff\xd9") else len(data)
+    return start, max(start, end)
+
+
+def _bases():
+    gray = jpegio.encode_baseline_gray(
+        synth_patch(np.random.default_rng(7), side=24), dctsim.standard_table(90)
+    )
+    return [
+        gray,
+        written(24, 16, [(1, 1, 1)], [[1]], 2, seed=8)[0],
+        written(20, 18, COLOR_420, [[1, 2, 3]], 1, seed=9)[0],
+        written(20, 18, COLOR_420, [[1], [2], [3]], 3, seed=10)[0],
+    ]
+
+
+BASES = _bases()
+
+
+def with_scan(data: bytes, scan: bytes) -> bytes:
+    """data with the entropy-coded bytes of its first scan replaced by scan."""
+    start, end = regions(data)
+    return data[:start] + scan + data[end:]
+
+
+GRAY_HEADERS = {
+    n: encode_grids(8 * n, 8, [(1, 1, 1)], [[1]], {1: np.zeros((n, 64), dtype=int)})
+    for n in (1, 2, 3)
+}
+AC_SYMBOLS = sorted(jpegio._AC_ENC)
+# ZRL, EOB and long runs are where a block's coefficient index overflows.
+AC_BOUNDARY_SYMBOLS = [0xF0, 0x00, 0xF1, 0xE1, 0x01, 0xFA]
+
+
+@st.composite
+def symbol_stream(draw):
+    """A gray stream whose scan codes drawn symbols with the annex K tables:
+    per block a DC category with any magnitude bits, then AC symbols whose
+    runs may overrun the block, with or without EOB, possibly cut short."""
+    n_blocks = draw(st.integers(1, 3))
+    ac_symbol = st.one_of(
+        st.just(0xF0), st.sampled_from(AC_BOUNDARY_SYMBOLS), st.sampled_from(AC_SYMBOLS)
+    )
+    writer = jpegio._BitWriter()
+    for _ in range(n_blocks):
+        size = draw(st.integers(0, 11))
+        writer.write(*jpegio._DC_ENC[size])
+        writer.write(draw(st.integers(0, (1 << size) - 1)), size)
+        for symbol in draw(st.lists(ac_symbol, max_size=10)):
+            writer.write(*jpegio._AC_ENC[symbol])
+            size = symbol & 0x0F
+            writer.write(draw(st.integers(0, (1 << size) - 1)), size)
+    writer.flush()
+    scan = bytes(writer.out)
+    if draw(st.booleans()):
+        scan = scan[: draw(st.integers(0, len(scan)))]
+    return with_scan(GRAY_HEADERS[n_blocks], scan)
+
+
+@st.composite
+def mutated_stream(draw):
+    data = draw(st.sampled_from(BASES))
+    table_change = draw(st.sampled_from(["none", "complete", "count"]))
+    if table_change != "none":
+        tables = [list(t) for t in STANDARD_TABLES]
+        which = draw(st.integers(0, 1))
+        tcth, bits, values = tables[which]
+        if table_change == "complete":
+            bits, values = complete_code(bits, values, draw(st.integers(0, 255)))
+        else:
+            bits = list(bits)
+            bits[draw(st.integers(0, 15))] = draw(st.integers(0, 12))
+            extra = st.lists(st.integers(0, 255), min_size=256, max_size=256)
+            values = (list(values) + draw(extra))[: sum(bits)]
+        tables[which] = [tcth, bits, values]
+        data = with_tables(data, tables)
+    for _ in range(draw(st.integers(0 if table_change != "none" else 1, 3))):
+        data = draw(byte_mutation(data))
+    return data
+
+
+@st.composite
+def byte_mutation(draw, data: bytes):
+    start, end = regions(data)
+    kind = draw(
+        st.sampled_from(
+            ["flip_header", "flip_scan", "truncate", "cut_scan", "insert_ff00",
+             "remove_ff00", "insert_rst", "remove_rst", "insert_fill"]
+        )
+    )
+    if kind == "flip_header" and start > 0:
+        i = draw(st.integers(0, start - 1))
+        return data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) + data[i + 1 :]
+    if kind == "truncate":
+        lo, hi = draw(st.sampled_from([(0, start), (start, end), (end, len(data))]))
+        return data[: draw(st.integers(lo, hi))]
+    if start == end:
+        return data
+    pos = draw(st.integers(start, end))
+    if kind == "cut_scan":
+        # Drop scan bytes but keep what follows, so the decoder runs out of data.
+        return data[:pos] + data[draw(st.integers(pos, end)) :]
+    if kind == "flip_scan" and pos < end:
+        return data[:pos] + bytes([data[pos] ^ draw(st.integers(1, 255))]) + data[pos + 1 :]
+    if kind == "insert_ff00":
+        return data[:pos] + b"\xff\x00" + data[pos:]
+    if kind == "insert_rst":
+        return data[:pos] + bytes([0xFF, 0xD0 + draw(st.integers(0, 7))]) + data[pos:]
+    if kind == "insert_fill":
+        # Before a marker, 0xFF fill bytes are legal; elsewhere they corrupt.
+        markers = [
+            i for i in range(start, min(end + 1, len(data) - 1))
+            if data[i] == 0xFF and data[i + 1] != 0
+        ]
+        if markers and draw(st.booleans()):
+            pos = draw(st.sampled_from(markers))
+        return data[:pos] + b"\xff" * draw(st.integers(1, 4)) + data[pos:]
+    if kind in ("remove_ff00", "remove_rst"):
+        hits = [
+            i for i in range(start, end - 1)
+            if data[i] == 0xFF
+            and (data[i + 1] == 0 if kind == "remove_ff00" else 0xD0 <= data[i + 1] <= 0xD7)
+        ]
+        if hits:
+            i = draw(st.sampled_from(hits))
+            return data[:i] + data[i + 2 :]
+    return data
+
+
+def table_variants():
+    """The annex K tables, and each with its code space completed by a DC
+    category or an AC symbol, so that 1-bit padding decodes as that symbol."""
+    out = [STANDARD_TABLES]
+    for which, fills in ((0, (0x00, 0x03, 0x0B, 0x0C)), (1, (0x00, 0xF0, 0x01, 0x3A))):
+        for fill in fills:
+            tables = [list(t) for t in STANDARD_TABLES]
+            tables[which][1:] = complete_code(tables[which][1], tables[which][2], fill)
+            out.append(tables)
+    return out
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("base", range(len(BASES)))
+    def test_scan_cut_short_at_every_byte(self, base):
+        # Cuts put the end of the data inside every kind of symbol, so the
+        # lookahead limit and magnitude bits taken from padding are reached
+        # at every bit alignment. With a complete code the padding itself
+        # decodes as symbols until the limit.
+        for tables in table_variants():
+            data = with_tables(BASES[base], tables)
+            start, end = regions(data)
+            for cut in range(start, end + 1):
+                cut_data = data[:cut] + data[end:]
+                assert outcome(cut_data) == oracle_outcome(cut_data), cut
+
+    @pytest.mark.parametrize(
+        "ac_symbols",
+        [
+            [0xF0] * 4,  # ZRL past the block end
+            [0xF0] * 3 + [0xF1],  # coefficient index 64
+            [0xF0] * 3 + [0xE1],  # coefficient at index 63 ends the block
+            [0xF0] * 3 + [0x00],
+            [0x01] * 63,
+            [0x01] * 63 + [0x00],  # EOB after a full block is the next DC code
+        ],
+    )
+    def test_block_end_boundaries(self, ac_symbols):
+        writer = jpegio._BitWriter()
+        for _ in range(2):
+            writer.write(*jpegio._DC_ENC[0])
+            for symbol in ac_symbols:
+                writer.write(*jpegio._AC_ENC[symbol])
+                writer.write(1, symbol & 0x0F)
+        writer.flush()
+        data = with_scan(GRAY_HEADERS[2], bytes(writer.out))
+        assert outcome(data) == oracle_outcome(data)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.one_of(mutated_stream(), symbol_stream()))
+    def test_mutated_streams_match_the_oracle(self, data):
+        # Both decoders return the same grids or raise the same JpegError;
+        # any other exception fails the test.
+        assert outcome(data) == oracle_outcome(data)
