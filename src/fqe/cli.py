@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -90,6 +91,13 @@ def _patch_side(ctx: click.Context, param: click.Parameter, value: int) -> int:
     # u16 bin counts hold at most 65535 blocks per patch: 255 x 255 at side 2040.
     if value % 8 or not 8 <= value <= 2040:
         raise click.BadParameter(f"{value} is not a multiple of 8 from 8 to 2040")
+    return value
+
+
+def _weight(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    # NaN passes click.FloatRange: it compares false with both bounds.
+    if math.isnan(value):
+        raise click.BadParameter(f"{value} is not in the range 0<=x<=1.")
     return value
 
 
@@ -223,7 +231,12 @@ def _format_estimate(result: EstimationResult, fmt: str) -> str:
     help="Candidates per sub-dataset.",
 )
 @click.option(
-    "--w", default=0.92, show_default=True, type=click.FloatRange(0, 1), help="Data-term weight."
+    "--w",
+    default=0.92,
+    show_default=True,
+    type=click.FloatRange(0, 1),
+    callback=_weight,
+    help="Data-term weight.",
 )
 @click.option(
     "--reg-variant",
@@ -307,7 +320,7 @@ def _double_compress_file(patch: GrayImage, q1_table: QuantTable, q2_table: Quan
     help="File of explicit 8x8 first-compression tables.",
 )
 @click.option("--qf2", required=True, type=int, help="Second-compression quality factor.")
-@click.option("--patch", default=64, show_default=True)
+@click.option("--patch", default=64, show_default=True, type=click.IntRange(min=1))
 @click.option(
     "--crop", default="center", show_default=True, type=click.Choice(["center", "random"])
 )
@@ -357,7 +370,14 @@ def make_corpus(
 
     rows: list[list] = []
     for path in raw_paths:
-        img = read_pgm(path.read_bytes())
+        try:
+            img = read_pgm(path.read_bytes())
+        except PgmError as exc:
+            raise click.ClickException(f"{path}: {exc}")
+        if patch > min(img.width, img.height):
+            raise click.ClickException(
+                f"{path}: --patch {patch} exceeds the {img.width}x{img.height} image"
+            )
         if crop == "center":
             x = (img.width - patch) // 2
             y = (img.height - patch) // 2
@@ -590,7 +610,9 @@ def report_to_csv(report: dict) -> str:
 @click.option("--dataset", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--k", default=15, show_default=True, type=click.IntRange(2, 64))
 @click.option("--n", default=1000, show_default=True, type=click.IntRange(min=1))
-@click.option("--w", default=0.92, show_default=True, type=click.FloatRange(0, 1))
+@click.option(
+    "--w", default=0.92, show_default=True, type=click.FloatRange(0, 1), callback=_weight
+)
 @click.option(
     "--reg-variant",
     default="reg3",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jpegio import parse_jpeg
-from .refdata import ReferenceDataset, batch_min_distance
+from .refdata import ReferenceDataset, batch_min_distance, mass_table
 from .stats import build_histogram, fit_laplacian, is_degenerate
 from .types import CoeffGrid, QuantTable
 
@@ -106,10 +106,11 @@ def distance_matrix(
         params = fit_laplacian(hist)
         kind = "dc" if i == 1 else "ac"
         key = params.mu if i == 1 else params.beta
+        table, total = mass_table(hist)  # shared by the windows of every q1
         row = d[i - 1]
         for j in range(1, p.q1_max + 1):
             row[j - 1] = batch_min_distance(
-                ds.sub(j, q2_i).kind(kind), hist, key, p.n_candidates
+                ds.sub(j, q2_i).kind(kind), table, key, p.n_candidates, total
             )
         # A candidate with no reference data scores inf; with no usable
         # candidate at all the factor cannot be estimated from this dataset.

@@ -1,4 +1,4 @@
-"""Reference distribution dataset: build, persist, query.
+"""Reference distribution dataset: build, persist, search.
 
 Every raw patch is double-compressed with all pairs of constant matrices
 (M_q1, M_q2); the DC histogram and the pooled AC histograms of coefficients
@@ -19,30 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dctsim
-from .stats import CoeffHistogram, chi2, fit_laplacian_batch
+from .stats import CoeffHistogram, fit_laplacian_batch
 from .stats import fit_laplacian  # noqa: F401  (perfbench/spans.py traces this name)
 from .types import ZIGZAG_TO_NATURAL, GrayImage
 
 
 class DatasetFormatError(Exception):
     """Corrupt, truncated, or incompatible dataset file."""
-
-
-class NoCandidatesError(ValueError):
-    """A sub-dataset holds no records for the requested comparison."""
-
-
-@dataclass(eq=False)
-class RefRecord:
-    """One reference histogram and its sort key (mu for DC, beta for AC)."""
-
-    key: float
-    hist: CoeffHistogram
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RefRecord):
-            return NotImplemented
-        return self.key == other.key and self.hist == other.hist
 
 
 class PackedRecords:
@@ -98,18 +81,6 @@ class PackedRecords:
     def __len__(self) -> int:
         return self.keys.size
 
-    def record(self, i: int) -> RefRecord:
-        lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
-        hist = CoeffHistogram(
-            support=self.values[lo:hi].astype(np.int64),
-            mass=self.masses[lo:hi].copy(),
-            count=int(self.counts[i]),
-        )
-        return RefRecord(key=float(self.keys[i]), hist=hist)
-
-    def records(self) -> list[RefRecord]:
-        return [self.record(i) for i in range(len(self))]
-
 
 @dataclass
 class SubDataset:
@@ -155,8 +126,7 @@ def _nearest_window(keys: np.ndarray, key: float, n: int) -> tuple[int, int]:
     lo_max = min(pos, r - n)
     if lo_max <= lo_min:
         return lo_min, lo_min + n
-    cand = np.arange(lo_min, lo_max)
-    shift = (key - keys[cand]) > (keys[cand + n] - key)
+    shift = (key - keys[lo_min:lo_max]) > (keys[lo_min + n : lo_max + n] - key)
     lo = lo_min + int(np.count_nonzero(shift))
     return lo, lo + n
 
@@ -293,55 +263,47 @@ def _from_columns(
     )
 
 
-def query(
-    ds: ReferenceDataset, q1: int, q2: int, kind: str, key: float, n: int
-) -> list[RefRecord]:
-    """The n records of sub-dataset (q1, q2) whose keys are nearest to key."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    packed = ds.sub(q1, q2).kind(kind)
-    lo, hi = _nearest_window(packed.keys, key, n)
-    return [packed.record(i) for i in range(lo, hi)]
+def mass_table(h: CoeffHistogram) -> tuple[np.ndarray, float]:
+    """The query's mass at every int16 record value, and its total mass.
 
-
-def min_distance(h: CoeffHistogram, candidates: list[RefRecord]) -> float:
-    """Smallest chi-square distance from h to any candidate record."""
-    if not candidates:
-        raise NoCandidatesError("no reference records for this (q1, q2)")
-    return min(chi2(h, r.hist) for r in candidates)
+    Entry v.view(uint16) of the table holds h's mass at value v, or 0.0
+    where v is not in h's support. Support values outside int16 match no
+    record value and are left out, not wrapped onto one. The total is summed
+    by the reduction batch_min_distance applies to each record.
+    """
+    table = np.zeros(1 << 16)
+    inside = (h.support >= -0x8000) & (h.support <= 0x7FFF)
+    table[h.support[inside].astype(np.int16).view(np.uint16)] = h.mass[inside]
+    return table, float(np.add.reduceat(h.mass, [0])[0])
 
 
 def batch_min_distance(
-    packed: PackedRecords, h: CoeffHistogram, key: float, n: int
+    packed: PackedRecords, table: np.ndarray, key: float, n: int, total: float
 ) -> float:
-    """min_distance over the n nearest records, computed in one array pass.
+    """Smallest chi-square distance from a query to its n nearest-key records.
 
-    Returns inf when the sub-dataset is empty. Equivalent to
-    min_distance(h, query(...)); exact zero is preserved for a record whose
-    support and masses match h bit for bit.
+    table and total are mass_table(h) of the query h; one gather from the
+    table gives the query mass at every record bin of the window. Returns
+    inf when the sub-dataset is empty. An exact zero is kept for a record
+    whose support and masses match h bit for bit.
     """
     if len(packed) == 0:
         return float("inf")
     lo, hi = _nearest_window(packed.keys, key, n)
     start, end = int(packed.offsets[lo]), int(packed.offsets[hi])
-    vals = packed.values[start:end].astype(np.int64)
+    x = np.take(table, packed.values[start:end].view(np.uint16))
     mass = packed.masses[start:end]
 
-    qmin = int(h.support[0])
-    dense = np.zeros(int(h.support[-1]) - qmin + 1)
-    dense[h.support - qmin] = h.mass
-    idx = vals - qmin
-    inside = (idx >= 0) & (idx < dense.size)
-    x = np.where(inside, dense[np.clip(idx, 0, dense.size - 1)], 0.0)
-
     # chi2 = sum over record bins of (x-m)^2/(x+m), plus the query mass that
-    # falls outside the record support: total_x - sum over record bins of x.
-    # total_x uses the same reduction as the per-record sums so an identical
+    # falls outside the record support: total - sum over record bins of x.
+    # total uses the same reduction as the per-record sums so an identical
     # record cancels to exactly zero.
-    terms = (x - mass) ** 2 / (x + mass)
+    terms = x - mass
+    terms *= terms
+    terms /= x + mass
     seg = packed.offsets[lo:hi] - start
-    total_x = float(np.add.reduceat(h.mass, [0])[0])
-    dist = np.add.reduceat(terms, seg) + (total_x - np.add.reduceat(x, seg))
+    dist = np.add.reduceat(terms, seg)
+    dist += total - np.add.reduceat(x, seg)
     return float(max(dist.min(), 0.0))
 
 

@@ -1,4 +1,4 @@
-"""Coefficient histograms, Laplacian fits, and the chi-square distance."""
+"""Coefficient histograms and Laplacian fits."""
 
 from __future__ import annotations
 
@@ -88,20 +88,6 @@ def fit_laplacian_batch(
         mu[rows] = mu_n
         beta[rows] = (m * np.abs(s - mu_n[:, None])).sum(axis=1)
     return mu, beta
-
-
-def chi2(a: CoeffHistogram, b: CoeffHistogram) -> float:
-    """Chi-square distance sum((x - y)^2 / (x + y)) over the union of supports.
-
-    Bins present in only one histogram contribute that histogram's mass;
-    both-zero bins cannot occur on the union.
-    """
-    union = np.union1d(a.support, b.support)
-    xa = np.zeros(union.size)
-    xb = np.zeros(union.size)
-    xa[np.searchsorted(union, a.support)] = a.mass
-    xb[np.searchsorted(union, b.support)] = b.mass
-    return float(np.sum((xa - xb) ** 2 / (xa + xb)))
 
 
 def is_degenerate(h: CoeffHistogram) -> bool:

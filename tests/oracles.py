@@ -2,12 +2,106 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from fqe import dctsim
 from fqe.jpegio import JpegFormatError
+from fqe.refdata import PackedRecords, ReferenceDataset, _nearest_window
 from fqe.stats import CoeffHistogram, fit_laplacian
 from fqe.types import ZIGZAG_TO_NATURAL, GrayImage
+
+
+def chi2(a: CoeffHistogram, b: CoeffHistogram) -> float:
+    """Chi-square distance sum((x - y)^2 / (x + y)) over the union of supports.
+
+    Bins present in only one histogram contribute that histogram's mass;
+    both-zero bins cannot occur on the union.
+    """
+    union = np.union1d(a.support, b.support)
+    xa = np.zeros(union.size)
+    xb = np.zeros(union.size)
+    xa[np.searchsorted(union, a.support)] = a.mass
+    xb[np.searchsorted(union, b.support)] = b.mass
+    return float(np.sum((xa - xb) ** 2 / (xa + xb)))
+
+
+class NoCandidatesError(ValueError):
+    """A sub-dataset holds no records for the requested comparison."""
+
+
+@dataclass(eq=False)
+class RefRecord:
+    """One reference histogram and its sort key (mu for DC, beta for AC)."""
+
+    key: float
+    hist: CoeffHistogram
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RefRecord):
+            return NotImplemented
+        return self.key == other.key and self.hist == other.hist
+
+
+def record(packed: PackedRecords, i: int) -> RefRecord:
+    """Record i of packed as a key and a histogram of its own."""
+    lo, hi = int(packed.offsets[i]), int(packed.offsets[i + 1])
+    hist = CoeffHistogram(
+        support=packed.values[lo:hi].astype(np.int64),
+        mass=packed.masses[lo:hi].copy(),
+        count=int(packed.counts[i]),
+    )
+    return RefRecord(key=float(packed.keys[i]), hist=hist)
+
+
+def records(packed: PackedRecords) -> list[RefRecord]:
+    return [record(packed, i) for i in range(len(packed))]
+
+
+def query(
+    ds: ReferenceDataset, q1: int, q2: int, kind: str, key: float, n: int
+) -> list[RefRecord]:
+    """The n records of sub-dataset (q1, q2) whose keys are nearest to key."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    packed = ds.sub(q1, q2).kind(kind)
+    lo, hi = _nearest_window(packed.keys, key, n)
+    return [record(packed, i) for i in range(lo, hi)]
+
+
+def min_distance(h: CoeffHistogram, candidates: list[RefRecord]) -> float:
+    """Smallest chi-square distance from h to any candidate record."""
+    if not candidates:
+        raise NoCandidatesError("no reference records for this (q1, q2)")
+    return min(chi2(h, r.hist) for r in candidates)
+
+
+def dense_min_distance(packed: PackedRecords, h: CoeffHistogram, key: float, n: int) -> float:
+    """refdata.batch_min_distance through a dense query array over h's support range.
+
+    Each record value is shifted into the range, masked and clipped, and
+    looks its query mass up there.
+    """
+    if len(packed) == 0:
+        return float("inf")
+    lo, hi = _nearest_window(packed.keys, key, n)
+    start, end = int(packed.offsets[lo]), int(packed.offsets[hi])
+    vals = packed.values[start:end].astype(np.int64)
+    mass = packed.masses[start:end]
+
+    qmin = int(h.support[0])
+    dense = np.zeros(int(h.support[-1]) - qmin + 1)
+    dense[h.support - qmin] = h.mass
+    idx = vals - qmin
+    inside = (idx >= 0) & (idx < dense.size)
+    x = np.where(inside, dense[np.clip(idx, 0, dense.size - 1)], 0.0)
+
+    terms = (x - mass) ** 2 / (x + mass)
+    seg = packed.offsets[lo:hi] - start
+    total_x = float(np.add.reduceat(h.mass, [0])[0])
+    dist = np.add.reduceat(terms, seg) + (total_x - np.add.reduceat(x, seg))
+    return float(max(dist.min(), 0.0))
 
 
 def patch_items(patch: GrayImage, q1_max: int, k: int):

@@ -15,10 +15,11 @@ from fqe import dctsim, jpegio, refdata, estimator
 from fqe.cli import evaluate_corpus, MANIFEST_NAME
 from fqe.estimator import OK, EstimationParams, raw_estimates, reg_term, regularize
 from fqe.refdata import build_reference, deserialize, serialize, DatasetFormatError
-from fqe.stats import CoeffHistogram, build_histogram, chi2, fit_laplacian
+from fqe.stats import CoeffHistogram, build_histogram, fit_laplacian
 from fqe.types import GrayImage, QuantTable
 
 from conftest import synth_patches
+from oracles import chi2
 from test_estimator import make_matrix
 
 

@@ -168,6 +168,51 @@ class TestMakeCorpus:
         )
         assert result.exit_code != 0
 
+    def test_patch_zero_is_usage_error(self, tmp_path, raw_dir, runner):
+        result = runner.invoke(
+            main,
+            [
+                "make-corpus", "--raw-dir", str(raw_dir), "--out-dir", str(tmp_path / "x"),
+                "--qf1", "80", "--qf2", "90", "--patch", "0",
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Invalid value for '--patch'" in result.output
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("crop", ["center", "random"])
+    def test_patch_larger_than_image_names_the_file(self, tmp_path, runner, crop):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        small = raw / "small.pgm"
+        small.write_bytes(write_pgm(synth_patches(seed=42, count=1, side=32)[0]))
+        result = runner.invoke(
+            main,
+            [
+                "make-corpus", "--raw-dir", str(raw), "--out-dir", str(tmp_path / "x"),
+                "--qf1", "80", "--qf2", "90", "--patch", "64", "--crop", crop, "--seed", "1",
+            ],
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: {small}: --patch 64 exceeds the 32x32 image" in result.output
+
+    def test_bad_pgm_names_the_file(self, tmp_path, runner):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "cut.pgm").write_bytes(b"P5\n4 4\n255\nab")
+        result = runner.invoke(
+            main,
+            [
+                "make-corpus", "--raw-dir", str(raw), "--out-dir", str(tmp_path / "x"),
+                "--qf1", "80", "--qf2", "90",
+            ],
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: {raw / 'cut.pgm'}: truncated PGM pixel data" in result.output
+
     def test_table_file_parser(self):
         text = "\n".join(" ".join(str(r * 8 + c + 1) for c in range(8)) for r in range(8))
         tables = cli.read_table_file(text)
@@ -267,7 +312,8 @@ class TestEstimate:
         assert result.exit_code == cli.EXIT_DATASET_FAILURE
 
     @pytest.mark.parametrize(
-        "flag, value", [("--k", "1"), ("--k", "80"), ("--n", "0"), ("--w", "1.5")]
+        "flag, value",
+        [("--k", "1"), ("--k", "80"), ("--n", "0"), ("--w", "1.5"), ("--w", "nan")],
     )
     def test_bad_arguments_are_usage_errors(self, tmp_path, runner, flag, value):
         # The dataset is unreadable: exit 2 rather than 3 shows the argument
@@ -452,7 +498,8 @@ class TestEvaluate:
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
-        "flag, value", [("--k", "1"), ("--k", "80"), ("--n", "0"), ("--w", "1.5")]
+        "flag, value",
+        [("--k", "1"), ("--k", "80"), ("--n", "0"), ("--w", "1.5"), ("--w", "nan")],
     )
     def test_bad_arguments_are_usage_errors(self, tmp_path, runner, flag, value):
         broken = tmp_path / "broken.fqe"

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fqe import dctsim, jpegio
+from fqe import dctsim, estimator, jpegio
 from fqe.estimator import (
     DEGENERATE,
     OK,
@@ -23,6 +23,7 @@ from fqe.refdata import build_reference
 from fqe.types import GrayImage, QuantTable
 
 from conftest import synth_patches
+from oracles import dense_min_distance
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +113,34 @@ class TestDistanceMatrix:
             if dm.status[i] == OK:
                 assert dm.d[i][2] == 0.0
         assert all(r in (3, None) for r in raw_estimates(dm))
+
+    def test_matches_oracle_kernel(self, ds8, monkeypatch):
+        # Every distance, exact zeros included, equals the dense-array
+        # oracle's, over constant-pair self-retrievals and standard tables.
+        pairs = [(3, 4), (8, 1), (1, 8), (5, 5), (2, 7)] * 4
+        images = [
+            file_double_compress(img, dctsim.constant_table(q1), dctsim.constant_table(q2))
+            for img, (q1, q2) in zip(synth_patches(seed=31, count=20), pairs)
+        ] + [
+            file_double_compress(img, dctsim.standard_table(qf), dctsim.standard_table(90))
+            for img, qf in zip(synth_patches(seed=35, count=8), [60, 70, 80, 90] * 2)
+        ]
+        parsed = [jpegio.parse_jpeg(data) for data in images]
+        p = EstimationParams(q1_max=8)
+        fast = [distance_matrix(pj.coeffs, pj.luma_table, ds8, p) for pj in parsed]
+        monkeypatch.setattr(estimator, "mass_table", lambda h: (h, None))
+        monkeypatch.setattr(
+            estimator,
+            "batch_min_distance",
+            lambda packed, h, key, n, total: dense_min_distance(packed, h, key, n),
+        )
+        for pj, dm in zip(parsed, fast):
+            want = distance_matrix(pj.coeffs, pj.luma_table, ds8, p)
+            assert np.array_equal(dm.d, want.d)
+            assert dm.status == want.status
+        for (q1, _), dm in zip(pairs, fast):
+            ok = [i for i, s in enumerate(dm.status) if s == OK]
+            assert ok and all(dm.d[i][q1 - 1] == 0.0 for i in ok)
 
     def test_flat_patch_all_degenerate(self, ds8):
         img = GrayImage(np.full((64, 64), 128, dtype=np.uint8))

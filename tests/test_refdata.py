@@ -13,22 +13,29 @@ from hypothesis import strategies as st
 from fqe import dctsim, refdata
 from fqe.refdata import (
     DatasetFormatError,
-    NoCandidatesError,
     PackedRecords,
     batch_min_distance,
     build_reference,
     deserialize,
-    min_distance,
-    query,
+    mass_table,
     serialize,
 )
-from fqe.stats import CoeffHistogram, build_histogram, chi2, fit_laplacian, is_degenerate
+from fqe.stats import CoeffHistogram, build_histogram, fit_laplacian, is_degenerate
 from fqe.types import GrayImage
 
 _KINDS = ("dc", "ac")
 
 from conftest import synth_patch, synth_patches
-from oracles import patch_items
+from oracles import (
+    NoCandidatesError,
+    chi2,
+    dense_min_distance,
+    min_distance,
+    patch_items,
+    query,
+    record,
+    records,
+)
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +112,7 @@ class TestBuild:
                     expect.sort(key=lambda t: t[0])
                     assert len(packed) == len(expect)
                     for idx, (key, hist) in enumerate(expect):
-                        rec = packed.record(idx)
+                        rec = record(packed, idx)
                         assert rec.key == key
                         assert rec.hist == hist
 
@@ -173,7 +180,7 @@ class TestBuild:
                 packed = sub.kind(kind)
                 assert np.all(np.diff(packed.keys) >= 0)
                 for idx in range(0, len(packed), 7):
-                    rec = packed.record(idx)
+                    rec = record(packed, idx)
                     params = fit_laplacian(rec.hist)
                     assert rec.key == (params.mu if kind == "dc" else params.beta)
 
@@ -259,20 +266,20 @@ class TestQuery:
 class TestMinDistance:
     def test_identity_member(self, small_ds):
         packed = small_ds.sub(3, 2).ac
-        rec = packed.record(4)
-        candidates = packed.records()[:10]
+        rec = record(packed, 4)
+        candidates = records(packed)[:10]
         assert min_distance(rec.hist, candidates) == 0.0
 
     def test_single_candidate(self, small_ds):
         packed = small_ds.sub(1, 1).ac
-        h = packed.record(0).hist
-        other = packed.record(3)
+        h = record(packed, 0).hist
+        other = record(packed, 3)
         assert min_distance(h, [other]) == chi2(h, other.hist)
 
     def test_three_candidates_brute_force(self, small_ds):
         packed = small_ds.sub(2, 2).ac
-        h = packed.record(1).hist
-        candidates = [packed.record(i) for i in (5, 6, 7)]
+        h = record(packed, 1).hist
+        candidates = [record(packed, i) for i in (5, 6, 7)]
         expected = min(chi2(h, c.hist) for c in candidates)
         assert min_distance(h, candidates) == expected
 
@@ -282,9 +289,15 @@ class TestMinDistance:
             min_distance(h, [])
 
 
+def scan(packed: PackedRecords, h: CoeffHistogram, key: float, n: int) -> float:
+    table, total = mass_table(h)
+    return batch_min_distance(packed, table, key, n, total)
+
+
 class TestBatchMinDistance:
     def test_matches_slow_route(self, small_ds, rng):
-        # The packed one-pass scan must agree with query + min_distance.
+        # The one-gather scan must equal the dense-array oracle bit for bit,
+        # and agree with query + min_distance (per-record chi2 over unions).
         for _ in range(60):
             q1 = int(rng.integers(1, 6))
             q2 = int(rng.integers(1, 6))
@@ -295,21 +308,62 @@ class TestBatchMinDistance:
             src = small_ds.sub(int(rng.integers(1, 6)), q2).kind(kind)
             if len(src) == 0:
                 continue
-            h = src.record(int(rng.integers(0, len(src)))).hist
+            h = record(src, int(rng.integers(0, len(src)))).hist
             key = float(rng.normal(0, 5))
             n = int(rng.integers(1, 20))
-            fast = batch_min_distance(packed, h, key, n)
+            fast = scan(packed, h, key, n)
+            assert fast == dense_min_distance(packed, h, key, n)
             slow = min_distance(h, query(small_ds, q1, q2, kind, key, n))
             assert fast == pytest.approx(slow, abs=1e-12)
 
+    def test_every_window_equals_oracle(self, small_ds, rng):
+        # Queries with supports of their own, against every sub-dataset of
+        # small_ds at a spread of keys and window sizes.
+        for (q1, q2), sub in small_ds.subs.items():
+            for kind in _KINDS:
+                packed = sub.kind(kind)
+                for _ in range(4):
+                    h = build_histogram(np.round(rng.laplace(0, rng.uniform(0.3, 30), 64)))
+                    key = float(rng.uniform(-3, 12))
+                    n = int(rng.choice([1, 3, 50, 1000]))
+                    assert scan(packed, h, key, n) == dense_min_distance(packed, h, key, n)
+
+    def test_values_outside_int16_and_absent_values(self):
+        # +-40000 wrap onto -25536 and 25536 as int16, which these records
+        # hold: a wrapped table would give them the query's outside mass.
+        # 7 and 1234 are in no record; 100 and 200 are not in the query.
+        h = CoeffHistogram(
+            support=np.array([-40000, -3, 0, 2, 7, 1234, 40000]),
+            mass=np.array([2, 3, 5, 1, 4, 2, 3]) / 20,
+            count=20,
+        )
+        items = [
+            (0.5, np.array([-25536, -3, 0, 25536]), np.array([1, 2, 3, 4]), 10),
+            (1.0, np.array([-3, 0, 2]), np.array([5, 3, 2]), 10),
+            (2.0, np.array([-25536, 25536]), np.array([3, 3]), 6),
+            (3.0, np.array([100, 200]), np.array([1, 1]), 2),
+        ]
+        packed = PackedRecords.from_items(
+            [(k, v.astype(np.int16), b.astype(np.uint16), c) for k, v, b, c in items]
+        )
+        table, _ = mass_table(h)
+        assert np.count_nonzero(table) == 5
+        for i, (key, _, _, _) in enumerate(items):
+            got = scan(packed, h, key, 1)
+            assert got == dense_min_distance(packed, h, key, 1)
+            assert got == pytest.approx(chi2(h, record(packed, i).hist), abs=1e-12)
+        # Disjoint from the query unless +-40000 wrap onto its values.
+        assert scan(packed, h, 2.0, 1) == 2.0
+        assert scan(packed, h, 0.0, 10) == dense_min_distance(packed, h, 0.0, 10)
+
     def test_exact_zero_for_member(self, small_ds):
         packed = small_ds.sub(4, 3).ac
-        rec = packed.record(len(packed) // 2)
-        assert batch_min_distance(packed, rec.hist, rec.key, 1000) == 0.0
+        rec = record(packed, len(packed) // 2)
+        assert scan(packed, rec.hist, rec.key, 1000) == 0.0
 
     def test_empty_is_inf(self):
         h = build_histogram([0, 1])
-        assert batch_min_distance(PackedRecords.empty(), h, 0.0, 10) == float("inf")
+        assert scan(PackedRecords.empty(), h, 0.0, 10) == float("inf")
 
 
 class TestSelfRetrieval:
@@ -318,9 +372,9 @@ class TestSelfRetrieval:
         # at j = q1*, so the argmin lands on a zero-distance candidate.
         q1_star, q2 = 4, 2
         packed = small_ds.sub(q1_star, q2).ac
-        rec = packed.record(7)
+        rec = record(packed, 7)
         dists = [
-            batch_min_distance(small_ds.sub(j, q2).ac, rec.hist, rec.key, 1000)
+            scan(small_ds.sub(j, q2).ac, rec.hist, rec.key, 1000)
             for j in range(1, small_ds.q1_max + 1)
         ]
         assert dists[q1_star - 1] == 0.0

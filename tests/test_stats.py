@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from fqe.stats import (
     CoeffHistogram,
     build_histogram,
-    chi2,
     fit_laplacian,
     fit_laplacian_batch,
     is_degenerate,
 )
+
+from oracles import chi2
 
 
 def random_histogram(rng: np.random.Generator) -> CoeffHistogram:
@@ -122,6 +123,7 @@ class TestFitLaplacianBatch:
 
 
 class TestChi2:
+    # chi2 is the oracle that refdata.batch_min_distance is tested against.
     def test_identity(self, rng):
         h = random_histogram(rng)
         assert chi2(h, h) == 0.0
