@@ -186,6 +186,12 @@ def _params_dict(p: EstimationParams) -> dict:
 def _format_estimate(result: EstimationResult, fmt: str) -> str:
     rows = _result_rows(result)
     if fmt == "json":
+        # JSON has no infinity: a candidate without reference data, which the
+        # smoothness term can still pick, gets a null distance.
+        for row in rows:
+            for key in ("raw_distance", "estimate_distance"):
+                if row[key] is not None and not math.isfinite(row[key]):
+                    row[key] = None
         return json.dumps(
             {
                 "params": _params_dict(result.params),
@@ -193,6 +199,7 @@ def _format_estimate(result: EstimationResult, fmt: str) -> str:
                 "positions": rows,
             },
             indent=2,
+            allow_nan=False,
         )
     p = result.params
     buf = io.StringIO()

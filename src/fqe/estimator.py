@@ -159,7 +159,8 @@ def _reg_grid(q1_max: int, variant: str) -> np.ndarray:
 
 
 def _normalize_row(row: np.ndarray) -> np.ndarray:
-    """Min-max normalize to [0, 1]; candidates without data rank worst."""
+    """Min-max normalize to [0, 1]; candidates without data (inf) get 1, the
+    worst data term, which the smoothness term can still outweigh."""
     finite = np.isfinite(row)
     out = np.ones_like(row)
     lo = row[finite].min()
@@ -179,8 +180,10 @@ def regularize(d: DistanceMatrix, p: EstimationParams) -> list[int | None]:
     where C_data is the mean of the three per-row min-max normalized
     distances; every coefficient then takes the mode of its window votes,
     ties broken by the vote of the window it sits in the middle of, then by
-    the smaller value. With fewer than 3 usable coefficients the raw
-    estimates are returned unchanged.
+    the smaller value. A candidate without data ranks worst in the data term
+    only, so a smooth triplet can still pick it, at an infinite distance.
+    With fewer than 3 usable coefficients the raw estimates are returned
+    unchanged.
     """
     raw = raw_estimates(d)
     ok_rows = [i for i, s in enumerate(d.status) if s == OK]

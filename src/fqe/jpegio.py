@@ -11,8 +11,10 @@ simulated compression paths agree bit-exactly.
 
 from __future__ import annotations
 
+import bisect
 from array import array
 from collections import OrderedDict
+from itertools import repeat
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -133,6 +135,7 @@ class ParsedJpeg:
 class _HuffTable(NamedTuple):
     lut: array
     fast: list[tuple[int, ...]]
+    lane: np.ndarray
 
 
 _FAST_BITS = 12
@@ -175,6 +178,61 @@ def _build_fast_table(lut: np.ndarray, dc: bool) -> list[tuple[int, ...]]:
     return list(zip(run1.tolist(), used.tolist(), (value & 0xFFFF).tolist()))
 
 
+# Lane tables (see _decode_lanes) map every 16-bit peek to one int32: the
+# value's 16 bits in bits 0-15, the bits used (code plus magnitude) in bits
+# 16-20 and a state advance in bits 21-30. A lane's state s is 1 when a DC
+# symbol is next and otherwise 1 + the index of the next AC coefficient
+# (2..65; 65 only after a ZRL, when EOB alone may follow). A symbol moves
+# state s to _NEXT[s + advance], which is 0 for every error the sequential
+# decoder raises on that symbol. A slow entry's code plus magnitude exceed
+# 16 bits: its advance is raised by _ADV_SLOW, so that _NEXT also sends it
+# to 0, and its value field holds the magnitude size, for the value is read
+# from the bit window. _PARKED is the state of a lane that has stopped: the
+# third table of a scan's lane tables holds zeros, so a parked lane stays.
+_ADV_DC, _ADV_ZRL, _ADV_COEF, _ADV_EOB, _ADV_ERR, _ADV_SLOW = 1, 16, 128, 256, 384, 512
+_PARKED = 100
+_NEXT = np.zeros(1024, dtype=np.int8)
+_NEXT[1 + _ADV_DC] = 2
+_NEXT[_ADV_ZRL + 2 : 66] = np.arange(_ADV_ZRL + 2, 66)
+_NEXT[_ADV_COEF + 3 : _ADV_COEF + 65] = np.arange(3, 65)
+_NEXT[_ADV_COEF + 65] = 1  # a coefficient at index 63 ends the block
+_NEXT[_ADV_EOB + 2 : _ADV_EOB + 66] = 1
+_NEXT[_PARKED] = _PARKED
+# Offset of the table for the state that _NEXT gives, by _NEXT index.
+_BASE = np.where((_NEXT > 1) & (_NEXT <= 65), 1 << 16, 0)
+_BASE[_PARKED] = 2 << 16
+
+
+def _build_lane_table(bits: tuple[int, ...], values: tuple[int, ...], dc: bool) -> np.ndarray:
+    """The lane table of a Huffman table definition, code by code."""
+    table = np.full(1 << 16, _ADV_ERR << 21, dtype=np.int32)
+    code = 0
+    vi = 0
+    for length in range(1, 17):
+        for _ in range(bits[length - 1]):
+            symbol = values[vi]
+            if dc:
+                size, adv = symbol, _ADV_DC if symbol <= 11 else _ADV_ERR
+            else:
+                run, size = symbol >> 4, symbol & 0x0F
+                adv = _ADV_COEF + run + 1 if size else _ADV_ZRL if run == 15 else _ADV_EOB
+            start, stop = code << (16 - length), (code + 1) << (16 - length)
+            used = length + size
+            if adv == _ADV_ERR:
+                pass
+            elif used <= 16:
+                raw = np.arange(1 << size, dtype=np.int32)
+                value = np.where(raw < (1 << size) >> 1, raw - ((1 << size) - 1), raw)
+                entries = (value & 0xFFFF) | (used << 16) | (adv << 21)
+                table[start:stop] = np.repeat(entries, 1 << (16 - used))
+            else:
+                table[start:stop] = size | (used << 16) | ((adv + _ADV_SLOW) << 21)
+            vi += 1
+            code += 1
+        code <<= 1
+    return table
+
+
 def _huffman_table(tc: int, bits: tuple[int, ...], values: tuple[int, ...]) -> _HuffTable:
     """Decode tables of one DHT entry (class tc), from a bounded LRU cache."""
     key = bytes([tc]) + bytes(bits) + bytes(values)
@@ -183,7 +241,11 @@ def _huffman_table(tc: int, bits: tuple[int, ...], values: tuple[int, ...]) -> _
         _LUT_CACHE.move_to_end(key)
         return table
     lut = _build_decode_lut(bits, values)
-    table = _HuffTable(array("H", lut.tobytes()), _build_fast_table(lut, dc=tc == 0))
+    table = _HuffTable(
+        array("H", lut.tobytes()),
+        _build_fast_table(lut, dc=tc == 0),
+        _build_lane_table(bits, values, dc=tc == 0),
+    )
     _LUT_CACHE[key] = table
     if len(_LUT_CACHE) > _LUT_CACHE_SIZE:
         _LUT_CACHE.popitem(last=False)
@@ -246,6 +308,22 @@ def _bit_windows(stream: bytes) -> memoryview:
     return memoryview(windows)
 
 
+class _BlockRun:
+    """The units (0, dest) of a single-component scan's restart segment, for
+    dest in `blocks`, without a tuple per block."""
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: range):
+        self.blocks = blocks
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+    def __iter__(self):
+        return zip(repeat(0), self.blocks)
+
+
 def _decode_scan(
     segments: list[bytes],
     segment_units: list[list[tuple[int, int]]],
@@ -257,11 +335,28 @@ def _decode_scan(
     windows = _bit_windows(b"".join(s + b"\xff" * _GAP for s in segments))
     tables = [(dc.fast, dc.lut, ac.fast, ac.lut) for dc, ac in comp_tables]
     coeffs = [array("q") for _ in outputs]
+    lane_table = None
+    paths = []
     start = 0
     for segment, units in zip(segments, segment_units):
-        _decode_segment(windows, 8 * start, 8 * len(segment), units, tables, coeffs)
+        path = None
+        if len(comp_tables) == 1 and len(segment) >= _LANE_MIN_BYTES:
+            if lane_table is None:
+                # DC and AC lane tables, then zeros for parked lanes.
+                lane_table = np.zeros(3 << 16, dtype=np.int32)
+                lane_table[: 2 << 16].reshape(2, -1)[:] = [t.lane for t in comp_tables[0]]
+            win = np.frombuffer(windows, dtype=np.int64)[start : start + len(segment) + _GAP]
+            n_lanes = min(_LANES, 8 * len(segment) // _LANE_BITS)
+            path = _decode_lanes(win, 8 * len(segment), len(units), lane_table, n_lanes)
+            del win
+        if path is None:
+            _decode_segment(windows, 8 * start, 8 * len(segment), units, tables, coeffs)
+        else:
+            paths.append((next(iter(units))[1], path))
         start += len(segment) + _GAP
     del windows  # freed before the scatter, which is the decode's memory peak
+    for dest, path in paths:
+        _scatter_path(outputs[0], dest, *path)
     for out, packed in zip(outputs, coeffs):
         packed = np.frombuffer(packed, dtype=np.int64)
         values = packed.astype(np.uint16).view(np.int16)
@@ -362,6 +457,225 @@ def _decode_segment(
                     raise JpegFormatError("AC run overflows the block")
             else:
                 break  # EOB: any size-0 symbol other than ZRL
+
+
+# Restart segments of single-component scans with at least _LANE_MIN_BYTES of
+# data are decoded by lanes, one per _LANE_BITS bits of data and at most
+# _LANES. Below that size the sequential decoder is faster, and fewer, longer
+# lanes are faster on smaller segments (measured on a 2-core host).
+_LANE_MIN_BYTES = 32 * 1024
+_LANE_BITS = 768
+_LANES = 1024
+
+
+def _decode_lanes(
+    win: np.ndarray, nbits: int, n_blocks: int, table: np.ndarray, n_lanes: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Decode the first n_blocks blocks of a restart segment with lanes.
+
+    Huffman-coded JPEG data resynchronises by itself (Klein and Wiseman,
+    "Parallel Huffman Decoding with Applications to JPEG Files", 2003): a
+    decoder started at a guessed bit offset soon reaches a (bit, state) pair
+    of the true decode and follows it from there. Lane l starts at bit
+    l * nbits // n_lanes in DC state, and numpy steps all lanes one symbol at
+    a time. In phase 1 each lane decodes up to the next lane's start and
+    records the state at every bit it decodes from; a guess that hits an
+    error starts again one bit past it (lane 0 starts at the segment's first
+    bit and does not guess). In phase 2 each lane runs on until it reaches a
+    bit where the owner of that range recorded the same state. Lane 0's
+    decode, continued through these meeting points, is the sequential one.
+
+    win[i] is the bit window at byte i of the segment (see _bit_windows) and
+    table the scan's lane tables. Returns the state before every symbol up to
+    the end of block n_blocks plus the state after it, and the values of
+    those symbols; or None when the path has an error or a DC value out of
+    range before then, so that the sequential decoder decides.
+    """
+    limit = nbits + 8 * _LOOKAHEAD_BYTES - 16
+    n_lanes = max(1, min(n_lanes, nbits))
+    starts = np.arange(n_lanes + 1) * nbits // n_lanes
+    seen = np.zeros(nbits + 64, dtype=np.int8)  # state recorded at each bit, 0: none
+    park = nbits + 56  # a bit with a window, where no lane decodes or meets
+
+    def step(p, s, base):
+        """Decode at bits p in states s: the table entries, _NEXT indices and
+        next states, and whether no next state is 0."""
+        w = win.take(p >> 3)
+        e = table.take(((w >> (24 - (p & 7))) & 0xFFFF) + base)
+        x = s + (e >> 21)
+        ns = _NEXT.take(x)
+        ok = ns.all()
+        if not ok:
+            slow = np.flatnonzero(x >= _ADV_SLOW)
+            if slow.size:
+                es, ps = e[slow], p[slow]
+                used, size = (es >> 16) & 31, es & 0xFFFF
+                v = (w[slow] >> (_WINDOW_BITS - (ps & 7) - used)) & ((1 << size) - 1)
+                v = np.where(v < (1 << (size - 1)), v - ((1 << size) - 1), v)
+                e[slow] = (es & ~0xFFFF) | (v & 0xFFFF)
+                x[slow] -= _ADV_SLOW
+                # Magnitude bits come from padding only up to the byte that
+                # the symbol's 16-bit peek reached, as in _decode_segment.
+                end = ps + used
+                cut = (end > nbits) & (end > ((ps + 23) & ~7))
+                ns[slow] = np.where(cut, 0, _NEXT.take(x[slow]))
+        return e, x, ns, ok
+
+    def park_lanes(i, p, s, base, ends):
+        p[i], s[i], base[i], ends[i] = park, _PARKED, 2 << 16, 1 << 62
+
+    # Phase 1, without compaction: a lane that is done is parked, and the
+    # records form one (step, lane) array per field, of which only the steps
+    # taken are written.
+    span = int(starts[1])
+    cap = span // 4 + 16
+    states = np.empty((cap, n_lanes), dtype=np.int8)
+    values = np.empty((cap, n_lanes), dtype=np.uint16)
+    p = starts[:-1].copy()
+    s = np.ones(n_lanes, dtype=np.int8)
+    base = np.zeros(n_lanes, dtype=np.int64)
+    ends = starts[1:].copy()
+    restart = starts[:-1].copy()
+    restart_row = np.zeros(n_lanes, dtype=np.int64)  # a lane's first record after it
+    rows = np.zeros(n_lanes, dtype=np.int64)
+    out_p = np.zeros(n_lanes, dtype=np.int64)
+    out_s = np.zeros(n_lanes, dtype=np.int8)
+    stop = np.full(n_lanes, -1, dtype=np.int64)  # bit of the error that ended a lane
+    active, t, check = n_lanes, 0, 0
+    while active:
+        if t == cap:
+            cap += cap // 2
+            grown = [np.empty((cap, n_lanes), dtype=a.dtype) for a in (states, values)]
+            for new, old in zip(grown, (states, values)):
+                new[:t] = old
+            states, values = grown
+        seen[p] = s
+        e, x, ns, ok = step(p, s, base)
+        states[t], values[t] = s, e
+        t += 1
+        base = _BASE.take(x)
+        np_ = p + ((e >> 16) & 31)
+        if not ok:
+            i = np.flatnonzero(ns == 0)
+            if i.size and i[0] == 0:  # the decode fails in lane 0's range
+                stop[0], rows[0] = p[0], t
+                break
+            np_[i] = restart[i] = p[i] + 1
+            restart_row[i] = t
+            ns[i], base[i] = 1, 0
+            check = t
+        p, s = np_, ns
+        if t >= check:
+            # A symbol takes at most 31 bits: skip checks no lane can pass.
+            left = ends - p
+            nearest = int(left.min())
+            if nearest <= 0:
+                done = np.flatnonzero(left <= 0)
+                rows[done], out_p[done], out_s[done] = t, p[done], s[done]
+                park_lanes(done, p, s, base, ends)
+                left[done] = 1 << 62
+                active -= done.size
+                nearest = int(left.min())
+            check = t + (nearest + 30) // 31
+    for lane in np.flatnonzero(restart > starts[:-1]).tolist():
+        seen[starts[lane] : restart[lane]] = 0  # recorded by guesses that failed
+
+    # Phase 2, with compaction: few lanes run long. The path is known once
+    # the lane it has reached ends in an error; lanes still running then are
+    # off the path.
+    meet = np.full(n_lanes, -1, dtype=np.int64)
+    chain = [0]
+    lane_starts = starts.tolist()
+
+    def follow():
+        while meet[chain[-1]] >= 0:
+            chain.append(bisect.bisect_right(lane_starts, meet[chain[-1]]) - 1)
+        return stop[chain[-1]] >= 0
+
+    lanes = np.flatnonzero((restart < starts[1:]) & (stop < 0))
+    if stop[0] >= 0:
+        lanes = lanes[:0]
+    p, s = out_p[lanes], out_s[lanes]
+    base = np.where(s > 1, 1 << 16, 0)
+    tail: list[list[np.ndarray]] = [[], [], []]  # state, entry, lane
+    while lanes.size:
+        met = seen.take(p) == s
+        if met.any():
+            meet[lanes[met]] = p[met]
+            keep = ~met
+            lanes, p, s, base = lanes[keep], p[keep], s[keep], base[keep]
+        if follow() or not lanes.size:
+            break
+        e, x, ns, ok = step(p, s, base)
+        for r, a in zip(tail, (s, e, lanes)):
+            r.append(a)
+        if not ok or p.max() > limit:
+            bad = (ns == 0) | (p > limit)
+            stop[lanes[bad]] = p[bad]
+            keep = ~bad
+            lanes, p, e, x, ns = lanes[keep], p[keep], e[keep], x[keep], ns[keep]
+        base = _BASE.take(x)
+        p = p + ((e >> 16) & 31)
+        s = ns
+    follow()
+
+    # Stitch: lane 0 up to where it met an owner's records, that owner's
+    # records from there on, and so on, up to the error that ended a lane.
+    first = np.zeros(n_lanes, dtype=np.int64)
+    first[chain[1:]] = meet[chain[:-1]]
+    # A lane's records before `first`: those of its failed guesses, then one
+    # per bit it recorded from its last start on.
+    skip = {
+        lane: int(restart_row[lane]) + int(np.count_nonzero(seen[restart[lane] : first[lane]]))
+        for lane in chain
+    }
+    del seen
+    states, values = states[:t].T, values[:t].T
+    tail_lanes = np.concatenate(tail[2]) if tail[2] else np.zeros(0, dtype=np.int64)
+    order = np.argsort(tail_lanes, kind="stable")
+    bounds = np.searchsorted(tail_lanes[order], np.arange(n_lanes + 1)).tolist()
+    tail_states = np.concatenate(tail[0] or [np.zeros(0, dtype=np.int8)])[order]
+    tail_values = np.concatenate(tail[1] or [np.zeros(0, dtype=np.int32)])[order].astype(np.uint16)
+    pieces_s, pieces_v = [], []
+    for lane in chain:
+        lo, hi = int(skip[lane]), int(rows[lane])
+        a, b = bounds[lane], bounds[lane + 1]
+        pieces_s += [states[lane, lo:hi], tail_states[a:b]]
+        pieces_v += [values[lane, lo:hi], tail_values[a:b]]
+    del states, values
+    path_s = np.concatenate(pieces_s)
+    path_v = np.concatenate(pieces_v).view(np.int16)
+
+    # Block n_blocks ends where block n_blocks + 1 would start; only the
+    # path's last symbol can be an error, so that must come after it.
+    dc = np.flatnonzero(path_s == 1)
+    if dc.size <= n_blocks:
+        return None
+    cut = int(dc[n_blocks])
+    preds = np.cumsum(path_v[dc[:n_blocks]])
+    if preds.size and int(np.abs(preds).max()) >= 2048:
+        return None
+    return path_s[: cut + 1], path_v[:cut]
+
+
+def _scatter_path(out: np.ndarray, dest: int, states: np.ndarray, values: np.ndarray) -> None:
+    """Write the blocks of a lane-decoded path into out from block dest on.
+
+    Works through the symbols in chunks, so that its index arrays stay small.
+    """
+    flat = out.reshape(-1)
+    dc = states[:-1] == 1
+    preds = np.cumsum(values[dc])
+    nz = np.flatnonzero(preds)
+    flat[(dest + nz) * 64] = preds[nz]
+    block = dest - 1
+    for lo in range(0, values.size, 1 << 16):
+        hi = lo + (1 << 16)
+        blocks = np.cumsum(dc[lo:hi]) + block
+        block = int(blocks[-1])
+        i = np.flatnonzero(~dc[lo:hi] & (values[lo:hi] != 0))
+        # The state after a coefficient is its index + 2, or 1 after index 63.
+        flat[blocks[i] * 64 + ((states[lo + 1 + i] - 2) & 63)] = values[lo + i]
 
 
 class _Parser:
@@ -552,9 +866,7 @@ class _Parser:
                 f"{data_bytes} bytes of scan data cannot hold {n_mcus * per_mcu} blocks"
             )
 
-        if ns == 1:
-            units = [(0, d) for d in range(n_mcus)]
-        else:
+        if ns != 1:
             units = []
             for m in range(n_mcus):
                 my, mx = divmod(m, mcus_x)
@@ -580,8 +892,14 @@ class _Parser:
             if n != i % 8:
                 raise JpegFormatError("restart markers out of sequence")
 
-        step = ri * per_mcu if ri else len(units)
-        segment_units = [units[lo : lo + step] for lo in range(0, len(units), step)]
+        if ns == 1:
+            step = ri or n_mcus
+            segment_units = [
+                _BlockRun(range(lo, min(lo + step, n_mcus))) for lo in range(0, n_mcus, step)
+            ]
+        else:
+            step = ri * per_mcu if ri else len(units)
+            segment_units = [units[lo : lo + step] for lo in range(0, len(units), step)]
         _decode_scan(segments, segment_units, comp_tables, outputs)
         return marker_pos
 

@@ -12,6 +12,14 @@ from click.testing import CliRunner
 
 from fqe import cli
 from fqe.cli import main
+from fqe.estimator import (
+    OK,
+    DistanceMatrix,
+    EstimationParams,
+    EstimationResult,
+    raw_estimates,
+    regularize,
+)
 
 from conftest import synth_patches, write_pgm
 
@@ -328,6 +336,24 @@ class TestEstimate:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert f"Invalid value for '{flag}'" in result.output
+
+    def test_json_writes_null_for_a_distance_without_data(self):
+        # The middle coefficient has data at q1 = 1 and 2 only; smoothness
+        # still moves it to 22 with its neighbours, at an infinite distance.
+        d = np.full((3, 22), 0.5)
+        d[:, 21] = 0.1
+        d[1] = np.inf
+        d[1, :2] = 0.3
+        dm = DistanceMatrix(d=d, status=[OK] * 3, q2=[1, 1, 1])
+        params = EstimationParams(k=3)
+        estimates = regularize(dm, params)
+        assert estimates == [22, 22, 22]
+        result = EstimationResult(estimates, raw_estimates(dm), dm, params)
+        text = cli._format_estimate(result, "json")
+        assert "Infinity" not in text
+        rows = json.loads(text)["positions"]
+        assert [(r["raw"], r["raw_distance"]) for r in rows] == [(22, 0.1), (1, 0.3), (22, 0.1)]
+        assert [r["estimate_distance"] for r in rows] == [0.1, None, 0.1]
 
 
 class TestEvaluate:

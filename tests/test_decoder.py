@@ -6,6 +6,7 @@ The oracle replaces jpegio._decode_scan only, so both decoders run behind
 the same marker parser and scan layout code.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 
 import oracles
 from fqe import dctsim, jpegio
+from fqe.types import GrayImage
 
-from conftest import synth_patch
+from conftest import synth_patch, synth_patches
 from jpegwriter import encode_grids, random_grid, scan_layout
 
 
@@ -332,3 +334,135 @@ class TestAgainstOracle:
         # Both decoders return the same grids or raise the same JpegError;
         # any other exception fails the test.
         assert outcome(data) == oracle_outcome(data)
+
+
+# ---------------------------------------------------------------------------
+# The lane decoder: the oracle tests with every single-component scan decoded
+# by 1 lane, a few lanes or more lanes than symbols, and large scans at the
+# default sizing
+# ---------------------------------------------------------------------------
+
+LANE_COUNTS = {"1-lane": 1, "3-lanes": 3, "more-lanes-than-symbols": 1 << 20}
+
+
+def by_lanes(n_lanes):
+    """Every single-component scan decoded by n_lanes lanes, or one per bit
+    when it has fewer bits."""
+    return mock.patch.multiple(jpegio, _LANE_MIN_BYTES=0, _LANE_BITS=1, _LANES=n_lanes)
+
+
+def lane_outcome(data: bytes):
+    """outcome(data), and per lane-decoded segment whether the lanes' result
+    stood (True) or the sequential decoder had to decide (False)."""
+    stood = []
+    decode_lanes = jpegio._decode_lanes
+
+    def spy(*args):
+        path = decode_lanes(*args)
+        stood.append(path is not None)
+        return path
+
+    with mock.patch.object(jpegio, "_decode_lanes", spy):
+        return outcome(data), stood
+
+
+@pytest.fixture(scope="class", params=LANE_COUNTS.values(), ids=LANE_COUNTS.keys())
+def every_scan_by_lanes(request):
+    with by_lanes(request.param):
+        yield
+
+
+@pytest.mark.usefixtures("every_scan_by_lanes")
+class TestRestartAndComponentsByLanes(TestRestartAndComponents):
+    pass
+
+
+@pytest.mark.usefixtures("every_scan_by_lanes")
+class TestAgainstOracleByLanes(TestAgainstOracle):
+    # The block-end boundaries under each lane count; the cuts and the fuzz
+    # take the lane counts in turn (TestLanesInTurn), as running each under
+    # all three would triple their run time.
+    test_scan_cut_short_at_every_byte = None
+    test_mutated_streams_match_the_oracle = None
+
+
+class TestLanesInTurn:
+    def test_scan_cut_short_at_every_byte(self):
+        # The gray base: one segment of nine blocks, so cuts fall in every
+        # lane's range (base 1 adds only a two-block last segment, base 2 is
+        # interleaved and base 3 is covered by the restart tests and the fuzz).
+        counts = list(LANE_COUNTS.values())
+        turn = 0
+        for tables in table_variants():
+            data = with_tables(BASES[0], tables)
+            start, end = regions(data)
+            for cut in range(start, end + 1):
+                cut_data = data[:cut] + data[end:]
+                n_lanes = counts[turn % len(counts)]
+                turn += 1
+                with by_lanes(n_lanes):
+                    got = outcome(cut_data)
+                assert got == oracle_outcome(cut_data), (cut, n_lanes)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.one_of(mutated_stream(), symbol_stream()), st.sampled_from(list(LANE_COUNTS.values())))
+    def test_mutated_streams_match_the_oracle(self, data, n_lanes):
+        with by_lanes(n_lanes):
+            got = outcome(data)
+        assert got == oracle_outcome(data)
+
+
+def mosaic(seed: int, side: int) -> GrayImage:
+    """side x side pixels of 64 x 64 synthetic patches, as the benchmark's images."""
+    n = side // 64
+    tiles = [p.pixels for p in synth_patches(seed, n * n)]
+    return GrayImage(np.vstack([np.hstack(tiles[r * n : (r + 1) * n]) for r in range(n)]))
+
+
+@pytest.fixture(scope="module")
+def megapixel() -> bytes:
+    # Quality 50 keeps the traced sequential parse of the memory test to a
+    # few seconds; at quality 90 it takes about 15 s and the ratio is 1.33.
+    return jpegio.encode_baseline_gray(mosaic(11, 1024), dctsim.standard_table(50))
+
+
+class TestLargeScans:
+    @pytest.mark.parametrize("restart_interval", [0, 3500])
+    def test_mosaic_at_default_sizing(self, restart_interval):
+        data = jpegio.encode_baseline_gray(mosaic(12, 512), dctsim.standard_table(90))
+        if restart_interval:
+            grid = jpegio.parse_jpeg(data).coeffs.values
+            data = encode_grids(512, 512, [(1, 1, 1)], [[1]], {1: grid}, restart_interval)
+        got, stood = lane_outcome(data)
+        assert got == oracle_outcome(data)
+        # Lanes decode the scan, or with restarts its first segment; the short
+        # second segment is below the size threshold.
+        assert stood == [True]
+
+    @pytest.mark.parametrize("offset, fails", [(3, True), (0, False)])
+    def test_flipped_byte_in_a_megapixel_scan(self, megapixel, offset, fails):
+        # A flipped byte mid-scan either breaks the decode, which the lanes
+        # leave to the sequential decoder and its error, or the stream
+        # resynchronises into other blocks, which the lanes decode alike.
+        start, end = regions(megapixel)
+        i = (start + end) // 2 + offset
+        data = megapixel[:i] + bytes([megapixel[i] ^ 0x55]) + megapixel[i + 1 :]
+        expected = oracle_outcome(data)
+        assert (expected[0] is jpegio.JpegFormatError) == fails
+        got, stood = lane_outcome(data)
+        assert got == expected
+        assert stood == [not fails]
+
+    def test_parse_memory_peak(self, megapixel):
+        def peak(min_bytes):
+            with mock.patch.object(jpegio, "_LANE_MIN_BYTES", min_bytes):
+                jpegio.parse_jpeg(megapixel)  # decode tables are built outside the count
+                tracemalloc.start()
+                try:
+                    jpegio.parse_jpeg(megapixel)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        assert lane_outcome(megapixel)[1] == [True]
+        assert peak(jpegio._LANE_MIN_BYTES) <= 1.5 * peak(1 << 62)
