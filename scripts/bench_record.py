@@ -8,8 +8,8 @@ another, such as a clone of the parent commit) with the given workload,
 seed, run length and trace flag, and writes BENCH_<label>.json to --out-dir
 (this repository's root by default). The file holds the run's command, its
 provenance line (git SHA, seed, dataset size, cpu_count and the rest of
-what run.py prints) and its final metrics object (run.py's last line). The
-exit code is run.py's.
+what run.py prints), its output digests (estimates or dataset blob) and its
+final metrics object (run.py's last line). The exit code is run.py's.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PROVENANCE = "provenance: "
+DIGEST = "digest "
 
 
 def record(checkout: Path, workload: str, seed: int, seconds: float, trace: int):
@@ -38,9 +39,11 @@ def record(checkout: Path, workload: str, seed: int, seconds: float, trace: int)
     provenance = [json.loads(line[len(PROVENANCE):]) for line in lines if line.startswith(PROVENANCE)]
     if not provenance or not lines[-1].startswith("{"):
         raise RuntimeError(f"perfbench/run.py exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    digests = dict(line[len(DIGEST):].split(" ", 1) for line in lines if line.startswith(DIGEST))
     return {
         "command": ["python3", *command],
         "provenance": provenance[0],
+        "digests": digests,
         "result": json.loads(lines[-1]),
     }, proc.returncode
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import bisect
 from array import array
 from collections import OrderedDict
-from itertools import repeat
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -219,7 +219,7 @@ def _build_lane_table(bits: tuple[int, ...], values: tuple[int, ...], dc: bool) 
             start, stop = code << (16 - length), (code + 1) << (16 - length)
             used = length + size
             if adv == _ADV_ERR:
-                pass
+                pass  # the entries stay errors
             elif used <= 16:
                 raw = np.arange(1 << size, dtype=np.int32)
                 value = np.where(raw < (1 << size) >> 1, raw - ((1 << size) - 1), raw)
@@ -332,9 +332,9 @@ def _decode_scan(
 ) -> None:
     """Decode each restart segment's units (comp_index, dest_block) into the
     zeroed component grids `outputs`."""
-    windows = _bit_windows(b"".join(s + b"\xff" * _GAP for s in segments))
     tables = [(dc.fast, dc.lut, ac.fast, ac.lut) for dc, ac in comp_tables]
     coeffs = [array("q") for _ in outputs]
+    windows = None  # built once a segment needs the sequential decoder
     lane_table = None
     paths = []
     start = 0
@@ -345,16 +345,16 @@ def _decode_scan(
                 # DC and AC lane tables, then zeros for parked lanes.
                 lane_table = np.zeros(3 << 16, dtype=np.int32)
                 lane_table[: 2 << 16].reshape(2, -1)[:] = [t.lane for t in comp_tables[0]]
-            win = np.frombuffer(windows, dtype=np.int64)[start : start + len(segment) + _GAP]
             n_lanes = min(_LANES, 8 * len(segment) // _LANE_BITS)
-            path = _decode_lanes(win, 8 * len(segment), len(units), lane_table, n_lanes)
-            del win
+            path = _decode_lanes(segment, len(units), lane_table, n_lanes)
         if path is None:
+            if windows is None:
+                windows = _bit_windows(b"".join(s + b"\xff" * _GAP for s in segments))
             _decode_segment(windows, 8 * start, 8 * len(segment), units, tables, coeffs)
         else:
             paths.append((next(iter(units))[1], path))
         start += len(segment) + _GAP
-    del windows  # freed before the scatter, which is the decode's memory peak
+    del windows, lane_table  # freed before the scatter, which is the decode's memory peak
     for dest, path in paths:
         _scatter_path(outputs[0], dest, *path)
     for out, packed in zip(outputs, coeffs):
@@ -469,7 +469,7 @@ _LANES = 1024
 
 
 def _decode_lanes(
-    win: np.ndarray, nbits: int, n_blocks: int, table: np.ndarray, n_lanes: int
+    segment: bytes, n_blocks: int, table: np.ndarray, n_lanes: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Decode the first n_blocks blocks of a restart segment with lanes.
 
@@ -485,13 +485,20 @@ def _decode_lanes(
     bit where the owner of that range recorded the same state. Lane 0's
     decode, continued through these meeting points, is the sequential one.
 
-    win[i] is the bit window at byte i of the segment (see _bit_windows) and
-    table the scan's lane tables. Returns the state before every symbol up to
-    the end of block n_blocks plus the state after it, and the values of
-    those symbols; or None when the path has an error or a DC value out of
-    range before then, so that the sequential decoder decides.
+    table holds the scan's lane tables. Returns the state before every
+    symbol up to the end of block n_blocks plus the state after it, and the
+    values of those symbols; or None when the path has an error or a DC
+    value out of range before then, so that the sequential decoder decides.
     """
+    nbits = 8 * len(segment)
     limit = nbits + 8 * _LOOKAHEAD_BYTES - 16
+    # win[i] holds the 4 bytes from byte i on, big-endian, 1s past the end
+    # as for _decode_segment: enough for a 16-bit peek at any bit of byte i.
+    raw = np.frombuffer(segment + b"\xff" * (_GAP + 4), dtype=np.uint8)
+    win = np.zeros(raw.size - 4, dtype=np.uint32)
+    for i in range(4):
+        win <<= 8
+        win |= raw[i : i + win.size]
     n_lanes = max(1, min(n_lanes, nbits))
     starts = np.arange(n_lanes + 1) * nbits // n_lanes
     seen = np.zeros(nbits + 64, dtype=np.int8)  # state recorded at each bit, 0: none
@@ -501,7 +508,7 @@ def _decode_lanes(
         """Decode at bits p in states s: the table entries, _NEXT indices and
         next states, and whether no next state is 0."""
         w = win.take(p >> 3)
-        e = table.take(((w >> (24 - (p & 7))) & 0xFFFF) + base)
+        e = table.take(((w >> (16 - (p & 7))) & 0xFFFF) + base)
         x = s + (e >> 21)
         ns = _NEXT.take(x)
         ok = ns.all()
@@ -510,7 +517,8 @@ def _decode_lanes(
             if slow.size:
                 es, ps = e[slow], p[slow]
                 used, size = (es >> 16) & 31, es & 0xFFFF
-                v = (w[slow] >> (_WINDOW_BITS - (ps & 7) - used)) & ((1 << size) - 1)
+                w40 = (w[slow].astype(np.int64) << 8) | raw.take((ps >> 3) + 4)
+                v = (w40 >> (_WINDOW_BITS - (ps & 7) - used)) & ((1 << size) - 1)
                 v = np.where(v < (1 << (size - 1)), v - ((1 << size) - 1), v)
                 e[slow] = (es & ~0xFFFF) | (v & 0xFFFF)
                 x[slow] -= _ADV_SLOW
@@ -520,9 +528,6 @@ def _decode_lanes(
                 cut = (end > nbits) & (end > ((ps + 23) & ~7))
                 ns[slow] = np.where(cut, 0, _NEXT.take(x[slow]))
         return e, x, ns, ok
-
-    def park_lanes(i, p, s, base, ends):
-        p[i], s[i], base[i], ends[i] = park, _PARKED, 2 << 16, 1 << 62
 
     # Phase 1, without compaction: a lane that is done is parked, and the
     # records form one (step, lane) array per field, of which only the steps
@@ -572,7 +577,7 @@ def _decode_lanes(
             if nearest <= 0:
                 done = np.flatnonzero(left <= 0)
                 rows[done], out_p[done], out_s[done] = t, p[done], s[done]
-                park_lanes(done, p, s, base, ends)
+                p[done], s[done], base[done], ends[done] = park, _PARKED, 2 << 16, 1 << 62
                 left[done] = 1 << 62
                 active -= done.size
                 nearest = int(left.min())
@@ -669,8 +674,8 @@ def _scatter_path(out: np.ndarray, dest: int, states: np.ndarray, values: np.nda
     nz = np.flatnonzero(preds)
     flat[(dest + nz) * 64] = preds[nz]
     block = dest - 1
-    for lo in range(0, values.size, 1 << 16):
-        hi = lo + (1 << 16)
+    for lo in range(0, values.size, 1 << 14):
+        hi = lo + (1 << 14)
         blocks = np.cumsum(dc[lo:hi]) + block
         block = int(blocks[-1])
         i = np.flatnonzero(~dc[lo:hi] & (values[lo:hi] != 0))

@@ -328,6 +328,51 @@ class TestAgainstOracle:
         data = with_scan(GRAY_HEADERS[2], bytes(writer.out))
         assert outcome(data) == oracle_outcome(data)
 
+    @pytest.mark.parametrize("padding_blocks", [1, 2, 3])
+    @pytest.mark.parametrize("coefficients", range(8))
+    @pytest.mark.parametrize("dc_fill, ones", [(0x00, 0), (0x0B, 0), (0x0B, 10)])
+    def test_blocks_decoded_from_padding(self, padding_blocks, coefficients, dc_fill, ones):
+        # With both code spaces completed, 1-bit padding decodes as blocks
+        # of the DC fill (category 0, or 11 with its magnitude bits read from
+        # padding) and EOB. One coded block of 3-bit coefficients ends at
+        # every bit alignment, and `ones` more 1-bits in the data start a
+        # fill code before the end, so the lookahead limit and the padding
+        # rule for magnitude bits decide whether padding supplies the rest.
+        tables = [list(t) for t in STANDARD_TABLES]
+        for table, fill in zip(tables, (dc_fill, 0x00)):
+            table[1:] = complete_code(table[1], table[2], fill)
+        n = 1 + padding_blocks
+        header = encode_grids(8 * n, 8, [(1, 1, 1)], [[1]], {1: np.zeros((n, 64), dtype=int)})
+        writer = jpegio._BitWriter()
+        if dc_fill:  # -2047, so that a padding block's +2047 stays in range
+            writer.write(*jpegio._DC_ENC[11])
+            writer.write(0, 11)
+        else:
+            writer.write(*jpegio._DC_ENC[0])
+        for _ in range(coefficients):
+            writer.write(*jpegio._AC_ENC[0x01])
+            writer.write(1, 1)
+        writer.write(*jpegio._AC_ENC[0x00])
+        writer.write((1 << ones) - 1, ones)
+        writer.flush()
+        data = with_tables(with_scan(header, bytes(writer.out)), tables)
+        assert outcome(data) == oracle_outcome(data)
+
+    @pytest.mark.parametrize(
+        "diffs", [(2047, 0), (2047, 1), (-2047, 0), (-2047, -1), (1024, 1023), (1024, 1024)]
+    )
+    def test_dc_range_boundary(self, diffs):
+        # DC values reach +-2047; one more fails the whole scan.
+        writer = jpegio._BitWriter()
+        for diff in diffs:
+            size = abs(diff).bit_length()
+            writer.write(*jpegio._DC_ENC[size])
+            writer.write(diff if diff >= 0 else diff + (1 << size) - 1, size)
+            writer.write(*jpegio._AC_ENC[0x00])
+        writer.flush()
+        data = with_scan(GRAY_HEADERS[2], bytes(writer.out))
+        assert outcome(data) == oracle_outcome(data)
+
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(st.one_of(mutated_stream(), symbol_stream()))
     def test_mutated_streams_match_the_oracle(self, data):
@@ -379,22 +424,31 @@ class TestRestartAndComponentsByLanes(TestRestartAndComponents):
 
 @pytest.mark.usefixtures("every_scan_by_lanes")
 class TestAgainstOracleByLanes(TestAgainstOracle):
-    # The block-end boundaries under each lane count; the cuts and the fuzz
-    # take the lane counts in turn (TestLanesInTurn), as running each under
-    # all three would triple their run time.
+    # The block-end, padding and DC range boundaries under each lane count;
+    # the cuts and the fuzz take the lane counts in turn (TestLanesInTurn),
+    # as running each under all three would triple their run time.
     test_scan_cut_short_at_every_byte = None
     test_mutated_streams_match_the_oracle = None
 
 
 class TestLanesInTurn:
     def test_scan_cut_short_at_every_byte(self):
-        # The gray base: one segment of nine blocks, so cuts fall in every
-        # lane's range (base 1 adds only a two-block last segment, base 2 is
-        # interleaved and base 3 is covered by the restart tests and the fuzz).
+        # A gray stream of one four-block segment, so that cuts fall in every
+        # lane's range; a lane decodes a symbol in about 20 us, so a larger
+        # base would take far longer. Restart segments and several scans are
+        # covered by the restart tests and the fuzz.
+        gray = jpegio.encode_baseline_gray(
+            synth_patch(np.random.default_rng(7), side=16), dctsim.standard_table(90)
+        )
+        # With both code spaces completed, 1-bit padding decodes as whole
+        # blocks, so the lookahead limit decides how many blocks a cut keeps.
+        both = [list(t) for t in STANDARD_TABLES]
+        for table in both:
+            table[1:] = complete_code(table[1], table[2], 0x00)
         counts = list(LANE_COUNTS.values())
         turn = 0
-        for tables in table_variants():
-            data = with_tables(BASES[0], tables)
+        for tables in table_variants() + [both]:
+            data = with_tables(gray, tables)
             start, end = regions(data)
             for cut in range(start, end + 1):
                 cut_data = data[:cut] + data[end:]
