@@ -476,7 +476,7 @@ def mosaic(seed: int, side: int) -> GrayImage:
 @pytest.fixture(scope="module")
 def megapixel() -> bytes:
     # Quality 50 keeps the traced sequential parse of the memory test to a
-    # few seconds; at quality 90 it takes about 15 s and the ratio is 1.33.
+    # few seconds; at quality 90 it takes about 15 s and the ratio is 1.23.
     return jpegio.encode_baseline_gray(mosaic(11, 1024), dctsim.standard_table(50))
 
 
