@@ -1,4 +1,4 @@
-"""Record one benchmark run as BENCH_<label>.json.
+"""Record benchmark runs as BENCH_<label>.json, alone or as parent/change pairs.
 
     python3 scripts/bench_record.py --label change-estimate-cold \
         --workload estimate-cold --seed 5
@@ -10,6 +10,19 @@ seed, run length and trace flag, and writes BENCH_<label>.json to --out-dir
 provenance line (git SHA, seed, dataset size, cpu_count and the rest of
 what run.py prints), its output digests (estimates or dataset blob) and its
 final metrics object (run.py's last line). The exit code is run.py's.
+
+    python3 scripts/bench_record.py --label pr7 --workload build --seed 201 \
+        --pairs 10 --parent-checkout ../parent
+
+Pairs mode runs --pairs pairs of the parent checkout and --checkout (the
+change), seed --seed + i for pair i, alternating which side runs first. It
+writes the first pair as BENCH_<label>-parent-<workload>.json and
+BENCH_<label>-change-<workload>.json ("-trace" appended for traced runs)
+and prints, for each end-to-end metric of BENCHMARK.json, both sides'
+medians and quartiles and the pairs the change won. A gain is claimed when
+the change wins at least nine tenths of the pairs, ties counting for
+neither, and the medians differ by more than the parent's interquartile
+range. The exit code is 1 when any run exited non-zero.
 """
 
 from __future__ import annotations
@@ -17,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +62,73 @@ def record(checkout: Path, workload: str, seed: int, seconds: float, trace: int)
     }, proc.returncode
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """Lower quartile, median and upper quartile (linear interpolation)."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(parent: list[float], change: list[float], better: str) -> dict:
+    """Compare one metric over pairs: parent[i] and change[i] ran as pair i.
+
+    better is "higher" or "lower". A pair is a win when the change reads
+    better than the parent, a tie when both read the same. The gain holds
+    when wins reach nine tenths of the pairs and the change's median is
+    better than the parent's by more than the parent's interquartile range.
+    """
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need the same positive number of parent and change runs")
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    ties = sum(c == p for p, c in zip(parent, change))
+    p_q1, p_median, p_q3 = quartiles(parent)
+    c_q1, c_median, c_q3 = quartiles(change)
+    return {
+        "pairs": len(parent),
+        "wins": wins,
+        "ties": ties,
+        "parent": (p_q1, p_median, p_q3),
+        "change": (c_q1, c_median, c_q3),
+        "gain": 10 * wins >= 9 * len(parent) and sign * (c_median - p_median) > p_q3 - p_q1,
+    }
+
+
+def run_pairs(args) -> int:
+    contract = json.loads((args.checkout / "BENCHMARK.json").read_text())
+    suffix = "-trace" if args.trace else ""
+    sides = {"parent": args.parent_checkout, "change": args.checkout}
+    values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
+    worst = 0
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            content, code = record(
+                sides[side], args.workload, args.seed + i, args.seconds, args.trace
+            )
+            worst = max(worst, code)
+            metrics = content["result"]["metrics"]
+            for name, m in metrics.items():
+                values[side].setdefault(name, []).append(m["value"])
+            if i == 0:
+                out = args.out_dir / f"BENCH_{args.label}-{side}-{args.workload}{suffix}.json"
+                out.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
+                print(out)
+            digests = " ".join(f"{k}={v.split()[0]}" for k, v in content["digests"].items())
+            print(f"pair {i} seed {args.seed + i} {side}: exit {code} {digests}", flush=True)
+    for metric in contract["end_to_end"]:
+        name = metric["name"]
+        s = summarize(values["parent"][name], values["change"][name], metric["better"])
+        p, c = s["parent"], s["change"]
+        print(
+            f"{name}: parent {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}] -> change {c[1]:.4g} "
+            f"[{c[0]:.4g}, {c[2]:.4g}] {metric['unit']}; change won {s['wins']}/{s['pairs']} "
+            f"({s['ties']} ties); gain {'holds' if s['gain'] else 'not shown'}"
+        )
+    return 1 if worst else 0
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
@@ -57,10 +138,16 @@ def main(argv=None) -> int:
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--checkout", type=Path, default=ROOT, help="the checkout to run")
     p.add_argument("--out-dir", type=Path, default=ROOT)
+    p.add_argument("--pairs", type=int, default=0, help="parent/change pairs to run")
+    p.add_argument("--parent-checkout", type=Path, help="the parent's checkout, for --pairs")
     args = p.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9._-]+", args.label):
         p.error("--label may hold only letters, digits, '.', '_' and '-'")
+    if args.pairs < 0 or (args.pairs > 0) != (args.parent_checkout is not None):
+        p.error("--pairs N (N >= 1) and --parent-checkout go together")
     try:
+        if args.pairs:
+            return run_pairs(args)
         content, code = record(args.checkout, args.workload, args.seed, args.seconds, args.trace)
     except RuntimeError as exc:
         print(exc, file=sys.stderr)

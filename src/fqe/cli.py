@@ -109,9 +109,13 @@ def _weight(ctx: click.Context, param: click.Parameter, value: float) -> float:
 @click.option(
     "--patch", default=64, show_default=True, callback=_patch_side, help="Center-crop side."
 )
-@click.option("--jobs", default=None, type=int, help="Worker processes (FQE_JOBS overrides).")
-def build(raw_dir: str, out: str, q1_max: int, k: int, patch: int, jobs: int | None) -> None:
+@click.option("--jobs", type=click.IntRange(min=1), help="Worker processes (FQE_JOBS overrides).")
+@click.option("--verbose", is_flag=True, help="List the record counts of every sub-dataset.")
+def build(
+    raw_dir: str, out: str, q1_max: int, k: int, patch: int, jobs: int | None, verbose: bool
+) -> None:
     """Build a reference dataset from a directory of PGM images."""
+    n_jobs = _resolve_jobs(jobs)
     paths = sorted(Path(raw_dir).glob("*.pgm"))
     patches: list[GrayImage] = []
     skipped = 0
@@ -124,7 +128,6 @@ def build(raw_dir: str, out: str, q1_max: int, k: int, patch: int, jobs: int | N
             click.echo(f"skipping {path.name}: {exc}", err=True)
     if not patches:
         raise click.ClickException(f"no usable PGM images in {raw_dir}")
-    n_jobs = _resolve_jobs(jobs)
     click.echo(
         f"building from {len(patches)} patches ({skipped} skipped), "
         f"q1_max={q1_max} k={k}: {len(patches) * q1_max * q1_max} double compressions"
@@ -132,15 +135,16 @@ def build(raw_dir: str, out: str, q1_max: int, k: int, patch: int, jobs: int | N
     ds = build_reference(patches, q1_max=q1_max, k=k, jobs=n_jobs)
     blob = serialize(ds)
     Path(out).write_bytes(blob)
-    total_dc = total_ac = 0
-    for q1 in range(1, q1_max + 1):
-        for q2 in range(1, q1_max + 1):
-            sub = ds.sub(q1, q2)
-            total_dc += len(sub.dc)
-            total_ac += len(sub.ac)
+    if verbose:
+        for (q1, q2), sub in ds.subs.items():
             click.echo(f"q1={q1:>3} q2={q2:>3}: dc={len(sub.dc)} ac={len(sub.ac)}")
+    n_dc = np.array([len(sub.dc) for sub in ds.subs.values()])
+    n_ac = np.array([len(sub.ac) for sub in ds.subs.values()])
+    per_sub = n_dc + n_ac
+    click.echo(f"wrote {out}: {len(blob)} bytes, {n_dc.sum()} DC + {n_ac.sum()} AC records")
     click.echo(
-        f"wrote {out}: {len(blob)} bytes, {total_dc} DC + {total_ac} AC records"
+        f"records per sub-dataset: min {per_sub.min()}, median {np.median(per_sub):g}, "
+        f"max {per_sub.max()}; {np.count_nonzero(per_sub == 0)} of {per_sub.size} empty"
     )
 
 
@@ -627,7 +631,7 @@ def report_to_csv(report: dict) -> str:
     type=click.Choice(["reg1", "reg2", "reg3"]),
 )
 @click.option("--no-reg", is_flag=True)
-@click.option("--jobs", default=None, type=int, help="Worker processes (FQE_JOBS overrides).")
+@click.option("--jobs", type=click.IntRange(min=1), help="Worker processes (FQE_JOBS overrides).")
 @click.option("--out-dir", default=".", show_default=True, type=click.Path(file_okay=False))
 def evaluate_cmd(
     corpus_dir: str,
@@ -641,10 +645,11 @@ def evaluate_cmd(
     out_dir: str,
 ) -> None:
     """Evaluate estimation accuracy over a corpus with a manifest."""
+    n_jobs = _resolve_jobs(jobs)
     try:
         ds = _load_dataset(dataset)
         params = _params_from_flags(ds, k, n, w, reg_variant, no_reg)
-        report = evaluate_corpus(Path(corpus_dir), ds, params, jobs=_resolve_jobs(jobs))
+        report = evaluate_corpus(Path(corpus_dir), ds, params, jobs=n_jobs)
     except (DatasetFormatError, JpegError, ValueError) as exc:
         raise click.ClickException(str(exc))
     out = Path(out_dir)

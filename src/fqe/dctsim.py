@@ -40,13 +40,6 @@ def _dct_matrix() -> np.ndarray:
 _DCT = _dct_matrix()
 _DCT_T = _DCT.T
 
-# The contraction orders np.einsum(optimize=True) picks for the batched DCTs,
-# searched once here instead of on every call. The order is the same for any
-# block count, so the results are bit-identical to optimize=True.
-_ONE_BLOCK = np.empty((1, 8, 8))
-_FDCT_PATH = np.einsum_path("ux,nxy,vy->nuv", _DCT, _ONE_BLOCK, _DCT, optimize=True)[0]
-_IDCT_PATH = np.einsum_path("xu,nuv,yv->nxy", _DCT_T, _ONE_BLOCK, _DCT_T, optimize=True)[0]
-
 
 def zigzag_position(i: int) -> tuple[int, int]:
     """(row, col) of the 1-based zig-zag coefficient index i."""
@@ -57,8 +50,10 @@ def zigzag_position(i: int) -> tuple[int, int]:
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, halves away from zero."""
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    """Round to nearest integer, halves away from zero: np.sign(x) * np.floor(np.abs(x) + 0.5)."""
+    out = np.abs(x, dtype=np.float64)
+    out += 0.5
+    return np.copysign(np.floor(out, out=out), x, out=out, where=x != 0)
 
 
 def fdct_block(pixels: np.ndarray) -> np.ndarray:
@@ -110,7 +105,7 @@ def _unblock(blocks: np.ndarray, width: int, height: int) -> np.ndarray:
 
 
 def fdct_blocks(blocks: np.ndarray) -> np.ndarray:
-    return np.einsum("ux,nxy,vy->nuv", _DCT, blocks - 128.0, _DCT, optimize=_FDCT_PATH)
+    return _DCT @ (blocks - 128.0) @ _DCT_T
 
 
 def quantize_blocks(coeff_blocks: np.ndarray, table: QuantTable) -> np.ndarray:
@@ -125,8 +120,9 @@ def dequantize_blocks(zz_values: np.ndarray, table: QuantTable) -> np.ndarray:
 
 
 def idct_blocks(coeff_blocks: np.ndarray) -> np.ndarray:
-    pixels = np.einsum("xu,nuv,yv->nxy", _DCT_T, coeff_blocks, _DCT_T, optimize=_IDCT_PATH)
-    return np.clip(round_half_away(pixels + 128.0), 0, 255)
+    pixels = _DCT_T @ coeff_blocks @ _DCT
+    pixels += 128.0
+    return np.clip(round_half_away(pixels), 0, 255, out=pixels)
 
 
 def reconstruct(grid: CoeffGrid, table: QuantTable) -> GrayImage:

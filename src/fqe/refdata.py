@@ -10,6 +10,7 @@ chi-square scan over a window is one vectorized pass.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import struct
 import zlib
@@ -33,24 +34,28 @@ class PackedRecords:
 
     keys is sorted ascending; record i owns the support values[offsets[i]:offsets[i+1]]
     with matching integer bin counts bins, counts[i] samples behind them and
-    masses = bins / counts[i]. The masses are computed here for built and
+    masses = bins / counts[i]. _of_columns computes the masses for built and
     loaded records alike, so both hold the same f64 values bit for bit.
     """
 
     __slots__ = ("keys", "offsets", "values", "bins", "counts", "masses")
 
-    def __init__(self, keys, offsets, values, bins, counts):
+    def __init__(self, keys, offsets, values, bins, counts, masses):
         self.keys = keys
         self.offsets = offsets
         self.values = values
         self.bins = bins
         self.counts = counts
-        self.masses = np.repeat(counts.astype(np.float64), np.diff(offsets))
-        np.divide(bins, self.masses, out=self.masses)
+        self.masses = masses
+
+    @classmethod
+    def _of_columns(cls, keys, offsets, values, bins, counts) -> "PackedRecords":
+        masses = np.repeat(counts.astype(np.float64), np.diff(offsets))
+        return cls(keys, offsets, values, bins, counts, np.divide(bins, masses, out=masses))
 
     @classmethod
     def empty(cls) -> "PackedRecords":
-        return cls(
+        return cls._of_columns(
             keys=np.empty(0, dtype=np.float64),
             offsets=np.zeros(1, dtype=np.int64),
             values=np.empty(0, dtype=np.int16),
@@ -70,7 +75,7 @@ class PackedRecords:
         lengths = np.array([items[i][1].size for i in order], dtype=np.int64)
         offsets = np.zeros(lengths.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        return cls(
+        return cls._of_columns(
             keys=keys[order],
             offsets=offsets,
             values=np.concatenate([items[i][1] for i in order]).astype(np.int16),
@@ -131,32 +136,42 @@ def _nearest_window(keys: np.ndarray, key: float, n: int) -> tuple[int, int]:
     return lo, lo + n
 
 
-def _patch_columns(patch: GrayImage, q1_max: int, k: int):
-    """The records of one patch as FQE2 columns, in (q1, q2, coefficient) order.
+# Blocks per _batch_columns call. ms per patch levels off at about 512 blocks;
+# a call then peaks near 13 MB at q1_max 22 and k 15, 1.4 MB of it per q1.
+_BATCH_BLOCKS = 512
+
+
+def _batch_columns(batch: list[GrayImage], q1_max: int, k: int):
+    """The records of same-size patches as FQE2 columns, in (q1, patch, q2, coefficient) order.
 
     Returns, per record, its section id, key and support length, and per
-    bin its support value (i16) and count (u16); every record counts the
+    bin its support value (i16) and count (u16); every record counts a
     patch's block count of samples. Bit-exact with double_compress followed
     by build_histogram and fit_laplacian per coefficient: the forward DCT of
-    each q1 reconstruction is computed once and requantized for all q2 at
-    once, and each (q2, coefficient) column is sorted once, so the bins are
-    the runs of equal values in its row.
+    each q1 reconstruction is requantized for all q2 at once, and each
+    (patch, q2, coefficient) row is sorted, so the bins are its runs of
+    equal values. A section's records keep (patch, coefficient) order.
     """
-    f0 = dctsim.fdct_blocks(dctsim.blockify(patch.pixels))
-    n_blocks = f0.shape[0]
+    f0 = dctsim.fdct_blocks(np.concatenate([dctsim.blockify(p.pixels) for p in batch]))
+    n_patches, n_blocks = len(batch), f0.shape[0] // len(batch)
     zz_first_k = ZIGZAG_TO_NATURAL[:k]
     q2s = np.arange(1, q1_max + 1, dtype=np.float64)[:, None, None]
-    # Row (q2 - 1) * k + i of one q1 holds coefficient i requantized by q2.
-    row_section = 2 * np.arange(q1_max).repeat(k) + (np.arange(q1_max * k) % k > 0)
+    # Row r = (p * q1_max + q2 - 1) * k + i of one q1: coefficient i of patch p over q2.
+    r = np.arange(n_patches * q1_max * k)
+    row_section = 2 * (r // k % q1_max) + (r % k > 0)
     sections, lengths, values, bins = [], [], [], []
     for q1 in range(1, q1_max + 1):
-        t1 = dctsim.constant_table(q1)
-        recon = dctsim.idct_blocks(dctsim.dequantize_blocks(dctsim.quantize_blocks(f0, t1), t1))
-        f1 = dctsim.fdct_blocks(recon).reshape(-1, 64)[:, zz_first_k]
-        rows = np.sort(
-            dctsim.round_half_away(f1.T[None] / q2s).astype(np.int16).reshape(-1, n_blocks),
-            axis=1,
-        )
+        # quantize_blocks then dequantize_blocks by constant_table(q1), without
+        # the zig-zag round trip and the int32 cast: the same values bit for bit.
+        recon = dctsim.idct_blocks(dctsim.round_half_away(f0 / q1) * q1)
+        f1 = dctsim.fdct_blocks(recon).reshape(n_patches, n_blocks, 64).transpose(0, 2, 1)
+        f1 = f1[:, None, zz_first_k]
+        # round_half_away(f1 / q2) as int16 for every q2: x + copysign(0.5, x)
+        # is +-(|x| + 0.5), rounded alike, and the cast truncates toward zero.
+        scaled = f1 / q2s
+        scaled += np.copysign(0.5, f1)
+        rows = scaled.astype(np.int16).reshape(-1, n_blocks)
+        rows.sort(axis=1)
         starts = np.ones(rows.shape, dtype=bool)
         np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
         row_lengths = np.count_nonzero(starts, axis=1)
@@ -184,8 +199,8 @@ def build_reference(
     """Build the reference dataset from raw patches.
 
     Deterministic given the patch sequence and parameters, independent of
-    the worker count: the patches' records are stacked in patch order and
-    sorted stably by section, then key.
+    the worker count and of the batch split: the batches' records are
+    stacked in patch order and sorted stably by section, then key.
     """
     if not patches:
         raise ValueError("cannot build a reference dataset from no patches")
@@ -205,24 +220,23 @@ def build_reference(
             f"are stored as u16, so a patch may have at most {_MAX_BIN} blocks"
         )
 
-    if jobs is not None and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_patch = list(
-                pool.map(
-                    _patch_columns,
-                    patches,
-                    itertools.repeat(q1_max),
-                    itertools.repeat(k),
-                    chunksize=max(1, -(-len(patches) // (4 * jobs))),
-                )
-            )
+    per_batch = max(1, _BATCH_BLOCKS // (side // 8) ** 2)
+    batches = [patches[i : i + per_batch] for i in range(0, len(patches), per_batch)]
+    columns_of = functools.partial(_batch_columns, q1_max=q1_max, k=k)
+    # A pool cannot split a single batch, so one batch is built in-process.
+    if jobs is not None and jobs > 1 and len(batches) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
+            columns = list(pool.map(columns_of, batches))
     else:
-        per_patch = [_patch_columns(p, q1_max, k) for p in patches]
+        columns = list(map(columns_of, batches))
 
-    sections, keys, lengths, values, bins = map(np.concatenate, zip(*per_patch))
-    stacked = np.zeros(lengths.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=stacked[1:])
-    order = np.lexsort((keys, sections))
+    sections, keys, lengths, values, bins = map(np.concatenate, zip(*columns))
+    del columns  # stacked now; freed before the sorted copies are made
+    stacked = np.cumsum(lengths) - lengths
+    # np.lexsort((keys, sections)), faster: keys are ranked first, and a
+    # stable sort of section and rank keeps the stacked order of equal keys.
+    ranks = np.unique(keys, return_inverse=True)[1]
+    order = np.argsort(sections * keys.size + ranks, kind="stable")
     lengths = lengths[order]
     offsets = np.zeros(lengths.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
@@ -243,12 +257,20 @@ def _from_columns(
     Section s = 2 * ((q1 - 1) * q1_max + q2 - 1) + (0 for dc, 1 for ac) owns
     records bounds[s]:bounds[s + 1]; record i owns bins offsets[i]:offsets[i + 1].
     """
+    masses = PackedRecords._of_columns(keys, offsets, values, bins, counts).masses
+    # Each section's record offsets from its first bin, led by a 0: section s
+    # owns local[bounds[s] + s : bounds[s + 1] + s + 1].
+    of_record = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    local = np.zeros(offsets.size + bounds.size - 2, dtype=np.int64)
+    local[np.arange(1, offsets.size) + of_record] = offsets[1:] - offsets[bounds[of_record]]
+    rec_bounds, bin_bounds = bounds.tolist(), offsets[bounds].tolist()
 
     def section(s: int) -> PackedRecords:
-        r0, r1 = bounds[s], bounds[s + 1]
-        b0, b1 = offsets[r0], offsets[r1]
+        r0, r1 = rec_bounds[s], rec_bounds[s + 1]
+        b0, b1 = bin_bounds[s], bin_bounds[s + 1]
         return PackedRecords(
-            keys[r0:r1], offsets[r0 : r1 + 1] - b0, values[b0:b1], bins[b0:b1], counts[r0:r1]
+            keys[r0:r1], local[r0 + s : r1 + s + 1], values[b0:b1], bins[b0:b1], counts[r0:r1],
+            masses[b0:b1],
         )
 
     subs = {}
@@ -337,7 +359,10 @@ def serialize(ds: ReferenceDataset) -> bytes:
         bytes(16),
         np.array([len(p) for p in parts], dtype="<u4"),
         np.concatenate([p.keys for p in parts]).astype("<f8", copy=False),
-        np.concatenate([np.diff(p.offsets) for p in parts]).astype("<u2"),
+        (
+            np.concatenate([p.offsets[1:] for p in parts])
+            - np.concatenate([p.offsets[:-1] for p in parts])
+        ).astype("<u2"),
         np.concatenate([p.counts for p in parts]).astype("<u4", copy=False),
         np.concatenate([p.values for p in parts]).astype("<i2", copy=False),
         np.concatenate([p.bins for p in parts]).astype("<u2", copy=False),

@@ -74,13 +74,15 @@ def fit_laplacian_batch(
     fit_laplacian's bit for bit.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
-    starts = np.zeros(lengths.size, dtype=np.int64)
-    np.cumsum(lengths[:-1], out=starts[1:])
+    starts = np.cumsum(lengths) - lengths
+    # Rows of one length are a run of by_length.
+    by_length = np.argsort(lengths)
+    cuts = np.flatnonzero(np.diff(lengths[by_length], prepend=-1, append=-1)).tolist()
     mu = np.empty(lengths.size)
     beta = np.empty(lengths.size)
-    for n in np.unique(lengths):
-        rows = np.flatnonzero(lengths == n)
-        idx = starts[rows, None] + np.arange(n)
+    for r0, r1 in zip(cuts[:-1], cuts[1:]):
+        rows = by_length[r0:r1]
+        idx = starts[rows, None] + np.arange(lengths[rows[0]])
         m, s = mass[idx], support[idx]
         cum = np.cumsum(m, axis=1)
         median = np.count_nonzero(cum < 0.5 * cum[:, -1:], axis=1)

@@ -83,11 +83,43 @@ class TestBuild:
         out = tmp_path / "c.fqe"
         result = runner.invoke(
             main,
-            ["build", "--raw-dir", str(raw_dir), "--out", str(out), "--q1-max", "4", "--jobs", "1"],
+            [
+                "build", "--raw-dir", str(raw_dir), "--out", str(out), "--q1-max", "4",
+                "--jobs", "1", "--verbose",
+            ],
         )
         assert f"{6 * 4 * 4} double compressions" in result.output
         # one count line per sub-dataset
         assert sum(1 for line in result.output.splitlines() if line.startswith("q1=")) == 16
+
+    def test_default_summary(self, tmp_path, raw_dir, runner):
+        out = tmp_path / "s.fqe"
+        flat = tmp_path / "flat"
+        flat.mkdir()
+        # A flat patch adds no records: with it alone, every sub-dataset is empty.
+        (flat / "flat.pgm").write_bytes(b"P5\n64 64\n255\n" + bytes([128]) * 4096)
+        for src, q1_max in ((raw_dir, 4), (flat, 3)):
+            result = runner.invoke(
+                main,
+                [
+                    "build", "--raw-dir", str(src), "--out", str(out),
+                    "--q1-max", str(q1_max), "--jobs", "1",
+                ],
+            )
+            assert result.exit_code == 0, result.output
+            assert not any(line.startswith("q1=") for line in result.output.splitlines())
+            ds = cli.deserialize(out.read_bytes())
+            counts = [len(sub.dc) + len(sub.ac) for sub in ds.subs.values()]
+            n_dc = sum(len(sub.dc) for sub in ds.subs.values())
+            n_ac = sum(len(sub.ac) for sub in ds.subs.values())
+            lines = result.output.splitlines()
+            assert lines[-2].endswith(f"{n_dc} DC + {n_ac} AC records")
+            assert lines[-1] == (
+                f"records per sub-dataset: min {min(counts)}, "
+                f"median {np.median(counts):g}, max {max(counts)}; "
+                f"{counts.count(0)} of {q1_max * q1_max} empty"
+            )
+        assert lines[-1] == "records per sub-dataset: min 0, median 0, max 0; 9 of 9 empty"
 
     def test_all_unreadable_fails(self, tmp_path, runner):
         bad = tmp_path / "bad"
@@ -102,17 +134,32 @@ class TestBuild:
     @pytest.mark.parametrize(
         "flag, value",
         [("--q1-max", "0"), ("--q1-max", "256"), ("--k", "1"), ("--k", "65"),
-         ("--patch", "60"), ("--patch", "0"), ("--patch", "2048")],
+         ("--patch", "60"), ("--patch", "0"), ("--patch", "2048"),
+         ("--jobs", "0"), ("--jobs", "-3")],
     )
-    def test_bad_arguments_are_usage_errors(self, tmp_path, raw_dir, runner, flag, value):
+    def test_bad_arguments_are_usage_errors(self, tmp_path, runner, flag, value):
+        # The raw directory is empty: exit 2 rather than 1 ("no usable PGM
+        # images") shows the argument was rejected before it was read.
+        empty = tmp_path / "empty"
+        empty.mkdir()
         out = tmp_path / "o.fqe"
         result = runner.invoke(
-            main, ["build", "--raw-dir", str(raw_dir), "--out", str(out), flag, value]
+            main, ["build", "--raw-dir", str(empty), "--out", str(out), flag, value]
         )
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert f"Invalid value for '{flag}'" in result.output
         assert not out.exists()
+
+    def test_bad_env_jobs_reported_before_reading(self, tmp_path, runner, monkeypatch):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "x.pgm").write_bytes(b"not a pgm")
+        monkeypatch.setenv("FQE_JOBS", "0")
+        result = runner.invoke(main, ["build", "--raw-dir", str(bad), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert "job count must be at least 1" in result.output
+        assert "skipping" not in result.output
 
     def test_env_overrides_jobs(self, tmp_path, raw_dir, runner, monkeypatch):
         monkeypatch.setenv("FQE_JOBS", "not-a-number")
@@ -525,7 +572,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--k", "1"), ("--k", "80"), ("--n", "0"), ("--w", "1.5"), ("--w", "nan")],
+        [("--k", "1"), ("--k", "80"), ("--n", "0"), ("--w", "1.5"), ("--w", "nan"),
+         ("--jobs", "0"), ("--jobs", "-3")],
     )
     def test_bad_arguments_are_usage_errors(self, tmp_path, runner, flag, value):
         broken = tmp_path / "broken.fqe"
@@ -542,3 +590,14 @@ class TestEvaluate:
         assert isinstance(result.exception, SystemExit)
         assert f"Invalid value for '{flag}'" in result.output
         assert not out_dir.exists()
+
+    def test_bad_env_jobs_reported_before_reading(self, tmp_path, runner, monkeypatch):
+        broken = tmp_path / "broken.fqe"
+        broken.write_bytes(b"not a dataset")
+        monkeypatch.setenv("FQE_JOBS", "0")
+        result = runner.invoke(
+            main, ["evaluate", "--corpus-dir", str(tmp_path), "--dataset", str(broken)]
+        )
+        assert result.exit_code == 1
+        assert "job count must be at least 1" in result.output
+        assert "checksum" not in result.output

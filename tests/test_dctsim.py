@@ -75,10 +75,10 @@ class TestFdct:
 
 
 class TestEinsumPath:
-    # The batched DCTs use a contraction order searched once at import; it
-    # must give what optimize=True searches per call, bit for bit.
+    # The batched DCTs are matrix products; they must give what
+    # np.einsum(optimize=True) gives, bit for bit.
     @pytest.mark.parametrize("n", [1, 64, 4096, 16384])
-    def test_fixed_path_matches_optimize_true(self, n):
+    def test_matmul_matches_optimize_true(self, n):
         rng = np.random.default_rng(n)
         pixels = rng.integers(0, 256, (n, 8, 8)).astype(np.float64)
         expected = np.einsum(
@@ -87,12 +87,21 @@ class TestEinsumPath:
         assert dctsim.fdct_blocks(pixels).tobytes() == expected.tobytes()
         coeffs = rng.normal(0.0, 60.0, (n, 8, 8))
         raw = np.einsum("xu,nuv,yv->nxy", dctsim._DCT_T, coeffs, dctsim._DCT_T, optimize=True)
-        fixed = np.einsum(
-            "xu,nuv,yv->nxy", dctsim._DCT_T, coeffs, dctsim._DCT_T, optimize=dctsim._IDCT_PATH
-        )
-        assert fixed.tobytes() == raw.tobytes()
-        expected = np.clip(dctsim.round_half_away(raw + 128.0), 0, 255)
+        expected = np.clip(np.sign(raw + 128.0) * np.floor(np.abs(raw + 128.0) + 0.5), 0, 255)
         assert dctsim.idct_blocks(coeffs).tobytes() == expected.tobytes()
+
+
+class TestRoundHalfAway:
+    def test_bits_match_sign_times_floor(self, rng):
+        # The in-place rounding keeps every bit of sign(x) * floor(|x| + 0.5),
+        # the sign of zero included.
+        edges = [0.0, -0.0, 0.3, -0.3, 0.5, -0.5, 2.5, -2.5, np.nextafter(0.5, 0.0),
+                 -np.nextafter(0.5, 0.0), 2.0**52 - 0.5, -(2.0**52 + 1.0), 1e300, -1e-300,
+                 np.inf, -np.inf]
+        x = np.concatenate([edges, rng.normal(0, 100, 5000), rng.integers(-400, 400, 5000) / 2])
+        expected = np.sign(x) * np.floor(np.abs(x) + 0.5)
+        assert dctsim.round_half_away(x).tobytes() == expected.tobytes()
+        assert dctsim.round_half_away(x.reshape(2, -1)).tobytes() == expected.tobytes()
 
 
 class TestIdct:

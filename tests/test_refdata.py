@@ -117,18 +117,20 @@ class TestBuild:
                         assert rec.hist == hist
 
     @staticmethod
-    def assert_columns_match_oracle(patch, q1_max, k):
-        # Record for record against the per-column loop, in (q1, q2, dc, ac) order.
-        sections, keys, lengths, values, bins = refdata._patch_columns(patch, q1_max, k)
-        items = patch_items(patch, q1_max, k)
+    def assert_columns_match_oracle(patches, q1_max, k):
+        # Record for record against the per-column loop of each patch, in
+        # (q1, patch, q2, dc, ac) order.
+        sections, keys, lengths, values, bins = refdata._batch_columns(patches, q1_max, k)
+        items = [patch_items(patch, q1_max, k) for patch in patches]
         expect = [
             (2 * ((q1 - 1) * q1_max + q2 - 1) + kind, item)
             for q1 in range(1, q1_max + 1)
+            for per_patch in items
             for q2 in range(1, q1_max + 1)
             for kind in (0, 1)
-            for item in items[(q1, q2)][kind]
+            for item in per_patch[(q1, q2)][kind]
         ]
-        n_blocks = (patch.width // 8) * (patch.height // 8)
+        n_blocks = (patches[0].width // 8) * (patches[0].height // 8)
         assert sections.tolist() == [s for s, _ in expect]
         assert np.array_equal(
             keys.view(np.uint64), np.array([it[0] for _, it in expect]).view(np.uint64)
@@ -142,14 +144,17 @@ class TestBuild:
 
     def test_patch_columns_match_oracle(self):
         for patch in synth_patches(seed=28, count=3):
-            self.assert_columns_match_oracle(patch, q1_max=22, k=15)
+            self.assert_columns_match_oracle([patch], q1_max=22, k=15)
+
+    def test_batch_columns_match_oracle(self):
+        self.assert_columns_match_oracle(synth_patches(seed=28, count=3), q1_max=22, k=15)
 
     def test_patch_columns_match_oracle_long_supports(self):
         # 33 x 33 blocks: some supports exceed the 128 terms that np.sum adds
         # in one unrolled block before it splits pairwise, and masses c / 1089
         # are inexact, so the order of the additions shows in beta.
         patch = synth_patch(np.random.default_rng(29), side=264)
-        lengths = self.assert_columns_match_oracle(patch, q1_max=22, k=15)
+        lengths = self.assert_columns_match_oracle([patch], q1_max=22, k=15)
         assert lengths.max() > 128
 
     def test_dataset_matches_merged_oracle_items(self):
@@ -173,6 +178,14 @@ class TestBuild:
         one = serialize(build_reference(patches, q1_max=22, k=15, jobs=1))
         two = serialize(build_reference(patches, q1_max=22, k=15, jobs=2))
         assert one == two
+
+    def test_batch_split_and_jobs_give_identical_bytes(self, monkeypatch):
+        patches = synth_patches(seed=32, count=7)
+        whole = serialize(build_reference(patches, q1_max=8, k=15, jobs=1))
+        # 3 patches of 64 blocks per batch: batches of 3, 3 and 1 patches.
+        monkeypatch.setattr(refdata, "_BATCH_BLOCKS", 3 * 64 + 10)
+        for jobs in (1, 2, 3):
+            assert serialize(build_reference(patches, q1_max=8, k=15, jobs=jobs)) == whole
 
     def test_keys_sorted_and_consistent_with_fit(self, small_ds):
         for sub in small_ds.subs.values():
