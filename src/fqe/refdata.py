@@ -34,8 +34,8 @@ class PackedRecords:
 
     keys is sorted ascending; record i owns the support values[offsets[i]:offsets[i+1]]
     with matching integer bin counts bins, counts[i] samples behind them and
-    masses = bins / counts[i]. _of_columns computes the masses for built and
-    loaded records alike, so both hold the same f64 values bit for bit.
+    masses = bins / counts[i]. _masses computes them for built and loaded
+    records alike, so both hold the same f64 values bit for bit.
     """
 
     __slots__ = ("keys", "offsets", "values", "bins", "counts", "masses")
@@ -50,8 +50,7 @@ class PackedRecords:
 
     @classmethod
     def _of_columns(cls, keys, offsets, values, bins, counts) -> "PackedRecords":
-        masses = np.repeat(counts.astype(np.float64), np.diff(offsets))
-        return cls(keys, offsets, values, bins, counts, np.divide(bins, masses, out=masses))
+        return cls(keys, offsets, values, bins, counts, _masses(bins, counts, np.diff(offsets)))
 
     @classmethod
     def empty(cls) -> "PackedRecords":
@@ -115,6 +114,12 @@ class ReferenceDataset:
             return self.subs[(q1, q2)]
         except KeyError:
             raise KeyError(f"no sub-dataset for (q1={q1}, q2={q2})") from None
+
+
+def _masses(bins: np.ndarray, counts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per bin, its count over the sample count of its record (lengths[i] bins)."""
+    masses = np.repeat(counts.astype(np.float64), lengths)
+    return np.divide(bins, masses, out=masses)
 
 
 def _nearest_window(keys: np.ndarray, key: float, n: int) -> tuple[int, int]:
@@ -244,25 +249,25 @@ def build_reference(
     gather = np.repeat(stacked[order] - offsets[:-1], lengths) + np.arange(offsets[-1])
     bounds = np.searchsorted(sections[order], np.arange(2 * q1_max * q1_max + 1))
     return _from_columns(
-        q1_max, k, side, len(patches), bounds, keys[order], offsets,
+        q1_max, k, side, len(patches), bounds, keys[order], lengths, offsets,
         values[gather], bins[gather], np.full(order.size, (side // 8) ** 2, dtype=np.uint32),
     )
 
 
 def _from_columns(
-    q1_max, k, patch_side, source_count, bounds, keys, offsets, values, bins, counts
+    q1_max, k, patch_side, source_count, bounds, keys, lengths, offsets, values, bins, counts
 ) -> ReferenceDataset:
     """A dataset whose records are views of whole-dataset columns.
 
     Section s = 2 * ((q1 - 1) * q1_max + q2 - 1) + (0 for dc, 1 for ac) owns
-    records bounds[s]:bounds[s + 1]; record i owns bins offsets[i]:offsets[i + 1].
+    records bounds[s]:bounds[s + 1]; record i owns bins offsets[i]:offsets[i + 1],
+    lengths[i] of them.
     """
-    masses = PackedRecords._of_columns(keys, offsets, values, bins, counts).masses
-    # Each section's record offsets from its first bin, led by a 0: section s
-    # owns local[bounds[s] + s : bounds[s + 1] + s + 1].
-    of_record = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
-    local = np.zeros(offsets.size + bounds.size - 2, dtype=np.int64)
-    local[np.arange(1, offsets.size) + of_record] = offsets[1:] - offsets[bounds[of_record]]
+    masses = _masses(bins, counts, lengths)
+    # Section s owns local[bounds[s] + s : bounds[s + 1] + s + 1], its records'
+    # offsets from its first bin: np.insert gives every section its own start.
+    local = np.insert(offsets, bounds[1:-1], offsets[bounds[1:-1]])
+    local -= np.repeat(offsets[bounds[:-1]], np.diff(bounds) + 1)
     rec_bounds, bin_bounds = bounds.tolist(), offsets[bounds].tolist()
 
     def section(s: int) -> PackedRecords:
@@ -421,5 +426,5 @@ def deserialize(data: bytes) -> ReferenceDataset:
         raise DatasetFormatError("record keys are not finite and sorted within each section")
 
     return _from_columns(
-        q1_max, k, patch_side, source_count, bounds, keys, offsets, values, bins, counts
+        q1_max, k, patch_side, source_count, bounds, keys, lengths, offsets, values, bins, counts
     )
