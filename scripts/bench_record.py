@@ -18,8 +18,9 @@ Pairs mode runs --pairs pairs of the parent checkout and --checkout (the
 change), seed --seed + i for pair i, alternating which side runs first. It
 writes the first pair as BENCH_<label>-parent-<workload>.json and
 BENCH_<label>-change-<workload>.json ("-trace" appended for traced runs)
-and prints, for each end-to-end metric of BENCHMARK.json, both sides'
-medians and quartiles and the pairs the change won. A gain is claimed when
+and prints, for each end-to-end metric of BENCHMARK.json (each per-layer
+metric for traced runs), both sides' medians and quartiles and the pairs
+the change won. A gain is claimed when
 the change wins at least nine tenths of the pairs, ties counting for
 neither, and the medians differ by more than the parent's interquartile
 range. The exit code is 1 when any run exited non-zero.
@@ -117,8 +118,11 @@ def run_pairs(args) -> int:
                 print(out)
             digests = " ".join(f"{k}={v.split()[0]}" for k, v in content["digests"].items())
             print(f"pair {i} seed {args.seed + i} {side}: exit {code} {digests}", flush=True)
-    for metric in contract["end_to_end"]:
+    # A traced run reports the per-layer metrics only.
+    for metric in contract["per_layer" if args.trace else "end_to_end"]:
         name = metric["name"]
+        if name not in values["parent"] or name not in values["change"]:
+            continue
         s = summarize(values["parent"][name], values["change"][name], metric["better"])
         p, c = s["parent"], s["change"]
         print(
