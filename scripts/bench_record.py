@@ -20,10 +20,10 @@ writes the first pair as BENCH_<label>-parent-<workload>.json and
 BENCH_<label>-change-<workload>.json ("-trace" appended for traced runs)
 and prints, for each end-to-end metric of BENCHMARK.json (each per-layer
 metric for traced runs), both sides' medians and quartiles and the pairs
-the change won. A gain is claimed when
-the change wins at least nine tenths of the pairs, ties counting for
-neither, and the medians differ by more than the parent's interquartile
-range. The exit code is 1 when any run exited non-zero.
+the change won. A gain is claimed when the change wins at least nine
+tenths of the pairs, ties counting for neither, and the medians differ by
+more than the parent's interquartile range. The exit code is 1 when any
+run exited non-zero.
 """
 
 from __future__ import annotations
