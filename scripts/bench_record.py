@@ -11,7 +11,7 @@ provenance line (git SHA, seed, dataset size, cpu_count and the rest of
 what run.py prints), its output digests (estimates or dataset blob) and its
 final metrics object (run.py's last line). The exit code is run.py's.
 
-    python3 scripts/bench_record.py --label pr7 --workload build --seed 201 \
+    python3 scripts/bench_record.py --label batched --workload build --seed 201 \
         --pairs 10 --parent-checkout ../parent
 
 Pairs mode runs --pairs pairs of the parent checkout and --checkout (the
