@@ -2,18 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .dctsim import (
-    compress_once,
-    constant_table,
-    dequantize,
-    double_compress,
-    fdct_block,
-    idct_block,
-    quantize,
-    reconstruct,
-    standard_table,
-    zigzag_position,
-)
+from .dctsim import constant_table, reconstruct, standard_table
 from .estimator import (
     DEGENERATE,
     OK,
@@ -24,7 +13,6 @@ from .estimator import (
     distance_matrix,
     estimate,
     raw_estimates,
-    reg_term,
     regularize,
 )
 from .jpegio import (
@@ -77,27 +65,19 @@ __all__ = [
     "UnsupportedJpegError",
     "build_histogram",
     "build_reference",
-    "compress_once",
     "constant_table",
     "crop_center",
-    "dequantize",
     "deserialize",
     "distance_matrix",
-    "double_compress",
     "encode_baseline_gray",
     "estimate",
-    "fdct_block",
     "fit_laplacian",
-    "idct_block",
     "is_degenerate",
     "parse_jpeg",
-    "quantize",
     "raw_estimates",
     "read_pgm",
     "reconstruct",
-    "reg_term",
     "regularize",
     "serialize",
     "standard_table",
-    "zigzag_position",
 ]

@@ -8,37 +8,35 @@ could be estimated because the image's q2 factors exceed the dataset grid.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import __version__
-from .dctsim import reconstruct, standard_table
-from .estimator import (
-    DEGENERATE,
-    OK,
-    UNSUPPORTED,
-    EstimationParams,
-    EstimationResult,
-    estimate,
+from .corpus import (
+    MANIFEST_NAME,
+    double_compress_file,
+    evaluate_corpus,
+    read_table_file,
+    report_to_csv,
+    write_manifest,
 )
-from .jpegio import JpegError, PgmError, encode_baseline_gray, parse_jpeg, read_pgm, crop_center
+from .dctsim import standard_table
+from .estimator import OK, UNSUPPORTED, EstimationParams, EstimationResult, estimate
+from .jpegio import JpegError, PgmError, read_pgm, crop_center
 from .refdata import DatasetFormatError, ReferenceDataset, build_reference, deserialize, serialize
-from .types import GrayImage, QuantTable
+from .types import GrayImage
 
 EXIT_PARSE_FAILURE = 2
 EXIT_DATASET_FAILURE = 3
 EXIT_UNSUPPORTED_Q2 = 4
-
-MANIFEST_NAME = "manifest.csv"
-MANIFEST_FACTORS = 15
 
 
 def _resolve_jobs(flag: int | None) -> int:
@@ -76,6 +74,36 @@ def _params_from_flags(
     )
 
 
+def _weight(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    # NaN passes click.FloatRange: it compares false with both bounds.
+    if math.isnan(value):
+        raise click.BadParameter(f"{value} is not in the range 0<=x<=1.")
+    return value
+
+
+def _estimation_options(command):
+    """--k, --n, --w, --reg-variant and --no-reg, the flags of _params_from_flags."""
+    options = [
+        click.option("--k", default=15, show_default=True, type=click.IntRange(2, 64)),
+        click.option(
+            "--n", default=1000, show_default=True, type=click.IntRange(min=1),
+            help="Candidates per sub-dataset.",
+        ),
+        click.option(
+            "--w", default=0.92, show_default=True, type=click.FloatRange(0, 1),
+            callback=_weight, help="Data-term weight.",
+        ),
+        click.option(
+            "--reg-variant", default="reg3", show_default=True,
+            type=click.Choice(["reg1", "reg2", "reg3"]),
+        ),
+        click.option("--no-reg", is_flag=True, help="Report raw argmin estimates only."),
+    ]
+    for option in reversed(options):
+        command = option(command)
+    return command
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="fqe")
 def main() -> None:
@@ -91,13 +119,6 @@ def _patch_side(ctx: click.Context, param: click.Parameter, value: int) -> int:
     # u16 bin counts hold at most 65535 blocks per patch: 255 x 255 at side 2040.
     if value % 8 or not 8 <= value <= 2040:
         raise click.BadParameter(f"{value} is not a multiple of 8 from 8 to 2040")
-    return value
-
-
-def _weight(ctx: click.Context, param: click.Parameter, value: float) -> float:
-    # NaN passes click.FloatRange: it compares false with both bounds.
-    if math.isnan(value):
-        raise click.BadParameter(f"{value} is not in the range 0<=x<=1.")
     return value
 
 
@@ -176,17 +197,6 @@ def _result_rows(result: EstimationResult) -> list[dict]:
     return rows
 
 
-def _params_dict(p: EstimationParams) -> dict:
-    return {
-        "k": p.k,
-        "q1_max": p.q1_max,
-        "n_candidates": p.n_candidates,
-        "w": p.w,
-        "reg_variant": p.reg_variant,
-        "regularize": p.regularize,
-    }
-
-
 def _format_estimate(result: EstimationResult, fmt: str) -> str:
     rows = _result_rows(result)
     if fmt == "json":
@@ -198,7 +208,7 @@ def _format_estimate(result: EstimationResult, fmt: str) -> str:
                     row[key] = None
         return json.dumps(
             {
-                "params": _params_dict(result.params),
+                "params": dataclasses.asdict(result.params),
                 "warnings": result.warnings,
                 "positions": rows,
             },
@@ -217,15 +227,7 @@ def _format_estimate(result: EstimationResult, fmt: str) -> str:
     )
     for row in rows:
         writer.writerow(
-            [
-                row["position"],
-                row["q2"],
-                row["status"],
-                "" if row["raw"] is None else row["raw"],
-                "" if row["estimate"] is None else row["estimate"],
-                "" if row["raw_distance"] is None else repr(row["raw_distance"]),
-                "" if row["estimate_distance"] is None else repr(row["estimate_distance"]),
-            ]
+            ["" if v is None else repr(v) if isinstance(v, float) else v for v in row.values()]
         )
     return buf.getvalue().rstrip("\n")
 
@@ -233,29 +235,7 @@ def _format_estimate(result: EstimationResult, fmt: str) -> str:
 @main.command("estimate")
 @click.option("--image", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--dataset", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--k", default=15, show_default=True, type=click.IntRange(2, 64))
-@click.option(
-    "--n",
-    default=1000,
-    show_default=True,
-    type=click.IntRange(min=1),
-    help="Candidates per sub-dataset.",
-)
-@click.option(
-    "--w",
-    default=0.92,
-    show_default=True,
-    type=click.FloatRange(0, 1),
-    callback=_weight,
-    help="Data-term weight.",
-)
-@click.option(
-    "--reg-variant",
-    default="reg3",
-    show_default=True,
-    type=click.Choice(["reg1", "reg2", "reg3"]),
-)
-@click.option("--no-reg", is_flag=True, help="Report raw argmin estimates only.")
+@_estimation_options
 @click.option(
     "--format", "fmt", default="json", show_default=True, type=click.Choice(["json", "csv"])
 )
@@ -288,38 +268,6 @@ def estimate_cmd(
 # ---------------------------------------------------------------------------
 
 
-def read_table_file(text: str) -> list[QuantTable]:
-    """Parse explicit tables: 8 lines of 8 integers each, blank-line separated."""
-    rows: list[list[int]] = []
-    tables: list[QuantTable] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        if len(parts) != 8:
-            raise ValueError(f"line {lineno}: expected 8 integers, got {len(parts)}")
-        try:
-            rows.append([int(x) for x in parts])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer factor") from None
-        if len(rows) == 8:
-            tables.append(QuantTable(np.array(rows).reshape(64)))
-            rows = []
-    if rows:
-        raise ValueError("trailing lines do not form a full 8x8 table")
-    if not tables:
-        raise ValueError("table file contains no tables")
-    return tables
-
-
-def _double_compress_file(patch: GrayImage, q1_table: QuantTable, q2_table: QuantTable) -> bytes:
-    """File-path double compression: encode, decode to pixels, encode again."""
-    first = parse_jpeg(encode_baseline_gray(patch, q1_table))
-    pixels = reconstruct(first.coeffs, first.luma_table)
-    return encode_baseline_gray(pixels, q2_table)
-
-
 @main.command("make-corpus")
 @click.option("--raw-dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
@@ -330,7 +278,9 @@ def _double_compress_file(patch: GrayImage, q1_table: QuantTable, q2_table: Quan
     type=click.Path(exists=True, dir_okay=False),
     help="File of explicit 8x8 first-compression tables.",
 )
-@click.option("--qf2", required=True, type=int, help="Second-compression quality factor.")
+@click.option(
+    "--qf2", required=True, type=click.IntRange(1, 100), help="Second-compression quality factor."
+)
 @click.option("--patch", default=64, show_default=True, type=click.IntRange(min=1))
 @click.option(
     "--crop", default="center", show_default=True, type=click.Choice(["center", "random"])
@@ -351,8 +301,6 @@ def make_corpus(
         raise click.ClickException("exactly one of --qf1 or --tables is required")
     if crop == "random" and seed is None:
         raise click.ClickException("--seed is required for random crops")
-    if not 1 <= qf2 <= 100:
-        raise click.ClickException("--qf2 must be in [1, 100]")
 
     if qf1 is not None:
         try:
@@ -379,7 +327,7 @@ def make_corpus(
     q2_table = standard_table(qf2)
     rng = np.random.default_rng(seed)
 
-    rows: list[list] = []
+    rows = []
     for path in raw_paths:
         try:
             img = read_pgm(path.read_bytes())
@@ -399,18 +347,11 @@ def make_corpus(
             cropped = GrayImage(img.pixels[y : y + patch, x : x + patch].copy())
         for label, q1_table in sources:
             name = f"{path.stem}__{label}.jpg"
-            (out / name).write_bytes(_double_compress_file(cropped, q1_table, q2_table))
-            truth = q1_table.to_zigzag()[:MANIFEST_FACTORS]
-            rows.append([name, label, x, y, *[int(v) for v in truth]])
-
-    with (out / MANIFEST_NAME).open("w", newline="") as fh:
-        fh.write(f"# fqe-corpus {spec_desc} qf2={qf2} patch={patch} crop={crop} seed={seed}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["filename", "label", "crop_x", "crop_y"]
-            + [f"q1_{i}" for i in range(1, MANIFEST_FACTORS + 1)]
-        )
-        writer.writerows(rows)
+            (out / name).write_bytes(double_compress_file(cropped, q1_table, q2_table))
+            rows.append((name, label, x, y, q1_table))
+    write_manifest(
+        out, rows, f"fqe-corpus {spec_desc} qf2={qf2} patch={patch} crop={crop} seed={seed}"
+    )
     click.echo(f"wrote {len(rows)} images and {MANIFEST_NAME} to {out_dir}")
 
 
@@ -419,218 +360,10 @@ def make_corpus(
 # ---------------------------------------------------------------------------
 
 
-def read_manifest(path: Path) -> list[dict]:
-    entries = []
-    with path.open() as fh:
-        lines = [line for line in fh if not line.startswith("#")]
-    reader = csv.DictReader(lines)
-    required = {"filename", "label"} | {f"q1_{i}" for i in range(1, MANIFEST_FACTORS + 1)}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise ValueError(f"manifest {path} is missing required columns")
-    for row in reader:
-        entries.append(
-            {
-                "filename": row["filename"],
-                "label": row["label"],
-                "truth": [int(row[f"q1_{i}"]) for i in range(1, MANIFEST_FACTORS + 1)],
-            }
-        )
-    if not entries:
-        raise ValueError(f"manifest {path} lists no images")
-    return entries
-
-
-def _eval_one(
-    ds: ReferenceDataset, params: EstimationParams, corpus: Path, item: tuple[str, list[int]]
-) -> dict:
-    """Estimate one corpus file."""
-    filename, truth = item
-    result = estimate((corpus / filename).read_bytes(), ds, params)
-    dm = result.distances
-    return {
-        "filename": filename,
-        "status": dm.status,
-        "raw": result.raw_estimates,
-        "reg": result.estimates,
-        "truth": truth[: params.k],
-    }
-
-
-# A pool worker's (dataset, params, corpus dir), set by _init_eval_worker in
-# the worker process itself, so it works under every start method.
-_worker_ctx: tuple[ReferenceDataset, EstimationParams, Path] | None = None
-
-
-def _init_eval_worker(blob: bytes, params: EstimationParams, corpus: Path) -> None:
-    global _worker_ctx
-    _worker_ctx = (deserialize(blob), params, corpus)
-
-
-def _eval_in_worker(item: tuple[str, list[int]]) -> dict:
-    return _eval_one(*_worker_ctx, item)
-
-
-def evaluate_corpus(
-    corpus_dir: Path, ds: ReferenceDataset, params: EstimationParams, jobs: int = 1
-) -> dict:
-    """Run the estimator over a corpus and assemble the accuracy report."""
-    entries = read_manifest(corpus_dir / MANIFEST_NAME)
-    if params.k > MANIFEST_FACTORS:
-        raise ValueError(f"manifest carries {MANIFEST_FACTORS} factors, requested k={params.k}")
-    for e in entries:
-        if not (corpus_dir / e["filename"]).is_file():
-            raise ValueError(f"manifest lists missing file {e['filename']}")
-
-    work = [(e["filename"], e["truth"]) for e in entries]
-    if jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_eval_worker,
-            initargs=(serialize(ds), params, corpus_dir),
-        ) as pool:
-            outcomes = list(pool.map(_eval_in_worker, work, chunksize=8))
-    else:
-        outcomes = [_eval_one(ds, params, corpus_dir, item) for item in work]
-
-    labels = sorted({e["label"] for e in entries})
-    by_label = {e["filename"]: e["label"] for e in entries}
-    k = params.k
-
-    def bucket() -> dict:
-        return {
-            "total": np.zeros(k, dtype=int),
-            "degenerate": np.zeros(k, dtype=int),
-            "unsupported": np.zeros(k, dtype=int),
-            "correct_raw": np.zeros(k, dtype=int),
-            "correct_reg": np.zeros(k, dtype=int),
-        }
-
-    per_label = {label: bucket() for label in labels}
-    for outcome in outcomes:
-        acc = per_label[by_label[outcome["filename"]]]
-        for i in range(k):
-            acc["total"][i] += 1
-            status = outcome["status"][i]
-            if status == DEGENERATE:
-                acc["degenerate"][i] += 1
-            elif status == UNSUPPORTED:
-                acc["unsupported"][i] += 1
-            else:
-                truth = outcome["truth"][i]
-                if outcome["raw"][i] == truth:
-                    acc["correct_raw"][i] += 1
-                if outcome["reg"][i] == truth:
-                    acc["correct_reg"][i] += 1
-
-    def summarize(acc: dict) -> dict:
-        positions = []
-        for i in range(k):
-            total = int(acc["total"][i])
-            deg = int(acc["degenerate"][i])
-            uns = int(acc["unsupported"][i])
-            predictable = total - deg - uns
-            row = {
-                "position": i + 1,
-                "total": total,
-                "degenerate": deg,
-                "unsupported": uns,
-                "predictable": predictable,
-                "correct_raw": int(acc["correct_raw"][i]),
-                "correct_reg": int(acc["correct_reg"][i]),
-                "accuracy_raw": (acc["correct_raw"][i] / predictable) if predictable else None,
-                "accuracy_reg": (acc["correct_reg"][i] / predictable) if predictable else None,
-                "degenerate_pct": deg / total if total else None,
-            }
-            positions.append(row)
-        total = int(acc["total"].sum())
-        deg = int(acc["degenerate"].sum())
-        uns = int(acc["unsupported"].sum())
-        predictable = total - deg - uns
-        overall = {
-            "total": total,
-            "degenerate": deg,
-            "unsupported": uns,
-            "predictable": predictable,
-            "correct_raw": int(acc["correct_raw"].sum()),
-            "correct_reg": int(acc["correct_reg"].sum()),
-            "accuracy_raw": (acc["correct_raw"].sum() / predictable) if predictable else None,
-            "accuracy_reg": (acc["correct_reg"].sum() / predictable) if predictable else None,
-            "degenerate_pct": deg / total if total else None,
-        }
-        return {"positions": positions, "overall": overall}
-
-    report_labels = {label: summarize(per_label[label]) for label in labels}
-    combined = bucket()
-    for acc in per_label.values():
-        for key in combined:
-            combined[key] += acc[key]
-    return {
-        "params": _params_dict(params),
-        "dataset": {
-            "q1_max": ds.q1_max,
-            "k": ds.k,
-            "patch_side": ds.patch_side,
-            "source_count": ds.source_count,
-        },
-        "images": len(entries),
-        "labels": report_labels,
-        "overall": summarize(combined),
-    }
-
-
-def report_to_csv(report: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "label", "position", "total", "degenerate", "unsupported", "predictable",
-            "correct_raw", "accuracy_raw", "correct_reg", "accuracy_reg", "degenerate_pct",
-        ]
-    )
-
-    def fmt(x) -> str:
-        return "" if x is None else f"{x:.6f}"
-
-    def emit(label: str, section: dict) -> None:
-        for row in section["positions"]:
-            writer.writerow(
-                [
-                    label, row["position"], row["total"], row["degenerate"],
-                    row["unsupported"], row["predictable"], row["correct_raw"],
-                    fmt(row["accuracy_raw"]), row["correct_reg"],
-                    fmt(row["accuracy_reg"]), fmt(row["degenerate_pct"]),
-                ]
-            )
-        o = section["overall"]
-        writer.writerow(
-            [
-                label, "all", o["total"], o["degenerate"], o["unsupported"],
-                o["predictable"], o["correct_raw"], fmt(o["accuracy_raw"]),
-                o["correct_reg"], fmt(o["accuracy_reg"]), fmt(o["degenerate_pct"]),
-            ]
-        )
-
-    for label, section in report["labels"].items():
-        emit(label, section)
-    emit("ALL", report["overall"])
-    return buf.getvalue()
-
-
 @main.command("evaluate")
 @click.option("--corpus-dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--dataset", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--k", default=15, show_default=True, type=click.IntRange(2, 64))
-@click.option("--n", default=1000, show_default=True, type=click.IntRange(min=1))
-@click.option(
-    "--w", default=0.92, show_default=True, type=click.FloatRange(0, 1), callback=_weight
-)
-@click.option(
-    "--reg-variant",
-    default="reg3",
-    show_default=True,
-    type=click.Choice(["reg1", "reg2", "reg3"]),
-)
-@click.option("--no-reg", is_flag=True)
+@_estimation_options
 @click.option("--jobs", type=click.IntRange(min=1), help="Worker processes (FQE_JOBS overrides).")
 @click.option("--out-dir", default=".", show_default=True, type=click.Path(file_okay=False))
 def evaluate_cmd(
@@ -656,16 +389,11 @@ def evaluate_cmd(
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     (out / "report.csv").write_text(report_to_csv(report))
-    for label, section in report["labels"].items():
+    for label, section in [*report["labels"].items(), ("ALL", report["overall"])]:
         o = section["overall"]
         acc_raw = "n/a" if o["accuracy_raw"] is None else f"{o['accuracy_raw']:.3f}"
         acc_reg = "n/a" if o["accuracy_reg"] is None else f"{o['accuracy_reg']:.3f}"
         click.echo(
-            f"{label}: raw={acc_raw} reg={acc_reg} "
-            f"predictable={o['predictable']}/{o['total']}"
+            f"{label}: raw={acc_raw} reg={acc_reg} predictable={o['predictable']}/{o['total']}"
         )
-    o = report["overall"]["overall"]
-    acc_raw = "n/a" if o["accuracy_raw"] is None else f"{o['accuracy_raw']:.3f}"
-    acc_reg = "n/a" if o["accuracy_reg"] is None else f"{o['accuracy_reg']:.3f}"
-    click.echo(f"ALL: raw={acc_raw} reg={acc_reg} predictable={o['predictable']}/{o['total']}")
     click.echo(f"reports written to {out / 'report.csv'} and {out / 'report.json'}")

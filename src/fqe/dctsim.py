@@ -41,54 +41,12 @@ _DCT = _dct_matrix()
 _DCT_T = _DCT.T
 
 
-def zigzag_position(i: int) -> tuple[int, int]:
-    """(row, col) of the 1-based zig-zag coefficient index i."""
-    if not 1 <= i <= 64:
-        raise ValueError(f"zig-zag index {i} out of range [1, 64]")
-    nat = int(ZIGZAG_TO_NATURAL[i - 1])
-    return nat // 8, nat % 8
-
-
 def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest integer, halves away from zero: np.sign(x) * np.floor(np.abs(x) + 0.5)."""
     out = np.abs(x, dtype=np.float64)
     out += 0.5
     return np.copysign(np.floor(out, out=out), x, out=out, where=x != 0)
 
-
-def fdct_block(pixels: np.ndarray) -> np.ndarray:
-    """Forward 8x8 DCT of a pixel block, after the -128 level shift."""
-    block = np.asarray(pixels, dtype=np.float64).reshape(8, 8)
-    return _DCT @ (block - 128.0) @ _DCT_T
-
-
-def idct_block(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse DCT back to pixels: +128, round half away from zero, clamp.
-
-    The rounding and [0, 255] clamp here are the truncation error a second
-    compression operates on.
-    """
-    block = np.asarray(coeffs, dtype=np.float64).reshape(8, 8)
-    pixels = _DCT_T @ block @ _DCT + 128.0
-    return np.clip(round_half_away(pixels), 0, 255).astype(np.int64)
-
-
-def quantize(coeffs: np.ndarray, table: QuantTable) -> np.ndarray:
-    """Divide by the table and round half away from zero; zig-zag output."""
-    flat = np.asarray(coeffs, dtype=np.float64).reshape(64)
-    q = round_half_away(flat / table.factors)
-    return q[ZIGZAG_TO_NATURAL].astype(np.int32)
-
-
-def dequantize(values: np.ndarray, table: QuantTable) -> np.ndarray:
-    """Multiply zig-zag values by the table; natural-order 8x8 output."""
-    zz = np.asarray(values, dtype=np.float64).reshape(64)
-    natural = zz[NATURAL_TO_ZIGZAG]
-    return (natural * table.factors).reshape(8, 8)
-
-
-# Batched versions of the block operations. These are what the compression
-# paths use; per-block functions above define the semantics.
 
 def blockify(pixels: np.ndarray) -> np.ndarray:
     """The 8x8 blocks of a pixel array in raster order, as (n, 8, 8) float64."""
@@ -105,21 +63,28 @@ def _unblock(blocks: np.ndarray, width: int, height: int) -> np.ndarray:
 
 
 def fdct_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Forward 8x8 DCT of each pixel block, after the -128 level shift."""
     return _DCT @ (blocks - 128.0) @ _DCT_T
 
 
 def quantize_blocks(coeff_blocks: np.ndarray, table: QuantTable) -> np.ndarray:
+    """Divide by the table and round half away from zero; (n, 64) zig-zag int32 output."""
     flat = coeff_blocks.reshape(-1, 64)
     q = round_half_away(flat / table.factors)
     return q[:, ZIGZAG_TO_NATURAL].astype(np.int32)
 
 
 def dequantize_blocks(zz_values: np.ndarray, table: QuantTable) -> np.ndarray:
+    """Multiply zig-zag values by the table; (n, 8, 8) natural-order output."""
     natural = np.asarray(zz_values, dtype=np.float64)[:, NATURAL_TO_ZIGZAG]
     return (natural * table.factors).reshape(-1, 8, 8)
 
 
 def idct_blocks(coeff_blocks: np.ndarray) -> np.ndarray:
+    """Inverse DCT back to pixels: +128, round half away from zero, clamp to [0, 255].
+
+    The rounding and clamp are the truncation error a second compression sees.
+    """
     pixels = _DCT_T @ coeff_blocks @ _DCT
     pixels += 128.0
     return np.clip(round_half_away(pixels), 0, 255, out=pixels)
@@ -130,24 +95,6 @@ def reconstruct(grid: CoeffGrid, table: QuantTable) -> GrayImage:
     blocks = idct_blocks(dequantize_blocks(grid.values, table))
     w, h = grid.width_blocks * 8, grid.height_blocks * 8
     return GrayImage(_unblock(blocks, w, h).astype(np.uint8))
-
-
-def compress_once(img: GrayImage, table: QuantTable) -> tuple[CoeffGrid, GrayImage]:
-    """One JPEG compression cycle: quantized grid plus its reconstruction."""
-    blocks = blockify(img.pixels)
-    grid = CoeffGrid(
-        width_blocks=img.width // 8,
-        height_blocks=img.height // 8,
-        values=quantize_blocks(fdct_blocks(blocks), table),
-    )
-    return grid, reconstruct(grid, table)
-
-
-def double_compress(img: GrayImage, q1: QuantTable, q2: QuantTable) -> CoeffGrid:
-    """Coefficient grid of the second compression of f_q2(f_q1(img))."""
-    _, first_pass = compress_once(img, q1)
-    grid, _ = compress_once(first_pass, q2)
-    return grid
 
 
 def standard_table(qf: int) -> QuantTable:

@@ -10,7 +10,6 @@ per-window votes by mode.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -126,22 +125,12 @@ def raw_estimates(d: DistanceMatrix) -> list[int | None]:
     return out
 
 
-def reg_term(c_prev: int, c: int, c_next: int, variant: str) -> float:
-    """Smoothness penalty of a candidate triplet."""
-    delta = abs(c - c_prev) + abs(c - c_next)
-    if variant == "reg1":
-        return delta / 2.0
-    if variant == "reg2":
-        return delta / (2.0 * math.sqrt(c))
-    if variant == "reg3":
-        return delta / (2.0 * c)
-    raise ValueError(f"unknown regularization variant {variant!r}")
-
-
 _REG_GRIDS: dict[tuple[int, str], np.ndarray] = {}
 
 
 def _reg_grid(q1_max: int, variant: str) -> np.ndarray:
+    """Smoothness penalty of every candidate triplet (a, b, c) at [a - 1, b - 1, c - 1]:
+    (|b - a| + |b - c|) / 2, / (2 sqrt(b)) or / (2 b) for reg1, reg2 and reg3."""
     grid = _REG_GRIDS.get((q1_max, variant))
     if grid is None:
         c = np.arange(1, q1_max + 1, dtype=np.float64)

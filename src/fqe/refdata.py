@@ -151,11 +151,12 @@ def _batch_columns(batch: list[GrayImage], q1_max: int, k: int):
 
     Returns, per record, its section id, key and support length, and per
     bin its support value (i16) and count (u16); every record counts a
-    patch's block count of samples. Bit-exact with double_compress followed
-    by build_histogram and fit_laplacian per coefficient: the forward DCT of
-    each q1 reconstruction is requantized for all q2 at once, and each
-    (patch, q2, coefficient) row is sorted, so the bins are its runs of
-    equal values. A section's records keep (patch, coefficient) order.
+    patch's block count of samples. Bit-exact with the oracle
+    tests/oracles.double_compress followed by build_histogram and
+    fit_laplacian per coefficient: the forward DCT of each q1
+    reconstruction is requantized for all q2 at once, and each (patch, q2,
+    coefficient) row is sorted, so the bins are its runs of equal values.
+    A section's records keep (patch, coefficient) order.
     """
     f0 = dctsim.fdct_blocks(np.concatenate([dctsim.blockify(p.pixels) for p in batch]))
     n_patches, n_blocks = len(batch), f0.shape[0] // len(batch)

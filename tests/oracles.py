@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +11,72 @@ from fqe import dctsim
 from fqe.jpegio import JpegFormatError
 from fqe.refdata import PackedRecords, ReferenceDataset, _nearest_window
 from fqe.stats import CoeffHistogram, fit_laplacian
-from fqe.types import ZIGZAG_TO_NATURAL, GrayImage
+from fqe.types import NATURAL_TO_ZIGZAG, ZIGZAG_TO_NATURAL, CoeffGrid, GrayImage, QuantTable
+
+
+def zigzag_position(i: int) -> tuple[int, int]:
+    """(row, col) of the 1-based zig-zag coefficient index i."""
+    if not 1 <= i <= 64:
+        raise ValueError(f"zig-zag index {i} out of range [1, 64]")
+    nat = int(ZIGZAG_TO_NATURAL[i - 1])
+    return nat // 8, nat % 8
+
+
+def fdct_block(pixels: np.ndarray) -> np.ndarray:
+    """Forward 8x8 DCT of a pixel block, after the -128 level shift."""
+    block = np.asarray(pixels, dtype=np.float64).reshape(8, 8)
+    return dctsim._DCT @ (block - 128.0) @ dctsim._DCT_T
+
+
+def idct_block(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse DCT back to pixels: +128, round half away from zero, clamp."""
+    block = np.asarray(coeffs, dtype=np.float64).reshape(8, 8)
+    pixels = dctsim._DCT_T @ block @ dctsim._DCT + 128.0
+    return np.clip(dctsim.round_half_away(pixels), 0, 255).astype(np.int64)
+
+
+def quantize(coeffs: np.ndarray, table: QuantTable) -> np.ndarray:
+    """Divide by the table and round half away from zero; zig-zag output."""
+    flat = np.asarray(coeffs, dtype=np.float64).reshape(64)
+    q = dctsim.round_half_away(flat / table.factors)
+    return q[ZIGZAG_TO_NATURAL].astype(np.int32)
+
+
+def dequantize(values: np.ndarray, table: QuantTable) -> np.ndarray:
+    """Multiply zig-zag values by the table; natural-order 8x8 output."""
+    zz = np.asarray(values, dtype=np.float64).reshape(64)
+    natural = zz[NATURAL_TO_ZIGZAG]
+    return (natural * table.factors).reshape(8, 8)
+
+
+def compress_once(img: GrayImage, table: QuantTable) -> tuple[CoeffGrid, GrayImage]:
+    """One JPEG compression cycle: quantized grid plus its reconstruction."""
+    blocks = dctsim.blockify(img.pixels)
+    grid = CoeffGrid(
+        width_blocks=img.width // 8,
+        height_blocks=img.height // 8,
+        values=dctsim.quantize_blocks(dctsim.fdct_blocks(blocks), table),
+    )
+    return grid, dctsim.reconstruct(grid, table)
+
+
+def double_compress(img: GrayImage, q1: QuantTable, q2: QuantTable) -> CoeffGrid:
+    """Coefficient grid of the second compression of f_q2(f_q1(img))."""
+    _, first_pass = compress_once(img, q1)
+    grid, _ = compress_once(first_pass, q2)
+    return grid
+
+
+def reg_term(c_prev: int, c: int, c_next: int, variant: str) -> float:
+    """Smoothness penalty of a candidate triplet."""
+    delta = abs(c - c_prev) + abs(c - c_next)
+    if variant == "reg1":
+        return delta / 2.0
+    if variant == "reg2":
+        return delta / (2.0 * math.sqrt(c))
+    if variant == "reg3":
+        return delta / (2.0 * c)
+    raise ValueError(f"unknown regularization variant {variant!r}")
 
 
 def chi2(a: CoeffHistogram, b: CoeffHistogram) -> float:

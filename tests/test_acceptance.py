@@ -12,25 +12,19 @@ import numpy as np
 import pytest
 
 from fqe import dctsim, jpegio, refdata, estimator
-from fqe.cli import evaluate_corpus, MANIFEST_NAME
-from fqe.estimator import OK, EstimationParams, raw_estimates, reg_term, regularize
+from fqe.corpus import double_compress_file, evaluate_corpus, write_manifest
+from fqe.estimator import OK, EstimationParams, raw_estimates, regularize
 from fqe.refdata import build_reference, deserialize, serialize, DatasetFormatError
 from fqe.stats import CoeffHistogram, build_histogram, fit_laplacian
 from fqe.types import GrayImage, QuantTable
 
 from conftest import synth_patches
-from oracles import chi2
+from oracles import chi2, double_compress, fdct_block, idct_block, reg_term
 from test_estimator import make_matrix
 
 
 def report(criterion: int, text: str) -> None:
     print(f"[acceptance] criterion {criterion:>2} PASS: {text}")
-
-
-def file_double_compress(img, q1_table, q2_table) -> bytes:
-    first = jpegio.parse_jpeg(jpegio.encode_baseline_gray(img, q1_table))
-    pixels = dctsim.reconstruct(first.coeffs, first.luma_table)
-    return jpegio.encode_baseline_gray(pixels, q2_table)
 
 
 # ---------------------------------------------------------------------------
@@ -45,12 +39,10 @@ def test_criterion_1_cross_path_bit_exactness():
     for img in patches:
         for q1 in range(1, 9):
             t1 = dctsim.constant_table(q1)
-            first = jpegio.parse_jpeg(jpegio.encode_baseline_gray(img, t1))
-            pixels = dctsim.reconstruct(first.coeffs, first.luma_table)
             for q2 in range(1, 9):
                 t2 = dctsim.constant_table(q2)
-                parsed = jpegio.parse_jpeg(jpegio.encode_baseline_gray(pixels, t2))
-                simulated = dctsim.double_compress(img, t1, t2)
+                parsed = jpegio.parse_jpeg(double_compress_file(img, t1, t2))
+                simulated = double_compress(img, t1, t2)
                 assert parsed.coeffs == simulated
                 checked += 1
     elapsed = time.perf_counter() - start
@@ -86,12 +78,12 @@ def test_criterion_2_dct_oracle():
     max_fwd = max_inv = max_parseval = 0.0
     for _ in range(1000):
         block = rng.integers(0, 256, (8, 8))
-        ours = dctsim.fdct_block(block)
+        ours = fdct_block(block)
         shifted = block.astype(float) - 128.0
         oracle = np.einsum("uvxy,xy->uv", basis, shifted)
         max_fwd = max(max_fwd, float(np.abs(ours - oracle).max()))
         back = np.einsum("uvxy,uv->xy", basis, oracle) + 128.0
-        ours_back = dctsim.idct_block(ours)
+        ours_back = idct_block(ours)
         max_inv = max(max_inv, float(np.abs(ours_back - np.clip(dctsim.round_half_away(back), 0, 255)).max()))
         max_parseval = max(
             max_parseval, abs(float(np.linalg.norm(ours) - np.linalg.norm(shifted)))
@@ -117,7 +109,7 @@ def test_criterion_3_exact_match_consistency():
     correct = total = 0
     for idx, img in enumerate(patches):
         q1 = idx % 8 + 1
-        data = file_double_compress(
+        data = double_compress_file(
             img, dctsim.constant_table(q1), dctsim.constant_table(1)
         )
         result = estimator.estimate(data, ds, params)
@@ -169,36 +161,30 @@ def test_patches():
     return synth_patches(seed=9601, count=N_PER_CELL)
 
 
-def _evaluate_cell(ds, images, q1_tables, q2_table, params) -> dict:
-    """Pooled accuracy over predictable positions, raw and regularized."""
-    stats = {"predictable": 0, "correct_raw": 0, "correct_reg": 0, "excluded": 0}
+def _evaluate_cell(corpus, ds, images, q1_tables, q2_table) -> dict:
+    """Pooled accuracy over predictable positions, raw and regularized.
+
+    Image idx is compressed first with q1_tables[idx % len(q1_tables)].
+    """
+    corpus.mkdir()
+    rows = []
     for idx, img in enumerate(images):
         q1_table = q1_tables[idx % len(q1_tables)]
-        truth = q1_table.to_zigzag()[: params.k]
-        data = file_double_compress(img, q1_table, q2_table)
-        result = estimator.estimate(data, ds, params)
-        for i in range(params.k):
-            if result.distances.status[i] != OK:
-                stats["excluded"] += 1
-                continue
-            stats["predictable"] += 1
-            if result.raw_estimates[i] == truth[i]:
-                stats["correct_raw"] += 1
-            if result.estimates[i] == truth[i]:
-                stats["correct_reg"] += 1
-    stats["accuracy_raw"] = stats["correct_raw"] / stats["predictable"]
-    stats["accuracy_reg"] = stats["correct_reg"] / stats["predictable"]
-    return stats
+        name = f"img{idx:03d}.jpg"
+        (corpus / name).write_bytes(double_compress_file(img, q1_table, q2_table))
+        rows.append((name, f"t{idx % len(q1_tables)}", 0, 0, q1_table))
+    write_manifest(corpus, rows)
+    return evaluate_corpus(corpus, ds, EstimationParams())["overall"]["overall"]
 
 
-def test_criterion_5_desk_scale_accuracy(desk_dataset, test_patches):
-    params = EstimationParams()
+def test_criterion_5_desk_scale_accuracy(tmp_path, desk_dataset, test_patches):
     q2_table = dctsim.standard_table(90)
     start = time.perf_counter()
     cells = {}
     for qf1 in (60, 70, 80, 90):
         cells[qf1] = _evaluate_cell(
-            desk_dataset, test_patches, [dctsim.standard_table(qf1)], q2_table, params
+            tmp_path / f"qf{qf1}", desk_dataset, test_patches, [dctsim.standard_table(qf1)],
+            q2_table,
         )
     elapsed = time.perf_counter() - start
     for qf1, cell in cells.items():
@@ -235,12 +221,13 @@ def _custom_tables(seed: int = 9701) -> list[QuantTable]:
     return tables
 
 
-def test_criterion_6_custom_table_robustness(desk_dataset, test_patches):
-    params = EstimationParams()
+def test_criterion_6_custom_table_robustness(tmp_path, desk_dataset, test_patches):
     q2_table = dctsim.standard_table(90)
-    custom = _evaluate_cell(desk_dataset, test_patches, _custom_tables(), q2_table, params)
+    custom = _evaluate_cell(
+        tmp_path / "custom", desk_dataset, test_patches, _custom_tables(), q2_table
+    )
     standard = _evaluate_cell(
-        desk_dataset, test_patches, [dctsim.standard_table(70)], q2_table, params
+        tmp_path / "qf70", desk_dataset, test_patches, [dctsim.standard_table(70)], q2_table
     )
     gap = abs(custom["accuracy_reg"] - standard["accuracy_reg"])
     print(
@@ -301,14 +288,9 @@ def test_criterion_8_degenerate_handling(tmp_path):
     flat = GrayImage(np.full((64, 64), 77, dtype=np.uint8))
     textured = synth_patches(seed=9802, count=1)[0]
     m6, m2 = dctsim.constant_table(6), dctsim.constant_table(2)
-    rows = []
     for name, img in [("flat.jpg", flat), ("textured.jpg", textured)]:
-        (corpus / name).write_bytes(file_double_compress(img, m6, m2))
-        rows.append([name, "m6", 0, 0] + [6] * 15)
-    with (corpus / MANIFEST_NAME).open("w") as fh:
-        fh.write("filename,label,crop_x,crop_y," + ",".join(f"q1_{i}" for i in range(1, 16)) + "\n")
-        for row in rows:
-            fh.write(",".join(str(x) for x in row) + "\n")
+        (corpus / name).write_bytes(double_compress_file(img, m6, m2))
+    write_manifest(corpus, [("flat.jpg", "m6", 0, 0, m6), ("textured.jpg", "m6", 0, 0, m6)])
 
     result = estimator.estimate(
         (corpus / "flat.jpg").read_bytes(), ds, EstimationParams(q1_max=6)
@@ -326,13 +308,8 @@ def test_criterion_8_degenerate_handling(tmp_path):
     # A corpus of only degenerate images: accuracy undefined, 100% excluded.
     flat_corpus = tmp_path / "flat_only"
     flat_corpus.mkdir()
-    (flat_corpus / "flat.jpg").write_bytes(file_double_compress(flat, m6, m2))
-    with (flat_corpus / MANIFEST_NAME).open("w") as fh:
-        fh.write(
-            "filename,label,crop_x,crop_y,"
-            + ",".join(f"q1_{i}" for i in range(1, 16)) + "\n"
-        )
-        fh.write(",".join(str(x) for x in ["flat.jpg", "m6", 0, 0] + [6] * 15) + "\n")
+    (flat_corpus / "flat.jpg").write_bytes(double_compress_file(flat, m6, m2))
+    write_manifest(flat_corpus, [("flat.jpg", "m6", 0, 0, m6)])
     flat_report = evaluate_corpus(flat_corpus, ds, EstimationParams(q1_max=6), jobs=1)
     overall = flat_report["labels"]["m6"]["overall"]
     assert overall["accuracy_raw"] is None and overall["accuracy_reg"] is None

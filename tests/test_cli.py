@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 from fqe import cli
 from fqe.cli import main
+from fqe.corpus import read_table_file
 from fqe.estimator import (
     OK,
     DistanceMatrix,
@@ -223,6 +224,20 @@ class TestMakeCorpus:
         )
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("qf2", ["0", "101"])
+    def test_qf2_out_of_range_is_usage_error(self, tmp_path, raw_dir, runner, qf2):
+        result = runner.invoke(
+            main,
+            [
+                "make-corpus", "--raw-dir", str(raw_dir), "--out-dir", str(tmp_path / "x"),
+                "--qf1", "80", "--qf2", qf2,
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Invalid value for '--qf2'" in result.output
+        assert not (tmp_path / "x").exists()
+
     def test_patch_zero_is_usage_error(self, tmp_path, raw_dir, runner):
         result = runner.invoke(
             main,
@@ -270,13 +285,13 @@ class TestMakeCorpus:
 
     def test_table_file_parser(self):
         text = "\n".join(" ".join(str(r * 8 + c + 1) for c in range(8)) for r in range(8))
-        tables = cli.read_table_file(text)
+        tables = read_table_file(text)
         assert len(tables) == 1
         assert tables[0].factors.tolist() == list(range(1, 65))
         with pytest.raises(ValueError):
-            cli.read_table_file("1 2 3\n")
+            read_table_file("1 2 3\n")
         with pytest.raises(ValueError):
-            cli.read_table_file("")
+            read_table_file("")
 
 
 class TestEstimate:
@@ -510,7 +525,7 @@ class TestEvaluate:
         script = (
             "import json, multiprocessing, sys\n"
             "from pathlib import Path\n"
-            "from fqe.cli import evaluate_corpus\n"
+            "from fqe.corpus import evaluate_corpus\n"
             "from fqe.estimator import EstimationParams\n"
             "from fqe.refdata import deserialize\n"
             "multiprocessing.set_start_method('spawn')\n"
@@ -551,6 +566,28 @@ class TestEvaluate:
         )
         assert result.exit_code != 0
         assert "no images" in result.output
+
+    @pytest.mark.parametrize("factors", ["3,3", ",".join(["3"] * 14 + ["x"])])
+    def test_bad_manifest_row_names_the_row(
+        self, tmp_path, raw_dir, dataset_file, runner, factors
+    ):
+        corpus = make_corpus(runner, raw_dir, tmp_path / "short", "--qf1", "80")
+        manifest = corpus / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        name = lines[3].split(",")[0]
+        lines[3] = f"{name},qf80,0,0,{factors}"
+        manifest.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(
+            main,
+            ["evaluate", "--corpus-dir", str(corpus), "--dataset", str(dataset_file),
+             "--out-dir", str(tmp_path / "rep"), "--jobs", "1"],
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: manifest {manifest} row 2 ({name}): needs 15 integer q1 factors" in (
+            result.output
+        )
+        assert not (tmp_path / "rep").exists()
 
     def test_report_deterministic(self, tmp_path, raw_dir, dataset_file, runner):
         corpus = make_corpus(runner, raw_dir, tmp_path / "det", "--qf1", "75")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fqe import dctsim, estimator, jpegio
+from fqe.corpus import double_compress_file
 from fqe.estimator import (
     DEGENERATE,
     OK,
@@ -16,25 +17,18 @@ from fqe.estimator import (
     distance_matrix,
     estimate,
     raw_estimates,
-    reg_term,
     regularize,
 )
 from fqe.refdata import build_reference
 from fqe.types import GrayImage, QuantTable
 
 from conftest import synth_patches
-from oracles import dense_min_distance
+from oracles import dense_min_distance, double_compress, reg_term
 
 
 @pytest.fixture(scope="module")
 def ds8():
     return build_reference(synth_patches(seed=31, count=20), q1_max=8, k=15)
-
-
-def file_double_compress(img: GrayImage, q1: QuantTable, q2: QuantTable) -> bytes:
-    first = jpegio.parse_jpeg(jpegio.encode_baseline_gray(img, q1))
-    pixels = dctsim.reconstruct(first.coeffs, first.luma_table)
-    return jpegio.encode_baseline_gray(pixels, q2)
 
 
 def make_matrix(rows: list[list[float]], status: list[str] | None = None) -> DistanceMatrix:
@@ -105,7 +99,7 @@ class TestDistanceMatrix:
         # score distance zero at the true q1 on every usable position.
         patches = synth_patches(seed=31, count=20)
         img = patches[5]
-        data = file_double_compress(img, dctsim.constant_table(3), dctsim.constant_table(4))
+        data = double_compress_file(img, dctsim.constant_table(3), dctsim.constant_table(4))
         parsed = jpegio.parse_jpeg(data)
         p = EstimationParams(q1_max=8)
         dm = distance_matrix(parsed.coeffs, parsed.luma_table, ds8, p)
@@ -119,10 +113,10 @@ class TestDistanceMatrix:
         # oracle's, over constant-pair self-retrievals and standard tables.
         pairs = [(3, 4), (8, 1), (1, 8), (5, 5), (2, 7)] * 4
         images = [
-            file_double_compress(img, dctsim.constant_table(q1), dctsim.constant_table(q2))
+            double_compress_file(img, dctsim.constant_table(q1), dctsim.constant_table(q2))
             for img, (q1, q2) in zip(synth_patches(seed=31, count=20), pairs)
         ] + [
-            file_double_compress(img, dctsim.standard_table(qf), dctsim.standard_table(90))
+            double_compress_file(img, dctsim.standard_table(qf), dctsim.standard_table(90))
             for img, qf in zip(synth_patches(seed=35, count=8), [60, 70, 80, 90] * 2)
         ]
         parsed = [jpegio.parse_jpeg(data) for data in images]
@@ -144,7 +138,7 @@ class TestDistanceMatrix:
 
     def test_flat_patch_all_degenerate(self, ds8):
         img = GrayImage(np.full((64, 64), 128, dtype=np.uint8))
-        data = file_double_compress(img, dctsim.constant_table(2), dctsim.constant_table(3))
+        data = double_compress_file(img, dctsim.constant_table(2), dctsim.constant_table(3))
         parsed = jpegio.parse_jpeg(data)
         dm = distance_matrix(parsed.coeffs, parsed.luma_table, ds8, EstimationParams(q1_max=8))
         assert dm.status == [DEGENERATE] * 15
@@ -155,7 +149,7 @@ class TestDistanceMatrix:
         factors[dctsim.ZIGZAG_TO_NATURAL[4]] = 40  # position 5 exceeds the grid
         q2 = QuantTable(factors)
         parsed = jpegio.parse_jpeg(
-            file_double_compress(img, dctsim.constant_table(2), q2)
+            double_compress_file(img, dctsim.constant_table(2), q2)
         )
         dm = distance_matrix(parsed.coeffs, parsed.luma_table, ds8, EstimationParams(q1_max=8))
         assert dm.status[4] == UNSUPPORTED
@@ -164,7 +158,7 @@ class TestDistanceMatrix:
 
     def test_k_exceeds_dataset(self, ds8):
         patches = synth_patches(seed=34, count=1)
-        grid = dctsim.double_compress(
+        grid = double_compress(
             patches[0], dctsim.constant_table(2), dctsim.constant_table(3)
         )
         with pytest.raises(ValueError, match="k="):
@@ -174,7 +168,7 @@ class TestDistanceMatrix:
 
     def test_q1_max_mismatch(self, ds8):
         patches = synth_patches(seed=34, count=1)
-        grid = dctsim.double_compress(
+        grid = double_compress(
             patches[0], dctsim.constant_table(2), dctsim.constant_table(3)
         )
         with pytest.raises(ValueError, match="q1_max"):
@@ -309,7 +303,7 @@ class TestRegularize:
 class TestEstimate:
     def test_end_to_end_self_retrieval(self, ds8):
         patches = synth_patches(seed=31, count=20)
-        data = file_double_compress(
+        data = double_compress_file(
             patches[7], dctsim.constant_table(3), dctsim.constant_table(4)
         )
         result = estimate(data, ds8, EstimationParams(q1_max=8))
@@ -327,7 +321,7 @@ class TestEstimate:
 
     def test_no_reg_keeps_raw(self, ds8):
         patches = synth_patches(seed=37, count=1)
-        data = file_double_compress(
+        data = double_compress_file(
             patches[0], dctsim.constant_table(5), dctsim.constant_table(2)
         )
         result = estimate(data, ds8, EstimationParams(q1_max=8, regularize=False))
@@ -335,7 +329,7 @@ class TestEstimate:
 
     def test_determinism(self, ds8):
         patches = synth_patches(seed=38, count=1)
-        data = file_double_compress(
+        data = double_compress_file(
             patches[0], dctsim.constant_table(2), dctsim.constant_table(6)
         )
         p = EstimationParams(q1_max=8)
@@ -347,7 +341,7 @@ class TestEstimate:
 
     def test_flat_image_warning(self, ds8):
         img = GrayImage(np.full((64, 64), 64, dtype=np.uint8))
-        data = file_double_compress(img, dctsim.constant_table(2), dctsim.constant_table(3))
+        data = double_compress_file(img, dctsim.constant_table(2), dctsim.constant_table(3))
         result = estimate(data, ds8, EstimationParams(q1_max=8))
         assert result.estimates == [None] * 15
         assert result.warnings

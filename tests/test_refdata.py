@@ -29,6 +29,7 @@ from conftest import synth_patch, synth_patches
 from oracles import (
     NoCandidatesError,
     chi2,
+    double_compress,
     dense_min_distance,
     min_distance,
     patch_items,
@@ -95,7 +96,7 @@ class TestBuild:
                 dc_expect = []
                 ac_expect = []
                 for patch in patches:
-                    grid = dctsim.double_compress(
+                    grid = double_compress(
                         patch, dctsim.constant_table(q1), dctsim.constant_table(q2)
                     )
                     for i in range(1, k + 1):

@@ -13,7 +13,7 @@ from fqe.stats import (
     is_degenerate,
 )
 
-from oracles import chi2
+from oracles import chi2, double_compress
 
 
 def random_histogram(rng: np.random.Generator) -> CoeffHistogram:
@@ -171,5 +171,5 @@ class TestIsDegenerate:
         from fqe.types import GrayImage
 
         img = GrayImage(np.full((64, 64), 128, dtype=np.uint8))
-        grid = dctsim.double_compress(img, dctsim.constant_table(2), dctsim.constant_table(3))
+        grid = double_compress(img, dctsim.constant_table(2), dctsim.constant_table(3))
         assert is_degenerate(build_histogram(grid.coefficient(2)))
