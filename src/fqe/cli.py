@@ -227,7 +227,15 @@ def _format_estimate(result: EstimationResult, fmt: str) -> str:
     )
     for row in rows:
         writer.writerow(
-            ["" if v is None else repr(v) if isinstance(v, float) else v for v in row.values()]
+            [
+                row["position"],
+                row["q2"],
+                row["status"],
+                "" if row["raw"] is None else row["raw"],
+                "" if row["estimate"] is None else row["estimate"],
+                "" if row["raw_distance"] is None else repr(row["raw_distance"]),
+                "" if row["estimate_distance"] is None else repr(row["estimate_distance"]),
+            ]
         )
     return buf.getvalue().rstrip("\n")
 

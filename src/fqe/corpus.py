@@ -174,7 +174,8 @@ def evaluate_corpus(
     else:
         outcomes = [_eval_one(ds, params, corpus_dir, item) for item in work]
 
-    tally = {label: np.zeros((5, params.k), dtype=int) for label in sorted({e[1] for e in work})}
+    labels = sorted({label for _, label, _ in work})
+    tally = {label: np.zeros((5, params.k), dtype=int) for label in labels}
     for label, counts in outcomes:
         tally[label] += counts
     return {

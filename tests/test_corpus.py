@@ -9,7 +9,6 @@ from click.testing import CliRunner
 
 from fqe import corpus
 from fqe.cli import evaluate_corpus, main, report_to_csv
-from fqe.corpus import double_compress_file, write_manifest
 from fqe.dctsim import constant_table
 from fqe.estimator import EstimationParams
 from fqe.refdata import build_reference
@@ -59,9 +58,9 @@ def test_file_under_two_labels_counts_under_each(tmp_path):
     ds = build_reference(synth_patches(seed=73, count=4), q1_max=6, k=15)
     m3 = constant_table(3)
     (tmp_path / "a.jpg").write_bytes(
-        double_compress_file(synth_patches(seed=74, count=1)[0], m3, constant_table(2))
+        corpus.double_compress_file(synth_patches(seed=74, count=1)[0], m3, constant_table(2))
     )
-    write_manifest(tmp_path, [("a.jpg", "A", 0, 0, m3), ("a.jpg", "B", 0, 0, m3)])
+    corpus.write_manifest(tmp_path, [("a.jpg", "A", 0, 0, m3), ("a.jpg", "B", 0, 0, m3)])
     report = corpus.evaluate_corpus(tmp_path, ds, EstimationParams(q1_max=6))
     assert report["images"] == 2
     a, b = (report["labels"][label]["overall"] for label in "AB")
