@@ -74,13 +74,6 @@ def _params_from_flags(
     )
 
 
-def _weight(ctx: click.Context, param: click.Parameter, value: float) -> float:
-    # NaN passes click.FloatRange: it compares false with both bounds.
-    if math.isnan(value):
-        raise click.BadParameter(f"{value} is not in the range 0<=x<=1.")
-    return value
-
-
 def _estimation_options(command):
     """--k, --n, --w, --reg-variant and --no-reg, the flags of _params_from_flags."""
     options = [
@@ -119,6 +112,13 @@ def _patch_side(ctx: click.Context, param: click.Parameter, value: int) -> int:
     # u16 bin counts hold at most 65535 blocks per patch: 255 x 255 at side 2040.
     if value % 8 or not 8 <= value <= 2040:
         raise click.BadParameter(f"{value} is not a multiple of 8 from 8 to 2040")
+    return value
+
+
+def _weight(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    # NaN passes click.FloatRange: it compares false with both bounds.
+    if math.isnan(value):
+        raise click.BadParameter(f"{value} is not in the range 0<=x<=1.")
     return value
 
 

@@ -59,12 +59,11 @@ def double_compress_file(patch: GrayImage, q1_table: QuantTable, q2_table: Quant
 
 
 def write_manifest(
-    corpus_dir: Path, rows: list[tuple[str, str, int, int, QuantTable]], comment: str = ""
+    corpus_dir: Path, rows: list[tuple[str, str, int, int, QuantTable]], comment: str
 ) -> None:
-    """Write the manifest of (filename, label, crop_x, crop_y, first table) rows."""
+    """Write the manifest: a comment line, then (filename, label, crop_x, crop_y, table) rows."""
     with (corpus_dir / MANIFEST_NAME).open("w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
+        fh.write(f"# {comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["filename", "label", "crop_x", "crop_y"]

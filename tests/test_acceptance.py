@@ -39,9 +39,11 @@ def test_criterion_1_cross_path_bit_exactness():
     for img in patches:
         for q1 in range(1, 9):
             t1 = dctsim.constant_table(q1)
+            first = jpegio.parse_jpeg(jpegio.encode_baseline_gray(img, t1))
+            pixels = dctsim.reconstruct(first.coeffs, first.luma_table)
             for q2 in range(1, 9):
                 t2 = dctsim.constant_table(q2)
-                parsed = jpegio.parse_jpeg(double_compress_file(img, t1, t2))
+                parsed = jpegio.parse_jpeg(jpegio.encode_baseline_gray(pixels, t2))
                 simulated = double_compress(img, t1, t2)
                 assert parsed.coeffs == simulated
                 checked += 1
@@ -173,7 +175,7 @@ def _evaluate_cell(corpus, ds, images, q1_tables, q2_table) -> dict:
         name = f"img{idx:03d}.jpg"
         (corpus / name).write_bytes(double_compress_file(img, q1_table, q2_table))
         rows.append((name, f"t{idx % len(q1_tables)}", 0, 0, q1_table))
-    write_manifest(corpus, rows)
+    write_manifest(corpus, rows, "acceptance cell")
     return evaluate_corpus(corpus, ds, EstimationParams())["overall"]["overall"]
 
 
@@ -290,7 +292,11 @@ def test_criterion_8_degenerate_handling(tmp_path):
     m6, m2 = dctsim.constant_table(6), dctsim.constant_table(2)
     for name, img in [("flat.jpg", flat), ("textured.jpg", textured)]:
         (corpus / name).write_bytes(double_compress_file(img, m6, m2))
-    write_manifest(corpus, [("flat.jpg", "m6", 0, 0, m6), ("textured.jpg", "m6", 0, 0, m6)])
+    write_manifest(
+        corpus,
+        [("flat.jpg", "m6", 0, 0, m6), ("textured.jpg", "m6", 0, 0, m6)],
+        "flat and textured",
+    )
 
     result = estimator.estimate(
         (corpus / "flat.jpg").read_bytes(), ds, EstimationParams(q1_max=6)
@@ -309,7 +315,7 @@ def test_criterion_8_degenerate_handling(tmp_path):
     flat_corpus = tmp_path / "flat_only"
     flat_corpus.mkdir()
     (flat_corpus / "flat.jpg").write_bytes(double_compress_file(flat, m6, m2))
-    write_manifest(flat_corpus, [("flat.jpg", "m6", 0, 0, m6)])
+    write_manifest(flat_corpus, [("flat.jpg", "m6", 0, 0, m6)], "flat only")
     flat_report = evaluate_corpus(flat_corpus, ds, EstimationParams(q1_max=6), jobs=1)
     overall = flat_report["labels"]["m6"]["overall"]
     assert overall["accuracy_raw"] is None and overall["accuracy_reg"] is None

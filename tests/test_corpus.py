@@ -60,7 +60,9 @@ def test_file_under_two_labels_counts_under_each(tmp_path):
     (tmp_path / "a.jpg").write_bytes(
         corpus.double_compress_file(synth_patches(seed=74, count=1)[0], m3, constant_table(2))
     )
-    corpus.write_manifest(tmp_path, [("a.jpg", "A", 0, 0, m3), ("a.jpg", "B", 0, 0, m3)])
+    corpus.write_manifest(
+        tmp_path, [("a.jpg", "A", 0, 0, m3), ("a.jpg", "B", 0, 0, m3)], "one file, two labels"
+    )
     report = corpus.evaluate_corpus(tmp_path, ds, EstimationParams(q1_max=6))
     assert report["images"] == 2
     a, b = (report["labels"][label]["overall"] for label in "AB")
