@@ -22,8 +22,10 @@ and prints, for each end-to-end metric of BENCHMARK.json (each per-layer
 metric for traced runs), both sides' medians and quartiles and the pairs
 the change won. A gain is claimed when the change wins at least nine
 tenths of the pairs, ties counting for neither, and the medians differ by
-more than the parent's interquartile range. The exit code is 1 when any
-run exited non-zero.
+more than the parent's interquartile range. Each end-to-end metric also
+reads "REGRESSION" or "no regression": whether the change's median is
+worse than the parent's by more than the metric's relative bound in
+BENCHMARK.json. The exit code is 1 when any run exited non-zero.
 """
 
 from __future__ import annotations
@@ -71,13 +73,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
+def summarize(
+    parent: list[float], change: list[float], better: str, bound: float | None = None
+) -> dict:
     """Compare one metric over pairs: parent[i] and change[i] ran as pair i.
 
     better is "higher" or "lower". A pair is a win when the change reads
     better than the parent, a tie when both read the same. The gain holds
     when wins reach nine tenths of the pairs and the change's median is
     better than the parent's by more than the parent's interquartile range.
+    With a relative bound, the regression holds when the change's median
+    is worse than the parent's by more than bound times the parent's
+    median (None without a bound).
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of parent and change runs")
@@ -93,6 +100,9 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
         "parent": (p_q1, p_median, p_q3),
         "change": (c_q1, c_median, c_q3),
         "gain": 10 * wins >= 9 * len(parent) and sign * (c_median - p_median) > p_q3 - p_q1,
+        "regression": (
+            None if bound is None else sign * (p_median - c_median) > bound * abs(p_median)
+        ),
     }
 
 
@@ -123,12 +133,18 @@ def run_pairs(args) -> int:
         name = metric["name"]
         if name not in values["parent"] or name not in values["change"]:
             continue
-        s = summarize(values["parent"][name], values["change"][name], metric["better"])
+        s = summarize(
+            values["parent"][name], values["change"][name], metric["better"], metric.get("bound")
+        )
         p, c = s["parent"], s["change"]
+        regression = ""
+        if s["regression"] is not None:
+            verdict = "REGRESSION" if s["regression"] else "no regression"
+            regression = f"; {verdict} beyond the {metric['bound']:.0%} bound"
         print(
             f"{name}: parent {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}] -> change {c[1]:.4g} "
             f"[{c[0]:.4g}, {c[2]:.4g}] {metric['unit']}; change won {s['wins']}/{s['pairs']} "
-            f"({s['ties']} ties); gain {'holds' if s['gain'] else 'not shown'}"
+            f"({s['ties']} ties); gain {'holds' if s['gain'] else 'not shown'}{regression}"
         )
     return 1 if worst else 0
 

@@ -276,10 +276,24 @@ def estimate_cmd(
 # ---------------------------------------------------------------------------
 
 
+def _quality_factors(
+    ctx: click.Context, param: click.Parameter, value: str | None
+) -> list[int] | None:
+    # Every entry is checked as --qf2 is.
+    if value is None:
+        return None
+    qfs = [click.IntRange(1, 100).convert(x, param, ctx) for x in value.split(",") if x.strip()]
+    if not qfs:
+        raise click.BadParameter(f"{value!r} holds no quality factor")
+    return qfs
+
+
 @main.command("make-corpus")
 @click.option("--raw-dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
-@click.option("--qf1", default=None, help="Comma-separated first-compression quality factors.")
+@click.option(
+    "--qf1", callback=_quality_factors, help="Comma-separated first-compression quality factors."
+)
 @click.option(
     "--tables",
     default=None,
@@ -297,7 +311,7 @@ def estimate_cmd(
 def make_corpus(
     raw_dir: str,
     out_dir: str,
-    qf1: str | None,
+    qf1: list[int] | None,
     tables: str | None,
     qf2: int,
     patch: int,
@@ -311,14 +325,8 @@ def make_corpus(
         raise click.ClickException("--seed is required for random crops")
 
     if qf1 is not None:
-        try:
-            qfs = [int(x) for x in qf1.split(",") if x.strip()]
-        except ValueError:
-            raise click.ClickException(f"bad --qf1 list {qf1!r}")
-        if not qfs or any(not 1 <= q <= 100 for q in qfs):
-            raise click.ClickException("--qf1 values must be in [1, 100]")
-        sources = [(f"qf{q:02d}", standard_table(q)) for q in qfs]
-        spec_desc = f"qf1={','.join(str(q) for q in qfs)}"
+        sources = [(f"qf{q:02d}", standard_table(q)) for q in qf1]
+        spec_desc = f"qf1={','.join(str(q) for q in qf1)}"
     else:
         try:
             parsed_tables = read_table_file(Path(tables).read_text())
@@ -330,16 +338,15 @@ def make_corpus(
     raw_paths = sorted(Path(raw_dir).glob("*.pgm"))
     if not raw_paths:
         raise click.ClickException(f"no PGM images in {raw_dir}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    q2_table = standard_table(qf2)
     rng = np.random.default_rng(seed)
 
-    rows = []
+    # Every image is read and cropped before any file is written, so a bad
+    # one leaves no partial corpus.
+    crops = []
     for path in raw_paths:
         try:
             img = read_pgm(path.read_bytes())
-        except PgmError as exc:
+        except (PgmError, OSError) as exc:
             raise click.ClickException(f"{path}: {exc}")
         if patch > min(img.width, img.height):
             raise click.ClickException(
@@ -353,8 +360,15 @@ def make_corpus(
             x = int(rng.integers(0, img.width - patch + 1))
             y = int(rng.integers(0, img.height - patch + 1))
             cropped = GrayImage(img.pixels[y : y + patch, x : x + patch].copy())
+        crops.append((path.stem, x, y, cropped))
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    q2_table = standard_table(qf2)
+    rows = []
+    for stem, x, y, cropped in crops:
         for label, q1_table in sources:
-            name = f"{path.stem}__{label}.jpg"
+            name = f"{stem}__{label}.jpg"
             (out / name).write_bytes(double_compress_file(cropped, q1_table, q2_table))
             rows.append((name, label, x, y, q1_table))
     write_manifest(

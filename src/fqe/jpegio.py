@@ -15,8 +15,7 @@ import bisect
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import NamedTuple
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -122,73 +121,39 @@ class ParsedJpeg:
 
 
 # ---------------------------------------------------------------------------
-# Huffman decode tables, built once per table definition and kept in a small
-# cache. `lut` maps every 16-bit peek to (symbol << 8) | code_length, 0 for an
-# invalid prefix. `fast` maps every 12-bit peek whose code, and for a non-zero
-# coefficient also its magnitude bits, fit in 12 bits to the decoded result:
-# (bits used, DC difference) for a DC table and (run + 1, bits used, value as
-# 16 bits) for an AC table, where value 0 marks EOB or, with run + 1 = 16,
-# ZRL. Bits used 0 sends the decoder to `lut`.
+# Huffman decode tables, one per table definition, kept in a small cache.
 # ---------------------------------------------------------------------------
 
 
-class _HuffTable(NamedTuple):
-    lut: array
-    fast: list[tuple[int, ...]]
-    lane: np.ndarray
-
-
-_FAST_BITS = 12
-_LUT_CACHE_SIZE = 8
-_LUT_CACHE: OrderedDict[bytes, _HuffTable] = OrderedDict()
-
-
-def _build_decode_lut(bits: tuple[int, ...], values: tuple[int, ...]) -> np.ndarray:
-    lut = np.zeros(1 << 16, dtype=np.uint16)
+def _codes(bits: tuple[int, ...], values: tuple[int, ...]):
+    """Yield (code, length, symbol) for each code of a table definition, in
+    the canonical order of T.81 Annex C."""
+    symbols = iter(values)
     code = 0
-    vi = 0
-    for length in range(1, 17):
-        for _ in range(bits[length - 1]):
-            if code >= (1 << length):
+    for length, count in enumerate(bits, 1):
+        for symbol in islice(symbols, count):
+            if code >= 1 << length:
                 raise JpegFormatError("Huffman table overflows its code space")
-            start = code << (16 - length)
-            end = (code + 1) << (16 - length)
-            lut[start:end] = (values[vi] << 8) | length
-            vi += 1
+            yield code, length, symbol
             code += 1
         code <<= 1
-    return lut
 
 
-def _build_fast_table(lut: np.ndarray, dc: bool) -> list[tuple[int, ...]]:
-    peek = np.arange(1 << _FAST_BITS, dtype=np.int64)
-    entry = lut[peek << (16 - _FAST_BITS)].astype(np.int64)
-    length = entry & 0xFF
-    symbol = entry >> 8
-    run, size = (0, symbol) if dc else (symbol >> 4, symbol & 0x0F)
-    fits = (length > 0) & (length + size <= _FAST_BITS)
-    size = np.where(fits, size, 0)
-    used = np.where(fits, length + size, 0)
-    mask = (1 << size) - 1
-    raw = (peek >> (_FAST_BITS - used)) & mask
-    value = np.where(raw <= mask >> 1, raw - mask, raw)  # sign extension
-    if dc:
-        return list(zip(used.tolist(), value.tolist()))
-    run1 = np.where(fits, run + 1, 0)
-    return list(zip(run1.tolist(), used.tolist(), (value & 0xFFFF).tolist()))
-
-
-# Lane tables (see _decode_lanes) map every 16-bit peek to one int32: the
-# value's 16 bits in bits 0-15, the bits used (code plus magnitude) in bits
-# 16-20 and a state advance in bits 21-30. A lane's state s is 1 when a DC
-# symbol is next and otherwise 1 + the index of the next AC coefficient
-# (2..65; 65 only after a ZRL, when EOB alone may follow). A symbol moves
-# state s to _NEXT[s + advance], which is 0 for every error the sequential
-# decoder raises on that symbol. A slow entry's code plus magnitude exceed
-# 16 bits: its advance is raised by _ADV_SLOW, so that _NEXT also sends it
-# to 0, and its value field holds the magnitude size, for the value is read
-# from the bit window. _PARKED is the state of a lane that has stopped: the
-# third table of a scan's lane tables holds zeros, so a parked lane stays.
+# A decode table maps every 16-bit peek to one int32: the value's 16 bits in
+# bits 0-15, the bits used (code plus magnitude) in bits 16-20 and a state
+# advance in bits 21-30. Both decoders read it. For an AC coefficient and for
+# ZRL, advance & 0x7F is the step of the coefficient index. In the lane
+# decoder (see _decode_lanes) a lane's state s is 1 when a DC symbol is next
+# and otherwise 1 + the index of the next AC coefficient (2..65; 65 only
+# after a ZRL, when EOB alone may follow). A symbol moves state s to
+# _NEXT[s + advance], which is 0 for every error the sequential decoder
+# raises on that symbol. An invalid prefix maps to _ADV_ERR alone; a DC
+# category above 11 to _ADV_ERR with its code length and category. A slow
+# entry's code plus magnitude exceed 16 bits: its advance is raised by
+# _ADV_SLOW, so that _NEXT also sends it to 0, and its value field holds the
+# magnitude size, for the value is read from the bit window (_slow_entry).
+# _PARKED is the state of a lane that has stopped: the third table of a
+# scan's lane tables holds zeros, so a parked lane stays.
 _ADV_DC, _ADV_ZRL, _ADV_COEF, _ADV_EOB, _ADV_ERR, _ADV_SLOW = 1, 16, 128, 256, 384, 512
 _PARKED = 100
 _NEXT = np.zeros(1024, dtype=np.int8)
@@ -202,51 +167,41 @@ _NEXT[_PARKED] = _PARKED
 _BASE = np.where((_NEXT > 1) & (_NEXT <= 65), 1 << 16, 0)
 _BASE[_PARKED] = 2 << 16
 
+_LUT_CACHE_SIZE = 8
+_LUT_CACHE: OrderedDict[bytes, np.ndarray] = OrderedDict()
 
-def _build_lane_table(bits: tuple[int, ...], values: tuple[int, ...], dc: bool) -> np.ndarray:
-    """The lane table of a Huffman table definition, code by code."""
+
+def _build_table(bits: tuple[int, ...], values: tuple[int, ...], dc: bool) -> np.ndarray:
+    """The decode table of a Huffman table definition, code by code."""
     table = np.full(1 << 16, _ADV_ERR << 21, dtype=np.int32)
-    code = 0
-    vi = 0
-    for length in range(1, 17):
-        for _ in range(bits[length - 1]):
-            symbol = values[vi]
-            if dc:
-                size, adv = symbol, _ADV_DC if symbol <= 11 else _ADV_ERR
-            else:
-                run, size = symbol >> 4, symbol & 0x0F
-                adv = _ADV_COEF + run + 1 if size else _ADV_ZRL if run == 15 else _ADV_EOB
-            start, stop = code << (16 - length), (code + 1) << (16 - length)
-            used = length + size
-            if adv == _ADV_ERR:
-                pass  # the entries stay errors
-            elif used <= 16:
-                raw = np.arange(1 << size, dtype=np.int32)
-                value = np.where(raw < (1 << size) >> 1, raw - ((1 << size) - 1), raw)
-                entries = (value & 0xFFFF) | (used << 16) | (adv << 21)
-                table[start:stop] = np.repeat(entries, 1 << (16 - used))
-            else:
-                table[start:stop] = size | (used << 16) | ((adv + _ADV_SLOW) << 21)
-            vi += 1
-            code += 1
-        code <<= 1
+    for code, length, symbol in _codes(bits, values):
+        if dc:
+            size, adv = symbol, _ADV_DC if symbol <= 11 else _ADV_ERR
+        else:
+            run, size = symbol >> 4, symbol & 0x0F
+            adv = _ADV_COEF + run + 1 if size else _ADV_ZRL if run == 15 else _ADV_EOB
+        start, stop = code << (16 - length), (code + 1) << (16 - length)
+        used = length + size
+        if adv == _ADV_ERR:
+            table[start:stop] = size | (length << 16) | (adv << 21)
+        elif used <= 16:
+            raw = np.arange(1 << size, dtype=np.int32)
+            value = np.where(raw < (1 << size) >> 1, raw - ((1 << size) - 1), raw)
+            entries = (value & 0xFFFF) | (used << 16) | (adv << 21)
+            table[start:stop] = np.repeat(entries, 1 << (16 - used))
+        else:
+            table[start:stop] = size | (used << 16) | ((adv + _ADV_SLOW) << 21)
     return table
 
 
-def _huffman_table(tc: int, bits: tuple[int, ...], values: tuple[int, ...]) -> _HuffTable:
-    """Decode tables of one DHT entry (class tc), from a bounded LRU cache."""
+def _huffman_table(tc: int, bits: tuple[int, ...], values: tuple[int, ...]) -> np.ndarray:
+    """Decode table of one DHT entry (class tc), from a bounded LRU cache."""
     key = bytes([tc]) + bytes(bits) + bytes(values)
     table = _LUT_CACHE.get(key)
     if table is not None:
         _LUT_CACHE.move_to_end(key)
         return table
-    lut = _build_decode_lut(bits, values)
-    table = _HuffTable(
-        array("H", lut.tobytes()),
-        _build_fast_table(lut, dc=tc == 0),
-        _build_lane_table(bits, values, dc=tc == 0),
-    )
-    _LUT_CACHE[key] = table
+    table = _LUT_CACHE[key] = _build_table(bits, values, dc=tc == 0)
     if len(_LUT_CACHE) > _LUT_CACHE_SIZE:
         _LUT_CACHE.popitem(last=False)
     return table
@@ -327,12 +282,12 @@ class _BlockRun:
 def _decode_scan(
     segments: list[bytes],
     segment_units: list[list[tuple[int, int]]],
-    comp_tables: list[tuple[_HuffTable, _HuffTable]],
+    comp_tables: list[tuple[np.ndarray, np.ndarray]],
     outputs: list[np.ndarray],
 ) -> None:
     """Decode each restart segment's units (comp_index, dest_block) into the
     zeroed component grids `outputs`."""
-    tables = [(dc.fast, dc.lut, ac.fast, ac.lut) for dc, ac in comp_tables]
+    tables = [(memoryview(dc), memoryview(ac)) for dc, ac in comp_tables]
     coeffs = [array("q") for _ in outputs]
     windows = None  # built once a segment needs the sequential decoder
     lane_table = None
@@ -342,9 +297,9 @@ def _decode_scan(
         path = None
         if len(comp_tables) == 1 and len(segment) >= _LANE_MIN_BYTES:
             if lane_table is None:
-                # DC and AC lane tables, then zeros for parked lanes.
+                # DC and AC tables, then zeros for parked lanes.
                 lane_table = np.zeros(3 << 16, dtype=np.int32)
-                lane_table[: 2 << 16].reshape(2, -1)[:] = [t.lane for t in comp_tables[0]]
+                lane_table[: 2 << 16].reshape(2, -1)[:] = comp_tables[0]
             n_lanes = min(_LANES, 8 * len(segment) // _LANE_BITS)
             path = _decode_lanes(segment, len(units), lane_table, n_lanes)
         if path is None:
@@ -365,12 +320,30 @@ def _decode_scan(
         out.reshape(-1)[packed] = values
 
 
+def _slow_entry(e: int, w: int, p: int, end: int) -> int:
+    """The entry of a symbol at bit p of window w that the table does not
+    resolve: a slow entry with its value read from w, or the decode error."""
+    adv, used, size = e >> 21, (e >> 16) & 31, e & 0xFFFF
+    if adv == _ADV_ERR:
+        if not used:
+            raise JpegFormatError("invalid Huffman code in scan data")
+        # 8-bit baseline DC differences have categories 0..11 (T.81 F.1.2.1).
+        raise JpegFormatError(f"DC magnitude category {size} exceeds 11")
+    # (p + 23) & ~7 ends the bytes that the 16-bit peek at p reached.
+    if p + used > end and p + used > (p + 23) & ~7:
+        raise JpegFormatError("entropy-coded data is truncated")
+    v = (w >> (_WINDOW_BITS - (p & 7) - used)) & ((1 << size) - 1)
+    if v < (1 << (size - 1)):
+        v -= (1 << size) - 1
+    return (e - (_ADV_SLOW << 21)) & ~0xFFFF | (v & 0xFFFF)
+
+
 def _decode_segment(
     windows: memoryview,
     p: int,
     n_bits: int,
     units: list[tuple[int, int]],
-    tables: list[tuple[list, array, list, array]],
+    tables: list[tuple[memoryview, memoryview]],
     coeffs: list[array],
 ) -> None:
     """Decode `units` from the segment of n_bits bits at bit p of `windows`.
@@ -380,42 +353,26 @@ def _decode_segment(
     """
     end = p + n_bits
     limit = end + 8 * _LOOKAHEAD_BYTES - 16
-    fast_shift = _WINDOW_BITS - _FAST_BITS
-    lut_shift = _WINDOW_BITS - 16
+    shift = _WINDOW_BITS - 16
     dc_pred = [0] * len(tables)
     for ci, dest in units:
-        dc_fast, dc_lut, ac_fast, ac_lut = tables[ci]
+        dc_table, ac_table = tables[ci]
         push = coeffs[ci].append
-        pred = dc_pred[ci]
         if p > limit:
             raise JpegFormatError("entropy-coded data is truncated")
         w = windows[p >> 3]
-        used, diff = dc_fast[(w >> (fast_shift - (p & 7))) & 0xFFF]
-        if not used:
-            entry = dc_lut[(w >> (lut_shift - (p & 7))) & 0xFFFF]
-            if entry == 0:
-                raise JpegFormatError("invalid Huffman code in scan data")
-            used = entry & 0xFF
-            size = entry >> 8
-            if size:
-                # 8-bit baseline DC differences have categories 0..11
-                # (T.81 F.1.2.1) and DC values lie within +-1024, so a
-                # larger category or a prediction past +-2047 is corrupt.
-                if size > 11:
-                    raise JpegFormatError(f"DC magnitude category {size} exceeds 11")
-                used += size
-                # (p + 23) & ~7 ends the bytes that the 16-bit peek at p reached.
-                if p + used > end and p + used > (p + 23) & ~7:
-                    raise JpegFormatError("entropy-coded data is truncated")
-                diff = (w >> (_WINDOW_BITS - (p & 7) - used)) & ((1 << size) - 1)
-                if diff < (1 << (size - 1)):
-                    diff -= (1 << size) - 1
-        p += used
+        e = dc_table[(w >> (shift - (p & 7))) & 0xFFFF]
+        if e >> 21 != _ADV_DC:
+            e = _slow_entry(e, w, p, end)
+        p += (e >> 16) & 31
+        pred = dc_pred[ci]
+        diff = ((e & 0xFFFF) ^ 0x8000) - 0x8000
         if diff:
+            # DC values lie within +-1024, so a prediction past +-2047 is corrupt.
             pred += diff
             if not -2048 < pred < 2048:
                 raise JpegFormatError("DC coefficient outside the 8-bit baseline range")
-        dc_pred[ci] = pred
+            dc_pred[ci] = pred
         # k is one past the flat index of the last coefficient decoded.
         k = (dest << 6) + 1
         stop = k + 63
@@ -425,38 +382,24 @@ def _decode_segment(
             if p > limit:
                 raise JpegFormatError("entropy-coded data is truncated")
             w = windows[p >> 3]
-            run1, used, v = ac_fast[(w >> (fast_shift - (p & 7))) & 0xFFF]
-            if not used:
-                entry = ac_lut[(w >> (lut_shift - (p & 7))) & 0xFFFF]
-                if entry == 0:
-                    raise JpegFormatError("invalid Huffman code in scan data")
-                used = entry & 0xFF
-                run1 = (entry >> 12) + 1
-                size = (entry >> 8) & 0x0F
-                if size:
-                    if k + run1 > stop:
-                        raise JpegFormatError("AC coefficient index overflows the block")
-                    used += size
-                    if p + used > end and p + used > (p + 23) & ~7:
-                        raise JpegFormatError("entropy-coded data is truncated")
-                    v = (w >> (_WINDOW_BITS - (p & 7) - used)) & ((1 << size) - 1)
-                    if v < (1 << (size - 1)):
-                        v -= (1 << size) - 1
-                    v &= 0xFFFF
-            p += used
-            if v:
-                k += run1
-                if k > stop:
-                    raise JpegFormatError("AC coefficient index overflows the block")
-                push((k << 16) | v)
+            e = ac_table[(w >> (shift - (p & 7))) & 0xFFFF]
+            adv = e >> 21
+            if adv >= _ADV_EOB:
+                if adv == _ADV_EOB:  # any size-0 symbol other than ZRL
+                    p += (e >> 16) & 31
+                    break
+                if k + (adv & 0x7F) <= stop:  # else the index check fails first
+                    e = _slow_entry(e, w, p, end)
+            k += adv & 0x7F
+            if k > stop:
+                if adv == _ADV_ZRL:
+                    raise JpegFormatError("AC run overflows the block")
+                raise JpegFormatError("AC coefficient index overflows the block")
+            p += (e >> 16) & 31
+            if adv != _ADV_ZRL:
+                push((k << 16) | (e & 0xFFFF))
                 if k == stop:
                     break
-            elif run1 == 16:  # ZRL
-                k += 16
-                if k > stop:
-                    raise JpegFormatError("AC run overflows the block")
-            else:
-                break  # EOB: any size-0 symbol other than ZRL
 
 
 # Restart segments of single-component scans with at least _LANE_MIN_BYTES of
@@ -687,7 +630,7 @@ class _Parser:
     def __init__(self, data: bytes):
         self.data = data
         self.quant_tables: dict[int, np.ndarray] = {}
-        self.huff_tables: dict[tuple[int, int], _HuffTable] = {}
+        self.huff_tables: dict[tuple[int, int], np.ndarray] = {}
         self.frame: FrameInfo | None = None
         self.restart_interval = 0
         self.comp_coeffs: dict[int, np.ndarray] = {}
@@ -825,7 +768,7 @@ class _Parser:
             raise JpegFormatError("bad SOS segment length")
         by_id = {c.comp_id: i for i, c in enumerate(frame.components)}
         scan_comps: list[ComponentInfo] = []
-        comp_tables: list[tuple[_HuffTable, _HuffTable]] = []
+        comp_tables: list[tuple[np.ndarray, np.ndarray]] = []
         for s in range(ns):
             cid = seg[1 + 2 * s]
             tdta = seg[2 + 2 * s]
@@ -944,23 +887,8 @@ def parse_jpeg(data: bytes) -> ParsedJpeg:
 # ---------------------------------------------------------------------------
 
 
-def _build_encode_table(
-    bits: tuple[int, ...], values: tuple[int, ...]
-) -> dict[int, tuple[int, int]]:
-    table: dict[int, tuple[int, int]] = {}
-    code = 0
-    vi = 0
-    for length in range(1, 17):
-        for _ in range(bits[length - 1]):
-            table[values[vi]] = (code, length)
-            vi += 1
-            code += 1
-        code <<= 1
-    return table
-
-
-_DC_ENC = _build_encode_table(_DC_LUM_BITS, _DC_LUM_VALS)
-_AC_ENC = _build_encode_table(_AC_LUM_BITS, _AC_LUM_VALS)
+_DC_ENC = {symbol: (code, length) for code, length, symbol in _codes(_DC_LUM_BITS, _DC_LUM_VALS)}
+_AC_ENC = {symbol: (code, length) for code, length, symbol in _codes(_AC_LUM_BITS, _AC_LUM_VALS)}
 
 
 class _BitWriter:

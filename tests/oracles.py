@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -205,11 +206,32 @@ def patch_items(patch: GrayImage, q1_max: int, k: int):
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def huffman_lut(tc: int, bits: tuple[int, ...], values: tuple[int, ...]) -> list[int]:
+    """Drop-in for jpegio._huffman_table: every 16-bit peek mapped to
+    (symbol << 8) | code_length, 0 for an invalid prefix. tc is unused.
+    Cached like the tables it replaces; callers only read the list."""
+    lut = [0] * (1 << 16)
+    code = 0
+    vi = 0
+    for length in range(1, 17):
+        for _ in range(bits[length - 1]):
+            if code >= (1 << length):
+                raise JpegFormatError("Huffman table overflows its code space")
+            start = code << (16 - length)
+            end = (code + 1) << (16 - length)
+            lut[start:end] = [(values[vi] << 8) | length] * (end - start)
+            vi += 1
+            code += 1
+        code <<= 1
+    return lut
+
+
 def decode_scan(segments, segment_units, comp_tables, outputs):
-    """Drop-in for jpegio._decode_scan: the byte-refill decoder, segment by segment."""
-    luts = [(dc.lut, ac.lut) for dc, ac in comp_tables]
+    """Drop-in for jpegio._decode_scan: the byte-refill decoder, segment by
+    segment, on the (dc, ac) tables of huffman_lut."""
     for segment, units in zip(segments, segment_units):
-        decode_segment(segment, units, luts, outputs, [0] * len(luts))
+        decode_segment(segment, units, comp_tables, outputs, [0] * len(comp_tables))
 
 
 def decode_segment(

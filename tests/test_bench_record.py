@@ -52,3 +52,18 @@ def test_mismatched_runs_rejected():
         summarize([1.0, 2.0], [1.0], "lower")
     with pytest.raises(ValueError):
         summarize([], [], "lower")
+
+
+def test_regression_beyond_the_relative_bound():
+    parent = [100.0, 102.0, 98.0, 100.0]
+    # Medians 100 -> 125: 25 % worse, past a 0.24 bound but not a 0.25 one.
+    assert summarize(parent, [125.0] * 4, "lower", 0.24)["regression"]
+    assert not summarize(parent, [125.0] * 4, "lower", 0.25)["regression"]
+    # A higher-is-better metric regresses when it falls: 100 -> 75.
+    assert summarize(parent, [75.0] * 4, "higher", 0.24)["regression"]
+    assert not summarize(parent, [125.0] * 4, "higher", 0.24)["regression"]
+    assert not summarize(parent, [75.0] * 4, "lower", 0.24)["regression"]
+
+
+def test_no_bound_reads_none():
+    assert summarize([1.0, 2.0], [3.0, 4.0], "lower")["regression"] is None

@@ -238,6 +238,28 @@ class TestMakeCorpus:
         assert "Invalid value for '--qf2'" in result.output
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "qf1, message",
+        [("0", "0 is not in the range"), ("80,101", "101 is not in the range"),
+         ("x", "'x' is not a valid integer")],
+    )
+    def test_bad_qf1_is_usage_error(self, tmp_path, runner, qf1, message):
+        # Rejected before the raw directory is read: it holds no PGM.
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        result = runner.invoke(
+            main,
+            [
+                "make-corpus", "--raw-dir", str(raw), "--out-dir", str(tmp_path / "x"),
+                "--qf1", qf1, "--qf2", "90",
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Invalid value for '--qf1'" in result.output
+        assert message in result.output
+        assert not (tmp_path / "x").exists()
+
     def test_patch_zero_is_usage_error(self, tmp_path, raw_dir, runner):
         result = runner.invoke(
             main,
@@ -282,6 +304,24 @@ class TestMakeCorpus:
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)
         assert f"Error: {raw / 'cut.pgm'}: truncated PGM pixel data" in result.output
+
+    def test_bad_pgm_sorted_last_leaves_no_corpus(self, tmp_path, runner):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        for i, img in enumerate(synth_patches(seed=43, count=2, side=72)):
+            (raw / f"a{i}.pgm").write_bytes(write_pgm(img))
+        (raw / "b_cut.pgm").write_bytes(write_pgm(synth_patches(seed=44, count=1, side=72)[0])[:-9])
+        out = tmp_path / "x"
+        result = runner.invoke(
+            main,
+            [
+                "make-corpus", "--raw-dir", str(raw), "--out-dir", str(out),
+                "--qf1", "80,90", "--qf2", "90",
+            ],
+        )
+        assert result.exit_code == 1, result.output
+        assert f"Error: {raw / 'b_cut.pgm'}: truncated PGM pixel data" in result.output
+        assert not list(out.glob("*.jpg")) and not (out / "manifest.csv").exists()
 
     def test_table_file_parser(self):
         text = "\n".join(" ".join(str(r * 8 + c + 1) for c in range(8)) for r in range(8))

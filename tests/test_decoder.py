@@ -2,8 +2,8 @@
 the bounded decode-table cache, and differential fuzzing against the
 byte-refill decoder kept in tests/oracles.py.
 
-The oracle replaces jpegio._decode_scan only, so both decoders run behind
-the same marker parser and scan layout code.
+The oracle replaces jpegio._huffman_table and jpegio._decode_scan only, so
+both decoders run behind the same marker parser and scan layout code.
 """
 
 import tracemalloc
@@ -33,7 +33,9 @@ def outcome(data: bytes):
 
 
 def oracle_outcome(data: bytes):
-    with mock.patch.object(jpegio, "_decode_scan", oracles.decode_scan):
+    with mock.patch.multiple(
+        jpegio, _huffman_table=oracles.huffman_lut, _decode_scan=oracles.decode_scan
+    ):
         return outcome(data)
 
 

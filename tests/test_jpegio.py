@@ -108,6 +108,22 @@ class TestEncoderErrors:
             QuantTable(np.full(64, 256))
 
 
+class TestAnnexKCodes:
+    def test_encoder_codes_pinned(self):
+        # Annex K.3 tables K.3 and K.5, independent of the code walk that
+        # both the encoder and the decoder tables come from.
+        def bits(symbol, enc):
+            code, length = enc[symbol]
+            return format(code, f"0{length}b")
+
+        assert bits(0, jpegio._DC_ENC) == "00"
+        assert bits(11, jpegio._DC_ENC) == "111111110"
+        assert bits(0x00, jpegio._AC_ENC) == "1010"  # EOB
+        assert bits(0xF0, jpegio._AC_ENC) == "11111111001"  # ZRL
+        assert bits(0x01, jpegio._AC_ENC) == "00"
+        assert bits(0xFA, jpegio._AC_ENC) == "1111111111111110"
+
+
 class TestParserErrors:
     def build_valid(self) -> bytes:
         img = GrayImage(np.full((8, 8), 77, dtype=np.uint8))
@@ -157,6 +173,16 @@ class TestParserErrors:
         data[2] = 0x00  # clobber the first marker's 0xFF
         with pytest.raises(jpegio.JpegFormatError):
             jpegio.parse_jpeg(bytes(data))
+
+    def test_overfull_huffman_code_space_rejected(self):
+        # Three 1-bit codes: the third has no code left.
+        data = self.build_valid()
+        dht = data.find(b"\xff\xc4")
+        length = (data[dht + 2] << 8) | data[dht + 3]
+        overfull = jpegio._segment(0xC4, bytes([0x00, 3] + [0] * 15 + [0, 1, 2]))
+        with pytest.raises(jpegio.JpegFormatError) as excinfo:
+            jpegio.parse_jpeg(data[:dht] + overfull + data[dht + 2 + length :])
+        assert str(excinfo.value) == "Huffman table overflows its code space"
 
     @staticmethod
     def hand_built(width: int, height: int, dc_symbol: int, scan_bits: str) -> bytes:
