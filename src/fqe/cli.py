@@ -346,7 +346,7 @@ def make_corpus(
     for path in raw_paths:
         try:
             img = read_pgm(path.read_bytes())
-        except (PgmError, OSError) as exc:
+        except PgmError as exc:
             raise click.ClickException(f"{path}: {exc}")
         if patch > min(img.width, img.height):
             raise click.ClickException(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 from array import array
 from collections import OrderedDict
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 
@@ -125,7 +126,7 @@ class ParsedJpeg:
 # ---------------------------------------------------------------------------
 
 
-def _codes(bits: tuple[int, ...], values: tuple[int, ...]):
+def _codes(bits: tuple[int, ...], values: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
     """Yield (code, length, symbol) for each code of a table definition, in
     the canonical order of T.81 Annex C."""
     symbols = iter(values)
