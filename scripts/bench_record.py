@@ -25,7 +25,9 @@ tenths of the pairs, ties counting for neither, and the medians differ by
 more than the parent's interquartile range. Each end-to-end metric also
 reads "REGRESSION" or "no regression": whether the change's median is
 worse than the parent's by more than the metric's relative bound in
-BENCHMARK.json. The exit code is 1 when any run exited non-zero.
+BENCHMARK.json. Both runs of a pair must give the same output digests
+(estimates or dataset blob); a pair whose digests differ is printed. The
+exit code is 1 when any run exited non-zero or any pair's digests differ.
 """
 
 from __future__ import annotations
@@ -106,11 +108,19 @@ def summarize(
     }
 
 
+def differing_pairs(parent: list[dict], change: list[dict]) -> list[int]:
+    """The pairs i whose parent[i] and change[i] output digests are not the same."""
+    if len(parent) != len(change):
+        raise ValueError("need the same number of parent and change runs")
+    return [i for i, (p, c) in enumerate(zip(parent, change)) if p != c]
+
+
 def run_pairs(args) -> int:
     contract = json.loads((args.checkout / "BENCHMARK.json").read_text())
     suffix = "-trace" if args.trace else ""
     sides = {"parent": args.parent_checkout, "change": args.checkout}
     values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
+    digests: dict[str, list[dict]] = {"parent": [], "change": []}
     worst = 0
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -126,8 +136,15 @@ def run_pairs(args) -> int:
                 out = args.out_dir / f"BENCH_{args.label}-{side}-{args.workload}{suffix}.json"
                 out.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
                 print(out)
-            digests = " ".join(f"{k}={v.split()[0]}" for k, v in content["digests"].items())
-            print(f"pair {i} seed {args.seed + i} {side}: exit {code} {digests}", flush=True)
+            digests[side].append(content["digests"])
+            shown = " ".join(f"{k}={v.split()[0]}" for k, v in content["digests"].items())
+            print(f"pair {i} seed {args.seed + i} {side}: exit {code} {shown}", flush=True)
+    differ = differing_pairs(digests["parent"], digests["change"])
+    for i in differ:
+        print(f"pair {i} seed {args.seed + i}: DIGESTS DIFFER: parent {digests['parent'][i]} "
+              f"change {digests['change'][i]}")
+    if not differ:
+        print(f"digests: parent and change equal in all {args.pairs} pairs")
     # A traced run reports the per-layer metrics only.
     for metric in contract["per_layer" if args.trace else "end_to_end"]:
         name = metric["name"]
@@ -146,7 +163,7 @@ def run_pairs(args) -> int:
             f"[{c[0]:.4g}, {c[2]:.4g}] {metric['unit']}; change won {s['wins']}/{s['pairs']} "
             f"({s['ties']} ties); gain {'holds' if s['gain'] else 'not shown'}{regression}"
         )
-    return 1 if worst else 0
+    return 1 if worst or differ else 0
 
 
 def main(argv=None) -> int:

@@ -156,11 +156,12 @@ def build(
     ds = build_reference(patches, q1_max=q1_max, k=k, jobs=n_jobs)
     blob = serialize(ds)
     Path(out).write_bytes(blob)
+    # Records per (q1, q2) in q1-major order, one (dc, ac) row each.
+    per_kind = np.diff(ds.bounds).reshape(-1, 2)
     if verbose:
-        for (q1, q2), sub in ds.subs.items():
-            click.echo(f"q1={q1:>3} q2={q2:>3}: dc={len(sub.dc)} ac={len(sub.ac)}")
-    n_dc = np.array([len(sub.dc) for sub in ds.subs.values()])
-    n_ac = np.array([len(sub.ac) for sub in ds.subs.values()])
+        for (q1, q2), (dc, ac) in zip(ds.subs, per_kind.tolist()):
+            click.echo(f"q1={q1:>3} q2={q2:>3}: dc={dc} ac={ac}")
+    n_dc, n_ac = per_kind.T
     per_sub = n_dc + n_ac
     click.echo(f"wrote {out}: {len(blob)} bytes, {n_dc.sum()} DC + {n_ac.sum()} AC records")
     click.echo(

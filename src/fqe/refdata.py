@@ -3,9 +3,10 @@
 Every raw patch is double-compressed with all pairs of constant matrices
 (M_q1, M_q2); the DC histogram and the pooled AC histograms of coefficients
 2..k land in the sub-dataset keyed by that (q1, q2), indexed by the
-Laplacian fit (mu for DC, beta for AC). Records are held in packed arrays
-sorted by key so that nearest-key windows are contiguous slices and the
-chi-square scan over a window is one vectorized pass.
+Laplacian fit (mu for DC, beta for AC). Records are held in whole-dataset
+columns, each sub-dataset's records a contiguous run sorted by key, so that
+nearest-key windows are contiguous slices and the chi-square scan over a
+window is one vectorized pass.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import functools
 import itertools
 import struct
 import zlib
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -33,28 +35,25 @@ class PackedRecords:
     """Records of one (sub-dataset, kind), packed into flat arrays.
 
     keys is sorted ascending; record i owns the support values[offsets[i]:offsets[i+1]]
-    with matching integer bin counts bins, counts[i] samples behind them and
-    masses = bins / counts[i]. _masses computes them for built and loaded
-    records alike, so both hold the same f64 values bit for bit.
+    with matching integer bin counts bins and counts[i] samples behind them.
+    masses = bins / counts[i] is computed by _masses on first access and
+    then kept, so built and loaded records hold the same f64 values bit for bit.
     """
 
-    __slots__ = ("keys", "offsets", "values", "bins", "counts", "masses")
-
-    def __init__(self, keys, offsets, values, bins, counts, masses):
+    def __init__(self, keys, offsets, values, bins, counts):
         self.keys = keys
         self.offsets = offsets
         self.values = values
         self.bins = bins
         self.counts = counts
-        self.masses = masses
 
-    @classmethod
-    def _of_columns(cls, keys, offsets, values, bins, counts) -> "PackedRecords":
-        return cls(keys, offsets, values, bins, counts, _masses(bins, counts, np.diff(offsets)))
+    @functools.cached_property
+    def masses(self) -> np.ndarray:
+        return _masses(self.bins, self.counts, np.diff(self.offsets))
 
     @classmethod
     def empty(cls) -> "PackedRecords":
-        return cls._of_columns(
+        return cls(
             keys=np.empty(0, dtype=np.float64),
             offsets=np.zeros(1, dtype=np.int64),
             values=np.empty(0, dtype=np.int16),
@@ -74,7 +73,7 @@ class PackedRecords:
         lengths = np.array([items[i][1].size for i in order], dtype=np.int64)
         offsets = np.zeros(lengths.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        return cls._of_columns(
+        return cls(
             keys=keys[order],
             offsets=offsets,
             values=np.concatenate([items[i][1] for i in order]).astype(np.int16),
@@ -101,19 +100,77 @@ class SubDataset:
         raise ValueError(f"unknown record kind {name!r} (expected 'dc' or 'ac')")
 
 
-@dataclass
+@dataclass(eq=False)
 class ReferenceDataset:
+    """The reference records as whole-dataset columns, in FQE2 order.
+
+    Section s = 2 * ((q1 - 1) * q1_max + q2 - 1) + (0 for dc, 1 for ac) owns
+    records bounds[s]:bounds[s + 1]; record i has key keys[i], counts[i]
+    samples and the bins offsets[i]:offsets[i + 1] of values and bins. Keys
+    are sorted within each section. The SubDataset of a (q1, q2) is made of
+    views of the columns the first time it is asked for, and then kept.
+    """
+
     q1_max: int
     k: int
     patch_side: int
     source_count: int
-    subs: dict[tuple[int, int], SubDataset]
+    bounds: np.ndarray = field(repr=False)
+    keys: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    bins: np.ndarray = field(repr=False)
+    counts: np.ndarray = field(repr=False)
+    # (q1, q2) -> its index in q1-major order, and the sub-datasets made so far.
+    _order: dict = field(init=False, repr=False)
+    _made: dict = field(init=False, repr=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        keys = itertools.product(range(1, self.q1_max + 1), repeat=2)
+        self._order = {key: i for i, key in enumerate(keys)}
+
+    @property
+    def subs(self) -> Mapping[tuple[int, int], SubDataset]:
+        """Every (q1, q2) sub-dataset, q1-major, each made on first use."""
+        return _SubDatasets(self)
 
     def sub(self, q1: int, q2: int) -> SubDataset:
         try:
-            return self.subs[(q1, q2)]
+            return self._sub((q1, q2))
         except KeyError:
             raise KeyError(f"no sub-dataset for (q1={q1}, q2={q2})") from None
+
+    def _sub(self, key: tuple[int, int]) -> SubDataset:
+        sub = self._made.get(key)
+        if sub is None:
+            s = 2 * self._order[key]
+            sub = SubDataset(*key, dc=self._section(s), ac=self._section(s + 1))
+            self._made[key] = sub
+        return sub
+
+    def _section(self, s: int) -> PackedRecords:
+        r0, r1 = int(self.bounds[s]), int(self.bounds[s + 1])
+        b0, b1 = int(self.offsets[r0]), int(self.offsets[r1])
+        return PackedRecords(
+            self.keys[r0:r1], self.offsets[r0 : r1 + 1] - b0, self.values[b0:b1],
+            self.bins[b0:b1], self.counts[r0:r1],
+        )
+
+
+class _SubDatasets(Mapping):
+    """A read-only view of a dataset's sub-datasets, keyed by (q1, q2)."""
+
+    def __init__(self, ds: ReferenceDataset) -> None:
+        self._ds = ds
+
+    def __getitem__(self, key: tuple[int, int]) -> SubDataset:
+        return self._ds._sub(key)
+
+    def __iter__(self):
+        return iter(self._ds._order)
+
+    def __len__(self) -> int:
+        return len(self._ds._order)
 
 
 def _masses(bins: np.ndarray, counts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -249,45 +306,9 @@ def build_reference(
     # Bin b of sorted record j is bin b of stacked record order[j].
     gather = np.repeat(stacked[order] - offsets[:-1], lengths) + np.arange(offsets[-1])
     bounds = np.searchsorted(sections[order], np.arange(2 * q1_max * q1_max + 1))
-    return _from_columns(
-        q1_max, k, side, len(patches), bounds, keys[order], lengths, offsets,
-        values[gather], bins[gather], np.full(order.size, (side // 8) ** 2, dtype=np.uint32),
-    )
-
-
-def _from_columns(
-    q1_max, k, patch_side, source_count, bounds, keys, lengths, offsets, values, bins, counts
-) -> ReferenceDataset:
-    """A dataset whose records are views of whole-dataset columns.
-
-    Section s = 2 * ((q1 - 1) * q1_max + q2 - 1) + (0 for dc, 1 for ac) owns
-    records bounds[s]:bounds[s + 1]; record i owns bins offsets[i]:offsets[i + 1],
-    lengths[i] of them.
-    """
-    masses = _masses(bins, counts, lengths)
-    # Section s owns local[bounds[s] + s : bounds[s + 1] + s + 1], its records'
-    # offsets from its first bin: np.insert gives every section its own start.
-    local = np.insert(offsets, bounds[1:-1], offsets[bounds[1:-1]])
-    local -= np.repeat(offsets[bounds[:-1]], np.diff(bounds) + 1)
-    rec_bounds, bin_bounds = bounds.tolist(), offsets[bounds].tolist()
-
-    def section(s: int) -> PackedRecords:
-        r0, r1 = rec_bounds[s], rec_bounds[s + 1]
-        b0, b1 = bin_bounds[s], bin_bounds[s + 1]
-        return PackedRecords(
-            keys[r0:r1], local[r0 + s : r1 + s + 1], values[b0:b1], bins[b0:b1], counts[r0:r1],
-            masses[b0:b1],
-        )
-
-    subs = {}
-    for s, (q1, q2) in enumerate(itertools.product(range(1, q1_max + 1), repeat=2)):
-        subs[(q1, q2)] = SubDataset(q1=q1, q2=q2, dc=section(2 * s), ac=section(2 * s + 1))
     return ReferenceDataset(
-        q1_max=q1_max,
-        k=k,
-        patch_side=patch_side,
-        source_count=source_count,
-        subs=subs,
+        q1_max, k, side, len(patches), bounds, keys[order], offsets, values[gather],
+        bins[gather], np.full(order.size, (side // 8) ** 2, dtype=np.uint32),
     )
 
 
@@ -339,8 +360,9 @@ def batch_min_distance(
 # Serialization (FQE2), little-endian: a 30-byte header, one u32 record count
 # per (q1, q2) x (dc, ac) section in row-major order, whole-dataset columns
 # (keys f8, support lengths u2 and sample counts u4 per record, then support
-# values i2 and bin counts u2 per bin) and a CRC-32 trailer. Each section owns
-# a contiguous run of every column, so it loads as a view of the columns.
+# values i2 and bin counts u2 per bin) and a CRC-32 trailer: the columns of
+# ReferenceDataset as they are, its bounds and offsets stored as the record
+# count of each section and the support length of each record.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"FQE2"
@@ -354,24 +376,15 @@ _MAX_BIN = 0xFFFF
 
 
 def serialize(ds: ReferenceDataset) -> bytes:
-    parts = [
-        ds.sub(q1, q2).kind(kind)
-        for q1 in range(1, ds.q1_max + 1)
-        for q2 in range(1, ds.q1_max + 1)
-        for kind in _KINDS
-    ]
     pieces = [
         _MAGIC + _HEADER.pack(_VERSION, ds.q1_max, ds.k, ds.patch_side, ds.source_count),
         bytes(16),
-        np.array([len(p) for p in parts], dtype="<u4"),
-        np.concatenate([p.keys for p in parts]).astype("<f8", copy=False),
-        (
-            np.concatenate([p.offsets[1:] for p in parts])
-            - np.concatenate([p.offsets[:-1] for p in parts])
-        ).astype("<u2"),
-        np.concatenate([p.counts for p in parts]).astype("<u4", copy=False),
-        np.concatenate([p.values for p in parts]).astype("<i2", copy=False),
-        np.concatenate([p.bins for p in parts]).astype("<u2", copy=False),
+        np.diff(ds.bounds).astype("<u4"),
+        ds.keys.astype("<f8", copy=False),
+        np.diff(ds.offsets).astype("<u2"),
+        ds.counts.astype("<u4", copy=False),
+        ds.values.astype("<i2", copy=False),
+        ds.bins.astype("<u2", copy=False),
     ]
     crc = 0
     for piece in pieces:
@@ -426,6 +439,6 @@ def deserialize(data: bytes) -> ReferenceDataset:
     if not (np.isfinite(keys).all() and np.isin(descents, bounds).all()):
         raise DatasetFormatError("record keys are not finite and sorted within each section")
 
-    return _from_columns(
-        q1_max, k, patch_side, source_count, bounds, keys, lengths, offsets, values, bins, counts
+    return ReferenceDataset(
+        q1_max, k, patch_side, source_count, bounds, keys, offsets, values, bins, counts
     )

@@ -1,6 +1,8 @@
-"""The pair summary of scripts/bench_record.py on fixed numbers."""
+"""The pair summary and digest check of scripts/bench_record.py on fixed numbers."""
 
+import argparse
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -67,3 +69,42 @@ def test_regression_beyond_the_relative_bound():
 
 def test_no_bound_reads_none():
     assert summarize([1.0, 2.0], [3.0, 4.0], "lower")["regression"] is None
+
+
+def test_differing_pairs_names_each_pair_that_differs():
+    a = {"estimates": "sha256=aa"}
+    b = {"estimates": "sha256=bb"}
+    blob = {"dataset_blob": "sha256=aa (round 0)"}
+    assert bench_record.differing_pairs([a, a, blob], [a, a, blob]) == []
+    assert bench_record.differing_pairs([a, a, a], [a, b, a]) == [1]
+    # A missing digest or another label differs too.
+    assert bench_record.differing_pairs([a, a, a], [{}, a, blob]) == [0, 2]
+    with pytest.raises(ValueError):
+        bench_record.differing_pairs([a], [])
+
+
+def test_pairs_exit_1_and_name_the_pair_whose_digests_differ(tmp_path, monkeypatch, capsys):
+    metric = {"name": "latency_ms_p50", "unit": "ms", "better": "lower", "bound": 0.24}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [metric], "per_layer": []}))
+
+    def fake_record(checkout, workload, seed, seconds, trace):
+        side = "change" if checkout == tmp_path else "parent"
+        estimates = "sha256=bad" if side == "change" and seed == 12 else "sha256=good"
+        content = {
+            "digests": {"estimates": estimates},
+            "result": {"metrics": {"latency_ms_p50": {"value": 10.0}}},
+        }
+        return content, 0
+
+    monkeypatch.setattr(bench_record, "record", fake_record)
+    args = argparse.Namespace(
+        checkout=tmp_path, parent_checkout=tmp_path / "parent", workload="evaluate",
+        seed=10, pairs=3, seconds=1.0, trace=0, label="t", out_dir=tmp_path,
+    )
+    assert bench_record.run_pairs(args) == 1
+    out = capsys.readouterr().out
+    assert "pair 2 seed 12: DIGESTS DIFFER" in out
+    assert "pair 0 seed 10: DIGESTS" not in out and "pair 1 seed 11: DIGESTS" not in out
+    args.seed = 20
+    assert bench_record.run_pairs(args) == 0
+    assert "digests: parent and change equal in all 3 pairs" in capsys.readouterr().out

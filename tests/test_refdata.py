@@ -521,3 +521,74 @@ class TestSerialization:
             return
         again = serialize(ds)
         assert serialize(deserialize(again)) == again
+        # Every check is made at load time: no section of a loaded file may
+        # fail when it is first used.
+        for sub in ds.subs.values():
+            for packed in (sub.dc, sub.ac):
+                assert packed.masses.size == packed.offsets[-1] == packed.values.size
+                assert np.isfinite(packed.masses).all()
+
+
+class TestSections:
+    """Sub-datasets and their masses are made from the columns on first use."""
+
+    @staticmethod
+    def built():
+        # 9 x 9 blocks, so most masses c / 81 are inexact.
+        return build_reference(synth_patches(seed=33, count=2, side=72), q1_max=4, k=6)
+
+    def test_nothing_made_before_use(self):
+        ds = self.built()
+        loaded = deserialize(serialize(ds))
+        for d in (ds, loaded):
+            assert d._made == {}
+            assert len(d.subs) == 16 and list(d.subs)[:2] == [(1, 1), (1, 2)]
+            assert d._made == {}
+            sub = d.sub(2, 3)
+            assert list(d._made) == [(2, 3)]
+            assert d.subs[(2, 3)] is sub
+            assert "masses" not in vars(sub.dc) and "masses" not in vars(sub.ac)
+            assert sub.ac.masses is sub.ac.masses
+            assert "masses" not in vars(sub.dc)
+
+    def test_masses_match_whole_columns(self):
+        ds = self.built()
+        for d in (ds, deserialize(serialize(ds))):
+            whole = d.bins / np.repeat(d.counts, np.diff(d.offsets))
+            assert whole.dtype == np.float64
+            for s, key in enumerate(d.subs):
+                for kind in (0, 1):
+                    packed = d.subs[key].kind(_KINDS[kind])
+                    r0, r1 = d.bounds[2 * s + kind], d.bounds[2 * s + kind + 1]
+                    b0, b1 = d.offsets[r0], d.offsets[r1]
+                    assert len(packed) == r1 - r0
+                    assert np.array_equal(packed.offsets, d.offsets[r0 : r1 + 1] - b0)
+                    assert np.array_equal(
+                        packed.masses.view(np.uint64), whole[b0:b1].view(np.uint64)
+                    ), (key, kind)
+            assert set(d.counts.tolist()) == {81}
+
+    def test_round_trip_before_and_after_use(self):
+        ds = self.built()
+        blob = serialize(ds)
+        loaded = deserialize(blob)
+        assert serialize(loaded) == blob
+        for d in (ds, loaded):
+            for sub in d.subs.values():
+                sub.dc.masses, sub.ac.masses
+            assert serialize(d) == blob
+
+    def test_keys_order_and_missing_key(self):
+        ds = self.built()
+        assert len(ds.subs) == 16
+        assert list(ds.subs) == [(q1, q2) for q1 in range(1, 5) for q2 in range(1, 5)]
+        assert [(sub.q1, sub.q2) for sub in ds.subs.values()] == list(ds.subs)
+        assert (4, 4) in ds.subs and (5, 1) not in ds.subs and (0, 1) not in ds.subs
+        for q1, q2 in ((0, 1), (5, 1), (1, 5)):
+            with pytest.raises(KeyError, match=rf"no sub-dataset for \(q1={q1}, q2={q2}\)"):
+                ds.sub(q1, q2)
+            with pytest.raises(KeyError):
+                ds.subs[(q1, q2)]
+        with pytest.raises(TypeError):
+            ds.subs[(1, 1)] = ds.sub(1, 1)
+        assert ds._made.keys() == set(ds.subs)
