@@ -32,6 +32,7 @@ from .refdata import (
     SubDataset,
     build_reference,
     deserialize,
+    load_dataset,
     serialize,
 )
 from .stats import (
@@ -73,6 +74,7 @@ __all__ = [
     "estimate",
     "fit_laplacian",
     "is_degenerate",
+    "load_dataset",
     "parse_jpeg",
     "raw_estimates",
     "read_pgm",

@@ -3,6 +3,7 @@
 Exit codes for `estimate`: 0 success, 2 unreadable or unsupported JPEG,
 3 dataset failure (unreadable file or parameter mismatch), 4 when nothing
 could be estimated because the image's q2 factors exceed the dataset grid.
+`evaluate` and `info` also exit 3 when the dataset file cannot be loaded.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -31,7 +33,8 @@ from .corpus import (
 from .dctsim import standard_table
 from .estimator import OK, UNSUPPORTED, EstimationParams, EstimationResult, estimate
 from .jpegio import JpegError, PgmError, read_pgm, crop_center
-from .refdata import DatasetFormatError, ReferenceDataset, build_reference, deserialize, serialize
+from .refdata import DatasetFormatError, ReferenceDataset, build_reference, load_dataset, serialize
+from .refdata import deserialize  # noqa: F401  (perfbench/spans.py rebinds this name)
 from .types import GrayImage
 
 EXIT_PARSE_FAILURE = 2
@@ -53,12 +56,9 @@ def _resolve_jobs(flag: int | None) -> int:
     return jobs
 
 
-def _load_dataset(path: str) -> ReferenceDataset:
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise DatasetFormatError(f"cannot read dataset {path}: {exc}") from exc
-    return deserialize(blob)
+def _dataset_failure(exc: Exception) -> NoReturn:
+    click.echo(f"dataset error: {exc}", err=True)
+    sys.exit(EXIT_DATASET_FAILURE)
 
 
 def _params_from_flags(
@@ -155,7 +155,33 @@ def build(
     )
     ds = build_reference(patches, q1_max=q1_max, k=k, jobs=n_jobs)
     blob = serialize(ds)
-    Path(out).write_bytes(blob)
+    try:
+        _replace_file(Path(out), blob)
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {out}: {exc}")
+    click.echo(f"wrote {out}: {len(blob)} bytes")
+    _echo_summary(ds, verbose)
+
+
+def _replace_file(path: Path, data: bytes) -> None:
+    """Write data to a new file beside path, then rename it over path.
+
+    A reader that maps the old file keeps its bytes, and a write that fails
+    leaves path as it was and no temporary file behind.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _echo_summary(ds: ReferenceDataset, verbose: bool) -> None:
+    """The header fields, record totals and records per sub-dataset, from ds.bounds."""
     # Records per (q1, q2) in q1-major order, one (dc, ac) row each.
     per_kind = np.diff(ds.bounds).reshape(-1, 2)
     if verbose:
@@ -163,11 +189,33 @@ def build(
             click.echo(f"q1={q1:>3} q2={q2:>3}: dc={dc} ac={ac}")
     n_dc, n_ac = per_kind.T
     per_sub = n_dc + n_ac
-    click.echo(f"wrote {out}: {len(blob)} bytes, {n_dc.sum()} DC + {n_ac.sum()} AC records")
+    click.echo(
+        f"q1_max={ds.q1_max} k={ds.k} patch_side={ds.patch_side} "
+        f"source_count={ds.source_count}"
+    )
+    click.echo(f"{per_sub.sum()} records: {n_dc.sum()} DC + {n_ac.sum()} AC records")
     click.echo(
         f"records per sub-dataset: min {per_sub.min()}, median {np.median(per_sub):g}, "
         f"max {per_sub.max()}; {np.count_nonzero(per_sub == 0)} of {per_sub.size} empty"
     )
+
+
+# ---------------------------------------------------------------------------
+# info
+# ---------------------------------------------------------------------------
+
+
+@main.command("info")
+@click.argument("dataset", type=click.Path())
+@click.option("--verbose", is_flag=True, help="List the record counts of every sub-dataset.")
+def info_cmd(dataset: str, verbose: bool) -> None:
+    """Summarize a reference dataset file, as `build` does."""
+    try:
+        ds = load_dataset(dataset)
+    except DatasetFormatError as exc:
+        _dataset_failure(exc)
+    click.echo(f"{dataset}: {os.path.getsize(dataset)} bytes")
+    _echo_summary(ds, verbose)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +291,7 @@ def _format_estimate(result: EstimationResult, fmt: str) -> str:
 
 @main.command("estimate")
 @click.option("--image", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--dataset", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--dataset", required=True, type=click.Path())
 @_estimation_options
 @click.option(
     "--format", "fmt", default="json", show_default=True, type=click.Choice(["json", "csv"])
@@ -253,19 +301,17 @@ def estimate_cmd(
 ) -> None:
     """Estimate the first quantization factors of one JPEG image."""
     try:
-        ds = _load_dataset(dataset)
+        ds = load_dataset(dataset)
         params = _params_from_flags(ds, k, n, w, reg_variant, no_reg)
     except (DatasetFormatError, ValueError) as exc:
-        click.echo(f"dataset error: {exc}", err=True)
-        sys.exit(EXIT_DATASET_FAILURE)
+        _dataset_failure(exc)
     try:
         result = estimate(Path(image).read_bytes(), ds, params)
     except (JpegError, OSError) as exc:
         click.echo(f"cannot parse {image}: {exc}", err=True)
         sys.exit(EXIT_PARSE_FAILURE)
     except ValueError as exc:
-        click.echo(f"dataset error: {exc}", err=True)
-        sys.exit(EXIT_DATASET_FAILURE)
+        _dataset_failure(exc)
     click.echo(_format_estimate(result, fmt))
     statuses = result.distances.status
     if OK not in statuses and UNSUPPORTED in statuses:
@@ -385,7 +431,7 @@ def make_corpus(
 
 @main.command("evaluate")
 @click.option("--corpus-dir", required=True, type=click.Path(exists=True, file_okay=False))
-@click.option("--dataset", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--dataset", required=True, type=click.Path())
 @_estimation_options
 @click.option("--jobs", type=click.IntRange(min=1), help="Worker processes (FQE_JOBS overrides).")
 @click.option("--out-dir", default=".", show_default=True, type=click.Path(file_okay=False))
@@ -403,10 +449,12 @@ def evaluate_cmd(
     """Evaluate estimation accuracy over a corpus with a manifest."""
     n_jobs = _resolve_jobs(jobs)
     try:
-        ds = _load_dataset(dataset)
+        ds = load_dataset(dataset)
         params = _params_from_flags(ds, k, n, w, reg_variant, no_reg)
         report = evaluate_corpus(Path(corpus_dir), ds, params, jobs=n_jobs)
-    except (DatasetFormatError, JpegError, ValueError) as exc:
+    except DatasetFormatError as exc:
+        _dataset_failure(exc)
+    except (JpegError, ValueError) as exc:
         raise click.ClickException(str(exc))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

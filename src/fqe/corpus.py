@@ -8,9 +8,11 @@ position, how many estimates were degenerate, unsupported or correct.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -19,7 +21,7 @@ import numpy as np
 from .dctsim import reconstruct
 from .estimator import DEGENERATE, OK, UNSUPPORTED, EstimationParams, estimate
 from .jpegio import encode_baseline_gray, parse_jpeg
-from .refdata import ReferenceDataset, deserialize, serialize
+from .refdata import DatasetFormatError, ReferenceDataset, load_dataset, serialize
 from .types import GrayImage, QuantTable
 
 MANIFEST_NAME = "manifest.csv"
@@ -116,18 +118,32 @@ def _eval_one(
     return label, np.array(counts, dtype=int)
 
 
-# A pool worker's (dataset, params, corpus dir), set by _init_eval_worker in
-# the worker process itself, so it works under every start method.
-_worker_ctx: tuple[ReferenceDataset, EstimationParams, Path] | None = None
+# A pool worker's (dataset file, its CRC trailer, params, corpus dir), set by
+# _init_eval_worker in the worker process itself, so it works under every
+# start method, and the dataset the worker mapped from that file.
+_worker_ctx: tuple[str, int, EstimationParams, Path] | None = None
+_worker_ds: ReferenceDataset | None = None
 
 
-def _init_eval_worker(blob: bytes, params: EstimationParams, corpus: Path) -> None:
-    global _worker_ctx
-    _worker_ctx = (deserialize(blob), params, corpus)
+def _init_eval_worker(path: str, crc: int, params: EstimationParams, corpus: Path) -> None:
+    global _worker_ctx, _worker_ds
+    _worker_ctx, _worker_ds = (path, crc, params, corpus), None
 
 
 def _eval_in_worker(item: tuple[str, str, list[int]]) -> tuple[str, np.ndarray]:
-    return _eval_one(*_worker_ctx, item)
+    # The file is mapped by the first task, not by the initializer, so that a
+    # load failure reaches the parent as this task's exception.
+    global _worker_ds
+    path, crc, params, corpus = _worker_ctx
+    if _worker_ds is None:
+        ds = load_dataset(path)
+        if ds.crc != crc:
+            raise DatasetFormatError(
+                f"dataset {path} changed since it was loaded: CRC {ds.crc:08x}, "
+                f"expected {crc:08x}"
+            )
+        _worker_ds = ds
+    return _eval_one(_worker_ds, params, corpus, item)
 
 
 def _row(counts: np.ndarray) -> dict:
@@ -155,7 +171,12 @@ def _summary(counts: np.ndarray) -> dict:
 def evaluate_corpus(
     corpus_dir: Path, ds: ReferenceDataset, params: EstimationParams, jobs: int = 1
 ) -> dict:
-    """Run the estimator over a corpus and assemble the accuracy report."""
+    """Run the estimator over a corpus and assemble the accuracy report.
+
+    With jobs > 1, each worker maps the file ds was loaded from, or a
+    temporary copy of a dataset held only in memory, and fails with
+    DatasetFormatError if that file's CRC trailer is not ds's.
+    """
     work = read_manifest(corpus_dir / MANIFEST_NAME)
     if params.k > MANIFEST_FACTORS:
         raise ValueError(f"manifest carries {MANIFEST_FACTORS} factors, requested k={params.k}")
@@ -164,11 +185,19 @@ def evaluate_corpus(
             raise ValueError(f"manifest lists missing file {filename}")
 
     if jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_eval_worker,
-            initargs=(serialize(ds), params, corpus_dir),
-        ) as pool:
+        with contextlib.ExitStack() as stack:
+            path, crc = ds.path, ds.crc
+            if path is None:
+                path = str(Path(stack.enter_context(tempfile.TemporaryDirectory())) / "ref.fqe")
+                blob = serialize(ds)
+                Path(path).write_bytes(blob)
+                crc = int.from_bytes(blob[-4:], "little")
+                del blob  # the whole file again; the workers read it from disk
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=jobs,
+                initializer=_init_eval_worker,
+                initargs=(path, crc, params, corpus_dir),
+            ))
             outcomes = list(pool.map(_eval_in_worker, work, chunksize=8))
     else:
         outcomes = [_eval_one(ds, params, corpus_dir, item) for item in work]

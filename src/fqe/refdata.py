@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import mmap
+import os
 import struct
 import zlib
 from collections.abc import Mapping
@@ -105,10 +107,12 @@ class ReferenceDataset:
     """The reference records as whole-dataset columns, in FQE2 order.
 
     Section s = 2 * ((q1 - 1) * q1_max + q2 - 1) + (0 for dc, 1 for ac) owns
-    records bounds[s]:bounds[s + 1]; record i has key keys[i], counts[i]
-    samples and the bins offsets[i]:offsets[i + 1] of values and bins. Keys
-    are sorted within each section. The SubDataset of a (q1, q2) is made of
-    views of the columns the first time it is asked for, and then kept.
+    records bounds[s]:bounds[s + 1] and bins starts[s]:starts[s + 1]; record
+    i has key keys[i], counts[i] samples and lengths[i] consecutive bins of
+    values and bins. Keys are sorted within each section. A loaded dataset's
+    columns are views of the buffer it was read from, aligned or not; the
+    SubDataset of a (q1, q2), with its record offsets and an aligned copy of
+    its keys, is made the first time it is asked for, and then kept.
     """
 
     q1_max: int
@@ -117,15 +121,28 @@ class ReferenceDataset:
     source_count: int
     bounds: np.ndarray = field(repr=False)
     keys: np.ndarray = field(repr=False)
-    offsets: np.ndarray = field(repr=False)
+    lengths: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     bins: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)
+    # The CRC trailer of the buffer it was read from, and the file that
+    # load_dataset mapped; None for a dataset built in memory.
+    crc: int | None = field(default=None, repr=False)
+    path: str | None = None
+    starts: np.ndarray = field(init=False, repr=False)
     # (q1, q2) -> its index in q1-major order, and the sub-datasets made so far.
     _order: dict = field(init=False, repr=False)
     _made: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
+        # Per section, the sum of its support lengths, with no per-record
+        # int64 array: 968 slice sums at q1_max 22.
+        sums = [
+            self.lengths[r0:r1].sum(dtype=np.int64)
+            for r0, r1 in itertools.pairwise(self.bounds.tolist())
+        ]
+        self.starts = np.zeros(len(self.bounds), dtype=np.int64)
+        np.cumsum(sums, out=self.starts[1:])
         keys = itertools.product(range(1, self.q1_max + 1), repeat=2)
         self._order = {key: i for i, key in enumerate(keys)}
 
@@ -150,9 +167,12 @@ class ReferenceDataset:
 
     def _section(self, s: int) -> PackedRecords:
         r0, r1 = int(self.bounds[s]), int(self.bounds[s + 1])
-        b0, b1 = int(self.offsets[r0]), int(self.offsets[r1])
+        b0, b1 = int(self.starts[s]), int(self.starts[s + 1])
+        offsets = np.zeros(r1 - r0 + 1, dtype=np.int64)
+        np.cumsum(self.lengths[r0:r1], out=offsets[1:])
+        # An aligned key copy: the window search reads keys on every call.
         return PackedRecords(
-            self.keys[r0:r1], self.offsets[r0 : r1 + 1] - b0, self.values[b0:b1],
+            self.keys[r0:r1].astype(np.float64), offsets, self.values[b0:b1],
             self.bins[b0:b1], self.counts[r0:r1],
         )
 
@@ -301,14 +321,13 @@ def build_reference(
     ranks = np.unique(keys, return_inverse=True)[1]
     order = np.argsort(sections * keys.size + ranks, kind="stable")
     lengths = lengths[order]
-    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
+    starts = np.cumsum(lengths) - lengths
     # Bin b of sorted record j is bin b of stacked record order[j].
-    gather = np.repeat(stacked[order] - offsets[:-1], lengths) + np.arange(offsets[-1])
+    gather = np.repeat(stacked[order] - starts, lengths) + np.arange(lengths.sum())
     bounds = np.searchsorted(sections[order], np.arange(2 * q1_max * q1_max + 1))
     return ReferenceDataset(
-        q1_max, k, side, len(patches), bounds, keys[order], offsets, values[gather],
-        bins[gather], np.full(order.size, (side // 8) ** 2, dtype=np.uint32),
+        q1_max, k, side, len(patches), bounds, keys[order], lengths.astype(np.uint16),
+        values[gather], bins[gather], np.full(order.size, (side // 8) ** 2, dtype=np.uint32),
     )
 
 
@@ -361,8 +380,8 @@ def batch_min_distance(
 # per (q1, q2) x (dc, ac) section in row-major order, whole-dataset columns
 # (keys f8, support lengths u2 and sample counts u4 per record, then support
 # values i2 and bin counts u2 per bin) and a CRC-32 trailer: the columns of
-# ReferenceDataset as they are, its bounds and offsets stored as the record
-# count of each section and the support length of each record.
+# ReferenceDataset as they are, its bounds stored as the record count of
+# each section.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"FQE2"
@@ -381,7 +400,7 @@ def serialize(ds: ReferenceDataset) -> bytes:
         bytes(16),
         np.diff(ds.bounds).astype("<u4"),
         ds.keys.astype("<f8", copy=False),
-        np.diff(ds.offsets).astype("<u2"),
+        ds.lengths.astype("<u2", copy=False),
         ds.counts.astype("<u4", copy=False),
         ds.values.astype("<i2", copy=False),
         ds.bins.astype("<u2", copy=False),
@@ -393,6 +412,7 @@ def serialize(ds: ReferenceDataset) -> bytes:
 
 
 def deserialize(data: bytes) -> ReferenceDataset:
+    """The dataset of an FQE2 buffer (bytes or a mapping); its columns stay views of data."""
     size = len(data)
     if size < _HEADER_SIZE + 4:
         raise DatasetFormatError("dataset file is truncated")
@@ -422,23 +442,39 @@ def deserialize(data: bytes) -> ReferenceDataset:
     if n_bins < 0 or rest:
         raise DatasetFormatError("dataset file size does not match its section table")
 
-    # keys and counts sit at offsets of no fixed alignment, so they are copied
-    # once to aligned arrays; the two large per-bin columns stay views of data.
-    keys = np.frombuffer(data, "<f8", n_rec, pos).astype(np.float64)
+    # Every column is a view of data. keys and counts sit at offsets of no
+    # fixed alignment; a section's keys are copied aligned when it is made.
+    keys = np.frombuffer(data, "<f8", n_rec, pos)
     lengths = np.frombuffer(data, "<u2", n_rec, pos + 8 * n_rec)
-    counts = np.frombuffer(data, "<u4", n_rec, pos + 10 * n_rec).astype(np.uint32)
+    counts = np.frombuffer(data, "<u4", n_rec, pos + 10 * n_rec)
     values = np.frombuffer(data, "<i2", n_bins, pos + _REC_BYTES * n_rec)
     bins = np.frombuffer(data, "<u2", n_bins, pos + _REC_BYTES * n_rec + 2 * n_bins)
-    offsets = np.zeros(n_rec + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    if offsets[-1] != n_bins:
+    ds = ReferenceDataset(
+        q1_max, k, patch_side, source_count, bounds, keys, lengths, values, bins, counts,
+        crc=crc_stored,
+    )
+    if ds.starts[-1] != n_bins:
         raise DatasetFormatError("support lengths do not match the file size")
     if n_rec and (lengths.min() == 0 or counts.min() == 0 or bins.min() == 0):
         raise DatasetFormatError("record with an empty support, sample count or bin")
     descents = np.flatnonzero(~(keys[1:] >= keys[:-1])) + 1
     if not (np.isfinite(keys).all() and np.isin(descents, bounds).all()):
         raise DatasetFormatError("record keys are not finite and sorted within each section")
+    return ds
 
-    return ReferenceDataset(
-        q1_max, k, patch_side, source_count, bounds, keys, offsets, values, bins, counts
-    )
+
+def load_dataset(path: str | os.PathLike) -> ReferenceDataset:
+    """The dataset of a file, mapped read-only; its columns stay views of the mapping.
+
+    Processes that load one file share its pages. The file must be replaced
+    (os.replace), never rewritten in place, while it is mapped: the checks
+    ran on the bytes the mapping held at load time.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError) as exc:  # ValueError: a zero-byte file cannot be mapped
+        raise DatasetFormatError(f"cannot read dataset {os.fspath(path)}: {exc}") from exc
+    ds = deserialize(data)
+    ds.path = os.fspath(path)
+    return ds

@@ -1,6 +1,8 @@
 """CLI surface tests: build, estimate, make-corpus, evaluate."""
 
+import errno
 import json
+import mmap
 import os
 import subprocess
 import sys
@@ -10,9 +12,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fqe import cli
+from fqe import cli, refdata
 from fqe.cli import main
-from fqe.corpus import read_table_file
+from fqe.corpus import evaluate_corpus, read_table_file
 from fqe.estimator import (
     OK,
     DistanceMatrix,
@@ -23,6 +25,17 @@ from fqe.estimator import (
 )
 
 from conftest import synth_patches, write_pgm
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """script in a fresh interpreter that imports fqe from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
 
 
 @pytest.fixture
@@ -48,6 +61,14 @@ def dataset_file(tmp_path, raw_dir, runner):
     )
     assert result.exit_code == 0, result.output
     return out
+
+
+def build(runner, raw_dir, out, *extra):
+    result = runner.invoke(
+        main, ["build", "--raw-dir", str(raw_dir), "--out", str(out), "--jobs", "1", *extra]
+    )
+    assert result.exit_code == 0, result.output
+    return result.output.splitlines()
 
 
 def make_corpus(runner, raw_dir, out_dir, *extra):
@@ -169,6 +190,90 @@ class TestBuild:
         )
         assert result.exit_code != 0
         assert "FQE_JOBS" in result.output
+
+    def test_rebuild_replaces_the_file_under_a_mapping(self, tmp_path, raw_dir, runner):
+        out = tmp_path / "ref.fqe"
+        build(runner, raw_dir, out, "--q1-max", "4")
+        old = out.read_bytes()
+        with out.open("rb") as fh:
+            mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        ds = refdata.load_dataset(out)
+        build(runner, raw_dir, out, "--q1-max", "3")
+        assert out.read_bytes() != old
+        assert mapping[:] == old and refdata.serialize(ds) == old
+        assert refdata.load_dataset(out).q1_max == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raw", "ref.fqe"]
+
+    @pytest.mark.parametrize("stage", ["write", "replace"])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, raw_dir, runner, monkeypatch, stage):
+        out = tmp_path / "ref.fqe"
+        build(runner, raw_dir, out, "--q1-max", "3")
+        old = out.read_bytes()
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:100])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def replace(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        if stage == "write":
+            monkeypatch.setattr(cli, "open", lambda *a: FullDisk(open(*a)), raising=False)
+        else:
+            monkeypatch.setattr(cli.os, "replace", replace)
+        result = runner.invoke(
+            main, ["build", "--raw-dir", str(raw_dir), "--out", str(out), "--q1-max", "4"]
+        )
+        assert result.exit_code == 1, result.output
+        assert f"Error: cannot write {out}" in result.output
+        assert out.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raw", "ref.fqe"]
+
+    def test_jobs_2_under_spawn_spanning_batches(self, tmp_path):
+        # 17 patches of 64 x 64 are three batches, so jobs 2 runs a pool,
+        # whose workers start from a fresh interpreter.
+        raw = tmp_path / "raw17"
+        raw.mkdir()
+        for i, img in enumerate(synth_patches(seed=45, count=17)):
+            (raw / f"img{i:02d}.pgm").write_bytes(write_pgm(img))
+        script = (
+            "import multiprocessing, sys\n"
+            "from fqe.cli import main\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "for jobs, out in (('1', sys.argv[2]), ('2', sys.argv[3])):\n"
+            "    main(['build', '--raw-dir', sys.argv[1], '--out', out, '--q1-max', '3',\n"
+            "          '--jobs', jobs], standalone_mode=False)\n"
+        )
+        one, two = tmp_path / "one.fqe", tmp_path / "two.fqe"
+        done = run_python(script, str(raw), str(one), str(two))
+        assert done.returncode == 0, done.stderr
+        assert refdata.load_dataset(one).source_count == 17
+        assert one.read_bytes() == two.read_bytes()
+
+
+class TestInfo:
+    def test_lines_equal_builds(self, tmp_path, raw_dir, runner):
+        out = tmp_path / "ref.fqe"
+        for flags in ([], ["--verbose"]):
+            built = build(runner, raw_dir, out, "--q1-max", "4", *flags)
+            result = runner.invoke(main, ["info", str(out), *flags])
+            assert result.exit_code == 0, result.output
+            lines = result.output.splitlines()
+            assert lines[0] == f"{out}: {out.stat().st_size} bytes"
+            assert built[-len(lines)] == f"wrote {out}: {out.stat().st_size} bytes"
+            assert lines[1:] == built[-len(lines) + 1 :]
+        assert lines[-3] == "q1_max=4 k=15 patch_side=64 source_count=6"
+        assert sum(line.startswith("q1=") for line in lines) == 16
 
 
 class TestMakeCorpus:
@@ -458,6 +563,37 @@ class TestEstimate:
         assert [r["estimate_distance"] for r in rows] == [0.1, None, 0.1]
 
 
+@pytest.mark.parametrize("command", ["estimate", "evaluate", "info"])
+@pytest.mark.parametrize("kind", ["empty", "directory", "missing", "unreadable"])
+def test_unloadable_dataset_exits_3(tmp_path, runner, monkeypatch, command, kind):
+    path = tmp_path / "ref.fqe"
+    if kind == "empty":
+        path.write_bytes(b"")
+    elif kind == "directory":
+        path.mkdir()
+    elif kind == "unreadable":
+        path.write_bytes(b"FQE2")
+        path.chmod(0)
+        if os.access(path, os.R_OK):  # permission bits do not bind root
+
+            def denied(name, *args):
+                raise PermissionError(errno.EACCES, "Permission denied", str(name))
+
+            monkeypatch.setattr(refdata, "open", denied, raising=False)
+    image = tmp_path / "x.jpg"
+    image.write_bytes(b"not a jpeg")
+    argv = {
+        "estimate": ["estimate", "--image", str(image), "--dataset", str(path)],
+        "evaluate": ["evaluate", "--corpus-dir", str(tmp_path), "--dataset", str(path),
+                     "--jobs", "1", "--out-dir", str(tmp_path / "rep")],
+        "info": ["info", str(path)],
+    }[command]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == cli.EXIT_DATASET_FAILURE, result.output
+    assert f"dataset error: cannot read dataset {path}" in result.output
+    assert not (tmp_path / "rep").exists()
+
+
 class TestEvaluate:
     def test_self_retrieval_corpus(self, tmp_path, raw_dir, dataset_file, runner):
         # Constant Q1 = M_6 on the dataset's own source patches with QF2=90
@@ -567,21 +703,56 @@ class TestEvaluate:
             "from pathlib import Path\n"
             "from fqe.corpus import evaluate_corpus\n"
             "from fqe.estimator import EstimationParams\n"
-            "from fqe.refdata import deserialize\n"
+            "from fqe.refdata import deserialize, load_dataset\n"
             "multiprocessing.set_start_method('spawn')\n"
-            "ds = deserialize(Path(sys.argv[1]).read_bytes())\n"
-            "params = EstimationParams(q1_max=ds.q1_max)\n"
-            "reports = [evaluate_corpus(Path(sys.argv[2]), ds, params, jobs=j) for j in (1, 2)]\n"
-            "print(json.dumps(reports[0] == reports[1]))\n"
+            "reports = []\n"
+            "for ds in (load_dataset(sys.argv[1]), deserialize(Path(sys.argv[1]).read_bytes())):\n"
+            "    params = EstimationParams(q1_max=ds.q1_max)\n"
+            "    reports += [evaluate_corpus(Path(sys.argv[2]), ds, params, jobs=j) for j in (1, 2)]\n"
+            "print(json.dumps(all(r == reports[0] for r in reports)))\n"
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run(
-            [sys.executable, "-c", script, str(dataset_file), str(corpus)],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        done = run_python(script, str(dataset_file), str(corpus))
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "true"
+
+    def test_worker_rejects_a_replaced_dataset(
+        self, tmp_path, raw_dir, dataset_file, runner, monkeypatch
+    ):
+        # The file is rebuilt after the parent loaded it: workers map the new
+        # file, whose CRC differs from the parent's, and must not use it.
+        corpus = make_corpus(runner, raw_dir, tmp_path / "crc", "--qf1", "75")
+        loaded = []
+
+        def load_then_rebuild(path):
+            loaded.append(refdata.load_dataset(path))
+            build(runner, raw_dir, path, "--q1-max", "4")
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_dataset", load_then_rebuild)
+        result = runner.invoke(
+            main,
+            ["evaluate", "--corpus-dir", str(corpus), "--dataset", str(dataset_file),
+             "--out-dir", str(tmp_path / "rep"), "--jobs", "2"],
+        )
+        assert result.exit_code == cli.EXIT_DATASET_FAILURE, result.output
+        assert f"dataset error: dataset {dataset_file} changed since it was loaded" in (
+            result.output
+        )
+        assert not (tmp_path / "rep").exists()
+        assert loaded[0].q1_max == 6 and refdata.load_dataset(dataset_file).q1_max == 4
+
+    def test_in_memory_dataset_goes_through_a_temporary_file(
+        self, tmp_path, raw_dir, dataset_file, runner, monkeypatch
+    ):
+        corpus = make_corpus(runner, raw_dir, tmp_path / "mem", "--qf1", "75")
+        ds = refdata.deserialize(dataset_file.read_bytes())
+        params = EstimationParams(q1_max=ds.q1_max)
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        monkeypatch.setattr("tempfile.tempdir", str(scratch))
+        parallel = evaluate_corpus(corpus, ds, params, jobs=2)
+        assert parallel == evaluate_corpus(corpus, ds, params, jobs=1)
+        assert list(scratch.iterdir()) == []
 
     def test_missing_file_in_manifest(self, tmp_path, raw_dir, dataset_file, runner):
         corpus = make_corpus(runner, raw_dir, tmp_path / "mm", "--qf1", "80")

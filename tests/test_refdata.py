@@ -2,7 +2,9 @@
 
 import functools
 import hashlib
+import mmap
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -554,15 +556,17 @@ class TestSections:
     def test_masses_match_whole_columns(self):
         ds = self.built()
         for d in (ds, deserialize(serialize(ds))):
-            whole = d.bins / np.repeat(d.counts, np.diff(d.offsets))
+            offsets = np.concatenate([[0], np.cumsum(d.lengths, dtype=np.int64)])
+            whole = d.bins / np.repeat(d.counts, d.lengths)
             assert whole.dtype == np.float64
             for s, key in enumerate(d.subs):
                 for kind in (0, 1):
                     packed = d.subs[key].kind(_KINDS[kind])
                     r0, r1 = d.bounds[2 * s + kind], d.bounds[2 * s + kind + 1]
-                    b0, b1 = d.offsets[r0], d.offsets[r1]
+                    b0, b1 = offsets[r0], offsets[r1]
+                    assert (b0, b1) == tuple(d.starts[2 * s + kind : 2 * s + kind + 2])
                     assert len(packed) == r1 - r0
-                    assert np.array_equal(packed.offsets, d.offsets[r0 : r1 + 1] - b0)
+                    assert np.array_equal(packed.offsets, offsets[r0 : r1 + 1] - b0)
                     assert np.array_equal(
                         packed.masses.view(np.uint64), whole[b0:b1].view(np.uint64)
                     ), (key, kind)
@@ -592,3 +596,88 @@ class TestSections:
         with pytest.raises(TypeError):
             ds.subs[(1, 1)] = ds.sub(1, 1)
         assert ds._made.keys() == set(ds.subs)
+
+
+def _root(a):
+    """The object at the end of an array's chain of bases and memoryviews."""
+    while isinstance(a, (np.ndarray, memoryview)):
+        a = a.base if isinstance(a, np.ndarray) else a.obj
+    return a
+
+
+class TestLoad:
+    """A loaded dataset keeps its columns as views of the buffer it was read from."""
+
+    COLUMNS = ("keys", "lengths", "values", "bins", "counts")
+
+    @staticmethod
+    def assert_no_per_record_int64(ds):
+        big = [
+            name for name, a in vars(ds).items()
+            if isinstance(a, np.ndarray) and a.dtype == np.int64 and a.size >= ds.keys.size
+        ]
+        assert big == []
+
+    def test_columns_are_views_of_the_bytes(self, small_ds):
+        blob = serialize(small_ds)
+        ds = deserialize(blob)
+        whole = np.frombuffer(blob, np.uint8)
+        for name in self.COLUMNS:
+            column = getattr(ds, name)
+            assert _root(column) is blob and np.shares_memory(column, whole), name
+        assert ds.keys.size > ds.bounds.size == ds.starts.size == 2 * 5 * 5 + 1
+        self.assert_no_per_record_int64(ds)
+        for sub in ds.subs.values():
+            for packed in (sub.dc, sub.ac):
+                assert packed.keys.flags.aligned and packed.keys.dtype == np.float64
+                assert packed.offsets.dtype == np.int64
+                assert packed.offsets.size == len(packed) + 1
+        self.assert_no_per_record_int64(ds)
+        assert serialize(ds) == blob
+
+    def test_load_makes_no_per_record_array(self):
+        # An int64 (or f64) copy of one column would take 8 bytes per record;
+        # the checks' bool temporaries take about 1.3.
+        blob = serialize(build_reference(synth_patches(seed=34, count=12), q1_max=22, k=15))
+        deserialize(blob)
+        tracemalloc.start()
+        try:
+            ds = deserialize(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.keys.size > 50_000
+        assert peak < 8 * ds.keys.size
+
+    def test_section_starts_match_lengths(self, small_ds):
+        for ds in (small_ds, deserialize(serialize(small_ds))):
+            offsets = np.concatenate([[0], np.cumsum(ds.lengths, dtype=np.int64)])
+            assert np.array_equal(ds.starts, offsets[ds.bounds])
+            assert ds.starts[-1] == ds.values.size == ds.bins.size
+
+    def test_load_dataset_maps_the_file(self, small_ds, tmp_path):
+        blob = serialize(small_ds)
+        path = tmp_path / "ref.fqe"
+        path.write_bytes(blob)
+        ds = refdata.load_dataset(path)
+        assert ds.path == str(path)
+        assert ds.crc == deserialize(blob).crc == struct.unpack("<I", blob[-4:])[0]
+        for name in self.COLUMNS:
+            column = getattr(ds, name)
+            assert isinstance(_root(column), mmap.mmap) and not column.flags.writeable, name
+        self.assert_no_per_record_int64(ds)
+        assert serialize(ds) == blob
+        assert small_ds.path is None and small_ds.crc is None
+
+    @pytest.mark.parametrize("kind", ["empty", "directory", "missing", "not-a-directory"])
+    def test_load_dataset_failures(self, tmp_path, kind):
+        path = tmp_path / "ref.fqe"
+        if kind == "empty":
+            path.write_bytes(b"")
+        elif kind == "directory":
+            path.mkdir()
+        elif kind == "not-a-directory":
+            path.write_bytes(tiny_blob())
+            path = path / "inner.fqe"
+        with pytest.raises(DatasetFormatError, match="cannot read dataset"):
+            refdata.load_dataset(path)
