@@ -3,14 +3,13 @@
     python3 scripts/worker_memory.py --parent-checkout ../parent \
         --out BENCH_pr11-evaluate-workers.json
 
-For each checkout (--parent-checkout, then --checkout, this one by default)
-and each process start method (fork, spawn), runs `fqe evaluate --jobs 2`
---repeats times over a double-compressed corpus (QF1 60, 70, 80 and 90,
-then QF2 90) against the 100-patch benchmark dataset: perfbench's
-fixed-seed dataset, built with this checkout, whose bytes every FQE2
-checkout reads alike. While a run lasts, each worker's Pss, Rss and private
-memory (Private_Clean + Private_Dirty) are read from
-/proc/<pid>/smaps_rollup every --interval seconds and their peaks kept;
+For the parent checkout and this one, and each process start method (fork,
+spawn), runs `fqe evaluate --jobs 2` REPEATS times over a double-compressed
+corpus (QF1 60, 70, 80 and 90, then QF2 90) against the 100-patch benchmark
+dataset: perfbench's fixed-seed dataset, built with this checkout, whose
+bytes every FQE2 checkout reads alike. While a run lasts, each worker's
+Pss, Rss and private memory (Private_Clean + Private_Dirty) are read from
+/proc/<pid>/smaps_rollup every INTERVAL seconds and their peaks kept;
 the evaluating process prints its own VmHWM when it ends. Pss splits a
 shared page among the processes that map it, so it shows what a worker
 costs the host; VmHWM counts shared file pages in full. Linux only.
@@ -35,8 +34,17 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from perfbench import inputs  # noqa: E402  (after the path set-up)
 
 METHODS = ("fork", "spawn")
+JOBS = 2
+PATCHES = 100  # dataset patches
+Q1_MAX = 22
+K = 15
+RAW_IMAGES = 24  # corpus images per QF1
+SIDE = 64  # corpus image side
+SEED = 1301  # seed of the corpus images
 QF1 = "60,70,80,90"
 QF2 = "90"
+REPEATS = 3
+INTERVAL = 0.02  # seconds between samples
 
 # Run in the checkout under test: evaluate, then print this process's VmHWM.
 DRIVER = """
@@ -44,7 +52,7 @@ import multiprocessing, sys
 multiprocessing.set_start_method(sys.argv[1])
 from fqe.cli import main
 main(["evaluate", "--corpus-dir", sys.argv[2], "--dataset", sys.argv[3],
-      "--out-dir", sys.argv[4], "--jobs", "2"], standalone_mode=False)
+      "--out-dir", sys.argv[4], "--jobs", sys.argv[5]], standalone_mode=False)
 status = dict(line.split(":", 1) for line in open("/proc/self/status"))
 print("VmHWM", status["VmHWM"].split()[0])
 """
@@ -82,13 +90,13 @@ def workers_of(pid: int) -> list[int]:
     return found
 
 
-def run_once(checkout: Path, method: str, corpus: Path, dataset: Path, interval: float) -> dict:
+def run_once(checkout: Path, method: str, corpus: Path, dataset: Path) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "FQE_JOBS"}
     env["PYTHONPATH"] = str(checkout / "src")
     with tempfile.TemporaryDirectory() as out_dir:
         t0 = time.perf_counter()
         proc = subprocess.Popen(
-            [sys.executable, "-c", DRIVER, method, str(corpus), str(dataset), out_dir],
+            [sys.executable, "-c", DRIVER, method, str(corpus), str(dataset), out_dir, str(JOBS)],
             cwd=checkout, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         peaks: dict[int, dict[str, int]] = {}
@@ -105,7 +113,7 @@ def run_once(checkout: Path, method: str, corpus: Path, dataset: Path, interval:
                 peak = peaks.setdefault(pid, sample)
                 for key, value in sample.items():
                     peak[key] = max(peak[key], value)
-            time.sleep(interval)
+            time.sleep(INTERVAL)
         stdout, stderr = proc.communicate()
         seconds = time.perf_counter() - t0
         if proc.returncode:
@@ -136,14 +144,14 @@ def summarize(runs: list[dict]) -> dict:
     }
 
 
-def make_corpus(corpus: Path, raw_count: int, seed: int) -> None:
-    """raw_count synthetic 64 x 64 patches, double-compressed by `fqe make-corpus`."""
+def make_corpus(corpus: Path) -> None:
+    """RAW_IMAGES synthetic SIDE x SIDE patches, double-compressed by `fqe make-corpus`."""
     from fqe.cli import main
 
     conftest = inputs.load_conftest()
     raw = corpus.parent / "raw"
     raw.mkdir()
-    for i, patch in enumerate(conftest.synth_patches(seed, raw_count)):
+    for i, patch in enumerate(conftest.synth_patches(SEED, RAW_IMAGES, SIDE)):
         (raw / f"p{i:03d}.pgm").write_bytes(conftest.write_pgm(patch))
     main(["make-corpus", "--raw-dir", str(raw), "--out-dir", str(corpus), "--qf1", QF1,
           "--qf2", QF2], standalone_mode=False)
@@ -160,26 +168,20 @@ def git_head(checkout: Path) -> str:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent-checkout", type=Path, required=True)
-    p.add_argument("--checkout", type=Path, default=ROOT)
     p.add_argument("--out", type=Path, required=True, help="the JSON file to write")
-    p.add_argument("--patches", type=int, default=100, help="dataset patches")
-    p.add_argument("--raw-images", type=int, default=24, help="corpus images per QF1")
-    p.add_argument("--seed", type=int, default=1301, help="seed of the corpus patches")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--interval", type=float, default=0.02, help="seconds between samples")
     args = p.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        dataset = inputs.dataset(work / "cache", args.patches, q1_max=22, k=15)
+        dataset = inputs.dataset(work / "cache", PATCHES, q1_max=Q1_MAX, k=K)
         corpus = work / "corpus"
-        make_corpus(corpus, args.raw_images, args.seed)
-        sides = {"parent": args.parent_checkout.resolve(), "change": args.checkout.resolve()}
+        make_corpus(corpus)
+        sides = {"parent": args.parent_checkout.resolve(), "change": ROOT}
         runs: dict[str, dict[str, list[dict]]] = {side: {m: [] for m in METHODS} for side in sides}
-        for i in range(args.repeats):
+        for i in range(REPEATS):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                 for method in METHODS:
-                    run = run_once(sides[side], method, corpus, dataset, args.interval)
+                    run = run_once(sides[side], method, corpus, dataset)
                     runs[side][method].append(run)
                     print(f"run {i} {side} {method}: {json.dumps(summarize([run]))}", flush=True)
         dataset_bytes = dataset.stat().st_size
@@ -191,12 +193,12 @@ def main(argv=None) -> int:
         "command": ["python3", "scripts/worker_memory.py", *(argv or sys.argv[1:])],
         "checkouts": {side: git_head(path) for side, path in sides.items()},
         "host": {"cpu_count": os.cpu_count(), "python": sys.version.split()[0]},
-        "dataset": {"patches": args.patches, "seed": inputs.DATASET_SEED, "q1_max": 22, "k": 15,
+        "dataset": {"patches": PATCHES, "seed": inputs.DATASET_SEED, "q1_max": Q1_MAX, "k": K,
                     "bytes": dataset_bytes, "sha256": dataset_sha},
-        "corpus": {"images": 4 * args.raw_images, "qf1": QF1, "qf2": QF2, "seed": args.seed,
-                   "side": 64},
-        "jobs": 2,
-        "repeats": args.repeats,
+        "corpus": {"images": len(QF1.split(",")) * RAW_IMAGES, "qf1": QF1, "qf2": QF2,
+                   "seed": SEED, "side": SIDE},
+        "jobs": JOBS,
+        "repeats": REPEATS,
         "reports_identical": len(reports) == 1,
         "summary": summary,
         "worker_private_drop_mb": {

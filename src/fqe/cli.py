@@ -33,8 +33,14 @@ from .corpus import (
 from .dctsim import standard_table
 from .estimator import OK, UNSUPPORTED, EstimationParams, EstimationResult, estimate
 from .jpegio import JpegError, PgmError, read_pgm, crop_center
-from .refdata import DatasetFormatError, ReferenceDataset, build_reference, load_dataset, serialize
-from .refdata import deserialize  # noqa: F401  (perfbench/spans.py rebinds this name)
+from .refdata import (
+    DatasetFormatError,
+    ReferenceDataset,
+    build_reference,
+    deserialize,
+    map_file,
+    serialize,
+)
 from .types import GrayImage
 
 EXIT_PARSE_FAILURE = 2
@@ -54,6 +60,16 @@ def _resolve_jobs(flag: int | None) -> int:
     if jobs < 1:
         raise click.ClickException("job count must be at least 1")
     return jobs
+
+
+def _load_dataset(path: str) -> ReferenceDataset:
+    """refdata.load_dataset, calling deserialize by this module's name.
+
+    perfbench/spans.py rebinds cli.deserialize to time the load.
+    """
+    ds = deserialize(map_file(path))
+    ds.path = path
+    return ds
 
 
 def _dataset_failure(exc: Exception) -> NoReturn:
@@ -164,16 +180,22 @@ def build(
 
 
 def _replace_file(path: Path, data: bytes) -> None:
-    """Write data to a new file beside path, then rename it over path.
+    """Write data to a new file beside path, flush it to disk, then rename it over path.
 
     A reader that maps the old file keeps its bytes, and a write that fails
-    leaves path as it was and no temporary file behind.
+    or a crash before the rename leaves path as it was. A symlink is followed:
+    the link stays and its target is replaced. The new file has the default
+    mode, not the old file's.
     """
+    path = Path(os.path.realpath(path))
+    # The name is this process's own: a file left there by a killed build
+    # of the same pid is overwritten.
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    fh = open(tmp, "xb")
     try:
-        with fh:
+        with open(tmp, "wb") as fh:
             fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -211,7 +233,7 @@ def _echo_summary(ds: ReferenceDataset, verbose: bool) -> None:
 def info_cmd(dataset: str, verbose: bool) -> None:
     """Summarize a reference dataset file, as `build` does."""
     try:
-        ds = load_dataset(dataset)
+        ds = _load_dataset(dataset)
     except DatasetFormatError as exc:
         _dataset_failure(exc)
     click.echo(f"{dataset}: {os.path.getsize(dataset)} bytes")
@@ -301,7 +323,7 @@ def estimate_cmd(
 ) -> None:
     """Estimate the first quantization factors of one JPEG image."""
     try:
-        ds = load_dataset(dataset)
+        ds = _load_dataset(dataset)
         params = _params_from_flags(ds, k, n, w, reg_variant, no_reg)
     except (DatasetFormatError, ValueError) as exc:
         _dataset_failure(exc)
@@ -449,7 +471,7 @@ def evaluate_cmd(
     """Evaluate estimation accuracy over a corpus with a manifest."""
     n_jobs = _resolve_jobs(jobs)
     try:
-        ds = load_dataset(dataset)
+        ds = _load_dataset(dataset)
         params = _params_from_flags(ds, k, n, w, reg_variant, no_reg)
         report = evaluate_corpus(Path(corpus_dir), ds, params, jobs=n_jobs)
     except DatasetFormatError as exc:

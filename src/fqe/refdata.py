@@ -463,18 +463,22 @@ def deserialize(data: bytes) -> ReferenceDataset:
     return ds
 
 
-def load_dataset(path: str | os.PathLike) -> ReferenceDataset:
-    """The dataset of a file, mapped read-only; its columns stay views of the mapping.
+def map_file(path: str | os.PathLike) -> mmap.mmap:
+    """A read-only mapping of a dataset file, for deserialize.
 
-    Processes that load one file share its pages. The file must be replaced
-    (os.replace), never rewritten in place, while it is mapped: the checks
-    ran on the bytes the mapping held at load time.
+    Processes that map one file share its pages. The file must be replaced
+    (os.replace), never rewritten in place, while it is mapped: deserialize
+    checks the bytes the mapping holds at load time.
     """
     try:
         with open(path, "rb") as fh:
-            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     except (OSError, ValueError) as exc:  # ValueError: a zero-byte file cannot be mapped
         raise DatasetFormatError(f"cannot read dataset {os.fspath(path)}: {exc}") from exc
-    ds = deserialize(data)
+
+
+def load_dataset(path: str | os.PathLike) -> ReferenceDataset:
+    """The dataset of a file, mapped read-only; its columns stay views of the mapping."""
+    ds = deserialize(map_file(path))
     ds.path = os.fspath(path)
     return ds

@@ -239,6 +239,36 @@ class TestBuild:
         assert out.read_bytes() == old
         assert sorted(p.name for p in tmp_path.iterdir()) == ["raw", "ref.fqe"]
 
+    def test_stale_temporary_file_is_overwritten(self, tmp_path, raw_dir, runner):
+        # A build killed before its rename leaves its temporary file behind;
+        # a later build that runs under the same pid writes over it.
+        out = tmp_path / "ref.fqe"
+        (tmp_path / f".ref.fqe.{os.getpid()}.tmp").write_bytes(b"torn")
+        build(runner, raw_dir, out, "--q1-max", "3")
+        assert refdata.load_dataset(out).q1_max == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raw", "ref.fqe"]
+
+    def test_file_is_synced_before_the_rename(self, tmp_path, raw_dir, runner, monkeypatch):
+        calls = []
+        fsync, replace = os.fsync, os.replace
+        monkeypatch.setattr(cli.os, "fsync", lambda fd: (calls.append("fsync"), fsync(fd)))
+        monkeypatch.setattr(
+            cli.os, "replace", lambda src, dst: (calls.append("replace"), replace(src, dst))
+        )
+        build(runner, raw_dir, tmp_path / "ref.fqe", "--q1-max", "3")
+        assert calls == ["fsync", "replace"]
+
+    def test_symlinked_out_keeps_the_link(self, tmp_path, raw_dir, runner):
+        target = tmp_path / "data" / "ref.fqe"
+        target.parent.mkdir()
+        build(runner, raw_dir, target, "--q1-max", "4")
+        link = tmp_path / "link.fqe"
+        link.symlink_to(target)
+        build(runner, raw_dir, link, "--q1-max", "3")
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert refdata.load_dataset(target).q1_max == 3
+        assert sorted(p.name for p in target.parent.iterdir()) == ["ref.fqe"]
+
     def test_jobs_2_under_spawn_spanning_batches(self, tmp_path):
         # 17 patches of 64 x 64 are three batches, so jobs 2 runs a pool,
         # whose workers start from a fresh interpreter.
@@ -463,6 +493,25 @@ class TestEstimate:
             if row["status"] == "ok":
                 assert 1 <= row["estimate"] <= 6
                 assert row["raw_distance"] >= 0.0
+
+    def test_load_calls_cli_deserialize_on_a_mapping(
+        self, tmp_path, raw_dir, dataset_file, runner, monkeypatch
+    ):
+        # perfbench/spans.py times the dataset load by rebinding cli.deserialize.
+        corpus = make_corpus(runner, raw_dir, tmp_path / "corpus", "--qf1", "90")
+        image = next(p for p in sorted(corpus.iterdir()) if p.suffix == ".jpg")
+        seen = []
+
+        def deserialize(data):
+            seen.append(type(data))
+            return refdata.deserialize(data)
+
+        monkeypatch.setattr(cli, "deserialize", deserialize)
+        result = runner.invoke(
+            main, ["estimate", "--image", str(image), "--dataset", str(dataset_file)]
+        )
+        assert result.exit_code == 0, result.output
+        assert seen == [mmap.mmap]
 
     def test_default_params_header(self, tmp_path, raw_dir, dataset_file, runner):
         corpus = make_corpus(runner, raw_dir, tmp_path / "corpus2", "--qf1", "90")
@@ -728,7 +777,7 @@ class TestEvaluate:
             build(runner, raw_dir, path, "--q1-max", "4")
             return loaded[-1]
 
-        monkeypatch.setattr(cli, "load_dataset", load_then_rebuild)
+        monkeypatch.setattr(cli, "_load_dataset", load_then_rebuild)
         result = runner.invoke(
             main,
             ["evaluate", "--corpus-dir", str(corpus), "--dataset", str(dataset_file),
