@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import NoReturn
+from typing import BinaryIO, Callable, NoReturn
 
 import click
 import numpy as np
@@ -39,7 +39,7 @@ from .refdata import (
     build_reference,
     deserialize,
     map_file,
-    serialize,
+    write_dataset,
 )
 from .types import GrayImage
 
@@ -170,22 +170,21 @@ def build(
         f"q1_max={q1_max} k={k}: {len(patches) * q1_max * q1_max} double compressions"
     )
     ds = build_reference(patches, q1_max=q1_max, k=k, jobs=n_jobs)
-    blob = serialize(ds)
     try:
-        _replace_file(Path(out), blob)
+        size = _replace_file(Path(out), lambda fh: write_dataset(ds, fh))
     except OSError as exc:
         raise click.ClickException(f"cannot write {out}: {exc}")
-    click.echo(f"wrote {out}: {len(blob)} bytes")
+    click.echo(f"wrote {out}: {size} bytes")
     _echo_summary(ds, verbose)
 
 
-def _replace_file(path: Path, data: bytes) -> None:
-    """Write data to a new file beside path, flush it to disk, then rename it over path.
+def _replace_file(path: Path, write: Callable[[BinaryIO], int]) -> int:
+    """Write a new file beside path with write(fh), flush it to disk, then rename it over path.
 
     A reader that maps the old file keeps its bytes, and a write that fails
     or a crash before the rename leaves path as it was. A symlink is followed:
     the link stays and its target is replaced. The new file has the default
-    mode, not the old file's.
+    mode, not the old file's. Returns what write returns.
     """
     path = Path(os.path.realpath(path))
     # The name is this process's own: a file left there by a killed build
@@ -193,13 +192,14 @@ def _replace_file(path: Path, data: bytes) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            size = write(fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return size
 
 
 def _echo_summary(ds: ReferenceDataset, verbose: bool) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dctsim
-from .stats import CoeffHistogram, fit_laplacian_batch
+from .stats import CoeffHistogram, fit_laplacian_batch, laplacian_beta
 from .stats import fit_laplacian  # noqa: F401  (perfbench/spans.py traces this name)
 from .types import ZIGZAG_TO_NATURAL, GrayImage
 
@@ -135,14 +135,7 @@ class ReferenceDataset:
     _made: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        # Per section, the sum of its support lengths, with no per-record
-        # int64 array: 968 slice sums at q1_max 22.
-        sums = [
-            self.lengths[r0:r1].sum(dtype=np.int64)
-            for r0, r1 in itertools.pairwise(self.bounds.tolist())
-        ]
-        self.starts = np.zeros(len(self.bounds), dtype=np.int64)
-        np.cumsum(sums, out=self.starts[1:])
+        self.starts = _section_starts(self.lengths, self.bounds)
         keys = itertools.product(range(1, self.q1_max + 1), repeat=2)
         self._order = {key: i for i, key in enumerate(keys)}
 
@@ -193,6 +186,23 @@ class _SubDatasets(Mapping):
         return len(self._ds._order)
 
 
+# Records per chunk of _section_starts: a 128 KB int64 cumsum at a time.
+_STARTS_CHUNK = 1 << 14
+
+
+def _section_starts(lengths: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """starts[s] = lengths[:bounds[s]].sum(), summed a chunk of records at a time."""
+    starts = np.zeros(bounds.size, dtype=np.int64)
+    total = 0
+    for c0 in range(0, lengths.size, _STARTS_CHUNK):
+        ends = np.cumsum(lengths[c0 : c0 + _STARTS_CHUNK], dtype=np.int64) + total
+        # The sections whose bounds fall inside this chunk.
+        lo, hi = np.searchsorted(bounds, [c0, c0 + ends.size], side="right")
+        starts[lo:hi] = ends[bounds[lo:hi] - c0 - 1]
+        total = ends[-1]
+    return starts
+
+
 def _masses(bins: np.ndarray, counts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Per bin, its count over the sample count of its record (lengths[i] bins)."""
     masses = np.repeat(counts.astype(np.float64), lengths)
@@ -218,59 +228,69 @@ def _nearest_window(keys: np.ndarray, key: float, n: int) -> tuple[int, int]:
     return lo, lo + n
 
 
-# Blocks per _batch_columns call. ms per patch levels off at about 512 blocks;
-# a call then peaks near 13 MB at q1_max 22 and k 15, 1.4 MB of it per q1.
+# Blocks per batch. ms per patch levels off at about 512 blocks; one
+# _q1_columns call then peaks near 3.7 MB at q1_max 22 and k 15, and
+# returns about 160 KB.
 _BATCH_BLOCKS = 512
 
 
-def _batch_columns(batch: list[GrayImage], q1_max: int, k: int):
-    """The records of same-size patches as FQE2 columns, in (q1, patch, q2, coefficient) order.
+def _forward_dct(batch: list[GrayImage]) -> np.ndarray:
+    """The forward DCT of a batch's 8x8 blocks, patch after patch."""
+    return dctsim.fdct_blocks(np.concatenate([dctsim.blockify(p.pixels) for p in batch]))
 
-    Returns, per record, its section id, key and support length, and per
-    bin its support value (i16) and count (u16); every record counts a
-    patch's block count of samples. Bit-exact with the oracle
-    tests/oracles.double_compress followed by build_histogram and
-    fit_laplacian per coefficient: the forward DCT of each q1
-    reconstruction is requantized for all q2 at once, and each (patch, q2,
-    coefficient) row is sorted, so the bins are its runs of equal values.
-    A section's records keep (patch, coefficient) order.
+
+def _q1_columns(f0: np.ndarray, n_patches: int, q1: int, q1_max: int, k: int):
+    """The records of one q1 over a batch of same-size patches, in (patch, q2, coefficient) order.
+
+    f0 is _forward_dct of the batch. Returns, per record, its section id
+    (int32), key and support length (u16), and per bin its support value
+    (i16) and count (u16); every record counts a patch's block count of
+    samples. Bit-exact with the oracle tests/oracles.double_compress
+    followed by build_histogram and fit_laplacian per coefficient: the
+    forward DCT of the q1 reconstruction is requantized for all q2 at once,
+    and each (patch, q2, coefficient) row is sorted, so the bins are its
+    runs of equal values and mu is, but for ties, its lower median sample.
     """
-    f0 = dctsim.fdct_blocks(np.concatenate([dctsim.blockify(p.pixels) for p in batch]))
-    n_patches, n_blocks = len(batch), f0.shape[0] // len(batch)
-    zz_first_k = ZIGZAG_TO_NATURAL[:k]
-    q2s = np.arange(1, q1_max + 1, dtype=np.float64)[:, None, None]
-    # Row r = (p * q1_max + q2 - 1) * k + i of one q1: coefficient i of patch p over q2.
-    r = np.arange(n_patches * q1_max * k)
-    row_section = 2 * (r // k % q1_max) + (r % k > 0)
-    sections, lengths, values, bins = [], [], [], []
-    for q1 in range(1, q1_max + 1):
-        # quantize_blocks then dequantize_blocks by constant_table(q1), without
-        # the zig-zag round trip and the int32 cast: the same values bit for bit.
-        recon = dctsim.idct_blocks(dctsim.round_half_away(f0 / q1) * q1)
-        f1 = dctsim.fdct_blocks(recon).reshape(n_patches, n_blocks, 64).transpose(0, 2, 1)
-        f1 = f1[:, None, zz_first_k]
-        # round_half_away(f1 / q2) as int16 for every q2: x + copysign(0.5, x)
-        # is +-(|x| + 0.5), rounded alike, and the cast truncates toward zero.
-        scaled = f1 / q2s
-        scaled += np.copysign(0.5, f1)
-        rows = scaled.astype(np.int16).reshape(-1, n_blocks)
-        rows.sort(axis=1)
-        starts = np.ones(rows.shape, dtype=bool)
-        np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
-        row_lengths = np.count_nonzero(starts, axis=1)
-        first = np.flatnonzero(starts)
-        row_bins = np.diff(first, append=rows.size)
-        # A single-bin histogram carries no information about q1: no record.
-        keep = row_lengths > 1
-        bin_keep = np.repeat(keep, row_lengths)
-        sections.append(row_section[keep] + 2 * q1_max * (q1 - 1))
-        lengths.append(row_lengths[keep])
-        values.append(rows.reshape(-1)[first[bin_keep]])
-        bins.append(row_bins[bin_keep].astype(np.uint16))
-    sections, lengths, values, bins = map(np.concatenate, (sections, lengths, values, bins))
-    mu, beta = fit_laplacian_batch(values, bins / n_blocks, lengths)
-    keys = np.where(sections % 2 == 0, mu, beta)
-    return sections, keys, lengths, values, bins
+    n_blocks = f0.shape[0] // n_patches
+    # quantize_blocks then dequantize_blocks by constant_table(q1), without
+    # the zig-zag round trip and the int32 cast: the same values bit for bit.
+    recon = dctsim.idct_blocks(dctsim.round_half_away(f0 / q1) * q1)
+    f1 = dctsim.fdct_blocks(recon).reshape(n_patches, n_blocks, 64).transpose(0, 2, 1)
+    f1 = f1[:, None, ZIGZAG_TO_NATURAL[:k]]
+    # round_half_away(f1 / q2) as int16 for every q2: x + copysign(0.5, x)
+    # is +-(|x| + 0.5), rounded alike, and the cast truncates toward zero.
+    scaled = f1 / np.arange(1, q1_max + 1, dtype=np.float64)[:, None, None]
+    scaled += np.copysign(0.5, f1)
+    rows = scaled.astype(np.int16).reshape(-1, n_blocks)
+    rows.sort(axis=1)
+    starts = np.ones(rows.shape, dtype=bool)
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
+    row_lengths = np.count_nonzero(starts, axis=1)
+    first = np.flatnonzero(starts)
+    row_bins = np.diff(first, append=rows.size)
+    # A single-bin histogram carries no information about q1: no record.
+    keep = row_lengths > 1
+    bin_keep = np.repeat(keep, row_lengths)
+    # Row r = (p * q1_max + q2 - 1) * k + i: coefficient i of patch p over q2.
+    r = np.flatnonzero(keep)
+    sections = (2 * (r // k % q1_max) + (r % k > 0) + 2 * q1_max * (q1 - 1)).astype(np.int32)
+    lengths = row_lengths[keep]
+    values = rows.reshape(-1)[first[bin_keep]]
+    bins = row_bins[bin_keep].astype(np.uint16)
+    masses = bins / n_blocks
+    # mu is the row's lower median sample, in the bin where the counts first
+    # reach n_blocks / 2: there the masses' cumsum first reaches half its
+    # total, as every other bin's sum is at least 1 / (2 n_blocks) from half...
+    mu = rows[r, (n_blocks - 1) // 2].astype(np.float64)
+    if n_blocks % 2 == 0 and n_blocks & (n_blocks - 1):
+        # ...unless a bin's counts end at exactly n_blocks / 2: its sum of
+        # inexact masses c / n_blocks may round to either side of half, so
+        # those rows take fit_laplacian_batch's mu. (Sums of c / 2^j are exact.)
+        tie = rows[r, n_blocks // 2 - 1] != rows[r, n_blocks // 2]
+        in_tie = np.repeat(tie, lengths)
+        mu[tie] = fit_laplacian_batch(values[in_tie], masses[in_tie], lengths[tie])[0]
+    keys = np.where(sections % 2 == 0, mu, laplacian_beta(values, masses, lengths, mu))
+    return sections, keys, lengths.astype(np.uint16), values, bins
 
 
 def build_reference(
@@ -282,8 +302,11 @@ def build_reference(
     """Build the reference dataset from raw patches.
 
     Deterministic given the patch sequence and parameters, independent of
-    the worker count and of the batch split: the batches' records are
-    stacked in patch order and sorted stably by section, then key.
+    the worker count and of the batch split. Sections are q1-major, so the
+    build runs q1 by q1: each q1's records over all batches are stacked in
+    patch order, sorted stably by section, then key, and appended to the
+    columns before the next q1 is simulated. Only the batches' forward DCTs
+    and one q1's records are held besides the finished columns.
     """
     if not patches:
         raise ValueError("cannot build a reference dataset from no patches")
@@ -297,38 +320,98 @@ def build_reference(
     for p in patches:
         if p.width != side or p.height != side:
             raise ValueError("all patches must share one square size")
-    if (side // 8) ** 2 > _MAX_BIN:
+    n_blocks = (side // 8) ** 2
+    if n_blocks > _MAX_BIN:
         raise ValueError(
-            f"patch side {side} gives {(side // 8) ** 2} blocks; bin counts "
+            f"patch side {side} gives {n_blocks} blocks; bin counts "
             f"are stored as u16, so a patch may have at most {_MAX_BIN} blocks"
         )
 
-    per_batch = max(1, _BATCH_BLOCKS // (side // 8) ** 2)
-    batches = [patches[i : i + per_batch] for i in range(0, len(patches), per_batch)]
-    columns_of = functools.partial(_batch_columns, q1_max=q1_max, k=k)
-    # A pool cannot split a single batch, so one batch is built in-process.
-    if jobs is not None and jobs > 1 and len(batches) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
-            columns = list(pool.map(columns_of, batches))
-    else:
-        columns = list(map(columns_of, batches))
-
-    sections, keys, lengths, values, bins = map(np.concatenate, zip(*columns))
-    del columns  # stacked now; freed before the sorted copies are made
-    stacked = np.cumsum(lengths) - lengths
-    # np.lexsort((keys, sections)), faster: keys are ranked first, and a
-    # stable sort of section and rank keeps the stacked order of equal keys.
-    ranks = np.unique(keys, return_inverse=True)[1]
-    order = np.argsort(sections * keys.size + ranks, kind="stable")
-    lengths = lengths[order]
-    starts = np.cumsum(lengths) - lengths
-    # Bin b of sorted record j is bin b of stacked record order[j].
-    gather = np.repeat(stacked[order] - starts, lengths) + np.arange(lengths.sum())
-    bounds = np.searchsorted(sections[order], np.arange(2 * q1_max * q1_max + 1))
-    return ReferenceDataset(
-        q1_max, k, side, len(patches), bounds, keys[order], lengths.astype(np.uint16),
-        values[gather], bins[gather], np.full(order.size, (side // 8) ** 2, dtype=np.uint32),
+    per_batch = max(1, _BATCH_BLOCKS // n_blocks)
+    batches = [
+        (_forward_dct(patches[i : i + per_batch]), len(patches[i : i + per_batch]))
+        for i in range(0, len(patches), per_batch)
+    ]
+    tasks = [(b, q1) for q1 in range(1, q1_max + 1) for b in range(len(batches))]
+    keys, lengths, values, bins = (
+        np.empty(0, dtype) for dtype in (np.float64, np.uint16, np.int16, np.uint16)
     )
+    section_counts = []
+    # A one-batch build takes about as long as starting a pool, so it runs
+    # in-process.
+    pool = None
+    if jobs is not None and jobs > 1 and len(batches) > 1:
+        workers = min(jobs, len(tasks))
+        pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_build_worker, initargs=(batches, q1_max, k)
+        )
+        # Up to a q1's pieces ahead: the workers run the next q1 while this
+        # process sorts the last one.
+        pieces = _in_order(pool, _piece_in_worker, tasks, max(len(batches), 2 * workers))
+    else:
+        pieces = (_q1_columns(*batches[b], q1, q1_max, k) for b, q1 in tasks)
+    try:
+        for q1 in range(1, q1_max + 1):
+            q1_sections, q1_keys, q1_lengths, q1_values, q1_bins = map(
+                np.concatenate, zip(*itertools.islice(pieces, len(batches)))
+            )
+            local = q1_sections - 2 * q1_max * (q1 - 1)
+            # np.lexsort((keys, local)), faster: keys are ranked first, and a
+            # stable sort of section and rank keeps the stacked order of equal keys.
+            ranks = np.unique(q1_keys, return_inverse=True)[1]
+            order = np.argsort(local * np.int64(q1_keys.size) + ranks, kind="stable")
+            stacked = np.cumsum(q1_lengths, dtype=np.int64) - q1_lengths
+            sorted_lengths = q1_lengths[order]
+            starts = np.cumsum(sorted_lengths, dtype=np.int64) - sorted_lengths
+            # Bin b of sorted record j is bin b of stacked record order[j].
+            gather = np.repeat(stacked[order] - starts, sorted_lengths)
+            gather += np.arange(gather.size)
+            _append(keys, q1_keys[order])
+            _append(lengths, sorted_lengths)
+            _append(values, np.take(q1_values, gather))
+            _append(bins, np.take(q1_bins, gather))
+            section_counts.append(np.bincount(local, minlength=2 * q1_max))
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    bounds = np.zeros(2 * q1_max * q1_max + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(section_counts), out=bounds[1:])
+    return ReferenceDataset(
+        q1_max, k, side, len(patches), bounds, keys, lengths, values, bins,
+        np.full(keys.size, n_blocks, dtype=np.uint32),
+    )
+
+
+# The batches, q1_max and k of the build a pool worker serves.
+_worker_build: tuple | None = None
+
+
+def _init_build_worker(*build) -> None:
+    global _worker_build
+    _worker_build = build
+
+
+def _piece_in_worker(b: int, q1: int):
+    batches, q1_max, k = _worker_build
+    return _q1_columns(*batches[b], q1, q1_max, k)
+
+
+def _in_order(pool: ProcessPoolExecutor, fn, tasks, in_flight: int):
+    """fn(*task) of each task, computed in pool, yielded in task order, at most in_flight ahead."""
+    pending = []
+    for task in tasks:
+        pending.append(pool.submit(fn, *task))
+        if len(pending) == in_flight:
+            yield pending.pop(0).result()
+    for future in pending:
+        yield future.result()
+
+
+def _append(column: np.ndarray, part: np.ndarray) -> None:
+    """Grow column by part in place: realloc moves a large block's pages, not a copy."""
+    n = column.size
+    column.resize(n + part.size, refcheck=False)
+    column[n:] = part
 
 
 def mass_table(h: CoeffHistogram) -> tuple[np.ndarray, float]:
@@ -394,7 +477,8 @@ _BIN_BYTES = 2 + 2
 _MAX_BIN = 0xFFFF
 
 
-def serialize(ds: ReferenceDataset) -> bytes:
+def _pieces(ds: ReferenceDataset):
+    """The FQE2 file of ds in pieces: header, section table, columns, CRC trailer."""
     pieces = [
         _MAGIC + _HEADER.pack(_VERSION, ds.q1_max, ds.k, ds.patch_side, ds.source_count),
         bytes(16),
@@ -408,7 +492,21 @@ def serialize(ds: ReferenceDataset) -> bytes:
     crc = 0
     for piece in pieces:
         crc = zlib.crc32(piece, crc)
-    return b"".join([*pieces, struct.pack("<I", crc)])
+        yield piece
+    yield struct.pack("<I", crc)
+
+
+def serialize(ds: ReferenceDataset) -> bytes:
+    return b"".join(_pieces(ds))
+
+
+def write_dataset(ds: ReferenceDataset, fh) -> int:
+    """Write serialize(ds) to a binary file piece by piece, never whole; return its size."""
+    size = 0
+    for piece in _pieces(ds):
+        fh.write(piece)
+        size += memoryview(piece).nbytes
+    return size
 
 
 def deserialize(data: bytes) -> ReferenceDataset:

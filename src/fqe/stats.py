@@ -67,29 +67,38 @@ def fit_laplacian_batch(
     """fit_laplacian of many histograms at once: arrays of mu and beta.
 
     Histogram r is the next lengths[r] entries of support and mass, laid end
-    to end. Histograms of one length are fitted together as the rows of a
-    matrix. A row's cumsum and its sum(axis=1) run the additions of
-    np.cumsum and np.sum on that histogram alone, in the same order (np.sum
-    groups its terms pairwise by array length), so every mu and beta equals
-    fit_laplacian's bit for bit.
+    to end. The masses are the rows of a zero-padded matrix: a row's cumsum
+    runs np.cumsum's additions on that histogram alone, and the padding adds
+    0.0 to its total, so every mu equals fit_laplacian's bit for bit; beta is
+    laplacian_beta at that mu.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
-    # Rows of one length are a run of by_length.
-    by_length = np.argsort(lengths)
-    cuts = np.flatnonzero(np.diff(lengths[by_length], prepend=-1, append=-1)).tolist()
-    mu = np.empty(lengths.size)
-    beta = np.empty(lengths.size)
-    for r0, r1 in zip(cuts[:-1], cuts[1:]):
-        rows = by_length[r0:r1]
-        idx = starts[rows, None] + np.arange(lengths[rows[0]])
-        m, s = mass[idx], support[idx]
-        cum = np.cumsum(m, axis=1)
-        median = np.count_nonzero(cum < 0.5 * cum[:, -1:], axis=1)
-        mu_n = s[np.arange(rows.size), median].astype(np.float64)
-        mu[rows] = mu_n
-        beta[rows] = (m * np.abs(s - mu_n[:, None])).sum(axis=1)
-    return mu, beta
+    cum = np.zeros((lengths.size, lengths.max(initial=0)))
+    cum[np.repeat(np.arange(lengths.size), lengths),
+        np.arange(mass.size) - np.repeat(starts, lengths)] = mass
+    np.cumsum(cum, axis=1, out=cum)
+    median = np.count_nonzero(cum < 0.5 * cum[:, -1:], axis=1)
+    mu = support[starts + median].astype(np.float64)
+    return mu, laplacian_beta(support, mass, lengths, mu)
+
+
+def laplacian_beta(
+    support: np.ndarray, mass: np.ndarray, lengths: np.ndarray, mu: np.ndarray
+) -> np.ndarray:
+    """Per histogram (laid out as in fit_laplacian_batch), sum(mass * |support - mu|).
+
+    Each histogram's terms are added after a 0.0 by one np.add.reduceat:
+    the 0.0 and then the terms pairwise, the additions np.sum makes from its
+    initial 0, so each beta equals fit_laplacian's bit for bit.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    pads = np.cumsum(lengths + 1) - lengths - 1
+    padded = np.zeros(mass.size + lengths.size)
+    in_hist = np.ones(padded.size, dtype=bool)
+    in_hist[pads] = False
+    padded[in_hist] = mass * np.abs(support - np.repeat(mu, lengths))
+    return np.add.reduceat(padded, pads)
 
 
 def is_degenerate(h: CoeffHistogram) -> bool:

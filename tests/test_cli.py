@@ -23,6 +23,7 @@ from fqe.estimator import (
     raw_estimates,
     regularize,
 )
+from fqe.jpegio import crop_center, read_pgm
 
 from conftest import synth_patches, write_pgm
 
@@ -100,6 +101,16 @@ class TestBuild:
             assert "double compressions" in result.output
         # byte-identical regardless of worker count
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_file_equals_serialize(self, tmp_path, raw_dir, runner):
+        out = tmp_path / "w.fqe"
+        lines = build(runner, raw_dir, out, "--q1-max", "5")
+        patches = [
+            crop_center(read_pgm(path.read_bytes()), 64) for path in sorted(raw_dir.glob("*.pgm"))
+        ]
+        blob = refdata.serialize(refdata.build_reference(patches, q1_max=5, k=15))
+        assert out.read_bytes() == blob
+        assert f"wrote {out}: {len(blob)} bytes" in lines
 
     def test_cardinality_line(self, tmp_path, raw_dir, runner):
         out = tmp_path / "c.fqe"

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import io
 import mmap
 import struct
 import tracemalloc
@@ -121,29 +122,47 @@ class TestBuild:
 
     @staticmethod
     def assert_columns_match_oracle(patches, q1_max, k):
-        # Record for record against the per-column loop of each patch, in
-        # (q1, patch, q2, dc, ac) order.
-        sections, keys, lengths, values, bins = refdata._batch_columns(patches, q1_max, k)
+        # Record for record against the per-column loop of each patch, one q1
+        # at a time, in (patch, q2, dc, ac) order.
+        f0 = refdata._forward_dct(patches)
         items = [patch_items(patch, q1_max, k) for patch in patches]
-        expect = [
-            (2 * ((q1 - 1) * q1_max + q2 - 1) + kind, item)
-            for q1 in range(1, q1_max + 1)
-            for per_patch in items
-            for q2 in range(1, q1_max + 1)
-            for kind in (0, 1)
-            for item in per_patch[(q1, q2)][kind]
-        ]
         n_blocks = (patches[0].width // 8) * (patches[0].height // 8)
-        assert sections.tolist() == [s for s, _ in expect]
-        assert np.array_equal(
-            keys.view(np.uint64), np.array([it[0] for _, it in expect]).view(np.uint64)
-        )
-        assert lengths.tolist() == [it[1].size for _, it in expect]
-        assert np.array_equal(values, np.concatenate([it[1] for _, it in expect]))
-        assert np.array_equal(bins, np.concatenate([it[2] for _, it in expect]))
-        assert values.dtype == np.int16 and bins.dtype == np.uint16
-        assert {it[3] for _, it in expect} == {n_blocks}
-        return lengths
+        all_lengths = []
+        for q1 in range(1, q1_max + 1):
+            sections, keys, lengths, values, bins = refdata._q1_columns(
+                f0, len(patches), q1, q1_max, k
+            )
+            expect = [
+                (2 * ((q1 - 1) * q1_max + q2 - 1) + kind, item)
+                for per_patch in items
+                for q2 in range(1, q1_max + 1)
+                for kind in (0, 1)
+                for item in per_patch[(q1, q2)][kind]
+            ]
+            assert sections.tolist() == [s for s, _ in expect]
+            assert np.array_equal(
+                keys.view(np.uint64), np.array([it[0] for _, it in expect]).view(np.uint64)
+            ), q1
+            assert lengths.tolist() == [it[1].size for _, it in expect]
+            assert np.array_equal(values, np.concatenate([it[1] for _, it in expect]))
+            assert np.array_equal(bins, np.concatenate([it[2] for _, it in expect]))
+            assert sections.dtype == np.int32 and lengths.dtype == np.uint16
+            assert values.dtype == np.int16 and bins.dtype == np.uint16
+            assert {it[3] for _, it in expect} == {n_blocks}
+            all_lengths.append(lengths)
+        return np.concatenate(all_lengths), items
+
+    @staticmethod
+    def median_moves(items):
+        """Oracle records whose fit_laplacian mu is not the lower median sample."""
+        moved = 0
+        for per_patch in items:
+            for dc, ac in per_patch.values():
+                for _, support, counts, n in dc + ac:
+                    h = CoeffHistogram(support=support, mass=counts / n, count=n)
+                    lower = support[np.searchsorted(np.cumsum(counts), (n + 1) // 2)]
+                    moved += fit_laplacian(h).mu != lower
+        return moved
 
     def test_patch_columns_match_oracle(self):
         for patch in synth_patches(seed=28, count=3):
@@ -157,8 +176,25 @@ class TestBuild:
         # in one unrolled block before it splits pairwise, and masses c / 1089
         # are inexact, so the order of the additions shows in beta.
         patch = synth_patch(np.random.default_rng(29), side=264)
-        lengths = self.assert_columns_match_oracle([patch], q1_max=22, k=15)
+        lengths, _ = self.assert_columns_match_oracle([patch], q1_max=22, k=15)
         assert lengths.max() > 128
+
+    @pytest.mark.parametrize("side, count", [(48, 3), (80, 2)])
+    def test_columns_match_oracle_even_block_counts(self, side, count):
+        # 36 and 100 blocks: the cumulative float mass at a count of n / 2
+        # rounds to either side of half, so the lower median sample is not
+        # always fit_laplacian's mu, and those records take the general fit.
+        patches = synth_patches(seed=35, count=count, side=side)
+        _, items = self.assert_columns_match_oracle(patches, q1_max=22, k=15)
+        assert self.median_moves(items) > 0
+
+    def test_columns_match_oracle_16_blocks(self):
+        # A power of two: every cumulative mass is exact, so the lower median
+        # sample is always mu.
+        _, items = self.assert_columns_match_oracle(
+            synth_patches(seed=36, count=4, side=32), q1_max=22, k=15
+        )
+        assert self.median_moves(items) == 0
 
     def test_dataset_matches_merged_oracle_items(self):
         # The old assembly: items merged in patch order, stably sorted by key.
@@ -215,6 +251,20 @@ class TestBuild:
             assert hashlib.sha256(blob).hexdigest() == (
                 "8dea6e3fc26f5609c3d66352291a800159cbe25f3d0246e60be4700085adbfe9"
             )
+
+    def test_build_peak_memory_per_patch(self):
+        # The build holds the batches' forward DCTs, one q1's records and
+        # the finished columns (0.39 MB per 64 x 64 patch here). Sorting
+        # every q1's records at once held 1.8 MB per patch at its peak.
+        patches = synth_patches(seed=37, count=32)
+        tracemalloc.start()
+        try:
+            ds = build_reference(patches, q1_max=22, k=15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.keys.size > 200_000
+        assert peak < 0.8 * 2**20 * len(patches)
 
     def test_rejects_block_counts_beyond_u16(self):
         # 2048 / 8 = 256 blocks a side: 65536 blocks overflow a u16 bin count.
@@ -418,6 +468,13 @@ class TestSerialization:
     def test_round_trip_byte_exact(self, small_ds):
         blob = serialize(small_ds)
         assert serialize(deserialize(blob)) == blob
+
+    def test_write_dataset_writes_serialize_bytes(self, small_ds):
+        blob = serialize(small_ds)
+        for ds in (small_ds, deserialize(blob)):
+            fh = io.BytesIO()
+            assert refdata.write_dataset(ds, fh) == len(blob)
+            assert fh.getvalue() == blob
 
     def test_empty_sub_datasets(self):
         flat = GrayImage(np.full((64, 64), 200, dtype=np.uint8))
@@ -654,6 +711,20 @@ class TestLoad:
             offsets = np.concatenate([[0], np.cumsum(ds.lengths, dtype=np.int64)])
             assert np.array_equal(ds.starts, offsets[ds.bounds])
             assert ds.starts[-1] == ds.values.size == ds.bins.size
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_section_starts_across_chunks(self, small_ds, monkeypatch, chunk):
+        # Chunk edges before, at and after section bounds. A ramp of 8-pixel
+        # steps leaves half the sections of its dataset empty.
+        ramp = GrayImage((100 + np.mgrid[0:64, 0:64][1] // 8 * 3).astype(np.uint8))
+        for built in (small_ds, build_reference([ramp], q1_max=12, k=3)):
+            blob = serialize(built)
+            with monkeypatch.context() as m:
+                m.setattr(refdata, "_STARTS_CHUNK", chunk)
+                ds = deserialize(blob)
+            offsets = np.concatenate([[0], np.cumsum(ds.lengths, dtype=np.int64)])
+            assert np.array_equal(ds.starts, offsets[ds.bounds])
+            assert np.array_equal(ds.starts, built.starts)
 
     def test_load_dataset_maps_the_file(self, small_ds, tmp_path):
         blob = serialize(small_ds)
