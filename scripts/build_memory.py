@@ -1,7 +1,7 @@
 """Memory and time of a 400-patch reference build, a parent checkout against this one.
 
     python3 scripts/build_memory.py --parent-checkout ../parent \
-        --out BENCH_pr13-build-memory.json
+        --out BENCH_pr17-build-memory.json
 
 For the parent checkout and this one, builds PATCHES synthetic 64x64
 patches (tests/conftest.synth_patches, seed SEED) at q1_max Q1_MAX and k K,
@@ -16,8 +16,9 @@ Each run reports its wall seconds, its VmHWM at the start (after imports
 and input) and at the end of the build, the largest VmHWM of its pool
 workers (the peak RSS of its reaped children; fork workers count the pages
 they share with the parent) and the sha256 of the dataset file. VmHWM per
-patch above start is (end - start) / PATCHES; writer_extra_mb is how much
-more `fqe build` held than `build_reference` alone. Linux only.
+patch above start is (end - start) / PATCHES, and a worker's is (worker
+VmHWM - start) / PATCHES; writer_extra_mb is how much more `fqe build`
+held than `build_reference` alone. Linux only.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ def run_once(checkout: Path, entry: str, jobs: int, source: Path, out: Path) -> 
 
 def summarize(runs: list[dict]) -> dict:
     """Medians over runs; memory in MB, per patch above start in MB per patch."""
-    workers = [run["worker_vmhwm_kb"] for run in runs if run["worker_vmhwm_kb"]]
+    pooled = [run for run in runs if run["worker_vmhwm_kb"]]
+    workers = [run["worker_vmhwm_kb"] for run in pooled]
     return {
         "seconds": statistics.median(run["seconds"] for run in runs),
         "start_vmhwm_mb": statistics.median(run["start_kb"] for run in runs) / 1024,
@@ -109,6 +111,9 @@ def summarize(runs: list[dict]) -> dict:
             (run["end_kb"] - run["start_kb"]) / 1024 / PATCHES for run in runs
         ),
         "worker_vmhwm_mb": statistics.median(workers) / 1024 if workers else None,
+        "worker_vmhwm_mb_per_patch": statistics.median(
+            (run["worker_vmhwm_kb"] - run["start_kb"]) / 1024 / PATCHES for run in pooled
+        ) if pooled else None,
     }
 
 

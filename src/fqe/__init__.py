@@ -29,7 +29,6 @@ from .jpegio import (
 from .refdata import (
     DatasetFormatError,
     ReferenceDataset,
-    SubDataset,
     build_reference,
     deserialize,
     load_dataset,
@@ -61,7 +60,6 @@ __all__ = [
     "PgmError",
     "QuantTable",
     "ReferenceDataset",
-    "SubDataset",
     "UNSUPPORTED",
     "UnsupportedJpegError",
     "build_histogram",

@@ -146,7 +146,10 @@ def _weight(ctx: click.Context, param: click.Parameter, value: float) -> float:
 @click.option(
     "--patch", default=64, show_default=True, callback=_patch_side, help="Center-crop side."
 )
-@click.option("--jobs", type=click.IntRange(min=1), help="Worker processes (FQE_JOBS overrides).")
+@click.option(
+    "--jobs", type=click.IntRange(min=1), help="Worker processes, each building whole q1s "
+    "(FQE_JOBS overrides); patches of 512 8x8 blocks or fewer in all build in-process."
+)
 @click.option("--verbose", is_flag=True, help="List the record counts of every sub-dataset.")
 def build(
     raw_dir: str, out: str, q1_max: int, k: int, patch: int, jobs: int | None, verbose: bool

@@ -303,10 +303,10 @@ def build_reference(
 
     Deterministic given the patch sequence and parameters, independent of
     the worker count and of the batch split. Sections are q1-major, so the
-    build runs q1 by q1: each q1's records over all batches are stacked in
-    patch order, sorted stably by section, then key, and appended to the
-    columns before the next q1 is simulated. Only the batches' forward DCTs
-    and one q1's records are held besides the finished columns.
+    build runs q1 by q1 (_q1_records) and appends each q1's sorted records
+    to the columns in q1 order. In-process, only the batches' forward DCTs
+    and one q1's records are held besides the finished columns; with jobs
+    above 1 and two or more batches, pool workers build whole q1s.
     """
     if not patches:
         raise ValueError("cannot build a reference dataset from no patches")
@@ -332,54 +332,62 @@ def build_reference(
         (_forward_dct(patches[i : i + per_batch]), len(patches[i : i + per_batch]))
         for i in range(0, len(patches), per_batch)
     ]
-    tasks = [(b, q1) for q1 in range(1, q1_max + 1) for b in range(len(batches))]
-    keys, lengths, values, bins = (
-        np.empty(0, dtype) for dtype in (np.float64, np.uint16, np.int16, np.uint16)
-    )
-    section_counts = []
+    q1s = range(1, q1_max + 1)
     # A one-batch build takes about as long as starting a pool, so it runs
     # in-process.
     pool = None
     if jobs is not None and jobs > 1 and len(batches) > 1:
-        workers = min(jobs, len(tasks))
         pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_build_worker, initargs=(batches, q1_max, k)
+            min(jobs, q1_max), initializer=_init_build_worker, initargs=(batches, q1_max, k)
         )
-        # Up to a q1's pieces ahead: the workers run the next q1 while this
-        # process sorts the last one.
-        pieces = _in_order(pool, _piece_in_worker, tasks, max(len(batches), 2 * workers))
+        results = pool.map(_q1_in_worker, q1s)
     else:
-        pieces = (_q1_columns(*batches[b], q1, q1_max, k) for b, q1 in tasks)
+        results = (_q1_records(batches, q1, q1_max, k) for q1 in q1s)
+    columns = [np.empty(0, dtype) for dtype in (np.float64, np.uint16, np.int16, np.uint16)]
+    section_counts = []
     try:
-        for q1 in range(1, q1_max + 1):
-            q1_sections, q1_keys, q1_lengths, q1_values, q1_bins = map(
-                np.concatenate, zip(*itertools.islice(pieces, len(batches)))
-            )
-            local = q1_sections - 2 * q1_max * (q1 - 1)
-            # np.lexsort((keys, local)), faster: keys are ranked first, and a
-            # stable sort of section and rank keeps the stacked order of equal keys.
-            ranks = np.unique(q1_keys, return_inverse=True)[1]
-            order = np.argsort(local * np.int64(q1_keys.size) + ranks, kind="stable")
-            stacked = np.cumsum(q1_lengths, dtype=np.int64) - q1_lengths
-            sorted_lengths = q1_lengths[order]
-            starts = np.cumsum(sorted_lengths, dtype=np.int64) - sorted_lengths
-            # Bin b of sorted record j is bin b of stacked record order[j].
-            gather = np.repeat(stacked[order] - starts, sorted_lengths)
-            gather += np.arange(gather.size)
-            _append(keys, q1_keys[order])
-            _append(lengths, sorted_lengths)
-            _append(values, np.take(q1_values, gather))
-            _append(bins, np.take(q1_bins, gather))
-            section_counts.append(np.bincount(local, minlength=2 * q1_max))
+        for counts, *parts in results:
+            section_counts.append(counts)
+            # Popped, so that no part of this q1 is held while the next is built.
+            for column in columns:
+                _append(column, parts.pop(0))
     finally:
         if pool is not None:
-            pool.shutdown()
+            # After a failed task, the q1s not yet started are not run.
+            pool.shutdown(cancel_futures=True)
     bounds = np.zeros(2 * q1_max * q1_max + 1, dtype=np.int64)
     np.cumsum(np.concatenate(section_counts), out=bounds[1:])
     return ReferenceDataset(
-        q1_max, k, side, len(patches), bounds, keys, lengths, values, bins,
-        np.full(keys.size, n_blocks, dtype=np.uint32),
+        q1_max, k, side, len(patches), bounds, *columns,
+        np.full(columns[0].size, n_blocks, dtype=np.uint32),
     )
+
+
+def _q1_records(batches: list, q1: int, q1_max: int, k: int):
+    """The records of one q1 over all batches, in dataset order.
+
+    Each batch's _q1_columns are stacked in patch order and sorted stably by
+    section, then key. Returns the record count of each of the q1's 2 * q1_max
+    sections, then the sorted keys, support lengths, support values and bins.
+    """
+    sections, keys, lengths, values, bins = map(
+        np.concatenate, zip(*(_q1_columns(*batch, q1, q1_max, k) for batch in batches))
+    )
+    local = sections - 2 * q1_max * (q1 - 1)
+    # np.lexsort((keys, local)), faster: keys are ranked first, and a stable
+    # sort of section and rank keeps the stacked order of equal keys.
+    ranks = np.unique(keys, return_inverse=True)[1]
+    order = np.argsort(local * np.int64(keys.size) + ranks, kind="stable")
+    stacked = np.cumsum(lengths, dtype=np.int64) - lengths
+    lengths = lengths[order]
+    starts = np.cumsum(lengths, dtype=np.int64) - lengths
+    # Bin b of sorted record j is bin b of stacked record order[j].
+    gather = np.repeat(stacked[order] - starts, lengths)
+    gather += np.arange(gather.size)
+    # One column at a time: each stacked column is freed once it is gathered.
+    values = np.take(values, gather)
+    bins = np.take(bins, gather)
+    return np.bincount(local, minlength=2 * q1_max), keys[order], lengths, values, bins
 
 
 # The batches, q1_max and k of the build a pool worker serves.
@@ -391,20 +399,9 @@ def _init_build_worker(*build) -> None:
     _worker_build = build
 
 
-def _piece_in_worker(b: int, q1: int):
+def _q1_in_worker(q1: int):
     batches, q1_max, k = _worker_build
-    return _q1_columns(*batches[b], q1, q1_max, k)
-
-
-def _in_order(pool: ProcessPoolExecutor, fn, tasks, in_flight: int):
-    """fn(*task) of each task, computed in pool, yielded in task order, at most in_flight ahead."""
-    pending = []
-    for task in tasks:
-        pending.append(pool.submit(fn, *task))
-        if len(pending) == in_flight:
-            yield pending.pop(0).result()
-    for future in pending:
-        yield future.result()
+    return _q1_records(batches, q1, q1_max, k)
 
 
 def _append(column: np.ndarray, part: np.ndarray) -> None:

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import io
 import mmap
+import multiprocessing
 import struct
 import tracemalloc
 import zlib
@@ -225,6 +226,28 @@ class TestBuild:
         monkeypatch.setattr(refdata, "_BATCH_BLOCKS", 3 * 64 + 10)
         for jobs in (1, 2, 3):
             assert serialize(build_reference(patches, q1_max=8, k=15, jobs=jobs)) == whole
+        # Three jobs at q1_max 2: a pool of two workers, one q1 each.
+        two = serialize(build_reference(patches, q1_max=2, k=15, jobs=1))
+        assert serialize(build_reference(patches, q1_max=2, k=15, jobs=3)) == two
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers see the patched _q1_columns only when forked",
+    )
+    def test_failed_q1_task_reaches_the_caller(self, monkeypatch):
+        q1_columns = refdata._q1_columns
+
+        def fail_q1_2(f0, n_patches, q1, q1_max, k):
+            if q1 == 2:
+                raise RuntimeError("q1 2 failed")
+            return q1_columns(f0, n_patches, q1, q1_max, k)
+
+        monkeypatch.setattr(refdata, "_q1_columns", fail_q1_2)
+        # 3 patches of 64 blocks per batch: three batches, so jobs 2 runs a pool.
+        monkeypatch.setattr(refdata, "_BATCH_BLOCKS", 3 * 64 + 10)
+        with pytest.raises(RuntimeError, match="q1 2 failed"):
+            build_reference(synth_patches(seed=32, count=7), q1_max=8, k=15, jobs=2)
+        assert multiprocessing.active_children() == []
 
     def test_keys_sorted_and_consistent_with_fit(self, small_ds):
         for sub in small_ds.subs.values():
@@ -252,14 +275,16 @@ class TestBuild:
                 "8dea6e3fc26f5609c3d66352291a800159cbe25f3d0246e60be4700085adbfe9"
             )
 
-    def test_build_peak_memory_per_patch(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_build_peak_memory_per_patch(self, jobs):
         # The build holds the batches' forward DCTs, one q1's records and
         # the finished columns (0.39 MB per 64 x 64 patch here). Sorting
         # every q1's records at once held 1.8 MB per patch at its peak.
+        # 32 patches are four batches, so jobs 2 measures a pool's parent.
         patches = synth_patches(seed=37, count=32)
         tracemalloc.start()
         try:
-            ds = build_reference(patches, q1_max=22, k=15)
+            ds = build_reference(patches, q1_max=22, k=15, jobs=jobs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
