@@ -245,8 +245,10 @@ class TestBuild:
         monkeypatch.setattr(refdata, "_q1_columns", fail_q1_2)
         # 3 patches of 64 blocks per batch: three batches, so jobs 2 runs a pool.
         monkeypatch.setattr(refdata, "_BATCH_BLOCKS", 3 * 64 + 10)
-        with pytest.raises(RuntimeError, match="q1 2 failed"):
+        with pytest.raises(RuntimeError, match="q1 2 failed") as failed:
             build_reference(synth_patches(seed=32, count=7), q1_max=8, k=15, jobs=2)
+        # Raised in a worker: the pool attaches the worker's traceback.
+        assert type(failed.value.__cause__).__name__ == "_RemoteTraceback"
         assert multiprocessing.active_children() == []
 
     def test_keys_sorted_and_consistent_with_fit(self, small_ds):
