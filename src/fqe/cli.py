@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -210,7 +211,8 @@ def _echo_summary(ds: ReferenceDataset, verbose: bool) -> None:
     # Records per (q1, q2) in q1-major order, one (dc, ac) row each.
     per_kind = np.diff(ds.bounds).reshape(-1, 2)
     if verbose:
-        for (q1, q2), (dc, ac) in zip(ds.subs, per_kind.tolist()):
+        pairs = itertools.product(range(1, ds.q1_max + 1), repeat=2)
+        for (q1, q2), (dc, ac) in zip(pairs, per_kind.tolist()):
             click.echo(f"q1={q1:>3} q2={q2:>3}: dc={dc} ac={ac}")
     n_dc, n_ac = per_kind.T
     per_sub = n_dc + n_ac
@@ -375,7 +377,7 @@ def _quality_factors(
 @click.option(
     "--qf2", required=True, type=click.IntRange(1, 100), help="Second-compression quality factor."
 )
-@click.option("--patch", default=64, show_default=True, type=click.IntRange(min=1))
+@click.option("--patch", default=64, show_default=True, type=click.IntRange(min=8))
 @click.option(
     "--crop", default="center", show_default=True, type=click.Choice(["center", "random"])
 )

@@ -2,10 +2,10 @@
 
 For each of the first k zig-zag coefficients of a double-compressed image,
 the histogram is compared against the nearest reference records of every
-sub-dataset (j, q2_i); the per-candidate minima form a distance matrix whose
-row argmins are the raw estimates. Regularization rescores sliding triplets
-of consecutive usable coefficients with a smoothness term and aggregates the
-per-window votes by mode.
+section (j, q2_i) of its kind, DC or AC; the per-candidate minima form a
+distance matrix whose row argmins are the raw estimates. Regularization
+rescores sliding triplets of consecutive usable coefficients with a
+smoothness term and aggregates the per-window votes by mode.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ class EstimationParams:
 @dataclass
 class DistanceMatrix:
     """d[i - 1][j - 1] is the best chi-square distance of coefficient i
-    against sub-dataset (j, q2_i); rows of non-ok coefficients are inf."""
+    against ds.section(j, q2_i, "dc" for i = 1, else "ac"); rows of non-ok
+    coefficients are inf."""
 
     d: np.ndarray
     status: list[str]
@@ -109,7 +110,7 @@ def distance_matrix(
         row = d[i - 1]
         for j in range(1, p.q1_max + 1):
             row[j - 1] = batch_min_distance(
-                ds.sub(j, q2_i).kind(kind), table, key, p.n_candidates, total
+                ds.section(j, q2_i, kind), table, key, p.n_candidates, total
             )
         # A candidate with no reference data scores inf; with no usable
         # candidate at all the factor cannot be estimated from this dataset.

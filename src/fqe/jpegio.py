@@ -755,6 +755,8 @@ class _Parser:
             h, v = hv >> 4, hv & 0x0F
             if not (1 <= h <= 4 and 1 <= v <= 4) or tq > 3:
                 raise JpegFormatError("bad component sampling or table id")
+            if any(comp.comp_id == cid for comp in comps):
+                raise JpegFormatError(f"duplicate component id {cid} in SOF")
             comps.append(ComponentInfo(comp_id=cid, h=h, v=v, tq=tq))
         self.frame = FrameInfo(width=width, height=height, components=comps)
 

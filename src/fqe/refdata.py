@@ -2,11 +2,12 @@
 
 Every raw patch is double-compressed with all pairs of constant matrices
 (M_q1, M_q2); the DC histogram and the pooled AC histograms of coefficients
-2..k land in the sub-dataset keyed by that (q1, q2), indexed by the
+2..k land in the dc and ac sections of that (q1, q2), indexed by the
 Laplacian fit (mu for DC, beta for AC). Records are held in whole-dataset
-columns, each sub-dataset's records a contiguous run sorted by key, so that
+columns, each section's records a contiguous run sorted by key, so that
 nearest-key windows are contiguous slices and the chi-square scan over a
-window is one vectorized pass.
+window is one vectorized pass. ReferenceDataset.section(q1, q2, kind) is
+the one way to a section's records.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import mmap
 import os
 import struct
 import zlib
-from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -34,7 +34,7 @@ class DatasetFormatError(Exception):
 
 
 class PackedRecords:
-    """Records of one (sub-dataset, kind), packed into flat arrays.
+    """Records of one (q1, q2, kind) section, packed into flat arrays.
 
     keys is sorted ascending; record i owns the support values[offsets[i]:offsets[i+1]]
     with matching integer bin counts bins and counts[i] samples behind them.
@@ -54,32 +54,22 @@ class PackedRecords:
         return _masses(self.bins, self.counts, np.diff(self.offsets))
 
     @classmethod
-    def empty(cls) -> "PackedRecords":
-        return cls(
-            keys=np.empty(0, dtype=np.float64),
-            offsets=np.zeros(1, dtype=np.int64),
-            values=np.empty(0, dtype=np.int16),
-            bins=np.empty(0, dtype=np.uint16),
-            counts=np.empty(0, dtype=np.uint32),
-        )
-
-    @classmethod
-    def from_items(
+    def from_items(  # perfbench/spans.py traces this name
         cls, items: list[tuple[float, np.ndarray, np.ndarray, int]]
     ) -> "PackedRecords":
         """Pack (key, support, bin counts, sample count) items, stably sorted by key."""
-        if not items:
-            return cls.empty()
         keys = np.array([it[0] for it in items], dtype=np.float64)
         order = np.argsort(keys, kind="stable")
         lengths = np.array([items[i][1].size for i in order], dtype=np.int64)
         offsets = np.zeros(lengths.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
+        # np.concatenate needs one array: an empty one leads, so no items pack to no bins.
+        empty = [np.empty(0, dtype=np.int16)]
         return cls(
             keys=keys[order],
             offsets=offsets,
-            values=np.concatenate([items[i][1] for i in order]).astype(np.int16),
-            bins=np.concatenate([items[i][2] for i in order]).astype(np.uint16, copy=False),
+            values=np.concatenate(empty + [items[i][1] for i in order]).astype(np.int16),
+            bins=np.concatenate(empty + [items[i][2] for i in order]).astype(np.uint16),
             counts=np.array([items[i][3] for i in order], dtype=np.uint32),
         )
 
@@ -89,17 +79,12 @@ class PackedRecords:
 
 @dataclass
 class SubDataset:
+    """The dc and ac sections of one (q1, q2), as ReferenceDataset.subs lists them."""
+
     q1: int
     q2: int
-    dc: PackedRecords = field(default_factory=PackedRecords.empty)
-    ac: PackedRecords = field(default_factory=PackedRecords.empty)
-
-    def kind(self, name: str) -> PackedRecords:
-        if name == "dc":
-            return self.dc
-        if name == "ac":
-            return self.ac
-        raise ValueError(f"unknown record kind {name!r} (expected 'dc' or 'ac')")
+    dc: PackedRecords
+    ac: PackedRecords
 
 
 @dataclass(eq=False)
@@ -110,9 +95,10 @@ class ReferenceDataset:
     records bounds[s]:bounds[s + 1] and bins starts[s]:starts[s + 1]; record
     i has key keys[i], counts[i] samples and lengths[i] consecutive bins of
     values and bins. Keys are sorted within each section. A loaded dataset's
-    columns are views of the buffer it was read from, aligned or not; the
-    SubDataset of a (q1, q2), with its record offsets and an aligned copy of
-    its keys, is made the first time it is asked for, and then kept.
+    columns are views of the buffer it was read from, aligned or not. The
+    PackedRecords of a (q1, q2, kind) section, with its record offsets and
+    an aligned copy of its keys, is made the first time section() asks for
+    it, and then kept.
     """
 
     q1_max: int
@@ -130,60 +116,39 @@ class ReferenceDataset:
     crc: int | None = field(default=None, repr=False)
     path: str | None = None
     starts: np.ndarray = field(init=False, repr=False)
-    # (q1, q2) -> its index in q1-major order, and the sub-datasets made so far.
-    _order: dict = field(init=False, repr=False)
-    _made: dict = field(init=False, repr=False, default_factory=dict)
+    # Section id -> its PackedRecords, for the sections made so far.
+    _made: dict[int, PackedRecords] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.starts = _section_starts(self.lengths, self.bounds)
-        keys = itertools.product(range(1, self.q1_max + 1), repeat=2)
-        self._order = {key: i for i, key in enumerate(keys)}
 
     @property
-    def subs(self) -> Mapping[tuple[int, int], SubDataset]:
-        """Every (q1, q2) sub-dataset, q1-major, each made on first use."""
-        return _SubDatasets(self)
+    def subs(self) -> dict[tuple[int, int], SubDataset]:  # perfbench reads this name
+        """Every (q1, q2) sub-dataset, q1-major; makes every section."""
+        return {
+            (q1, q2): SubDataset(q1, q2, self.section(q1, q2, "dc"), self.section(q1, q2, "ac"))
+            for q1, q2 in itertools.product(range(1, self.q1_max + 1), repeat=2)
+        }
 
-    def sub(self, q1: int, q2: int) -> SubDataset:
-        try:
-            return self._sub((q1, q2))
-        except KeyError:
-            raise KeyError(f"no sub-dataset for (q1={q1}, q2={q2})") from None
-
-    def _sub(self, key: tuple[int, int]) -> SubDataset:
-        sub = self._made.get(key)
-        if sub is None:
-            s = 2 * self._order[key]
-            sub = SubDataset(*key, dc=self._section(s), ac=self._section(s + 1))
-            self._made[key] = sub
-        return sub
-
-    def _section(self, s: int) -> PackedRecords:
-        r0, r1 = int(self.bounds[s]), int(self.bounds[s + 1])
-        b0, b1 = int(self.starts[s]), int(self.starts[s + 1])
-        offsets = np.zeros(r1 - r0 + 1, dtype=np.int64)
-        np.cumsum(self.lengths[r0:r1], out=offsets[1:])
-        # An aligned key copy: the window search reads keys on every call.
-        return PackedRecords(
-            self.keys[r0:r1].astype(np.float64), offsets, self.values[b0:b1],
-            self.bins[b0:b1], self.counts[r0:r1],
-        )
-
-
-class _SubDatasets(Mapping):
-    """A read-only view of a dataset's sub-datasets, keyed by (q1, q2)."""
-
-    def __init__(self, ds: ReferenceDataset) -> None:
-        self._ds = ds
-
-    def __getitem__(self, key: tuple[int, int]) -> SubDataset:
-        return self._ds._sub(key)
-
-    def __iter__(self):
-        return iter(self._ds._order)
-
-    def __len__(self) -> int:
-        return len(self._ds._order)
+    def section(self, q1: int, q2: int, kind: str) -> PackedRecords:
+        """The records of (q1, q2) of one kind, "dc" or "ac"; made on first use, then kept."""
+        if not (1 <= q1 <= self.q1_max and 1 <= q2 <= self.q1_max):
+            raise KeyError(f"no sub-dataset for (q1={q1}, q2={q2})")
+        if kind not in _KINDS:
+            raise ValueError(f"unknown record kind {kind!r} (expected 'dc' or 'ac')")
+        s = 2 * ((q1 - 1) * self.q1_max + q2 - 1) + _KINDS.index(kind)
+        packed = self._made.get(s)
+        if packed is None:
+            r0, r1 = int(self.bounds[s]), int(self.bounds[s + 1])
+            b0, b1 = int(self.starts[s]), int(self.starts[s + 1])
+            offsets = np.zeros(r1 - r0 + 1, dtype=np.int64)
+            np.cumsum(self.lengths[r0:r1], out=offsets[1:])
+            # An aligned key copy: the window search reads keys on every call.
+            packed = self._made[s] = PackedRecords(
+                self.keys[r0:r1].astype(np.float64), offsets, self.values[b0:b1],
+                self.bins[b0:b1], self.counts[r0:r1],
+            )
+        return packed
 
 
 # Records per chunk of _section_starts: a 128 KB int64 cumsum at a time.
@@ -432,7 +397,7 @@ def batch_min_distance(
 
     table and total are mass_table(h) of the query h; one gather from the
     table gives the query mass at every record bin of the window. Returns
-    inf when the sub-dataset is empty. An exact zero is kept for a record
+    inf when the section is empty. An exact zero is kept for a record
     whose support and masses match h bit for bit.
     """
     if len(packed) == 0:

@@ -104,6 +104,16 @@ def encode_grids(width, height, components, scans, grids, restart_interval=0) ->
     return bytes(out)
 
 
+def with_duplicate_component(data: bytes) -> bytes:
+    """A one-component stream whose SOF lists its component twice, under one id."""
+    sof = data.find(b"\xff\xc0")
+    end = sof + 2 + ((data[sof + 2] << 8) | data[sof + 3])
+    payload = data[sof + 4 : end]
+    assert payload[5] == 1
+    doubled = payload[:5] + bytes([2]) + payload[6:9] * 2
+    return data[:sof] + jpegio._segment(0xC0, doubled) + data[end:]
+
+
 def random_grid(rng, blocks_w, blocks_h):
     """Sparse zig-zag blocks within the annex K tables' ranges: DC in
     [-1023, 1023], about one AC term in six non-zero with |value| < 1024,

@@ -129,10 +129,10 @@ def records(packed: PackedRecords) -> list[RefRecord]:
 def query(
     ds: ReferenceDataset, q1: int, q2: int, kind: str, key: float, n: int
 ) -> list[RefRecord]:
-    """The n records of sub-dataset (q1, q2) whose keys are nearest to key."""
+    """The n records of section (q1, q2, kind) whose keys are nearest to key."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    packed = ds.sub(q1, q2).kind(kind)
+    packed = ds.section(q1, q2, kind)
     lo, hi = _nearest_window(packed.keys, key, n)
     return [record(packed, i) for i in range(lo, hi)]
 

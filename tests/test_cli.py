@@ -23,9 +23,12 @@ from fqe.estimator import (
     raw_estimates,
     regularize,
 )
-from fqe.jpegio import crop_center, read_pgm
+from fqe.dctsim import standard_table
+from fqe.jpegio import crop_center, encode_baseline_gray, read_pgm
+from fqe.types import GrayImage
 
 from conftest import synth_patches, write_pgm
+from jpegwriter import with_duplicate_component
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -314,7 +317,15 @@ class TestInfo:
             assert built[-len(lines)] == f"wrote {out}: {out.stat().st_size} bytes"
             assert lines[1:] == built[-len(lines) + 1 :]
         assert lines[-3] == "q1_max=4 k=15 patch_side=64 source_count=6"
-        assert sum(line.startswith("q1=") for line in lines) == 16
+        # One line per (q1, q2), q1-major: the (dc, ac) record counts of the
+        # file's section table, which are also the lengths of its sections.
+        ds = refdata.load_dataset(out)
+        labels = [(q1, q2) for q1 in range(1, 5) for q2 in range(1, 5)]
+        pairs = np.diff(ds.bounds).reshape(-1, 2).tolist()
+        assert pairs == [[len(ds.section(*key, kind)) for kind in ("dc", "ac")] for key in labels]
+        assert [line for line in lines if line.startswith("q1=")] == [
+            f"q1={q1:>3} q2={q2:>3}: dc={dc} ac={ac}" for (q1, q2), (dc, ac) in zip(labels, pairs)
+        ]
 
 
 class TestMakeCorpus:
@@ -406,12 +417,13 @@ class TestMakeCorpus:
         assert message in result.output
         assert not (tmp_path / "x").exists()
 
-    def test_patch_zero_is_usage_error(self, tmp_path, raw_dir, runner):
+    @pytest.mark.parametrize("patch", ["0", "4"])
+    def test_patch_zero_is_usage_error(self, tmp_path, raw_dir, runner, patch):
         result = runner.invoke(
             main,
             [
                 "make-corpus", "--raw-dir", str(raw_dir), "--out-dir", str(tmp_path / "x"),
-                "--qf1", "80", "--qf2", "90", "--patch", "0",
+                "--qf1", "80", "--qf2", "90", "--patch", patch,
             ],
         )
         assert result.exit_code == 2, result.output
@@ -548,9 +560,15 @@ class TestEstimate:
         for row in report["positions"]:
             assert row["raw"] == row["estimate"]
 
-    def test_parse_failure_exit_code(self, tmp_path, dataset_file, runner):
+    @pytest.mark.parametrize("content", ["junk", "duplicate-component-id"])
+    def test_parse_failure_exit_code(self, tmp_path, dataset_file, runner, content):
         bogus = tmp_path / "bogus.jpg"
-        bogus.write_bytes(b"not a jpeg at all")
+        if content == "junk":
+            bogus.write_bytes(b"not a jpeg at all")
+        else:
+            img = GrayImage(np.full((16, 16), 77, dtype=np.uint8))
+            valid = encode_baseline_gray(img, standard_table(90))
+            bogus.write_bytes(with_duplicate_component(valid))
         result = runner.invoke(
             main, ["estimate", "--image", str(bogus), "--dataset", str(dataset_file)]
         )

@@ -14,6 +14,7 @@ from fqe import dctsim, jpegio
 from fqe.types import GrayImage, QuantTable
 
 from conftest import synth_patch, synth_patches, write_pgm
+from jpegwriter import with_duplicate_component
 
 try:
     from PIL import Image as PIL_Image
@@ -167,6 +168,11 @@ class TestParserErrors:
         stripped = data[:dqt] + data[dqt + 2 + length :]
         with pytest.raises(jpegio.JpegFormatError, match="DQT"):
             jpegio.parse_jpeg(stripped)
+
+    def test_duplicate_component_ids_rejected(self):
+        data = with_duplicate_component(self.build_valid())
+        with pytest.raises(jpegio.JpegFormatError, match="duplicate component id 1"):
+            jpegio.parse_jpeg(data)
 
     def test_garbage_marker_stream(self):
         data = bytearray(self.build_valid())

@@ -112,8 +112,8 @@ class TestBuild:
                             dc_expect.append((params.mu, h))
                         else:
                             ac_expect.append((params.beta, h))
-                sub = ds.sub(q1, q2)
-                for expect, packed in ((dc_expect, sub.dc), (ac_expect, sub.ac)):
+                for expect, kind in ((dc_expect, "dc"), (ac_expect, "ac")):
+                    packed = ds.section(q1, q2, kind)
                     expect.sort(key=lambda t: t[0])
                     assert len(packed) == len(expect)
                     for idx, (key, hist) in enumerate(expect):
@@ -203,12 +203,12 @@ class TestBuild:
         q1_max = 22
         ds = build_reference(patches, q1_max=q1_max, k=15)
         per_patch = [patch_items(p, q1_max, 15) for p in patches]
-        for (q1, q2), sub in ds.subs.items():
+        for q1, q2 in ds.subs:
             for kind in (0, 1):
                 want = PackedRecords.from_items(
                     [it for items in per_patch for it in items[(q1, q2)][kind]]
                 )
-                got = sub.kind(_KINDS[kind])
+                got = ds.section(q1, q2, _KINDS[kind])
                 for name in ("keys", "offsets", "values", "bins", "counts", "masses"):
                     a, b = getattr(got, name), getattr(want, name)
                     assert a.dtype == b.dtype and np.array_equal(a, b), (q1, q2, kind, name)
@@ -252,9 +252,9 @@ class TestBuild:
         assert multiprocessing.active_children() == []
 
     def test_keys_sorted_and_consistent_with_fit(self, small_ds):
-        for sub in small_ds.subs.values():
-            for kind in ("dc", "ac"):
-                packed = sub.kind(kind)
+        for q1, q2 in small_ds.subs:
+            for kind in _KINDS:
+                packed = small_ds.section(q1, q2, kind)
                 assert np.all(np.diff(packed.keys) >= 0)
                 for idx in range(0, len(packed), 7):
                     rec = record(packed, idx)
@@ -311,7 +311,7 @@ class TestBuild:
 
 class TestQuery:
     def test_saturation(self, small_ds):
-        packed = small_ds.sub(2, 3).ac
+        packed = small_ds.section(2, 3, "ac")
         records = query(small_ds, 2, 3, "ac", key=0.0, n=len(packed) + 50)
         assert len(records) == len(packed)
 
@@ -358,19 +358,19 @@ class TestQuery:
 
 class TestMinDistance:
     def test_identity_member(self, small_ds):
-        packed = small_ds.sub(3, 2).ac
+        packed = small_ds.section(3, 2, "ac")
         rec = record(packed, 4)
         candidates = records(packed)[:10]
         assert min_distance(rec.hist, candidates) == 0.0
 
     def test_single_candidate(self, small_ds):
-        packed = small_ds.sub(1, 1).ac
+        packed = small_ds.section(1, 1, "ac")
         h = record(packed, 0).hist
         other = record(packed, 3)
         assert min_distance(h, [other]) == chi2(h, other.hist)
 
     def test_three_candidates_brute_force(self, small_ds):
-        packed = small_ds.sub(2, 2).ac
+        packed = small_ds.section(2, 2, "ac")
         h = record(packed, 1).hist
         candidates = [record(packed, i) for i in (5, 6, 7)]
         expected = min(chi2(h, c.hist) for c in candidates)
@@ -395,10 +395,10 @@ class TestBatchMinDistance:
             q1 = int(rng.integers(1, 6))
             q2 = int(rng.integers(1, 6))
             kind = "dc" if rng.random() < 0.3 else "ac"
-            packed = small_ds.sub(q1, q2).kind(kind)
+            packed = small_ds.section(q1, q2, kind)
             if len(packed) == 0:
                 continue
-            src = small_ds.sub(int(rng.integers(1, 6)), q2).kind(kind)
+            src = small_ds.section(int(rng.integers(1, 6)), q2, kind)
             if len(src) == 0:
                 continue
             h = record(src, int(rng.integers(0, len(src)))).hist
@@ -410,11 +410,11 @@ class TestBatchMinDistance:
             assert fast == pytest.approx(slow, abs=1e-12)
 
     def test_every_window_equals_oracle(self, small_ds, rng):
-        # Queries with supports of their own, against every sub-dataset of
+        # Queries with supports of their own, against every section of
         # small_ds at a spread of keys and window sizes.
-        for (q1, q2), sub in small_ds.subs.items():
+        for q1, q2 in small_ds.subs:
             for kind in _KINDS:
-                packed = sub.kind(kind)
+                packed = small_ds.section(q1, q2, kind)
                 for _ in range(4):
                     h = build_histogram(np.round(rng.laplace(0, rng.uniform(0.3, 30), 64)))
                     key = float(rng.uniform(-3, 12))
@@ -450,13 +450,13 @@ class TestBatchMinDistance:
         assert scan(packed, h, 0.0, 10) == dense_min_distance(packed, h, 0.0, 10)
 
     def test_exact_zero_for_member(self, small_ds):
-        packed = small_ds.sub(4, 3).ac
+        packed = small_ds.section(4, 3, "ac")
         rec = record(packed, len(packed) // 2)
         assert scan(packed, rec.hist, rec.key, 1000) == 0.0
 
     def test_empty_is_inf(self):
         h = build_histogram([0, 1])
-        assert scan(PackedRecords.empty(), h, 0.0, 10) == float("inf")
+        assert scan(PackedRecords.from_items([]), h, 0.0, 10) == float("inf")
 
 
 class TestSelfRetrieval:
@@ -464,10 +464,10 @@ class TestSelfRetrieval:
         # A query that is itself a record of (q1*, q2) must reach distance 0
         # at j = q1*, so the argmin lands on a zero-distance candidate.
         q1_star, q2 = 4, 2
-        packed = small_ds.sub(q1_star, q2).ac
+        packed = small_ds.section(q1_star, q2, "ac")
         rec = record(packed, 7)
         dists = [
-            scan(small_ds.sub(j, q2).ac, rec.hist, rec.key, 1000)
+            scan(small_ds.section(j, q2, "ac"), rec.hist, rec.key, 1000)
             for j in range(1, small_ds.q1_max + 1)
         ]
         assert dists[q1_star - 1] == 0.0
@@ -481,10 +481,9 @@ class TestSerialization:
         assert ds2.k == small_ds.k
         assert ds2.patch_side == small_ds.patch_side
         assert ds2.source_count == small_ds.source_count
-        for key, sub in small_ds.subs.items():
-            sub2 = ds2.subs[key]
-            for kind in ("dc", "ac"):
-                a, b = sub.kind(kind), sub2.kind(kind)
+        for q1, q2 in small_ds.subs:
+            for kind in _KINDS:
+                a, b = small_ds.section(q1, q2, kind), ds2.section(q1, q2, kind)
                 assert np.array_equal(a.keys, b.keys)
                 assert np.array_equal(a.offsets, b.offsets)
                 assert np.array_equal(a.values, b.values)
@@ -616,7 +615,7 @@ class TestSerialization:
 
 
 class TestSections:
-    """Sub-datasets and their masses are made from the columns on first use."""
+    """Sections and their masses are made from the columns on first use."""
 
     @staticmethod
     def built():
@@ -628,14 +627,14 @@ class TestSections:
         loaded = deserialize(serialize(ds))
         for d in (ds, loaded):
             assert d._made == {}
-            assert len(d.subs) == 16 and list(d.subs)[:2] == [(1, 1), (1, 2)]
-            assert d._made == {}
-            sub = d.sub(2, 3)
-            assert list(d._made) == [(2, 3)]
-            assert d.subs[(2, 3)] is sub
-            assert "masses" not in vars(sub.dc) and "masses" not in vars(sub.ac)
-            assert sub.ac.masses is sub.ac.masses
-            assert "masses" not in vars(sub.dc)
+            ac = d.section(2, 3, "ac")
+            # Section 2 * ((2 - 1) * 4 + 3 - 1) + 1, and no other.
+            assert list(d._made) == [13] and len(ac) > 0
+            assert d.section(2, 3, "ac") is ac
+            assert "masses" not in vars(ac)
+            scan(ac, build_histogram([0, 1, 1, 2]), 0.0, 5)
+            assert "masses" in vars(ac) and ac.masses is ac.masses
+            assert list(d._made) == [13]
 
     def test_masses_match_whole_columns(self):
         ds = self.built()
@@ -645,7 +644,7 @@ class TestSections:
             assert whole.dtype == np.float64
             for s, key in enumerate(d.subs):
                 for kind in (0, 1):
-                    packed = d.subs[key].kind(_KINDS[kind])
+                    packed = d.section(*key, _KINDS[kind])
                     r0, r1 = d.bounds[2 * s + kind], d.bounds[2 * s + kind + 1]
                     b0, b1 = offsets[r0], offsets[r1]
                     assert (b0, b1) == tuple(d.starts[2 * s + kind : 2 * s + kind + 2])
@@ -668,18 +667,17 @@ class TestSections:
 
     def test_keys_order_and_missing_key(self):
         ds = self.built()
-        assert len(ds.subs) == 16
-        assert list(ds.subs) == [(q1, q2) for q1 in range(1, 5) for q2 in range(1, 5)]
-        assert [(sub.q1, sub.q2) for sub in ds.subs.values()] == list(ds.subs)
-        assert (4, 4) in ds.subs and (5, 1) not in ds.subs and (0, 1) not in ds.subs
         for q1, q2 in ((0, 1), (5, 1), (1, 5)):
             with pytest.raises(KeyError, match=rf"no sub-dataset for \(q1={q1}, q2={q2}\)"):
-                ds.sub(q1, q2)
-            with pytest.raises(KeyError):
-                ds.subs[(q1, q2)]
-        with pytest.raises(TypeError):
-            ds.subs[(1, 1)] = ds.sub(1, 1)
-        assert ds._made.keys() == set(ds.subs)
+                ds.section(q1, q2, "dc")
+        with pytest.raises(ValueError, match="unknown record kind 'xx'"):
+            ds.section(1, 1, "xx")
+        assert ds._made == {}
+        assert list(ds.subs) == [(q1, q2) for q1 in range(1, 5) for q2 in range(1, 5)]
+        assert [(sub.q1, sub.q2) for sub in ds.subs.values()] == list(ds.subs)
+        assert sorted(ds._made) == list(range(2 * 16))
+        sub = ds.subs[(2, 3)]
+        assert sub.dc is ds.section(2, 3, "dc") and sub.ac is ds.section(2, 3, "ac")
 
 
 def _root(a):
