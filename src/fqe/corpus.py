@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import io
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +184,7 @@ def evaluate_corpus(
             raise ValueError(f"manifest lists missing file {filename}")
 
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with contextlib.ExitStack() as stack:
             path, crc = ds.path, ds.crc
             if path is None:

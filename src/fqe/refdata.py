@@ -7,18 +7,17 @@ Laplacian fit (mu for DC, beta for AC). Records are held in whole-dataset
 columns, each section's records a contiguous run sorted by key, so that
 nearest-key windows are contiguous slices and the chi-square scan over a
 window is one vectorized pass. ReferenceDataset.section(q1, q2, kind) is
-the one way to a section's records.
+the one way to a section's records; scoring one keeps nothing per bin.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
 import mmap
 import os
 import struct
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +37,8 @@ class PackedRecords:
 
     keys is sorted ascending; record i owns the support values[offsets[i]:offsets[i+1]]
     with matching integer bin counts bins and counts[i] samples behind them.
-    masses = bins / counts[i] is computed by _masses on first access and
-    then kept, so built and loaded records hold the same f64 values bit for bit.
+    count is the sample count all records share, as a float, or None when
+    their counts differ (every built dataset has one count, its block count).
     """
 
     def __init__(self, keys, offsets, values, bins, counts):
@@ -48,10 +47,7 @@ class PackedRecords:
         self.values = values
         self.bins = bins
         self.counts = counts
-
-    @functools.cached_property
-    def masses(self) -> np.ndarray:
-        return _masses(self.bins, self.counts, np.diff(self.offsets))
+        self.count = float(counts[0]) if counts.size and counts.min() == counts.max() else None
 
     @classmethod
     def from_items(  # perfbench/spans.py traces this name
@@ -98,7 +94,7 @@ class ReferenceDataset:
     columns are views of the buffer it was read from, aligned or not. The
     PackedRecords of a (q1, q2, kind) section, with its record offsets and
     an aligned copy of its keys, is made the first time section() asks for
-    it, and then kept.
+    it, and then kept: 16 bytes per record, and nothing per bin.
     """
 
     q1_max: int
@@ -166,12 +162,6 @@ def _section_starts(lengths: np.ndarray, bounds: np.ndarray) -> np.ndarray:
         starts[lo:hi] = ends[bounds[lo:hi] - c0 - 1]
         total = ends[-1]
     return starts
-
-
-def _masses(bins: np.ndarray, counts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Per bin, its count over the sample count of its record (lengths[i] bins)."""
-    masses = np.repeat(counts.astype(np.float64), lengths)
-    return np.divide(bins, masses, out=masses)
 
 
 def _nearest_window(keys: np.ndarray, key: float, n: int) -> tuple[int, int]:
@@ -302,6 +292,7 @@ def build_reference(
     # in-process.
     pool = None
     if jobs is not None and jobs > 1 and len(batches) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(
             min(jobs, q1_max), initializer=_init_build_worker, initargs=(batches, q1_max, k)
         )
@@ -396,24 +387,32 @@ def batch_min_distance(
     """Smallest chi-square distance from a query to its n nearest-key records.
 
     table and total are mass_table(h) of the query h; one gather from the
-    table gives the query mass at every record bin of the window. Returns
-    inf when the section is empty. An exact zero is kept for a record
-    whose support and masses match h bit for bit.
+    table gives the query mass at every record bin of the window. The
+    window's masses, its bin counts over their sample counts, are made per
+    call and not kept. Returns inf when the section is empty. An exact zero
+    is kept for a record whose support and masses match h bit for bit.
     """
     if len(packed) == 0:
         return float("inf")
     lo, hi = _nearest_window(packed.keys, key, n)
     start, end = int(packed.offsets[lo]), int(packed.offsets[hi])
     x = np.take(table, packed.values[start:end].view(np.uint16))
-    mass = packed.masses[start:end]
+    mass = packed.bins[start:end].astype(np.float64)
+    if packed.count is None:  # each bin over its own record's sample count
+        mass /= np.repeat(packed.counts[lo:hi].astype(float), np.diff(packed.offsets[lo : hi + 1]))
+    elif math.frexp(packed.count)[0] == 0.5:  # c * 2^-j is c / 2^j exactly, and faster
+        mass *= 1.0 / packed.count
+    else:
+        mass /= packed.count
 
     # chi2 = sum over record bins of (x-m)^2/(x+m), plus the query mass that
     # falls outside the record support: total - sum over record bins of x.
     # total uses the same reduction as the per-record sums so an identical
-    # record cancels to exactly zero.
+    # record cancels to exactly zero. x + m is summed into mass's own buffer.
     terms = x - mass
     terms *= terms
-    terms /= x + mass
+    mass += x
+    terms /= mass
     seg = packed.offsets[lo:hi] - start
     dist = np.add.reduceat(terms, seg)
     dist += total - np.add.reduceat(x, seg)

@@ -111,12 +111,19 @@ class RefRecord:
         return self.key == other.key and self.hist == other.hist
 
 
+def masses(packed: PackedRecords, lo: int, hi: int) -> np.ndarray:
+    """Per bin of records lo:hi of packed, its count over its record's sample count."""
+    offsets = packed.offsets[lo : hi + 1]
+    counts = np.repeat(packed.counts[lo:hi].astype(np.float64), np.diff(offsets))
+    return packed.bins[offsets[0] : offsets[-1]] / counts
+
+
 def record(packed: PackedRecords, i: int) -> RefRecord:
     """Record i of packed as a key and a histogram of its own."""
     lo, hi = int(packed.offsets[i]), int(packed.offsets[i + 1])
     hist = CoeffHistogram(
         support=packed.values[lo:hi].astype(np.int64),
-        mass=packed.masses[lo:hi].copy(),
+        mass=masses(packed, i, i + 1),
         count=int(packed.counts[i]),
     )
     return RefRecord(key=float(packed.keys[i]), hist=hist)
@@ -155,7 +162,7 @@ def dense_min_distance(packed: PackedRecords, h: CoeffHistogram, key: float, n: 
     lo, hi = _nearest_window(packed.keys, key, n)
     start, end = int(packed.offsets[lo]), int(packed.offsets[hi])
     vals = packed.values[start:end].astype(np.int64)
-    mass = packed.masses[start:end]
+    mass = masses(packed, lo, hi)
 
     qmin = int(h.support[0])
     dense = np.zeros(int(h.support[-1]) - qmin + 1)

@@ -927,3 +927,15 @@ class TestEvaluate:
         assert result.exit_code == 1
         assert "job count must be at least 1" in result.output
         assert "checksum" not in result.output
+
+
+def test_import_starts_no_pool_machinery():
+    # Only a build or an evaluate with jobs above 1 starts a pool; the
+    # modules behind it stay out of every other process.
+    done = run_python(
+        "import sys, fqe, fqe.cli\n"
+        "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(pool)))"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -209,7 +209,7 @@ class TestBuild:
                     [it for items in per_patch for it in items[(q1, q2)][kind]]
                 )
                 got = ds.section(q1, q2, _KINDS[kind])
-                for name in ("keys", "offsets", "values", "bins", "counts", "masses"):
+                for name in ("keys", "offsets", "values", "bins", "counts"):
                     a, b = getattr(got, name), getattr(want, name)
                     assert a.dtype == b.dtype and np.array_equal(a, b), (q1, q2, kind, name)
 
@@ -449,6 +449,42 @@ class TestBatchMinDistance:
         assert scan(packed, h, 2.0, 1) == 2.0
         assert scan(packed, h, 0.0, 10) == dense_min_distance(packed, h, 0.0, 10)
 
+    def test_mixed_sample_counts_equal_oracle(self, rng):
+        # Records of differing sample counts: each bin is divided by its own
+        # record's count, not by a count shared by the section.
+        for _ in range(20):
+            items = []
+            for _ in range(int(rng.integers(2, 40))):
+                support = np.unique(rng.integers(-30, 31, int(rng.integers(2, 12))))
+                bins = rng.integers(1, 200, support.size)
+                count = int(bins.sum() + rng.integers(0, 50))
+                items.append((float(rng.normal(0, 5)), support.astype(np.int16),
+                              bins.astype(np.uint16), count))
+            packed = PackedRecords.from_items(items)
+            assert packed.count is None
+            for _ in range(10):
+                h = build_histogram(np.round(rng.laplace(0, rng.uniform(0.5, 10), 64)))
+                key = float(rng.normal(0, 6))
+                n = int(rng.choice([1, 2, 5, 1000]))
+                assert scan(packed, h, key, n) == dense_min_distance(packed, h, key, n)
+
+    @pytest.mark.parametrize("count", [36, 64, 81, 100, 1089])
+    def test_shared_count_masses_equal_division(self, count):
+        # Every bin count c below a shared sample count: a record's own
+        # histogram, masses c / count by the oracle's division, cancels to
+        # 0.0 only if the scan's masses equal them bit for bit. (c * (1 / 81)
+        # is not c / 81 for c = 43, 47, ...)
+        items = [
+            (float(c), np.array([0, 1], dtype=np.int16),
+             np.array([c, count - c], dtype=np.uint16), count)
+            for c in range(1, count)
+        ]
+        packed = PackedRecords.from_items(items)
+        assert packed.count == count
+        for i in range(len(packed)):
+            own = record(packed, i)
+            assert scan(packed, own.hist, own.key, 1) == 0.0, (count, i)
+
     def test_exact_zero_for_member(self, small_ds):
         packed = small_ds.section(4, 3, "ac")
         rec = record(packed, len(packed) // 2)
@@ -488,7 +524,6 @@ class TestSerialization:
                 assert np.array_equal(a.offsets, b.offsets)
                 assert np.array_equal(a.values, b.values)
                 assert np.array_equal(a.bins, b.bins)
-                assert np.array_equal(a.masses, b.masses)
                 assert np.array_equal(a.counts, b.counts)
 
     def test_round_trip_byte_exact(self, small_ds):
@@ -607,15 +642,17 @@ class TestSerialization:
         again = serialize(ds)
         assert serialize(deserialize(again)) == again
         # Every check is made at load time: no section of a loaded file may
-        # fail when it is first used.
-        for sub in ds.subs.values():
-            for packed in (sub.dc, sub.ac):
-                assert packed.masses.size == packed.offsets[-1] == packed.values.size
-                assert np.isfinite(packed.masses).all()
+        # fail when it is first used or scored.
+        h = build_histogram([-2, 0, 0, 1, 3])
+        with np.errstate(divide="raise", invalid="raise"):
+            for sub in ds.subs.values():
+                for packed in (sub.dc, sub.ac):
+                    assert packed.offsets[-1] == packed.values.size == packed.bins.size
+                    assert scan(packed, h, 0.0, 1000) >= 0.0
 
 
 class TestSections:
-    """Sections and their masses are made from the columns on first use."""
+    """Sections are made from the columns on first use; scoring keeps no masses."""
 
     @staticmethod
     def built():
@@ -631,17 +668,19 @@ class TestSections:
             # Section 2 * ((2 - 1) * 4 + 3 - 1) + 1, and no other.
             assert list(d._made) == [13] and len(ac) > 0
             assert d.section(2, 3, "ac") is ac
-            assert "masses" not in vars(ac)
             scan(ac, build_histogram([0, 1, 1, 2]), 0.0, 5)
-            assert "masses" in vars(ac) and ac.masses is ac.masses
+            # The section owns its offsets and key copy; its bins stay views.
+            owned = [
+                name for name, a in vars(ac).items() if isinstance(a, np.ndarray) and a.base is None
+            ]
+            assert sorted(owned) == ["keys", "offsets"] and ac.count == 81.0
             assert list(d._made) == [13]
 
     def test_masses_match_whole_columns(self):
         ds = self.built()
+        h = build_histogram([-3, -1, 0, 0, 0, 1, 2, 5])
         for d in (ds, deserialize(serialize(ds))):
             offsets = np.concatenate([[0], np.cumsum(d.lengths, dtype=np.int64)])
-            whole = d.bins / np.repeat(d.counts, d.lengths)
-            assert whole.dtype == np.float64
             for s, key in enumerate(d.subs):
                 for kind in (0, 1):
                     packed = d.section(*key, _KINDS[kind])
@@ -650,9 +689,14 @@ class TestSections:
                     assert (b0, b1) == tuple(d.starts[2 * s + kind : 2 * s + kind + 2])
                     assert len(packed) == r1 - r0
                     assert np.array_equal(packed.offsets, offsets[r0 : r1 + 1] - b0)
-                    assert np.array_equal(
-                        packed.masses.view(np.uint64), whole[b0:b1].view(np.uint64)
-                    ), (key, kind)
+                    # Whole-section windows: every record's masses c / 81 enter.
+                    for n in (len(packed), len(packed) + 10):
+                        got = scan(packed, h, 1.0, n)
+                        assert got == dense_min_distance(packed, h, 1.0, n), (key, kind)
+                    # A record's own histogram, with the oracle's masses, cancels to 0.0.
+                    for i in range(len(packed)):
+                        own = record(packed, i)
+                        assert scan(packed, own.hist, own.key, len(packed)) == 0.0, (key, kind, i)
             assert set(d.counts.tolist()) == {81}
 
     def test_round_trip_before_and_after_use(self):
@@ -660,10 +704,34 @@ class TestSections:
         blob = serialize(ds)
         loaded = deserialize(blob)
         assert serialize(loaded) == blob
+        h = build_histogram([0, 1, 1, 2])
         for d in (ds, loaded):
             for sub in d.subs.values():
-                sub.dc.masses, sub.ac.masses
+                scan(sub.dc, h, 0.0, 1000), scan(sub.ac, h, 0.0, 1000)
             assert serialize(d) == blob
+
+    def test_scoring_retains_offsets_and_keys_only(self):
+        # Per section made: int64 offsets and f64 keys, 16 bytes per record,
+        # and about 1 KB of Python objects. A kept f64 mass per bin would add
+        # about 100 bytes per record here (12.8 bins per record).
+        ds = deserialize(serialize(
+            build_reference(synth_patches(seed=34, count=40, side=32), q1_max=2, k=15)
+        ))
+        table, total = mass_table(build_histogram([-1, 0, 1, 1, 2]))
+        pairs = [(1, 1), (1, 2), (2, 1), (2, 2)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for q1, q2 in pairs:
+                dist = batch_min_distance(ds.section(q1, q2, "ac"), table, 0.0, 1000, total)
+                assert dist >= 0.0
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sorted(ds._made) == [1, 3, 5, 7]
+        records = sum(len(packed) for packed in ds._made.values())
+        assert records > 2000
+        assert retained <= 16 * records + 2048 * len(pairs)
 
     def test_keys_order_and_missing_key(self):
         ds = self.built()
