@@ -13,7 +13,6 @@ the one way to a section's records; scoring one keeps nothing per bin.
 from __future__ import annotations
 
 import itertools
-import math
 import mmap
 import os
 import struct
@@ -400,8 +399,6 @@ def batch_min_distance(
     mass = packed.bins[start:end].astype(np.float64)
     if packed.count is None:  # each bin over its own record's sample count
         mass /= np.repeat(packed.counts[lo:hi].astype(float), np.diff(packed.offsets[lo : hi + 1]))
-    elif math.frexp(packed.count)[0] == 0.5:  # c * 2^-j is c / 2^j exactly, and faster
-        mass *= 1.0 / packed.count
     else:
         mass /= packed.count
 

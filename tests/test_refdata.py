@@ -472,8 +472,7 @@ class TestBatchMinDistance:
     def test_shared_count_masses_equal_division(self, count):
         # Every bin count c below a shared sample count: a record's own
         # histogram, masses c / count by the oracle's division, cancels to
-        # 0.0 only if the scan's masses equal them bit for bit. (c * (1 / 81)
-        # is not c / 81 for c = 43, 47, ...)
+        # 0.0 only if the scan's masses equal them bit for bit.
         items = [
             (float(c), np.array([0, 1], dtype=np.int16),
              np.array([c, count - c], dtype=np.uint16), count)
