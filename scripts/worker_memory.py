@@ -6,8 +6,10 @@
 For the parent checkout and this one, and each process start method (fork,
 spawn), runs `fqe evaluate --jobs 2` REPEATS times over a double-compressed
 corpus (QF1 60, 70, 80 and 90, then QF2 90) against the 100-patch benchmark
-dataset: perfbench's fixed-seed dataset, built with this checkout, whose
-bytes every FQE2 checkout reads alike. While a run lasts, each worker's
+dataset: perfbench's fixed-seed dataset, built with this checkout. Both
+checkouts must read one file format (FQE3 since the per-record sample
+counts were dropped): a parent checkout that writes FQE2 cannot read the
+file and fails. While a run lasts, each worker's
 Pss, Rss and private memory (Private_Clean + Private_Dirty) are read from
 /proc/<pid>/smaps_rollup every INTERVAL seconds and their peaks kept;
 the evaluating process prints its own VmHWM when it ends. Pss splits a

@@ -337,7 +337,7 @@ def estimate_cmd(
     except (JpegError, OSError) as exc:
         click.echo(f"cannot parse {image}: {exc}", err=True)
         sys.exit(EXIT_PARSE_FAILURE)
-    except ValueError as exc:
+    except (DatasetFormatError, ValueError) as exc:  # a section fails when first made
         _dataset_failure(exc)
     click.echo(_format_estimate(result, fmt))
     statuses = result.distances.status

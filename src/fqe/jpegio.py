@@ -12,8 +12,8 @@ simulated compression paths agree bit-exactly.
 from __future__ import annotations
 
 import bisect
+import functools
 from array import array
-from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import islice, repeat
@@ -168,10 +168,6 @@ _NEXT[_PARKED] = _PARKED
 _BASE = np.where((_NEXT > 1) & (_NEXT <= 65), 1 << 16, 0)
 _BASE[_PARKED] = 2 << 16
 
-_LUT_CACHE_SIZE = 8
-_LUT_CACHE: OrderedDict[bytes, np.ndarray] = OrderedDict()
-
-
 def _build_table(bits: tuple[int, ...], values: tuple[int, ...], dc: bool) -> np.ndarray:
     """The decode table of a Huffman table definition, code by code."""
     table = np.full(1 << 16, _ADV_ERR << 21, dtype=np.int32)
@@ -195,17 +191,10 @@ def _build_table(bits: tuple[int, ...], values: tuple[int, ...], dc: bool) -> np
     return table
 
 
+@functools.lru_cache(maxsize=8)
 def _huffman_table(tc: int, bits: tuple[int, ...], values: tuple[int, ...]) -> np.ndarray:
     """Decode table of one DHT entry (class tc), from a bounded LRU cache."""
-    key = bytes([tc]) + bytes(bits) + bytes(values)
-    table = _LUT_CACHE.get(key)
-    if table is not None:
-        _LUT_CACHE.move_to_end(key)
-        return table
-    table = _LUT_CACHE[key] = _build_table(bits, values, dc=tc == 0)
-    if len(_LUT_CACHE) > _LUT_CACHE_SIZE:
-        _LUT_CACHE.popitem(last=False)
-    return table
+    return _build_table(bits, values, dc=tc == 0)
 
 
 def _split_entropy(data: bytes, start: int) -> tuple[list[bytes], list[int], int]:

@@ -35,24 +35,25 @@ class PackedRecords:
     """Records of one (q1, q2, kind) section, packed into flat arrays.
 
     keys is sorted ascending; record i owns the support values[offsets[i]:offsets[i+1]]
-    with matching integer bin counts bins and counts[i] samples behind them.
-    count is the sample count all records share, as a float, or None when
-    their counts differ (every built dataset has one count, its block count).
+    with matching integer bin counts bins. Every record has count samples
+    behind it, as a float: the block count of the dataset's patches.
     """
 
-    def __init__(self, keys, offsets, values, bins, counts):
+    def __init__(self, keys, offsets, values, bins, count: float):
         self.keys = keys
         self.offsets = offsets
         self.values = values
         self.bins = bins
-        self.counts = counts
-        self.count = float(counts[0]) if counts.size and counts.min() == counts.max() else None
+        self.count = count
 
     @classmethod
     def from_items(  # perfbench/spans.py traces this name
         cls, items: list[tuple[float, np.ndarray, np.ndarray, int]]
     ) -> "PackedRecords":
         """Pack (key, support, bin counts, sample count) items, stably sorted by key."""
+        counts = {it[3] for it in items}
+        if len(counts) > 1:
+            raise ValueError(f"records of one section share one sample count, not {sorted(counts)}")
         keys = np.array([it[0] for it in items], dtype=np.float64)
         order = np.argsort(keys, kind="stable")
         lengths = np.array([items[i][1].size for i in order], dtype=np.int64)
@@ -65,7 +66,7 @@ class PackedRecords:
             offsets=offsets,
             values=np.concatenate(empty + [items[i][1] for i in order]).astype(np.int16),
             bins=np.concatenate(empty + [items[i][2] for i in order]).astype(np.uint16),
-            counts=np.array([items[i][3] for i in order], dtype=np.uint32),
+            count=float(counts.pop()) if counts else 0.0,
         )
 
     def __len__(self) -> int:
@@ -84,16 +85,17 @@ class SubDataset:
 
 @dataclass(eq=False)
 class ReferenceDataset:
-    """The reference records as whole-dataset columns, in FQE2 order.
+    """The reference records as whole-dataset columns, in FQE3 order.
 
     Section s = 2 * ((q1 - 1) * q1_max + q2 - 1) + (0 for dc, 1 for ac) owns
     records bounds[s]:bounds[s + 1] and bins starts[s]:starts[s + 1]; record
-    i has key keys[i], counts[i] samples and lengths[i] consecutive bins of
-    values and bins. Keys are sorted within each section. A loaded dataset's
-    columns are views of the buffer it was read from, aligned or not. The
-    PackedRecords of a (q1, q2, kind) section, with its record offsets and
-    an aligned copy of its keys, is made the first time section() asks for
-    it, and then kept: 16 bytes per record, and nothing per bin.
+    i has key keys[i] and lengths[i] consecutive bins of values and bins,
+    which sum to the block count of a patch, (patch_side / 8)^2. Keys are
+    sorted within each section. A loaded dataset's columns are views of the
+    buffer it was read from, aligned or not. The PackedRecords of a
+    (q1, q2, kind) section, with its record offsets and an aligned copy of
+    its keys, is made and its bin sums checked the first time section()
+    asks for it, and then kept: 16 bytes per record, and nothing per bin.
     """
 
     q1_max: int
@@ -105,7 +107,6 @@ class ReferenceDataset:
     lengths: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     bins: np.ndarray = field(repr=False)
-    counts: np.ndarray = field(repr=False)
     # The CRC trailer of the buffer it was read from, and the file that
     # load_dataset mapped; None for a dataset built in memory.
     crc: int | None = field(default=None, repr=False)
@@ -138,10 +139,15 @@ class ReferenceDataset:
             b0, b1 = int(self.starts[s]), int(self.starts[s + 1])
             offsets = np.zeros(r1 - r0 + 1, dtype=np.int64)
             np.cumsum(self.lengths[r0:r1], out=offsets[1:])
+            bins, n = self.bins[b0:b1], (self.patch_side // 8) ** 2
+            # A failing section is not kept, so every use of it fails.
+            if (np.add.reduceat(bins, offsets[:-1], dtype=np.int64) != n).any():
+                raise DatasetFormatError(
+                    f"a record of section ({q1}, {q2}, {kind}) does not hold {n} samples"
+                )
             # An aligned key copy: the window search reads keys on every call.
             packed = self._made[s] = PackedRecords(
-                self.keys[r0:r1].astype(np.float64), offsets, self.values[b0:b1],
-                self.bins[b0:b1], self.counts[r0:r1],
+                self.keys[r0:r1].astype(np.float64), offsets, self.values[b0:b1], bins, float(n)
             )
         return packed
 
@@ -312,10 +318,7 @@ def build_reference(
             pool.shutdown(cancel_futures=True)
     bounds = np.zeros(2 * q1_max * q1_max + 1, dtype=np.int64)
     np.cumsum(np.concatenate(section_counts), out=bounds[1:])
-    return ReferenceDataset(
-        q1_max, k, side, len(patches), bounds, *columns,
-        np.full(columns[0].size, n_blocks, dtype=np.uint32),
-    )
+    return ReferenceDataset(q1_max, k, side, len(patches), bounds, *columns)
 
 
 def _q1_records(batches: list, q1: int, q1_max: int, k: int):
@@ -387,9 +390,9 @@ def batch_min_distance(
 
     table and total are mass_table(h) of the query h; one gather from the
     table gives the query mass at every record bin of the window. The
-    window's masses, its bin counts over their sample counts, are made per
-    call and not kept. Returns inf when the section is empty. An exact zero
-    is kept for a record whose support and masses match h bit for bit.
+    window's masses, its bin counts over the shared sample count, are made
+    per call and not kept. Returns inf when the section is empty. An exact
+    zero is kept for a record whose support and masses match h bit for bit.
     """
     if len(packed) == 0:
         return float("inf")
@@ -397,10 +400,7 @@ def batch_min_distance(
     start, end = int(packed.offsets[lo]), int(packed.offsets[hi])
     x = np.take(table, packed.values[start:end].view(np.uint16))
     mass = packed.bins[start:end].astype(np.float64)
-    if packed.count is None:  # each bin over its own record's sample count
-        mass /= np.repeat(packed.counts[lo:hi].astype(float), np.diff(packed.offsets[lo : hi + 1]))
-    else:
-        mass /= packed.count
+    mass /= packed.count
 
     # chi2 = sum over record bins of (x-m)^2/(x+m), plus the query mass that
     # falls outside the record support: total - sum over record bins of x.
@@ -417,33 +417,32 @@ def batch_min_distance(
 
 
 # ---------------------------------------------------------------------------
-# Serialization (FQE2), little-endian: a 30-byte header, one u32 record count
+# Serialization (FQE3), little-endian: a 30-byte header, one u32 record count
 # per (q1, q2) x (dc, ac) section in row-major order, whole-dataset columns
-# (keys f8, support lengths u2 and sample counts u4 per record, then support
-# values i2 and bin counts u2 per bin) and a CRC-32 trailer: the columns of
-# ReferenceDataset as they are, its bounds stored as the record count of
-# each section.
+# (keys f8 and support lengths u2 per record, then support values i2 and bin
+# counts u2 per bin) and a CRC-32 trailer: the columns of ReferenceDataset
+# as they are, its bounds stored as the record count of each section. Every
+# record's sample count is the header's (patch side / 8)^2.
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"FQE2"
-_VERSION = 2
+_MAGIC = b"FQE3"
+_VERSION = 3
 _HEADER = struct.Struct("<HBBHI")
 _HEADER_SIZE = 30
 _KINDS = ("dc", "ac")
-_REC_BYTES = 8 + 2 + 4
+_REC_BYTES = 8 + 2
 _BIN_BYTES = 2 + 2
 _MAX_BIN = 0xFFFF
 
 
 def _pieces(ds: ReferenceDataset):
-    """The FQE2 file of ds in pieces: header, section table, columns, CRC trailer."""
+    """The FQE3 file of ds in pieces: header, section table, columns, CRC trailer."""
     pieces = [
         _MAGIC + _HEADER.pack(_VERSION, ds.q1_max, ds.k, ds.patch_side, ds.source_count),
         bytes(16),
         np.diff(ds.bounds).astype("<u4"),
         ds.keys.astype("<f8", copy=False),
         ds.lengths.astype("<u2", copy=False),
-        ds.counts.astype("<u4", copy=False),
         ds.values.astype("<i2", copy=False),
         ds.bins.astype("<u2", copy=False),
     ]
@@ -468,16 +467,17 @@ def write_dataset(ds: ReferenceDataset, fh) -> int:
 
 
 def deserialize(data: bytes) -> ReferenceDataset:
-    """The dataset of an FQE2 buffer (bytes or a mapping); its columns stay views of data."""
+    """The dataset of an FQE3 buffer (bytes or a mapping); its columns stay views of data."""
     size = len(data)
     if size < _HEADER_SIZE + 4:
         raise DatasetFormatError("dataset file is truncated")
     (crc_stored,) = struct.unpack_from("<I", data, size - 4)
     if zlib.crc32(memoryview(data)[:-4]) != crc_stored:
         raise DatasetFormatError("dataset checksum mismatch")
-    if data[:4] == b"FQE1":
+    if data[:4] in (b"FQE1", b"FQE2"):
         raise DatasetFormatError(
-            "FQE1 dataset files are no longer supported; rebuild the dataset with `fqe build`"
+            f"{data[:4].decode()} dataset files are no longer supported; "
+            "rebuild the dataset with `fqe build`"
         )
     if data[:4] != _MAGIC:
         raise DatasetFormatError("bad dataset magic")
@@ -486,6 +486,9 @@ def deserialize(data: bytes) -> ReferenceDataset:
         raise DatasetFormatError(f"unsupported dataset version {version}")
     if q1_max < 1:
         raise DatasetFormatError("dataset declares q1_max 0")
+    # Every mass is divided by the block count (patch_side / 8)^2.
+    if patch_side % 8 or not 0 < (patch_side // 8) ** 2 <= _MAX_BIN:
+        raise DatasetFormatError(f"dataset declares patch side {patch_side}, not 8 to 2040 by 8")
 
     n_sections = len(_KINDS) * q1_max * q1_max
     pos = _HEADER_SIZE + 4 * n_sections
@@ -498,21 +501,19 @@ def deserialize(data: bytes) -> ReferenceDataset:
     if n_bins < 0 or rest:
         raise DatasetFormatError("dataset file size does not match its section table")
 
-    # Every column is a view of data. keys and counts sit at offsets of no
-    # fixed alignment; a section's keys are copied aligned when it is made.
+    # Every column is a view of data. keys sit at an offset of no fixed
+    # alignment; a section's keys are copied aligned when it is made.
     keys = np.frombuffer(data, "<f8", n_rec, pos)
     lengths = np.frombuffer(data, "<u2", n_rec, pos + 8 * n_rec)
-    counts = np.frombuffer(data, "<u4", n_rec, pos + 10 * n_rec)
     values = np.frombuffer(data, "<i2", n_bins, pos + _REC_BYTES * n_rec)
     bins = np.frombuffer(data, "<u2", n_bins, pos + _REC_BYTES * n_rec + 2 * n_bins)
     ds = ReferenceDataset(
-        q1_max, k, patch_side, source_count, bounds, keys, lengths, values, bins, counts,
-        crc=crc_stored,
+        q1_max, k, patch_side, source_count, bounds, keys, lengths, values, bins, crc=crc_stored,
     )
     if ds.starts[-1] != n_bins:
         raise DatasetFormatError("support lengths do not match the file size")
-    if n_rec and (lengths.min() == 0 or counts.min() == 0 or bins.min() == 0):
-        raise DatasetFormatError("record with an empty support, sample count or bin")
+    if n_rec and (lengths.min() == 0 or bins.min() == 0):
+        raise DatasetFormatError("record with an empty support or bin")
     descents = np.flatnonzero(~(keys[1:] >= keys[:-1])) + 1
     if not (np.isfinite(keys).all() and np.isin(descents, bounds).all()):
         raise DatasetFormatError("record keys are not finite and sorted within each section")

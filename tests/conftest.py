@@ -1,4 +1,4 @@
-"""Shared fixtures: synthetic raw patches and PGM helpers.
+"""Shared fixtures: synthetic raw patches, PGM helpers and a dataset mutation.
 
 The synthetic generator mixes smooth gradients, low-frequency cosine blobs,
 band-limited noise, and occasional hard edges so that patch statistics are
@@ -7,6 +7,9 @@ crops of real photographs for retrieval purposes.
 """
 
 from __future__ import annotations
+
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -52,6 +55,18 @@ def synth_patches(seed: int, count: int, side: int = 64) -> list[GrayImage]:
 def write_pgm(img: GrayImage) -> bytes:
     header = f"P5\n{img.width} {img.height}\n255\n".encode()
     return header + img.pixels.tobytes()
+
+
+def with_first_bin(blob: bytes, count: int) -> bytes:
+    """An FQE3 dataset file with its first bin count set to count, under a fresh CRC."""
+    q1_max = blob[6]
+    table_end = 30 + 8 * q1_max * q1_max
+    n_rec = int(np.frombuffer(blob, "<u4", 2 * q1_max * q1_max, 30).sum())
+    n_bins = (len(blob) - 4 - table_end - 10 * n_rec) // 4
+    first = table_end + 10 * n_rec + 2 * n_bins
+    body = bytearray(blob[:-4])
+    body[first : first + 2] = struct.pack("<H", count)
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
 
 
 @pytest.fixture

@@ -112,10 +112,8 @@ class RefRecord:
 
 
 def masses(packed: PackedRecords, lo: int, hi: int) -> np.ndarray:
-    """Per bin of records lo:hi of packed, its count over its record's sample count."""
-    offsets = packed.offsets[lo : hi + 1]
-    counts = np.repeat(packed.counts[lo:hi].astype(np.float64), np.diff(offsets))
-    return packed.bins[offsets[0] : offsets[-1]] / counts
+    """Per bin of records lo:hi of packed, its count over the shared sample count."""
+    return packed.bins[packed.offsets[lo] : packed.offsets[hi]] / packed.count
 
 
 def record(packed: PackedRecords, i: int) -> RefRecord:
@@ -124,7 +122,7 @@ def record(packed: PackedRecords, i: int) -> RefRecord:
     hist = CoeffHistogram(
         support=packed.values[lo:hi].astype(np.int64),
         mass=masses(packed, i, i + 1),
-        count=int(packed.counts[i]),
+        count=int(packed.count),
     )
     return RefRecord(key=float(packed.keys[i]), hist=hist)
 

@@ -27,7 +27,7 @@ from fqe.dctsim import standard_table
 from fqe.jpegio import crop_center, encode_baseline_gray, read_pgm
 from fqe.types import GrayImage
 
-from conftest import synth_patches, write_pgm
+from conftest import synth_patches, with_first_bin, write_pgm
 from jpegwriter import with_duplicate_component
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -669,6 +669,28 @@ def test_unloadable_dataset_exits_3(tmp_path, runner, monkeypatch, command, kind
     result = runner.invoke(main, argv)
     assert result.exit_code == cli.EXIT_DATASET_FAILURE, result.output
     assert f"dataset error: cannot read dataset {path}" in result.output
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["estimate"], ["evaluate", "--jobs", "1"], ["evaluate", "--jobs", "2"]]
+)
+def test_bin_sum_mismatch_exits_3(tmp_path, raw_dir, runner, argv):
+    # The first bin count of a q1_max 2 file, in record 0 of section
+    # (1, 1, dc), set to 60000 under a fresh CRC: the file loads, and the
+    # section fails when first made. QF2 = 100 makes every q2 factor 1.
+    path = tmp_path / "ref.fqe"
+    build(runner, raw_dir, path, "--q1-max", "2")
+    path.write_bytes(with_first_bin(path.read_bytes(), 60000))
+    corpus = make_corpus(runner, raw_dir, tmp_path / "corpus", "--qf1", "80", "--qf2", "100")
+    if argv[0] == "estimate":
+        image = next(p for p in sorted(corpus.iterdir()) if p.suffix == ".jpg")
+        argv = [*argv, "--image", str(image)]
+    else:
+        argv = [*argv, "--corpus-dir", str(corpus), "--out-dir", str(tmp_path / "rep")]
+    result = runner.invoke(main, [*argv, "--dataset", str(path)])
+    assert result.exit_code == cli.EXIT_DATASET_FAILURE, result.output
+    assert "dataset error: a record of section (1, 1, dc) does not hold" in result.output
     assert not (tmp_path / "rep").exists()
 
 

@@ -105,18 +105,19 @@ class TestDecodeTableCache:
         img = synth_patch(np.random.default_rng(0), side=16)
         base = jpegio.encode_baseline_gray(img, dctsim.constant_table(3))
         expected = outcome(base)
-        bound = jpegio._LUT_CACHE_SIZE
+        cache_info = jpegio._huffman_table.cache_info
+        bound = cache_info().maxsize
         for i in range(bound + 4):
             # An unused DC table 1 with one code for symbol i: a distinct
             # table definition per file.
             extra = jpegio._segment(0xC4, bytes([0x01, 1] + [0] * 15 + [i]))
             assert outcome(base[:2] + extra + base[2:]) == expected
-            assert len(jpegio._LUT_CACHE) <= bound
-        assert len(jpegio._LUT_CACHE) == bound
-        # The tables every file uses stay cached.
-        std_dc = bytes([0]) + bytes(jpegio._DC_LUM_BITS) + bytes(jpegio._DC_LUM_VALS)
-        std_ac = bytes([1]) + bytes(jpegio._AC_LUM_BITS) + bytes(jpegio._AC_LUM_VALS)
-        assert std_dc in jpegio._LUT_CACHE and std_ac in jpegio._LUT_CACHE
+            assert cache_info().currsize <= bound
+        assert cache_info().currsize == bound == 8
+        # The tables every file uses stay cached: parsing base builds none.
+        misses = cache_info().misses
+        assert outcome(base) == expected
+        assert cache_info().misses == misses
 
 
 # ---------------------------------------------------------------------------

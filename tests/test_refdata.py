@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import io
+import itertools
 import mmap
 import multiprocessing
 import struct
@@ -29,7 +30,7 @@ from fqe.types import GrayImage
 
 _KINDS = ("dc", "ac")
 
-from conftest import synth_patch, synth_patches
+from conftest import synth_patch, synth_patches, with_first_bin
 from oracles import (
     NoCandidatesError,
     chi2,
@@ -209,9 +210,10 @@ class TestBuild:
                     [it for items in per_patch for it in items[(q1, q2)][kind]]
                 )
                 got = ds.section(q1, q2, _KINDS[kind])
-                for name in ("keys", "offsets", "values", "bins", "counts"):
+                for name in ("keys", "offsets", "values", "bins"):
                     a, b = getattr(got, name), getattr(want, name)
                     assert a.dtype == b.dtype and np.array_equal(a, b), (q1, q2, kind, name)
+                assert got.count == (want.count if len(want) else 64.0)
 
     def test_jobs_give_identical_bytes_at_paper_grid(self):
         patches = synth_patches(seed=31, count=4)
@@ -274,7 +276,7 @@ class TestBuild:
         for jobs in (1, 2):
             blob = serialize(build_reference(patches, q1_max=6, k=15, jobs=jobs))
             assert hashlib.sha256(blob).hexdigest() == (
-                "8dea6e3fc26f5609c3d66352291a800159cbe25f3d0246e60be4700085adbfe9"
+                "4d59f205deb2657781b42a528e05eb947c33e047d50c9049c55b1ad77ed6baea"
             )
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -433,8 +435,8 @@ class TestBatchMinDistance:
         items = [
             (0.5, np.array([-25536, -3, 0, 25536]), np.array([1, 2, 3, 4]), 10),
             (1.0, np.array([-3, 0, 2]), np.array([5, 3, 2]), 10),
-            (2.0, np.array([-25536, 25536]), np.array([3, 3]), 6),
-            (3.0, np.array([100, 200]), np.array([1, 1]), 2),
+            (2.0, np.array([-25536, 25536]), np.array([5, 5]), 10),
+            (3.0, np.array([100, 200]), np.array([5, 5]), 10),
         ]
         packed = PackedRecords.from_items(
             [(k, v.astype(np.int16), b.astype(np.uint16), c) for k, v, b, c in items]
@@ -449,24 +451,14 @@ class TestBatchMinDistance:
         assert scan(packed, h, 2.0, 1) == 2.0
         assert scan(packed, h, 0.0, 10) == dense_min_distance(packed, h, 0.0, 10)
 
-    def test_mixed_sample_counts_equal_oracle(self, rng):
-        # Records of differing sample counts: each bin is divided by its own
-        # record's count, not by a count shared by the section.
-        for _ in range(20):
-            items = []
-            for _ in range(int(rng.integers(2, 40))):
-                support = np.unique(rng.integers(-30, 31, int(rng.integers(2, 12))))
-                bins = rng.integers(1, 200, support.size)
-                count = int(bins.sum() + rng.integers(0, 50))
-                items.append((float(rng.normal(0, 5)), support.astype(np.int16),
-                              bins.astype(np.uint16), count))
-            packed = PackedRecords.from_items(items)
-            assert packed.count is None
-            for _ in range(10):
-                h = build_histogram(np.round(rng.laplace(0, rng.uniform(0.5, 10), 64)))
-                key = float(rng.normal(0, 6))
-                n = int(rng.choice([1, 2, 5, 1000]))
-                assert scan(packed, h, key, n) == dense_min_distance(packed, h, key, n)
+    def test_mixed_sample_counts_rejected(self):
+        # A section's records share the dataset's sample count.
+        support = np.array([0, 1], dtype=np.int16)
+        items = [(0.0, support, np.array([1, 1], dtype=np.uint16), 2),
+                 (1.0, support, np.array([1, 2], dtype=np.uint16), 3)]
+        with pytest.raises(ValueError, match=r"one sample count, not \[2, 3\]"):
+            PackedRecords.from_items(items)
+        assert PackedRecords.from_items(items[:1]).count == 2.0
 
     @pytest.mark.parametrize("count", [36, 64, 81, 100, 1089])
     def test_shared_count_masses_equal_division(self, count):
@@ -523,7 +515,7 @@ class TestSerialization:
                 assert np.array_equal(a.offsets, b.offsets)
                 assert np.array_equal(a.values, b.values)
                 assert np.array_equal(a.bins, b.bins)
-                assert np.array_equal(a.counts, b.counts)
+                assert a.count == b.count == 64.0
 
     def test_round_trip_byte_exact(self, small_ds):
         blob = serialize(small_ds)
@@ -577,11 +569,22 @@ class TestSerialization:
         with pytest.raises(DatasetFormatError, match="version"):
             deserialize(bytes(blob))
 
-    def test_fqe1_file_asks_for_rebuild(self):
-        # A complete FQE1 file: header for q1_max 1, one empty sub-dataset.
-        old = b"FQE1" + struct.pack("<HBBHI", 1, 1, 15, 64, 1) + bytes(16) + bytes(8)
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_fqe1_file_asks_for_rebuild(self, version):
+        # A complete FQE1 or FQE2 file: header for q1_max 1, one empty sub-dataset.
+        header = f"FQE{version}".encode() + struct.pack("<HBBHI", version, 1, 15, 64, 1)
+        old = header + bytes(16) + bytes(8)
         with pytest.raises(DatasetFormatError, match="rebuild the dataset with `fqe build`"):
             deserialize(with_crc(old))
+
+    @pytest.mark.parametrize("side", [0, 12, 2048])
+    def test_bad_patch_side_rejected(self, side):
+        # Every mass is divided by (side / 8)^2, so the side must give a
+        # positive block count that u16 bin counts can hold.
+        body = bytearray(tiny_blob()[:-4])
+        body[8:10] = struct.pack("<H", side)
+        with pytest.raises(DatasetFormatError, match=f"patch side {side}"):
+            deserialize(with_crc(bytes(body)))
 
     @pytest.mark.parametrize("sections", [[0], [7], list(range(8))])
     def test_huge_section_count(self, sections):
@@ -591,20 +594,19 @@ class TestSerialization:
         with pytest.raises(DatasetFormatError, match="size"):
             deserialize(with_crc(bytes(body)))
 
-    @pytest.mark.parametrize("column", ["lengths", "counts", "bins"])
+    @pytest.mark.parametrize("column", ["lengths", "bins"])
     def test_zero_counts_rejected(self, column):
         blob = tiny_blob()
         body = bytearray(blob[:-4])
         n_rec = int(np.frombuffer(blob, "<u4", 8, 30).sum())
-        n_bins = (len(body) - 62 - 14 * n_rec) // 4
+        n_bins = (len(body) - 62 - 10 * n_rec) // 4
         lengths = np.frombuffer(body, "<u2", n_rec, 62 + 8 * n_rec)
-        counts = np.frombuffer(body, "<u4", n_rec, 62 + 10 * n_rec)
-        bins = np.frombuffer(body, "<u2", n_bins, 62 + 14 * n_rec + 2 * n_bins)
+        bins = np.frombuffer(body, "<u2", n_bins, 62 + 10 * n_rec + 2 * n_bins)
         if column == "lengths":  # keep the total so only the zero is wrong
             lengths[1] += lengths[0]
             lengths[0] = 0
         else:
-            (counts if column == "counts" else bins)[0] = 0
+            bins[0] = 0
         with pytest.raises(DatasetFormatError, match="empty"):
             deserialize(with_crc(bytes(body)))
 
@@ -620,8 +622,8 @@ class TestSerialization:
     @given(data=st.data())
     def test_hostile_files(self, data):
         # Mutate, truncate or extend the header, the section table or the
-        # columns, then stamp a valid CRC: the loader must return a usable
-        # dataset or raise DatasetFormatError, never anything else.
+        # columns, then stamp a valid CRC: loading, and making each section
+        # the first time, raise DatasetFormatError and nothing else.
         body = bytearray(tiny_blob()[:-4])
         table_end = 30 + 4 * 2 * 2 * 2
         lo, hi = data.draw(st.sampled_from([(0, 30), (30, table_end), (table_end, len(body))]))
@@ -640,14 +642,28 @@ class TestSerialization:
             return
         again = serialize(ds)
         assert serialize(deserialize(again)) == again
-        # Every check is made at load time: no section of a loaded file may
-        # fail when it is first used or scored.
+        # A section that is made scores without a division by zero.
         h = build_histogram([-2, 0, 0, 1, 3])
         with np.errstate(divide="raise", invalid="raise"):
-            for sub in ds.subs.values():
-                for packed in (sub.dc, sub.ac):
+            for q1, q2 in itertools.product(range(1, ds.q1_max + 1), repeat=2):
+                for kind in _KINDS:
+                    try:
+                        packed = ds.section(q1, q2, kind)
+                    except DatasetFormatError:
+                        continue
                     assert packed.offsets[-1] == packed.values.size == packed.bins.size
                     assert scan(packed, h, 0.0, 1000) >= 0.0
+
+    def test_bin_sums_checked_when_a_section_is_made(self):
+        # The first bin count of the file, in record 0 of section (1, 1, dc),
+        # set to 60000: the file loads, that section fails on every use and
+        # is not kept, and the others are made.
+        ds = deserialize(with_first_bin(tiny_blob(), 60000))
+        for _ in range(2):
+            with pytest.raises(DatasetFormatError, match=r"section \(1, 1, dc\).* 64 samples"):
+                ds.section(1, 1, "dc")
+        assert ds._made == {}
+        assert len(ds.section(1, 1, "ac")) > 0 and len(ds.section(2, 2, "dc")) > 0
 
 
 class TestSections:
@@ -696,7 +712,7 @@ class TestSections:
                     for i in range(len(packed)):
                         own = record(packed, i)
                         assert scan(packed, own.hist, own.key, len(packed)) == 0.0, (key, kind, i)
-            assert set(d.counts.tolist()) == {81}
+            assert {packed.count for packed in d._made.values()} == {81.0}
 
     def test_round_trip_before_and_after_use(self):
         ds = self.built()
@@ -757,7 +773,7 @@ def _root(a):
 class TestLoad:
     """A loaded dataset keeps its columns as views of the buffer it was read from."""
 
-    COLUMNS = ("keys", "lengths", "values", "bins", "counts")
+    COLUMNS = ("keys", "lengths", "values", "bins")
 
     @staticmethod
     def assert_no_per_record_int64(ds):
