@@ -6,10 +6,10 @@
 For the parent checkout and this one, and each process start method (fork,
 spawn), runs `fqe evaluate --jobs 2` REPEATS times over a double-compressed
 corpus (QF1 60, 70, 80 and 90, then QF2 90) against the 100-patch benchmark
-dataset: perfbench's fixed-seed dataset, built with this checkout. Both
-checkouts must read one file format (FQE3 since the per-record sample
-counts were dropped): a parent checkout that writes FQE2 cannot read the
-file and fails. While a run lasts, each worker's
+dataset: perfbench's fixed-seed dataset, which each checkout builds and
+evaluates for itself, so that the two may write different file formats
+(FQE2 and FQE3, say). Both datasets' sizes and hashes are recorded, and the
+reports of all runs must still be identical. While a run lasts, each worker's
 Pss, Rss and private memory (Private_Clean + Private_Dirty) are read from
 /proc/<pid>/smaps_rollup every INTERVAL seconds and their peaks kept;
 the evaluating process prints its own VmHWM when it ends. Pss splits a
@@ -159,6 +159,22 @@ def make_corpus(corpus: Path) -> None:
           "--qf2", QF2], standalone_mode=False)
 
 
+def build_dataset(checkout: Path, cache: Path) -> Path:
+    """The benchmark dataset, built by checkout's own perfbench and fqe."""
+    code = (
+        "import sys; from pathlib import Path; from perfbench import inputs; "
+        f"print(inputs.dataset(Path(sys.argv[1]), {PATCHES}, q1_max={Q1_MAX}, k={K}))"
+    )
+    env = {**os.environ, "PYTHONPATH": f"{checkout / 'src'}{os.pathsep}{checkout}"}
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(cache)], cwd=checkout, env=env,
+        capture_output=True, text=True,
+    )
+    if done.returncode:
+        raise RuntimeError(f"building the dataset in {checkout} failed:\n{done.stderr}")
+    return Path(done.stdout.strip().splitlines()[-1])
+
+
 def git_head(checkout: Path) -> str:
     done = subprocess.run(
         ["git", "describe", "--always", "--dirty", "--abbrev=12"],
@@ -175,19 +191,22 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        dataset = inputs.dataset(work / "cache", PATCHES, q1_max=Q1_MAX, k=K)
         corpus = work / "corpus"
         make_corpus(corpus)
         sides = {"parent": args.parent_checkout.resolve(), "change": ROOT}
+        datasets = {side: build_dataset(path, work / side) for side, path in sides.items()}
         runs: dict[str, dict[str, list[dict]]] = {side: {m: [] for m in METHODS} for side in sides}
         for i in range(REPEATS):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                 for method in METHODS:
-                    run = run_once(sides[side], method, corpus, dataset)
+                    run = run_once(sides[side], method, corpus, datasets[side])
                     runs[side][method].append(run)
                     print(f"run {i} {side} {method}: {json.dumps(summarize([run]))}", flush=True)
-        dataset_bytes = dataset.stat().st_size
-        dataset_sha = hashlib.sha256(dataset.read_bytes()).hexdigest()
+        dataset_files = {
+            side: {"bytes": path.stat().st_size,
+                   "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+            for side, path in datasets.items()
+        }
 
     summary = {side: {m: summarize(runs[side][m]) for m in METHODS} for side in sides}
     reports = {run["report_sha256"] for s in runs.values() for m in s.values() for run in m}
@@ -196,7 +215,7 @@ def main(argv=None) -> int:
         "checkouts": {side: git_head(path) for side, path in sides.items()},
         "host": {"cpu_count": os.cpu_count(), "python": sys.version.split()[0]},
         "dataset": {"patches": PATCHES, "seed": inputs.DATASET_SEED, "q1_max": Q1_MAX, "k": K,
-                    "bytes": dataset_bytes, "sha256": dataset_sha},
+                    "files": dataset_files},
         "corpus": {"images": len(QF1.split(",")) * RAW_IMAGES, "qf1": QF1, "qf2": QF2,
                    "seed": SEED, "side": SIDE},
         "jobs": JOBS,

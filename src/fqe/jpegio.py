@@ -151,8 +151,9 @@ def _codes(bits: tuple[int, ...], values: tuple[int, ...]) -> Iterator[tuple[int
 # raises on that symbol. An invalid prefix maps to _ADV_ERR alone; a DC
 # category above 11 to _ADV_ERR with its code length and category. A slow
 # entry's code plus magnitude exceed 16 bits: its advance is raised by
-# _ADV_SLOW, so that _NEXT also sends it to 0, and its value field holds the
-# magnitude size, for the value is read from the bit window (_slow_entry).
+# _ADV_SLOW, which _NEXT ignores, and its value field holds the magnitude
+# size, for the value is read from the bits of the scan (_slow_entry; the lane
+# decoder reads those of its path's slow entries once the path is known).
 # _PARKED is the state of a lane that has stopped: the third table of a
 # scan's lane tables holds zeros, so a parked lane stays.
 _ADV_DC, _ADV_ZRL, _ADV_COEF, _ADV_EOB, _ADV_ERR, _ADV_SLOW = 1, 16, 128, 256, 384, 512
@@ -163,6 +164,7 @@ _NEXT[_ADV_ZRL + 2 : 66] = np.arange(_ADV_ZRL + 2, 66)
 _NEXT[_ADV_COEF + 3 : _ADV_COEF + 65] = np.arange(3, 65)
 _NEXT[_ADV_COEF + 65] = 1  # a coefficient at index 63 ends the block
 _NEXT[_ADV_EOB + 2 : _ADV_EOB + 66] = 1
+_NEXT[_ADV_SLOW:] = _NEXT[:-_ADV_SLOW]
 _NEXT[_PARKED] = _PARKED
 # Offset of the table for the state that _NEXT gives, by _NEXT index.
 _BASE = np.where((_NEXT > 1) & (_NEXT <= 65), 1 << 16, 0)
@@ -201,34 +203,27 @@ def _split_entropy(data: bytes, start: int) -> tuple[list[bytes], list[int], int
     """Slice the entropy-coded stream into restart segments.
 
     Returns the unstuffed segments, the RST indices found between them, and
-    the offset of the terminating marker's 0xFF byte.
+    the offset of the terminating marker's 0xFF byte. Each 0xFF byte is
+    classed by the byte after it: 0x00 (a stuffed 0xFF), 0xFF (a fill byte),
+    RST0-7, or the terminating marker.
     """
-    segments: list[bytes] = []
-    rst_indices: list[int] = []
-    chunks: list[bytes] = []
-    pos = start
-    n = len(data)
-    while True:
-        ff = data.find(b"\xff", pos)
-        if ff == -1 or ff + 1 >= n:
-            raise JpegFormatError("entropy-coded data is truncated")
-        nxt = data[ff + 1]
-        if nxt == 0x00:
-            chunks.append(data[pos : ff + 1])
-            pos = ff + 2
-        elif 0xD0 <= nxt <= 0xD7:
-            chunks.append(data[pos:ff])
-            segments.append(b"".join(chunks))
-            rst_indices.append(nxt - 0xD0)
-            chunks = []
-            pos = ff + 2
-        elif nxt == 0xFF:
-            chunks.append(data[pos:ff])
-            pos = ff + 1
-        else:
-            chunks.append(data[pos:ff])
-            segments.append(b"".join(chunks))
-            return segments, rst_indices, ff
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ff = np.flatnonzero(buf[start:-1] == 0xFF) + start
+    code = buf.take(ff + 1)
+    marker = np.flatnonzero((code != 0x00) & (code != 0xFF) & ((code & 0xF8) != 0xD0))
+    if not marker.size:
+        raise JpegFormatError("entropy-coded data is truncated")
+    end = int(ff[marker[0]])
+    ff, code = ff[: marker[0]] - start, code[: marker[0]]
+    rst = (code & 0xF8) == 0xD0
+    drop = np.concatenate([ff[code == 0x00] + 1, ff[code == 0xFF], ff[rst], ff[rst] + 1])
+    keep = np.ones(end - start, dtype=bool)
+    keep[drop] = False
+    body = buf[start:end][keep].tobytes()
+    # A segment ends where its RST marker was, less the bytes dropped before it.
+    cuts = (ff[rst] - np.searchsorted(np.sort(drop), ff[rst])).tolist()
+    segments = [body[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(body)])]
+    return segments, (code[rst] - 0xD0).tolist(), end
 
 
 # A segment is decoded as if 1-bits followed its data. A 16-bit peek may reach
@@ -285,7 +280,8 @@ def _decode_scan(
     start = 0
     for segment, units in zip(segments, segment_units):
         path = None
-        if len(comp_tables) == 1 and len(segment) >= _LANE_MIN_BYTES:
+        # Below 256 MB, a bit offset on a lane path fits in int32.
+        if len(comp_tables) == 1 and _LANE_MIN_BYTES <= len(segment) < 1 << 28:
             if lane_table is None:
                 # DC and AC tables, then zeros for parked lanes.
                 lane_table = np.zeros(3 << 16, dtype=np.int32)
@@ -399,6 +395,18 @@ def _decode_segment(
 _LANE_MIN_BYTES = 32 * 1024
 _LANE_BITS = 768
 _LANES = 1024
+# A numpy call costs about as much as a few symbols decoded in Python, so
+# phase 2 finishes in Python once at most _TAIL_LANES lanes still run.
+_TAIL_LANES = 24
+
+
+def _grown(arrays, t: int, steps: int) -> list[np.ndarray]:
+    """Copies of (step, lane) arrays with room for `steps` steps, of which
+    the first t are kept."""
+    grown = [np.empty((steps, a.shape[1]), dtype=a.dtype) for a in arrays]
+    for new, old in zip(grown, arrays):
+        new[:t] = old[:t]
+    return grown
 
 
 def _decode_lanes(
@@ -415,8 +423,9 @@ def _decode_lanes(
     records the state at every bit it decodes from; a guess that hits an
     error starts again one bit past it (lane 0 starts at the segment's first
     bit and does not guess). In phase 2 each lane runs on until it reaches a
-    bit where the owner of that range recorded the same state. Lane 0's
-    decode, continued through these meeting points, is the sequential one.
+    bit where the owner of that range recorded the same state; once few
+    lanes run, only the lane the path is in is decoded on, in Python. Lane
+    0's decode, continued through these meeting points, is the sequential one.
 
     table holds the scan's lane tables. Returns the state before every
     symbol up to the end of block n_blocks plus the state after it, and the
@@ -445,21 +454,6 @@ def _decode_lanes(
         x = s + (e >> 21)
         ns = _NEXT.take(x)
         ok = ns.all()
-        if not ok:
-            slow = np.flatnonzero(x >= _ADV_SLOW)
-            if slow.size:
-                es, ps = e[slow], p[slow]
-                used, size = (es >> 16) & 31, es & 0xFFFF
-                w40 = (w[slow].astype(np.int64) << 8) | raw.take((ps >> 3) + 4)
-                v = (w40 >> (_WINDOW_BITS - (ps & 7) - used)) & ((1 << size) - 1)
-                v = np.where(v < (1 << (size - 1)), v - ((1 << size) - 1), v)
-                e[slow] = (es & ~0xFFFF) | (v & 0xFFFF)
-                x[slow] -= _ADV_SLOW
-                # Magnitude bits come from padding only up to the byte that
-                # the symbol's 16-bit peek reached, as in _decode_segment.
-                end = ps + used
-                cut = (end > nbits) & (end > ((ps + 23) & ~7))
-                ns[slow] = np.where(cut, 0, _NEXT.take(x[slow]))
         return e, x, ns, ok
 
     # Phase 1, without compaction: a lane that is done is parked, and the
@@ -468,7 +462,7 @@ def _decode_lanes(
     span = int(starts[1])
     cap = span // 4 + 16
     states = np.empty((cap, n_lanes), dtype=np.int8)
-    values = np.empty((cap, n_lanes), dtype=np.uint16)
+    values = np.empty((cap, n_lanes), dtype=np.int32)
     p = starts[:-1].copy()
     s = np.ones(n_lanes, dtype=np.int8)
     base = np.zeros(n_lanes, dtype=np.int64)
@@ -483,10 +477,7 @@ def _decode_lanes(
     while active:
         if t == cap:
             cap += cap // 2
-            grown = [np.empty((cap, n_lanes), dtype=a.dtype) for a in (states, values)]
-            for new, old in zip(grown, (states, values)):
-                new[:t] = old
-            states, values = grown
+            states, values = _grown((states, values), t, cap)
         seen[p] = s
         e, x, ns, ok = step(p, s, base)
         states[t], values[t] = s, e
@@ -501,10 +492,10 @@ def _decode_lanes(
             np_[i] = restart[i] = p[i] + 1
             restart_row[i] = t
             ns[i], base[i] = 1, 0
-            check = t
         p, s = np_, ns
         if t >= check:
-            # A symbol takes at most 31 bits: skip checks no lane can pass.
+            # A symbol or a restart moves a lane at most 31 bits: skip checks
+            # no lane can pass.
             left = ends - p
             nearest = int(left.min())
             if nearest <= 0:
@@ -536,13 +527,13 @@ def _decode_lanes(
     p, s = out_p[lanes], out_s[lanes]
     base = np.where(s > 1, 1 << 16, 0)
     tail: list[list[np.ndarray]] = [[], [], []]  # state, entry, lane
-    while lanes.size:
+    while lanes.size > _TAIL_LANES:
         met = seen.take(p) == s
         if met.any():
             meet[lanes[met]] = p[met]
             keep = ~met
             lanes, p, s, base = lanes[keep], p[keep], s[keep], base[keep]
-        if follow() or not lanes.size:
+        if follow() or lanes.size <= _TAIL_LANES:
             break
         e, x, ns, ok = step(p, s, base)
         for r, a in zip(tail, (s, e, lanes)):
@@ -555,34 +546,92 @@ def _decode_lanes(
         base = _BASE.take(x)
         p = p + ((e >> 16) & 31)
         s = ns
-    follow()
+
+    # The sync tail, in Python: decode only the lane the path is in, symbol by
+    # symbol, until it meets an owner's records or stops; lanes off the path
+    # are left unfinished.
+    seen_at, win_at, table_at = memoryview(seen), memoryview(win), memoryview(table)
+    next_state = _NEXT.tobytes()
+    live = dict(zip(lanes.tolist(), zip(p.tolist(), s.tolist())))
+    finish = {}  # lane: its states and entries from the Python tail
+    while not follow():
+        lane = chain[-1]
+        at, state = live[lane]
+        walked_s, walked_e = [], []
+        while seen_at[at] != state:
+            w = win_at[at >> 3]
+            e = table_at[((w >> (16 - (at & 7))) & 0xFFFF) | (state > 1) << 16]
+            walked_s.append(state)
+            walked_e.append(e)
+            state = next_state[state + (e >> 21)]
+            if not state or at > limit:
+                stop[lane] = at
+                break
+            at += (e >> 16) & 31
+        else:
+            meet[lane] = at
+        finish[lane] = walked_s, walked_e
+    del seen_at, win_at, table_at, win  # so that seen and win are freed before the stitch
 
     # Stitch: lane 0 up to where it met an owner's records, that owner's
     # records from there on, and so on, up to the error that ended a lane.
-    first = np.zeros(n_lanes, dtype=np.int64)
-    first[chain[1:]] = meet[chain[:-1]]
     # A lane's records before `first`: those of its failed guesses, then one
     # per bit it recorded from its last start on.
-    skip = {
-        lane: int(restart_row[lane]) + int(np.count_nonzero(seen[restart[lane] : first[lane]]))
-        for lane in chain
-    }
+    first = [0, *meet[chain[:-1]].tolist()]
+    restart_at, restart_rows = restart.tolist(), restart_row.tolist()
+    skip = [
+        restart_rows[lane] + np.count_nonzero(seen[restart_at[lane] : bit])
+        for lane, bit in zip(chain, first)
+    ]
     del seen
-    states, values = states[:t].T, values[:t].T
-    tail_lanes = np.concatenate(tail[2]) if tail[2] else np.zeros(0, dtype=np.int64)
-    order = np.argsort(tail_lanes, kind="stable")
-    bounds = np.searchsorted(tail_lanes[order], np.arange(n_lanes + 1)).tolist()
-    tail_states = np.concatenate(tail[0] or [np.zeros(0, dtype=np.int8)])[order]
-    tail_values = np.concatenate(tail[1] or [np.zeros(0, dtype=np.int32)])[order].astype(np.uint16)
-    pieces_s, pieces_v = [], []
-    for lane in chain:
-        lo, hi = int(skip[lane]), int(rows[lane])
-        a, b = bounds[lane], bounds[lane + 1]
-        pieces_s += [states[lane, lo:hi], tail_states[a:b]]
-        pieces_v += [values[lane, lo:hi], tail_values[a:b]]
-    del states, values
-    path_s = np.concatenate(pieces_s)
-    path_v = np.concatenate(pieces_v).view(np.int16)
+    # The tail records go after phase 1's, lane by lane, from element
+    # tail_at[lane] of the flattened (step, lane) arrays on: a lane steps in
+    # phase 2 from the first step until it meets or stops, so its i-th record
+    # there is from step i, and the Python tail goes on after the last step.
+    steps = [a.size for a in tail[2]]
+    tail_lanes = np.concatenate(tail[2]) if steps else np.zeros(0, dtype=np.int64)
+    n2 = np.bincount(tail_lanes, minlength=n_lanes)
+    for lane, (walked_s, _) in finish.items():
+        n2[lane] += len(walked_s)
+    tail_at = np.cumsum(n2) - n2 + t * n_lanes
+    room = -(-int(tail_at[-1] + n2[-1]) // n_lanes)
+    if room > cap:
+        states, values = _grown((states, values), t, room)
+    flat_s, flat_e = states.reshape(-1), values.reshape(-1)
+    if steps:
+        at = tail_at.take(tail_lanes)
+        at += np.repeat(np.arange(len(steps)), steps)
+        flat_s[at] = np.concatenate(tail[0])
+        flat_e[at] = np.concatenate(tail[1])
+    for lane, (walked_s, walked_e) in finish.items():
+        lo = int(tail_at[lane]) + len(steps)
+        flat_s[lo : lo + len(walked_s)], flat_e[lo : lo + len(walked_s)] = walked_s, walked_e
+    del tail, tail_lanes
+    # Each lane of the chain adds its phase-1 records from `skip` on, a
+    # column of the (step, lane) arrays, then its tail records, a run after
+    # them: pieces of the flattened arrays, each with its first element and
+    # stride. A piece's elements are gathered by an index that starts with
+    # the jump from the piece before and then steps by the stride.
+    chain = np.array(chain)
+    lens = np.stack([rows[chain] - skip, n2[chain]], axis=1).reshape(-1)
+    piece = lens > 0
+    firsts = np.stack([np.array(skip) * n_lanes + chain, tail_at[chain]], axis=1).reshape(-1)[piece]
+    strides = np.tile([n_lanes, 1], chain.size)[piece]
+    lens = lens[piece]
+    jumps = firsts - np.concatenate([[0], (firsts + strides * (lens - 1))[:-1]])
+    heads = (np.cumsum(lens) - lens).tolist()
+    path_s = np.empty(heads[-1] + int(lens[-1]), dtype=np.int8)
+    path_e = np.empty(path_s.size, dtype=np.int32)
+    # A few lanes at a time, so that the index stays in cache.
+    for k in range(0, lens.size, 128):
+        idx = np.repeat(strides[k : k + 128], lens[k : k + 128])
+        idx[np.subtract(heads[k : k + 128], heads[k])] = jumps[k : k + 128]
+        idx[0] = firsts[k]
+        np.cumsum(idx, out=idx)
+        # The index is in range: "clip" skips numpy's bounds check.
+        flat_s.take(idx, out=path_s[heads[k] : heads[k] + idx.size], mode="clip")
+        flat_e.take(idx, out=path_e[heads[k] : heads[k] + idx.size], mode="clip")
+    del states, values, flat_s, flat_e, idx
 
     # Block n_blocks ends where block n_blocks + 1 would start; only the
     # path's last symbol can be an error, so that must come after it.
@@ -590,6 +639,30 @@ def _decode_lanes(
     if dc.size <= n_blocks:
         return None
     cut = int(dc[n_blocks])
+    path_e = path_e[:cut]
+    slow = np.flatnonzero(path_e >= _ADV_SLOW << 21)
+    if slow.size:
+        # The bit where each slow symbol starts: the bits used before it.
+        at = path_e >> 16
+        at &= 31
+        np.cumsum(at, dtype=np.int32, out=at)
+        es = path_e.take(slow)
+        used, size = (es >> 16) & 31, es & 0xFFFF
+        ps = at.take(slow).astype(np.int64) - used
+        del at
+        # Magnitude bits come from padding only up to the byte that the
+        # symbol's 16-bit peek reached, as in _decode_segment.
+        end = ps + used
+        if ((end > nbits) & (end > ((ps + 23) & ~7))).any():
+            return None
+        w40 = np.zeros(slow.size, dtype=np.int64)
+        for i in range(_WINDOW_BYTES):
+            w40 <<= 8
+            w40 |= raw.take((ps >> 3) + i)
+        v = (w40 >> (_WINDOW_BITS - (ps & 7) - used)) & ((1 << size) - 1)
+        v = np.where(v < (1 << (size - 1)), v - ((1 << size) - 1), v)
+        path_e[slow] = v & 0xFFFF
+    path_v = path_e.astype(np.uint16).view(np.int16)
     preds = np.cumsum(path_v[dc[:n_blocks]])
     if preds.size and int(np.abs(preds).max()) >= 2048:
         return None

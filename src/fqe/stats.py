@@ -37,11 +37,23 @@ class LaplacianParams:
 
 
 def build_histogram(values: np.ndarray) -> CoeffHistogram:
-    """Histogram of integer values with unit-width bins centered on integers."""
-    arr = np.asarray(values).reshape(-1)
+    """Histogram of integer values with unit-width bins centered on integers.
+
+    Values that span at most 4x as many integers as there are values are
+    counted with np.bincount; wider spans are sorted by np.unique, so that
+    memory stays bounded by the number of values.
+    """
+    arr = np.asarray(values).reshape(-1).astype(np.int64)
     if arr.size == 0:
         raise ValueError("cannot build a histogram from no values")
-    support, counts = np.unique(arr.astype(np.int64), return_counts=True)
+    lo = int(arr.min())
+    if int(arr.max()) - lo < 4 * arr.size:
+        counts = np.bincount(arr - lo)
+        support = np.flatnonzero(counts)
+        counts = counts[support]
+        support += lo
+    else:
+        support, counts = np.unique(arr, return_counts=True)
     total = int(arr.size)
     return CoeffHistogram(support=support, mass=counts / total, count=total)
 

@@ -211,6 +211,38 @@ def patch_items(patch: GrayImage, q1_max: int, k: int):
     return out
 
 
+def split_entropy(data: bytes, start: int) -> tuple[list[bytes], list[int], int]:
+    """jpegio._split_entropy as a loop over the 0xFF bytes: the unstuffed
+    restart segments, the RST indices between them, and the offset of the
+    terminating marker's 0xFF byte."""
+    segments: list[bytes] = []
+    rst_indices: list[int] = []
+    chunks: list[bytes] = []
+    pos = start
+    n = len(data)
+    while True:
+        ff = data.find(b"\xff", pos)
+        if ff == -1 or ff + 1 >= n:
+            raise JpegFormatError("entropy-coded data is truncated")
+        nxt = data[ff + 1]
+        if nxt == 0x00:
+            chunks.append(data[pos : ff + 1])
+            pos = ff + 2
+        elif 0xD0 <= nxt <= 0xD7:
+            chunks.append(data[pos:ff])
+            segments.append(b"".join(chunks))
+            rst_indices.append(nxt - 0xD0)
+            chunks = []
+            pos = ff + 2
+        elif nxt == 0xFF:
+            chunks.append(data[pos:ff])
+            pos = ff + 1
+        else:
+            chunks.append(data[pos:ff])
+            segments.append(b"".join(chunks))
+            return segments, rst_indices, ff
+
+
 @functools.lru_cache(maxsize=8)
 def huffman_lut(tc: int, bits: tuple[int, ...], values: tuple[int, ...]) -> list[int]:
     """Drop-in for jpegio._huffman_table: every 16-bit peek mapped to

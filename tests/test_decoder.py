@@ -121,6 +121,60 @@ class TestDecodeTableCache:
 
 
 # ---------------------------------------------------------------------------
+# The entropy-coded stream split into restart segments, against the loop
+# ---------------------------------------------------------------------------
+
+FF_PAIRS = st.one_of(
+    st.sampled_from([b"\xff\x00", b"\xff\xff"]),
+    st.integers(0xD0, 0xD7).map(lambda code: bytes([0xFF, code])),
+    st.integers(0, 255).map(lambda code: bytes([0xFF, code])),
+)
+
+
+@st.composite
+def entropy_bytes(draw):
+    """A stream and a start offset: 0xFF bytes before 0x00 (stuffing), 0xFF
+    (fill), RST0-7 and any other byte, among runs of other bytes; the stream
+    ends with a marker, with a lone 0xFF, or with neither."""
+    pieces = draw(st.lists(st.one_of(st.binary(min_size=1, max_size=6), FF_PAIRS), max_size=12))
+    data = b"".join(pieces) + draw(st.sampled_from([b"\xff\xd9", b"\xff", b""]))
+    return data, draw(st.integers(0, len(data)))
+
+
+def split_outcome(split, data: bytes, start: int):
+    try:
+        return split(data, start)
+    except jpegio.JpegFormatError as exc:
+        return str(exc)
+
+
+class TestSplitEntropy:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\x12\xff\x00\xff\xff\xff\xd0\x34\xff\xd1\xff\xd9",
+            b"\xff\xd0\xff\xd1\xff\xd9",  # empty segments
+            b"\x12\xff\x00\xff",  # 0xFF as the last byte
+            b"\x12\xff\x00\x34",  # no terminating marker
+            b"",
+        ],
+    )
+    def test_cases(self, data):
+        for start in range(len(data) + 1):
+            assert split_outcome(jpegio._split_entropy, data, start) == split_outcome(
+                oracles.split_entropy, data, start
+            ), start
+
+    @settings(derandomize=True, max_examples=500, deadline=None, database=None)
+    @given(entropy_bytes())
+    def test_matches_the_loop(self, stream):
+        data, start = stream
+        assert split_outcome(jpegio._split_entropy, data, start) == split_outcome(
+            oracles.split_entropy, data, start
+        )
+
+
+# ---------------------------------------------------------------------------
 # Differential fuzzing against the oracle
 # ---------------------------------------------------------------------------
 
@@ -386,37 +440,48 @@ class TestAgainstOracle:
 
 # ---------------------------------------------------------------------------
 # The lane decoder: the oracle tests with every single-component scan decoded
-# by 1 lane, a few lanes or more lanes than symbols, and large scans at the
-# default sizing
+# by 1 lane, a few lanes or more lanes than symbols, each with the sync tail
+# decoded by numpy alone or by Python alone, and large scans at the default
+# sizing
 # ---------------------------------------------------------------------------
 
 LANE_COUNTS = {"1-lane": 1, "3-lanes": 3, "more-lanes-than-symbols": 1 << 20}
+# _TAIL_LANES: 0 leaves the whole sync tail to numpy, a bound above any lane
+# count leaves it to Python.
+TAILS = {"": 0, "-tail-in-python": 1 << 30}
+LANE_MODES = {
+    f"{count}{tail}": (n_lanes, tail_lanes)
+    for count, n_lanes in LANE_COUNTS.items()
+    for tail, tail_lanes in TAILS.items()
+}
 
 
-def by_lanes(n_lanes):
+def by_lanes(n_lanes, tail_lanes):
     """Every single-component scan decoded by n_lanes lanes, or one per bit
-    when it has fewer bits."""
-    return mock.patch.multiple(jpegio, _LANE_MIN_BYTES=0, _LANE_BITS=1, _LANES=n_lanes)
+    when it has fewer bits, finishing in Python once tail_lanes lanes run."""
+    return mock.patch.multiple(
+        jpegio, _LANE_MIN_BYTES=0, _LANE_BITS=1, _LANES=n_lanes, _TAIL_LANES=tail_lanes
+    )
 
 
 def lane_outcome(data: bytes):
-    """outcome(data), and per lane-decoded segment whether the lanes' result
-    stood (True) or the sequential decoder had to decide (False)."""
-    stood = []
+    """outcome(data), and per lane-decoded segment the bytes of the path the
+    lanes returned, or None where the sequential decoder had to decide."""
+    paths = []
     decode_lanes = jpegio._decode_lanes
 
     def spy(*args):
         path = decode_lanes(*args)
-        stood.append(path is not None)
+        paths.append(None if path is None else tuple(a.tobytes() for a in path))
         return path
 
     with mock.patch.object(jpegio, "_decode_lanes", spy):
-        return outcome(data), stood
+        return outcome(data), paths
 
 
-@pytest.fixture(scope="class", params=LANE_COUNTS.values(), ids=LANE_COUNTS.keys())
+@pytest.fixture(scope="class", params=LANE_MODES.values(), ids=LANE_MODES.keys())
 def every_scan_by_lanes(request):
-    with by_lanes(request.param):
+    with by_lanes(*request.param):
         yield
 
 
@@ -427,9 +492,10 @@ class TestRestartAndComponentsByLanes(TestRestartAndComponents):
 
 @pytest.mark.usefixtures("every_scan_by_lanes")
 class TestAgainstOracleByLanes(TestAgainstOracle):
-    # The block-end, padding and DC range boundaries under each lane count;
-    # the cuts and the fuzz take the lane counts in turn (TestLanesInTurn),
-    # as running each under all three would triple their run time.
+    # The block-end, padding and DC range boundaries under each lane count
+    # and sync tail; the cuts and the fuzz take these modes in turn
+    # (TestLanesInTurn), as running each under all six would take six times
+    # as long.
     test_scan_cut_short_at_every_byte = None
     test_mutated_streams_match_the_oracle = None
 
@@ -448,23 +514,23 @@ class TestLanesInTurn:
         both = [list(t) for t in STANDARD_TABLES]
         for table in both:
             table[1:] = complete_code(table[1], table[2], 0x00)
-        counts = list(LANE_COUNTS.values())
+        modes = list(LANE_MODES.values())
         turn = 0
         for tables in table_variants() + [both]:
             data = with_tables(gray, tables)
             start, end = regions(data)
             for cut in range(start, end + 1):
                 cut_data = data[:cut] + data[end:]
-                n_lanes = counts[turn % len(counts)]
+                mode = modes[turn % len(modes)]
                 turn += 1
-                with by_lanes(n_lanes):
+                with by_lanes(*mode):
                     got = outcome(cut_data)
-                assert got == oracle_outcome(cut_data), (cut, n_lanes)
+                assert got == oracle_outcome(cut_data), (cut, mode)
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-    @given(st.one_of(mutated_stream(), symbol_stream()), st.sampled_from(list(LANE_COUNTS.values())))
-    def test_mutated_streams_match_the_oracle(self, data, n_lanes):
-        with by_lanes(n_lanes):
+    @given(st.one_of(mutated_stream(), symbol_stream()), st.sampled_from(list(LANE_MODES.values())))
+    def test_mutated_streams_match_the_oracle(self, data, mode):
+        with by_lanes(*mode):
             got = outcome(data)
         assert got == oracle_outcome(data)
 
@@ -490,11 +556,16 @@ class TestLargeScans:
         if restart_interval:
             grid = jpegio.parse_jpeg(data).coeffs.values
             data = encode_grids(512, 512, [(1, 1, 1)], [[1]], {1: grid}, restart_interval)
-        got, stood = lane_outcome(data)
+        got, paths = lane_outcome(data)
         assert got == oracle_outcome(data)
         # Lanes decode the scan, or with restarts its first segment; the short
         # second segment is below the size threshold.
-        assert stood == [True]
+        assert [path is not None for path in paths] == [True]
+        # The sync tail all in numpy, or all in Python, gives the path of the
+        # default threshold.
+        for tail_lanes in TAILS.values():
+            with mock.patch.object(jpegio, "_TAIL_LANES", tail_lanes):
+                assert lane_outcome(data)[1] == paths, tail_lanes
 
     @pytest.mark.parametrize("offset, fails", [(3, True), (0, False)])
     def test_flipped_byte_in_a_megapixel_scan(self, megapixel, offset, fails):
@@ -506,9 +577,9 @@ class TestLargeScans:
         data = megapixel[:i] + bytes([megapixel[i] ^ 0x55]) + megapixel[i + 1 :]
         expected = oracle_outcome(data)
         assert (expected[0] is jpegio.JpegFormatError) == fails
-        got, stood = lane_outcome(data)
+        got, paths = lane_outcome(data)
         assert got == expected
-        assert stood == [not fails]
+        assert [path is not None for path in paths] == [not fails]
 
     def test_parse_memory_peak(self, megapixel):
         def peak(min_bytes):
@@ -521,5 +592,5 @@ class TestLargeScans:
                 finally:
                     tracemalloc.stop()
 
-        assert lane_outcome(megapixel)[1] == [True]
+        assert [path is not None for path in lane_outcome(megapixel)[1]] == [True]
         assert peak(jpegio._LANE_MIN_BYTES) <= 1.5 * peak(1 << 62)

@@ -1,5 +1,7 @@
 """Histogram, Laplacian fit, and chi-square tests."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,28 @@ class TestBuildHistogram:
     def test_empty_input(self):
         with pytest.raises(ValueError):
             build_histogram([])
+
+    @pytest.mark.parametrize("span", [1, 40, 399, 400, 401, 10**6, 2**62])
+    def test_counting_matches_unique(self, rng, span):
+        # 100 values over `span` integers: up to 400 integers are counted in
+        # bins, more are sorted by np.unique; both give its support and counts.
+        lo = -(span // 2)
+        values = rng.integers(lo, lo + span, 100)
+        values[:2] = lo, lo + span - 1
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            h = build_histogram(values.astype(np.int32) if span < 2**31 else values)
+        assert unique.called == (span > 400)
+        support, counts = np.unique(values, return_counts=True)
+        assert h.support.dtype == np.int64
+        assert np.array_equal(h.support, support)
+        assert np.array_equal(h.mass, counts / 100)
+        assert h.count == 100
+
+    def test_wide_range(self):
+        # Bins over this range would need 2**63 counters.
+        h = build_histogram(np.array([-(2**62), 0, 0, 2**62 - 1]))
+        assert h.support.tolist() == [-(2**62), 0, 2**62 - 1]
+        assert h.mass.tolist() == [0.25, 0.5, 0.25]
 
     def test_mass_conservation(self, rng):
         for _ in range(200):
