@@ -599,10 +599,10 @@ def _decode_lanes(
         states, values = _grown((states, values), t, room)
     flat_s, flat_e = states.reshape(-1), values.reshape(-1)
     if steps:
-        at = tail_at.take(tail_lanes)
-        at += np.repeat(np.arange(len(steps)), steps)
-        flat_s[at] = np.concatenate(tail[0])
-        flat_e[at] = np.concatenate(tail[1])
+        dest = tail_at.take(tail_lanes)
+        dest += np.repeat(np.arange(len(steps)), steps)
+        flat_s[dest] = np.concatenate(tail[0])
+        flat_e[dest] = np.concatenate(tail[1])
     for lane, (walked_s, walked_e) in finish.items():
         lo = int(tail_at[lane]) + len(steps)
         flat_s[lo : lo + len(walked_s)], flat_e[lo : lo + len(walked_s)] = walked_s, walked_e
