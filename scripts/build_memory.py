@@ -1,7 +1,7 @@
 """Memory and time of a 400-patch reference build, a parent checkout against this one.
 
     python3 scripts/build_memory.py --parent-checkout ../parent \
-        --out BENCH_pr17-build-memory.json
+        --out BENCH_build-memory.json
 
 For the parent checkout and this one, builds PATCHES synthetic 64x64
 patches (tests/conftest.synth_patches, seed SEED) at q1_max Q1_MAX and k K,
@@ -18,7 +18,10 @@ workers (the peak RSS of its reaped children; fork workers count the pages
 they share with the parent) and the sha256 of the dataset file. VmHWM per
 patch above start is (end - start) / PATCHES, and a worker's is (worker
 VmHWM - start) / PATCHES; writer_extra_mb is how much more `fqe build`
-held than `build_reference` alone. Linux only.
+held than `build_reference` alone. Every run of one checkout must write
+the same bytes, or the script exits 1; the two checkouts may differ, as
+they do across a change of the file format, and checkouts_agree says
+whether they did. Linux only.
 """
 
 from __future__ import annotations
@@ -152,9 +155,15 @@ def main(argv=None) -> int:
                         print(f"run {i} {side} {entry} jobs {jobs}: {json.dumps(run)}", flush=True)
 
     summary = {side: {name: summarize(r) for name, r in by_name.items()} for side, by_name in runs.items()}
-    digests = {run["sha256"] for s in runs.values() for r in s.values() for run in r}
-    # What `fqe build` holds above build_reference alone: about the
-    # dataset's size if it joins the file in memory before writing it.
+    digests = {
+        side: sorted({run["sha256"] for r in by_name.values() for run in r})
+        for side, by_name in runs.items()
+    }
+    identical = all(len(d) == 1 for d in digests.values())
+    # What `fqe build` holds above build_reference alone. build_reference
+    # returns the whole dataset in memory; a `fqe build` that writes its
+    # file as the build goes holds less (a negative figure), one that
+    # builds the dataset in memory before writing it about as much.
     writer_extra_mb = {
         side: {
             f"jobs {j}": PATCHES * (s[f"fqe build, jobs {j}"]["vmhwm_mb_per_patch"]
@@ -163,24 +172,29 @@ def main(argv=None) -> int:
         }
         for side, s in summary.items()
     }
-    dataset_bytes = {run["dataset_bytes"] for s in runs.values() for r in s.values() for run in r}
+    dataset_bytes = {
+        side: max(run["dataset_bytes"] for r in by_name.values() for run in r)
+        for side, by_name in runs.items()
+    }
     out = {
         "command": ["python3", "scripts/build_memory.py", *(argv or sys.argv[1:])],
         "checkouts": {side: git_head(path) for side, path in sides.items()},
         "host": {"cpu_count": os.cpu_count(), "python": sys.version.split()[0]},
         "patches": {"count": PATCHES, "seed": SEED, "side": 64, "q1_max": Q1_MAX, "k": K},
         "repeats": REPEATS,
-        "dataset_sha256": sorted(digests),
-        "dataset_mb": max(dataset_bytes) / 2**20,
-        "datasets_identical": len(digests) == 1,
+        "dataset_sha256": digests,
+        "dataset_mb": {side: size / 2**20 for side, size in dataset_bytes.items()},
+        "datasets_identical": identical,
+        "checkouts_agree": len({d for side in digests.values() for d in side}) == 1,
         "summary": summary,
         "writer_extra_mb": writer_extra_mb,
         "runs": runs,
     }
     args.out.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
     print(json.dumps({"summary": summary, "writer_extra_mb": writer_extra_mb,
-                      "datasets_identical": out["datasets_identical"]}, indent=2))
-    return 0 if out["datasets_identical"] else 1
+                      "datasets_identical": identical,
+                      "checkouts_agree": out["checkouts_agree"]}, indent=2))
+    return 0 if identical else 1
 
 
 if __name__ == "__main__":

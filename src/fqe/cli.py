@@ -37,10 +37,9 @@ from .jpegio import JpegError, PgmError, read_pgm, crop_center
 from .refdata import (
     DatasetFormatError,
     ReferenceDataset,
-    build_reference,
     deserialize,
     map_file,
-    write_dataset,
+    write_reference,
 )
 from .types import GrayImage
 
@@ -149,7 +148,9 @@ def _weight(ctx: click.Context, param: click.Parameter, value: float) -> float:
 )
 @click.option(
     "--jobs", type=click.IntRange(min=1), help="Worker processes, each building whole q1s "
-    "(FQE_JOBS overrides); patches of 512 8x8 blocks or fewer in all build in-process."
+    "(FQE_JOBS overrides); patches of 512 8x8 blocks or fewer in all build in-process. "
+    "Each worker holds a whole q1's records (about 0.14 MB per 64x64 patch), and q1s "
+    "finished before the file reaches them wait in this process."
 )
 @click.option("--verbose", is_flag=True, help="List the record counts of every sub-dataset.")
 def build(
@@ -173,16 +174,19 @@ def build(
         f"building from {len(patches)} patches ({skipped} skipped), "
         f"q1_max={q1_max} k={k}: {len(patches) * q1_max * q1_max} double compressions"
     )
-    ds = build_reference(patches, q1_max=q1_max, k=k, jobs=n_jobs)
     try:
-        size = _replace_file(Path(out), lambda fh: write_dataset(ds, fh))
+        size, records = _replace_file(
+            Path(out), lambda fh: write_reference(fh, patches, q1_max=q1_max, k=k, jobs=n_jobs)
+        )
     except OSError as exc:
         raise click.ClickException(f"cannot write {out}: {exc}")
     click.echo(f"wrote {out}: {size} bytes")
-    _echo_summary(ds, verbose)
+    _echo_summary(q1_max, k, patch, len(patches), records, verbose)
 
 
-def _replace_file(path: Path, write: Callable[[BinaryIO], int]) -> int:
+def _replace_file(
+    path: Path, write: Callable[[BinaryIO], tuple[int, np.ndarray]]
+) -> tuple[int, np.ndarray]:
     """Write a new file beside path with write(fh), flush it to disk, then rename it over path.
 
     A reader that maps the old file keeps its bytes, and a write that fails
@@ -206,20 +210,19 @@ def _replace_file(path: Path, write: Callable[[BinaryIO], int]) -> int:
     return size
 
 
-def _echo_summary(ds: ReferenceDataset, verbose: bool) -> None:
-    """The header fields, record totals and records per sub-dataset, from ds.bounds."""
+def _echo_summary(
+    q1_max: int, k: int, patch_side: int, source_count: int, records: np.ndarray, verbose: bool
+) -> None:
+    """The header fields, record totals and records per sub-dataset, from each section's records."""
     # Records per (q1, q2) in q1-major order, one (dc, ac) row each.
-    per_kind = np.diff(ds.bounds).reshape(-1, 2)
+    per_kind = records.reshape(-1, 2)
     if verbose:
-        pairs = itertools.product(range(1, ds.q1_max + 1), repeat=2)
+        pairs = itertools.product(range(1, q1_max + 1), repeat=2)
         for (q1, q2), (dc, ac) in zip(pairs, per_kind.tolist()):
             click.echo(f"q1={q1:>3} q2={q2:>3}: dc={dc} ac={ac}")
     n_dc, n_ac = per_kind.T
     per_sub = n_dc + n_ac
-    click.echo(
-        f"q1_max={ds.q1_max} k={ds.k} patch_side={ds.patch_side} "
-        f"source_count={ds.source_count}"
-    )
+    click.echo(f"q1_max={q1_max} k={k} patch_side={patch_side} source_count={source_count}")
     click.echo(f"{per_sub.sum()} records: {n_dc.sum()} DC + {n_ac.sum()} AC records")
     click.echo(
         f"records per sub-dataset: min {per_sub.min()}, median {np.median(per_sub):g}, "
@@ -242,7 +245,7 @@ def info_cmd(dataset: str, verbose: bool) -> None:
     except DatasetFormatError as exc:
         _dataset_failure(exc)
     click.echo(f"{dataset}: {os.path.getsize(dataset)} bytes")
-    _echo_summary(ds, verbose)
+    _echo_summary(ds.q1_max, ds.k, ds.patch_side, ds.source_count, np.diff(ds.bounds), verbose)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from .dctsim import reconstruct
 from .estimator import DEGENERATE, OK, UNSUPPORTED, EstimationParams, estimate
 from .jpegio import encode_baseline_gray, parse_jpeg
-from .refdata import DatasetFormatError, ReferenceDataset, load_dataset, serialize
+from .refdata import DatasetFormatError, ReferenceDataset, load_dataset
 from .types import GrayImage, QuantTable
 
 MANIFEST_NAME = "manifest.csv"
@@ -186,17 +186,14 @@ def evaluate_corpus(
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with contextlib.ExitStack() as stack:
-            path, crc = ds.path, ds.crc
+            path = ds.path
             if path is None:
                 path = str(Path(stack.enter_context(tempfile.TemporaryDirectory())) / "ref.fqe")
-                blob = serialize(ds)
-                Path(path).write_bytes(blob)
-                crc = int.from_bytes(blob[-4:], "little")
-                del blob  # the whole file again; the workers read it from disk
+                Path(path).write_bytes(ds.data)
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=jobs,
                 initializer=_init_eval_worker,
-                initargs=(path, crc, params, corpus_dir),
+                initargs=(path, ds.crc, params, corpus_dir),
             ))
             outcomes = list(pool.map(_eval_in_worker, work, chunksize=8))
     else:

@@ -41,8 +41,8 @@ class PgmError(ValueError):
 
 
 # Marker code bytes (the byte after 0xFF).
-_SOI, _EOI, _SOS, _DQT, _DHT, _DRI, _DNL, _DAC = (
-    0xD8, 0xD9, 0xDA, 0xDB, 0xC4, 0xDD, 0xDC, 0xCC,
+_SOI, _EOI, _SOS, _DQT, _DHT, _DRI, _DAC = (
+    0xD8, 0xD9, 0xDA, 0xDB, 0xC4, 0xDD, 0xCC,
 )
 _SOF_NAMES = {
     0xC1: "extended sequential",
@@ -829,6 +829,8 @@ class _Parser:
         if len(seg) < 1:
             raise JpegFormatError("truncated SOS segment")
         ns = seg[0]
+        if not 1 <= ns <= 4:  # T.81 B.2.3
+            raise JpegFormatError(f"scan declares {ns} components, not 1 to 4")
         if len(seg) != 1 + 2 * ns + 3:
             raise JpegFormatError("bad SOS segment length")
         by_id = {c.comp_id: i for i, c in enumerate(frame.components)}
@@ -840,6 +842,8 @@ class _Parser:
             if cid not in by_id:
                 raise JpegFormatError(f"scan references unknown component {cid}")
             comp = frame.components[by_id[cid]]
+            if comp in scan_comps:
+                raise JpegFormatError(f"scan lists component {cid} twice")
             td, ta = tdta >> 4, tdta & 0x0F
             dc_table = self.huff_tables.get((0, td))
             ac_table = self.huff_tables.get((1, ta))

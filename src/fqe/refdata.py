@@ -3,21 +3,24 @@
 Every raw patch is double-compressed with all pairs of constant matrices
 (M_q1, M_q2); the DC histogram and the pooled AC histograms of coefficients
 2..k land in the dc and ac sections of that (q1, q2), indexed by the
-Laplacian fit (mu for DC, beta for AC). Records are held in whole-dataset
-columns, each section's records a contiguous run sorted by key, so that
-nearest-key windows are contiguous slices and the chi-square scan over a
-window is one vectorized pass. ReferenceDataset.section(q1, q2, kind) is
-the one way to a section's records; scoring one keeps nothing per bin.
+Laplacian fit (mu for DC, beta for AC). A dataset is the bytes of its FQE4
+file, which the build writes one q1 at a time. Each section's records are a
+contiguous run sorted by key, so that nearest-key windows are contiguous
+slices and the chi-square scan over a window is one vectorized pass.
+ReferenceDataset.section(q1, q2, kind) is the one way to a section's
+records; scoring one keeps nothing per bin.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import mmap
 import os
 import struct
 import zlib
 from dataclasses import dataclass, field
+from typing import BinaryIO
 
 import numpy as np
 
@@ -85,38 +88,31 @@ class SubDataset:
 
 @dataclass(eq=False)
 class ReferenceDataset:
-    """The reference records as whole-dataset columns, in FQE3 order.
+    """A view of the bytes of an FQE4 file, data.
 
     Section s = 2 * ((q1 - 1) * q1_max + q2 - 1) + (0 for dc, 1 for ac) owns
-    records bounds[s]:bounds[s + 1] and bins starts[s]:starts[s + 1]; record
-    i has key keys[i] and lengths[i] consecutive bins of values and bins,
-    which sum to the block count of a patch, (patch_side / 8)^2. Keys are
-    sorted within each section. A loaded dataset's columns are views of the
-    buffer it was read from, aligned or not. The PackedRecords of a
-    (q1, q2, kind) section, with its record offsets and an aligned copy of
-    its keys, is made and its bin sums checked the first time section()
-    asks for it, and then kept: 16 bytes per record, and nothing per bin.
+    records bounds[s]:bounds[s + 1] and bins bin_bounds[s]:bin_bounds[s + 1]
+    of the dataset, in the block of its q1, which starts at byte blocks[q1 - 1].
+    A record's bins sum to the block count of a patch, (patch_side / 8)^2,
+    and keys are sorted within each section. The PackedRecords of a
+    (q1, q2, kind) section, views of data with its own record offsets, is
+    made and its records checked the first time section() asks for it, and
+    then kept: 8 bytes per record, and nothing per bin.
     """
 
     q1_max: int
     k: int
     patch_side: int
     source_count: int
+    data: bytes | memoryview | mmap.mmap = field(repr=False)
     bounds: np.ndarray = field(repr=False)
-    keys: np.ndarray = field(repr=False)
-    lengths: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-    bins: np.ndarray = field(repr=False)
-    # The CRC trailer of the buffer it was read from, and the file that
-    # load_dataset mapped; None for a dataset built in memory.
-    crc: int | None = field(default=None, repr=False)
+    bin_bounds: np.ndarray = field(repr=False)
+    blocks: np.ndarray = field(repr=False)
+    # The CRC trailer of data, and the file that load_dataset mapped.
+    crc: int = field(repr=False)
     path: str | None = None
-    starts: np.ndarray = field(init=False, repr=False)
     # Section id -> its PackedRecords, for the sections made so far.
     _made: dict[int, PackedRecords] = field(init=False, repr=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.starts = _section_starts(self.lengths, self.bounds)
 
     @property
     def subs(self) -> dict[tuple[int, int], SubDataset]:  # perfbench reads this name
@@ -135,38 +131,31 @@ class ReferenceDataset:
         s = 2 * ((q1 - 1) * self.q1_max + q2 - 1) + _KINDS.index(kind)
         packed = self._made.get(s)
         if packed is None:
-            r0, r1 = int(self.bounds[s]), int(self.bounds[s + 1])
-            b0, b1 = int(self.starts[s]), int(self.starts[s + 1])
+            first, end = 2 * self.q1_max * (q1 - 1), 2 * self.q1_max * q1
+            r, r0, r1, r_end = (int(self.bounds[i]) for i in (first, s, s + 1, end))
+            b, b0, b1, b_end = (int(self.bin_bounds[i]) for i in (first, s, s + 1, end))
+            # The q1's block holds the keys and lengths of its records, then
+            # the values and bins of its bins; the section is a run of each.
+            pos, n_rec, n_bins = int(self.blocks[q1 - 1]), r_end - r, b_end - b
+            keys = np.frombuffer(self.data, "<f8", r1 - r0, pos + 8 * (r0 - r))
+            lengths = np.frombuffer(self.data, "<u2", r1 - r0, pos + 8 * n_rec + 2 * (r0 - r))
+            pos += 10 * n_rec + 2 * (b0 - b)
+            values = np.frombuffer(self.data, "<i2", b1 - b0, pos)
+            bins = np.frombuffer(self.data, "<u2", b1 - b0, pos + 2 * n_bins)
             offsets = np.zeros(r1 - r0 + 1, dtype=np.int64)
-            np.cumsum(self.lengths[r0:r1], out=offsets[1:])
-            bins, n = self.bins[b0:b1], (self.patch_side // 8) ** 2
+            np.cumsum(lengths, out=offsets[1:])
+            where, n = f"section ({q1}, {q2}, {kind})", (self.patch_side // 8) ** 2
             # A failing section is not kept, so every use of it fails.
+            if offsets[-1] != bins.size:
+                raise DatasetFormatError(f"support lengths of {where} do not sum to its bin count")
+            if keys.size and (lengths.min() == 0 or bins.min() == 0):
+                raise DatasetFormatError(f"a record of {where} has an empty support or bin")
+            if not (np.isfinite(keys).all() and (keys[1:] >= keys[:-1]).all()):
+                raise DatasetFormatError(f"record keys of {where} are not finite and sorted")
             if (np.add.reduceat(bins, offsets[:-1], dtype=np.int64) != n).any():
-                raise DatasetFormatError(
-                    f"a record of section ({q1}, {q2}, {kind}) does not hold {n} samples"
-                )
-            # An aligned key copy: the window search reads keys on every call.
-            packed = self._made[s] = PackedRecords(
-                self.keys[r0:r1].astype(np.float64), offsets, self.values[b0:b1], bins, float(n)
-            )
+                raise DatasetFormatError(f"a record of {where} does not hold {n} samples")
+            packed = self._made[s] = PackedRecords(keys, offsets, values, bins, float(n))
         return packed
-
-
-# Records per chunk of _section_starts: a 128 KB int64 cumsum at a time.
-_STARTS_CHUNK = 1 << 14
-
-
-def _section_starts(lengths: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """starts[s] = lengths[:bounds[s]].sum(), summed a chunk of records at a time."""
-    starts = np.zeros(bounds.size, dtype=np.int64)
-    total = 0
-    for c0 in range(0, lengths.size, _STARTS_CHUNK):
-        ends = np.cumsum(lengths[c0 : c0 + _STARTS_CHUNK], dtype=np.int64) + total
-        # The sections whose bounds fall inside this chunk.
-        lo, hi = np.searchsorted(bounds, [c0, c0 + ends.size], side="right")
-        starts[lo:hi] = ends[bounds[lo:hi] - c0 - 1]
-        total = ends[-1]
-    return starts
 
 
 def _nearest_window(keys: np.ndarray, key: float, n: int) -> tuple[int, int]:
@@ -253,20 +242,23 @@ def _q1_columns(f0: np.ndarray, n_patches: int, q1: int, q1_max: int, k: int):
     return sections, keys, lengths.astype(np.uint16), values, bins
 
 
-def build_reference(
+def write_reference(
+    fh: BinaryIO,
     patches: list[GrayImage],
     q1_max: int = 22,
     k: int = 15,
     jobs: int | None = None,
-) -> ReferenceDataset:
-    """Build the reference dataset from raw patches.
+) -> tuple[int, np.ndarray]:
+    """Build the reference dataset from raw patches, writing its FQE4 file to fh as it goes.
 
     Deterministic given the patch sequence and parameters, independent of
     the worker count and of the batch split. Sections are q1-major, so the
-    build runs q1 by q1 (_q1_records) and appends each q1's sorted records
-    to the columns in q1 order. In-process, only the batches' forward DCTs
-    and one q1's records are held besides the finished columns; with jobs
-    above 1 and two or more batches, pool workers build whole q1s.
+    build runs q1 by q1 (_q1_records) and writes each q1's block once it is
+    done, in q1 order. In-process, only the batches' forward DCTs and one
+    q1's records are held; with jobs above 1 and two or more batches, pool
+    workers build whole q1s, and the q1s they finish before the writer
+    reaches them wait in this process. Returns the file size and the record
+    count of every section.
     """
     if not patches:
         raise ValueError("cannot build a reference dataset from no patches")
@@ -304,34 +296,62 @@ def build_reference(
         results = pool.map(_q1_in_worker, q1s)
     else:
         results = (_q1_records(batches, q1, q1_max, k) for q1 in q1s)
-    columns = [np.empty(0, dtype) for dtype in (np.float64, np.uint16, np.int16, np.uint16)]
-    section_counts = []
+    crc = size = 0
+
+    def write(piece) -> None:
+        nonlocal crc, size
+        fh.write(piece)
+        crc = zlib.crc32(piece, crc)
+        size += memoryview(piece).nbytes
+
+    records, bins = [], []
     try:
-        for counts, *parts in results:
-            section_counts.append(counts)
+        header = _MAGIC + _HEADER.pack(_VERSION, q1_max, k, side, len(patches))
+        write(header.ljust(_HEADER_SIZE, b"\0"))
+        for n_records, n_bins, *block in results:
+            records.append(n_records)
+            bins.append(n_bins)
             # Popped, so that no part of this q1 is held while the next is built.
-            for column in columns:
-                _append(column, parts.pop(0))
+            for dtype in _COLUMNS:
+                write(block.pop(0).astype(dtype, copy=False))
+            write(bytes(-size % 8))
     finally:
         if pool is not None:
             # After a failed task, the q1s not yet started are not run.
             pool.shutdown(cancel_futures=True)
-    bounds = np.zeros(2 * q1_max * q1_max + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(section_counts), out=bounds[1:])
-    return ReferenceDataset(q1_max, k, side, len(patches), bounds, *columns)
+    records = np.concatenate(records)
+    write(records.astype("<u4"))
+    write(np.concatenate(bins).astype("<u8"))
+    fh.write(struct.pack("<I", crc))
+    return size + 4, records
+
+
+def build_reference(
+    patches: list[GrayImage],
+    q1_max: int = 22,
+    k: int = 15,
+    jobs: int | None = None,
+) -> ReferenceDataset:
+    """Build the reference dataset from raw patches: the FQE4 file of write_reference, in memory."""
+    fh = io.BytesIO()
+    write_reference(fh, patches, q1_max, k, jobs)
+    return deserialize(fh.getbuffer())
 
 
 def _q1_records(batches: list, q1: int, q1_max: int, k: int):
     """The records of one q1 over all batches, in dataset order.
 
     Each batch's _q1_columns are stacked in patch order and sorted stably by
-    section, then key. Returns the record count of each of the q1's 2 * q1_max
-    sections, then the sorted keys, support lengths, support values and bins.
+    section, then key. Returns the record and bin counts of each of the q1's
+    2 * q1_max sections, then the sorted keys, support lengths, support values
+    and bins: the q1's block of the file.
     """
     sections, keys, lengths, values, bins = map(
         np.concatenate, zip(*(_q1_columns(*batch, q1, q1_max, k) for batch in batches))
     )
     local = sections - 2 * q1_max * (q1 - 1)
+    counts = np.bincount(local, minlength=2 * q1_max)
+    n_bins = np.bincount(local, lengths, 2 * q1_max).astype(np.int64)
     # np.lexsort((keys, local)), faster: keys are ranked first, and a stable
     # sort of section and rank keeps the stacked order of equal keys.
     ranks = np.unique(keys, return_inverse=True)[1]
@@ -345,7 +365,7 @@ def _q1_records(batches: list, q1: int, q1_max: int, k: int):
     # One column at a time: each stacked column is freed once it is gathered.
     values = np.take(values, gather)
     bins = np.take(bins, gather)
-    return np.bincount(local, minlength=2 * q1_max), keys[order], lengths, values, bins
+    return counts, n_bins, keys[order], lengths, values, bins
 
 
 # The batches, q1_max and k of the build a pool worker serves.
@@ -360,13 +380,6 @@ def _init_build_worker(*build) -> None:
 def _q1_in_worker(q1: int):
     batches, q1_max, k = _worker_build
     return _q1_records(batches, q1, q1_max, k)
-
-
-def _append(column: np.ndarray, part: np.ndarray) -> None:
-    """Grow column by part in place: realloc moves a large block's pages, not a copy."""
-    n = column.size
-    column.resize(n + part.size, refcheck=False)
-    column[n:] = part
 
 
 def mass_table(h: CoeffHistogram) -> tuple[np.ndarray, float]:
@@ -417,69 +430,47 @@ def batch_min_distance(
 
 
 # ---------------------------------------------------------------------------
-# Serialization (FQE3), little-endian: a 30-byte header, one u32 record count
-# per (q1, q2) x (dc, ac) section in row-major order, whole-dataset columns
-# (keys f8 and support lengths u2 per record, then support values i2 and bin
-# counts u2 per bin) and a CRC-32 trailer: the columns of ReferenceDataset
-# as they are, its bounds stored as the record count of each section. Every
+# Serialization (FQE4), little-endian: a 32-byte header; per q1, one block of
+# its records (keys f8 and support lengths u2 per record, then support values
+# i2 and bin counts u2 per bin) zero-padded to 8 bytes; a footer of each
+# (q1, q2) x (dc, ac) section's record count (u4), in row-major order, then
+# its bin count (u8); and a CRC-32 trailer over everything before it. Every
 # record's sample count is the header's (patch side / 8)^2.
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"FQE3"
-_VERSION = 3
+_MAGIC = b"FQE4"
+_VERSION = 4
 _HEADER = struct.Struct("<HBBHI")
-_HEADER_SIZE = 30
+_HEADER_SIZE = 32
 _KINDS = ("dc", "ac")
-_REC_BYTES = 8 + 2
-_BIN_BYTES = 2 + 2
+_COLUMNS = ("<f8", "<u2", "<i2", "<u2")
 _MAX_BIN = 0xFFFF
 
 
-def _pieces(ds: ReferenceDataset):
-    """The FQE3 file of ds in pieces: header, section table, columns, CRC trailer."""
-    pieces = [
-        _MAGIC + _HEADER.pack(_VERSION, ds.q1_max, ds.k, ds.patch_side, ds.source_count),
-        bytes(16),
-        np.diff(ds.bounds).astype("<u4"),
-        ds.keys.astype("<f8", copy=False),
-        ds.lengths.astype("<u2", copy=False),
-        ds.values.astype("<i2", copy=False),
-        ds.bins.astype("<u2", copy=False),
-    ]
-    crc = 0
-    for piece in pieces:
-        crc = zlib.crc32(piece, crc)
-        yield piece
-    yield struct.pack("<I", crc)
-
-
 def serialize(ds: ReferenceDataset) -> bytes:
-    return b"".join(_pieces(ds))
+    """The FQE4 file of ds: the bytes it is a view of."""
+    return bytes(ds.data)
 
 
-def write_dataset(ds: ReferenceDataset, fh) -> int:
-    """Write serialize(ds) to a binary file piece by piece, never whole; return its size."""
-    size = 0
-    for piece in _pieces(ds):
-        fh.write(piece)
-        size += memoryview(piece).nbytes
-    return size
+def deserialize(data: bytes | memoryview | mmap.mmap) -> ReferenceDataset:
+    """The dataset of an FQE4 buffer, a view of data.
 
-
-def deserialize(data: bytes) -> ReferenceDataset:
-    """The dataset of an FQE3 buffer (bytes or a mapping); its columns stay views of data."""
+    Checks the CRC trailer, the header, the footer and the size here; a
+    section checks its records when it is first made.
+    """
     size = len(data)
     if size < _HEADER_SIZE + 4:
         raise DatasetFormatError("dataset file is truncated")
     (crc_stored,) = struct.unpack_from("<I", data, size - 4)
     if zlib.crc32(memoryview(data)[:-4]) != crc_stored:
         raise DatasetFormatError("dataset checksum mismatch")
-    if data[:4] in (b"FQE1", b"FQE2"):
+    magic = bytes(data[:4])
+    if magic in (b"FQE1", b"FQE2", b"FQE3"):
         raise DatasetFormatError(
-            f"{data[:4].decode()} dataset files are no longer supported; "
+            f"{magic.decode()} dataset files are no longer supported; "
             "rebuild the dataset with `fqe build`"
         )
-    if data[:4] != _MAGIC:
+    if magic != _MAGIC:
         raise DatasetFormatError("bad dataset magic")
     version, q1_max, k, patch_side, source_count = _HEADER.unpack_from(data, 4)
     if version != _VERSION:
@@ -491,33 +482,25 @@ def deserialize(data: bytes) -> ReferenceDataset:
         raise DatasetFormatError(f"dataset declares patch side {patch_side}, not 8 to 2040 by 8")
 
     n_sections = len(_KINDS) * q1_max * q1_max
-    pos = _HEADER_SIZE + 4 * n_sections
-    if pos > size - 4:
+    footer = size - 4 - 12 * n_sections
+    if footer < _HEADER_SIZE:
         raise DatasetFormatError("dataset file is truncated")
-    bounds = np.zeros(n_sections + 1, dtype=np.int64)
-    np.cumsum(np.frombuffer(data, "<u4", n_sections, _HEADER_SIZE), out=bounds[1:])
-    n_rec = int(bounds[-1])
-    n_bins, rest = divmod(size - 4 - pos - _REC_BYTES * n_rec, _BIN_BYTES)
-    if n_bins < 0 or rest:
-        raise DatasetFormatError("dataset file size does not match its section table")
-
-    # Every column is a view of data. keys sit at an offset of no fixed
-    # alignment; a section's keys are copied aligned when it is made.
-    keys = np.frombuffer(data, "<f8", n_rec, pos)
-    lengths = np.frombuffer(data, "<u2", n_rec, pos + 8 * n_rec)
-    values = np.frombuffer(data, "<i2", n_bins, pos + _REC_BYTES * n_rec)
-    bins = np.frombuffer(data, "<u2", n_bins, pos + _REC_BYTES * n_rec + 2 * n_bins)
-    ds = ReferenceDataset(
-        q1_max, k, patch_side, source_count, bounds, keys, lengths, values, bins, crc=crc_stored,
+    records = np.frombuffer(data, "<u4", n_sections, footer).astype(np.int64)
+    bins = np.frombuffer(data, "<u8", n_sections, footer + 4 * n_sections)
+    # A bin takes 4 bytes of the file, so no count above size fits, and
+    # the int64 sums below cannot overflow.
+    if (bins > size).any():
+        raise DatasetFormatError("dataset file size does not match its footer")
+    bins = bins.astype(np.int64)
+    blocks = (10 * records + 4 * bins).reshape(q1_max, -1).sum(axis=1)
+    blocks += -blocks % 8
+    if _HEADER_SIZE + blocks.sum() != footer:
+        raise DatasetFormatError("dataset file size does not match its footer")
+    bounds, bin_bounds = (np.append(0, np.cumsum(counts)) for counts in (records, bins))
+    return ReferenceDataset(
+        q1_max, k, patch_side, source_count, data, bounds, bin_bounds,
+        _HEADER_SIZE + np.cumsum(blocks) - blocks, crc_stored,
     )
-    if ds.starts[-1] != n_bins:
-        raise DatasetFormatError("support lengths do not match the file size")
-    if n_rec and (lengths.min() == 0 or bins.min() == 0):
-        raise DatasetFormatError("record with an empty support or bin")
-    descents = np.flatnonzero(~(keys[1:] >= keys[:-1])) + 1
-    if not (np.isfinite(keys).all() and np.isin(descents, bounds).all()):
-        raise DatasetFormatError("record keys are not finite and sorted within each section")
-    return ds
 
 
 def map_file(path: str | os.PathLike) -> mmap.mmap:
@@ -535,7 +518,7 @@ def map_file(path: str | os.PathLike) -> mmap.mmap:
 
 
 def load_dataset(path: str | os.PathLike) -> ReferenceDataset:
-    """The dataset of a file, mapped read-only; its columns stay views of the mapping."""
+    """The dataset of a file, mapped read-only: a view of the mapping."""
     ds = deserialize(map_file(path))
     ds.path = os.fspath(path)
     return ds

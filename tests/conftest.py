@@ -58,12 +58,16 @@ def write_pgm(img: GrayImage) -> bytes:
 
 
 def with_first_bin(blob: bytes, count: int) -> bytes:
-    """An FQE3 dataset file with its first bin count set to count, under a fresh CRC."""
-    q1_max = blob[6]
-    table_end = 30 + 8 * q1_max * q1_max
-    n_rec = int(np.frombuffer(blob, "<u4", 2 * q1_max * q1_max, 30).sum())
-    n_bins = (len(blob) - 4 - table_end - 10 * n_rec) // 4
-    first = table_end + 10 * n_rec + 2 * n_bins
+    """An FQE4 dataset file with its first bin count set to count, under a fresh CRC.
+
+    That bin is in q1 1's block, after the keys and lengths of the block's
+    records and the values of its bins, whose counts the footer gives.
+    """
+    q1_max, n_sections = blob[6], 2 * blob[6] ** 2
+    footer = len(blob) - 4 - 12 * n_sections
+    n_rec = int(np.frombuffer(blob, "<u4", 2 * q1_max, footer).sum())
+    n_bins = int(np.frombuffer(blob, "<u8", 2 * q1_max, footer + 4 * n_sections).sum())
+    first = 32 + 10 * n_rec + 2 * n_bins
     body = bytearray(blob[:-4])
     body[first : first + 2] = struct.pack("<H", count)
     return bytes(body) + struct.pack("<I", zlib.crc32(body))

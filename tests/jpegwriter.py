@@ -114,6 +114,13 @@ def with_duplicate_component(data: bytes) -> bytes:
     return data[:sof] + jpegio._segment(0xC0, doubled) + data[end:]
 
 
+def with_scan_header(data: bytes, payload: bytes) -> bytes:
+    """A stream whose first SOS segment carries payload in place of its own."""
+    sos = data.find(b"\xff\xda")
+    end = sos + 2 + ((data[sos + 2] << 8) | data[sos + 3])
+    return data[:sos] + jpegio._segment(0xDA, payload) + data[end:]
+
+
 def random_grid(rng, blocks_w, blocks_h):
     """Sparse zig-zag blocks within the annex K tables' ranges: DC in
     [-1023, 1023], about one AC term in six non-zero with |value| < 1024,

@@ -28,7 +28,7 @@ from fqe.jpegio import crop_center, encode_baseline_gray, read_pgm
 from fqe.types import GrayImage
 
 from conftest import synth_patches, with_first_bin, write_pgm
-from jpegwriter import with_duplicate_component
+from jpegwriter import with_duplicate_component, with_scan_header
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -114,6 +114,17 @@ class TestBuild:
         blob = refdata.serialize(refdata.build_reference(patches, q1_max=5, k=15))
         assert out.read_bytes() == blob
         assert f"wrote {out}: {len(blob)} bytes" in lines
+
+    def test_build_writes_the_file_without_loading_it(self, tmp_path, raw_dir, runner, monkeypatch):
+        # The summary comes from the record counts the writer returns.
+        def no_load(data):
+            raise AssertionError("fqe build loaded a dataset")
+
+        monkeypatch.setattr(cli, "deserialize", no_load)
+        monkeypatch.setattr(refdata, "deserialize", no_load)
+        lines = build(runner, raw_dir, tmp_path / "n.fqe", "--q1-max", "4")
+        assert lines[-3] == "q1_max=4 k=15 patch_side=64 source_count=6"
+        assert lines[-1].startswith("records per sub-dataset: min ")
 
     def test_cardinality_line(self, tmp_path, raw_dir, runner):
         out = tmp_path / "c.fqe"
@@ -318,7 +329,7 @@ class TestInfo:
             assert lines[1:] == built[-len(lines) + 1 :]
         assert lines[-3] == "q1_max=4 k=15 patch_side=64 source_count=6"
         # One line per (q1, q2), q1-major: the (dc, ac) record counts of the
-        # file's section table, which are also the lengths of its sections.
+        # file's footer, which are also the lengths of its sections.
         ds = refdata.load_dataset(out)
         labels = [(q1, q2) for q1 in range(1, 5) for q2 in range(1, 5)]
         pairs = np.diff(ds.bounds).reshape(-1, 2).tolist()
@@ -560,15 +571,17 @@ class TestEstimate:
         for row in report["positions"]:
             assert row["raw"] == row["estimate"]
 
-    @pytest.mark.parametrize("content", ["junk", "duplicate-component-id"])
+    @pytest.mark.parametrize("content", ["junk", "duplicate-component-id", "zero-component-scan"])
     def test_parse_failure_exit_code(self, tmp_path, dataset_file, runner, content):
         bogus = tmp_path / "bogus.jpg"
+        img = GrayImage(np.full((64, 64), 77, dtype=np.uint8))
+        valid = encode_baseline_gray(img, standard_table(90))
         if content == "junk":
             bogus.write_bytes(b"not a jpeg at all")
-        else:
-            img = GrayImage(np.full((16, 16), 77, dtype=np.uint8))
-            valid = encode_baseline_gray(img, standard_table(90))
+        elif content == "duplicate-component-id":
             bogus.write_bytes(with_duplicate_component(valid))
+        else:
+            bogus.write_bytes(with_scan_header(valid, bytes([0, 0, 63, 0])))
         result = runner.invoke(
             main, ["estimate", "--image", str(bogus), "--dataset", str(dataset_file)]
         )

@@ -14,7 +14,7 @@ from fqe import dctsim, jpegio
 from fqe.types import GrayImage, QuantTable
 
 from conftest import synth_patch, synth_patches, write_pgm
-from jpegwriter import with_duplicate_component
+from jpegwriter import with_duplicate_component, with_scan_header
 
 try:
     from PIL import Image as PIL_Image
@@ -173,6 +173,22 @@ class TestParserErrors:
         data = with_duplicate_component(self.build_valid())
         with pytest.raises(jpegio.JpegFormatError, match="duplicate component id 1"):
             jpegio.parse_jpeg(data)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            # Ns 0 used to reach the CLI as a ValueError from the segment split.
+            (bytes([0, 0, 63, 0]), "scan declares 0 components, not 1 to 4"),
+            (bytes([5] + [1, 0] * 5 + [0, 63, 0]), "scan declares 5 components, not 1 to 4"),
+            (bytes([2, 1, 0, 1, 0, 0, 63, 0]), "scan lists component 1 twice"),
+        ],
+    )
+    def test_bad_scan_component_list_rejected(self, payload, message):
+        img = GrayImage(np.full((64, 64), 77, dtype=np.uint8))
+        data = with_scan_header(jpegio.encode_baseline_gray(img, dctsim.constant_table(2)), payload)
+        with pytest.raises(jpegio.JpegFormatError) as excinfo:
+            jpegio.parse_jpeg(data)
+        assert str(excinfo.value) == message
 
     def test_garbage_marker_stream(self):
         data = bytearray(self.build_valid())

@@ -276,13 +276,13 @@ class TestBuild:
         for jobs in (1, 2):
             blob = serialize(build_reference(patches, q1_max=6, k=15, jobs=jobs))
             assert hashlib.sha256(blob).hexdigest() == (
-                "4d59f205deb2657781b42a528e05eb947c33e047d50c9049c55b1ad77ed6baea"
+                "9841db4b6292b2597675ec3ff8780f8238b6fd52eb794a7c4ba70a20a9be96c1"
             )
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_build_peak_memory_per_patch(self, jobs):
         # The build holds the batches' forward DCTs, one q1's records and
-        # the finished columns (0.39 MB per 64 x 64 patch here). Sorting
+        # the file written so far (0.39 MB per 64 x 64 patch here). Sorting
         # every q1's records at once held 1.8 MB per patch at its peak.
         # 32 patches are four batches, so jobs 2 measures a pool's parent.
         patches = synth_patches(seed=37, count=32)
@@ -292,8 +292,26 @@ class TestBuild:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ds.keys.size > 200_000
+        assert ds.bounds[-1] > 200_000
         assert peak < 0.8 * 2**20 * len(patches)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_write_to_a_file_holds_no_dataset(self, jobs, tmp_path):
+        # Writing to a file holds the forward DCTs and one q1's records (and,
+        # in a pool's parent, the q1s that wait to be written): 0.18 (jobs 1)
+        # and 0.09 (jobs 2) MB per patch here. Building the whole dataset,
+        # then writing it, held 0.48 and 0.41 MB per patch.
+        patches = synth_patches(seed=37, count=32)
+        with open(tmp_path / "ref.fqe", "wb") as fh:
+            tracemalloc.start()
+            try:
+                size, records = refdata.write_reference(fh, patches, q1_max=22, k=15, jobs=jobs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert size == (tmp_path / "ref.fqe").stat().st_size > 6 * 2**20
+        assert records.sum() > 200_000
+        assert peak < 0.25 * 2**20 * len(patches)
 
     def test_rejects_block_counts_beyond_u16(self):
         # 2048 / 8 = 256 blocks a side: 65536 blocks overflow a u16 bin count.
@@ -521,12 +539,11 @@ class TestSerialization:
         blob = serialize(small_ds)
         assert serialize(deserialize(blob)) == blob
 
-    def test_write_dataset_writes_serialize_bytes(self, small_ds):
-        blob = serialize(small_ds)
-        for ds in (small_ds, deserialize(blob)):
-            fh = io.BytesIO()
-            assert refdata.write_dataset(ds, fh) == len(blob)
-            assert fh.getvalue() == blob
+    def test_write_reference_writes_serialize_bytes(self, small_ds):
+        fh = io.BytesIO()
+        size, records = refdata.write_reference(fh, synth_patches(seed=21, count=12), q1_max=5)
+        assert fh.getvalue() == serialize(small_ds) and size == len(fh.getvalue())
+        assert np.array_equal(records, np.diff(small_ds.bounds)) and records.dtype == np.int64
 
     def test_empty_sub_datasets(self):
         flat = GrayImage(np.full((64, 64), 200, dtype=np.uint8))
@@ -569,9 +586,9 @@ class TestSerialization:
         with pytest.raises(DatasetFormatError, match="version"):
             deserialize(bytes(blob))
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_fqe1_file_asks_for_rebuild(self, version):
-        # A complete FQE1 or FQE2 file: header for q1_max 1, one empty sub-dataset.
+        # A complete FQE1, FQE2 or FQE3 file: header for q1_max 1, one empty sub-dataset.
         header = f"FQE{version}".encode() + struct.pack("<HBBHI", version, 1, 15, 64, 1)
         old = header + bytes(16) + bytes(8)
         with pytest.raises(DatasetFormatError, match="rebuild the dataset with `fqe build`"):
@@ -587,46 +604,67 @@ class TestSerialization:
             deserialize(with_crc(bytes(body)))
 
     @pytest.mark.parametrize("sections", [[0], [7], list(range(8))])
-    def test_huge_section_count(self, sections):
+    @pytest.mark.parametrize("count", ["records", "bins"])
+    def test_huge_section_count(self, sections, count):
+        # The footer of q1_max 2: eight u32 record counts, then eight u64 bin counts.
         body = bytearray(tiny_blob()[:-4])
+        footer = len(body) - 12 * 8
         for s in sections:
-            body[30 + 4 * s : 34 + 4 * s] = b"\xff\xff\xff\xff"
+            if count == "records":
+                body[footer + 4 * s : footer + 4 * s + 4] = b"\xff" * 4
+            else:  # near 2^64: the sums must not wrap to the file size
+                body[footer + 32 + 8 * s : footer + 40 + 8 * s] = struct.pack("<Q", 2**64 - 7 - s)
         with pytest.raises(DatasetFormatError, match="size"):
             deserialize(with_crc(bytes(body)))
 
     @pytest.mark.parametrize("column", ["lengths", "bins"])
     def test_zero_counts_rejected(self, column):
+        # The file loads; section (1, 1, dc), the first of q1 1's block, fails when made.
         blob = tiny_blob()
         body = bytearray(blob[:-4])
-        n_rec = int(np.frombuffer(blob, "<u4", 8, 30).sum())
-        n_bins = (len(body) - 62 - 10 * n_rec) // 4
-        lengths = np.frombuffer(body, "<u2", n_rec, 62 + 8 * n_rec)
-        bins = np.frombuffer(body, "<u2", n_bins, 62 + 10 * n_rec + 2 * n_bins)
+        ds = deserialize(blob)
+        n_rec, n_bins = int(ds.bounds[4]), int(ds.bin_bounds[4])
+        lengths = np.frombuffer(body, "<u2", n_rec, 32 + 8 * n_rec)
+        bins = np.frombuffer(body, "<u2", n_bins, 32 + 10 * n_rec + 2 * n_bins)
         if column == "lengths":  # keep the total so only the zero is wrong
             lengths[1] += lengths[0]
             lengths[0] = 0
         else:
             bins[0] = 0
-        with pytest.raises(DatasetFormatError, match="empty"):
-            deserialize(with_crc(bytes(body)))
+        ds = deserialize(with_crc(bytes(body)))
+        with pytest.raises(DatasetFormatError, match=r"section \(1, 1, dc\) has an empty"):
+            ds.section(1, 1, "dc")
 
     @pytest.mark.parametrize("first_key", [1e300, float("nan")])
     def test_unsorted_or_nan_keys_rejected(self, first_key):
-        # Section 0 holds two records; the window search needs sorted keys.
+        # Section (1, 1, dc) holds two records; the window search needs sorted keys.
         body = bytearray(tiny_blob()[:-4])
-        body[62:70] = struct.pack("<d", first_key)
-        with pytest.raises(DatasetFormatError, match="sorted"):
-            deserialize(with_crc(bytes(body)))
+        body[32:40] = struct.pack("<d", first_key)
+        ds = deserialize(with_crc(bytes(body)))
+        with pytest.raises(DatasetFormatError, match=r"section \(1, 1, dc\) are not .* sorted"):
+            ds.section(1, 1, "dc")
+        assert len(ds.section(1, 1, "ac")) > 0
+
+    def test_lengths_must_sum_to_the_footer_bin_count(self):
+        # One bin moved from section (1, 1, dc) to (1, 1, ac) in the footer.
+        body = bytearray(tiny_blob()[:-4])
+        bins = np.frombuffer(body, "<u8", 8, len(body) - 64)
+        bins[0] -= 1
+        bins[1] += 1
+        ds = deserialize(with_crc(bytes(body)))
+        for kind in _KINDS:
+            with pytest.raises(DatasetFormatError, match="do not sum to its bin count"):
+                ds.section(1, 1, kind)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_hostile_files(self, data):
-        # Mutate, truncate or extend the header, the section table or the
-        # columns, then stamp a valid CRC: loading, and making each section
-        # the first time, raise DatasetFormatError and nothing else.
+        # Mutate, truncate or extend the header, the q1 blocks or the footer,
+        # then stamp a valid CRC: loading, and making every section the
+        # first time, either succeed or raise DatasetFormatError.
         body = bytearray(tiny_blob()[:-4])
-        table_end = 30 + 4 * 2 * 2 * 2
-        lo, hi = data.draw(st.sampled_from([(0, 30), (30, table_end), (table_end, len(body))]))
+        footer = len(body) - 12 * 2 * 2 * 2
+        lo, hi = data.draw(st.sampled_from([(0, 32), (32, footer), (footer, len(body))]))
         pos = data.draw(st.integers(lo, hi - 1))
         op = data.draw(st.sampled_from(["mutate", "truncate", "extend"]))
         if op == "mutate":
@@ -642,7 +680,8 @@ class TestSerialization:
             return
         again = serialize(ds)
         assert serialize(deserialize(again)) == again
-        # A section that is made scores without a division by zero.
+        # A section that is made holds checked records and scores without a
+        # division by zero.
         h = build_histogram([-2, 0, 0, 1, 3])
         with np.errstate(divide="raise", invalid="raise"):
             for q1, q2 in itertools.product(range(1, ds.q1_max + 1), repeat=2):
@@ -652,6 +691,8 @@ class TestSerialization:
                     except DatasetFormatError:
                         continue
                     assert packed.offsets[-1] == packed.values.size == packed.bins.size
+                    assert (np.diff(packed.offsets) > 0).all() and (packed.bins > 0).all()
+                    assert np.isfinite(packed.keys).all() and (np.diff(packed.keys) >= 0).all()
                     assert scan(packed, h, 0.0, 1000) >= 0.0
 
     def test_bin_sums_checked_when_a_section_is_made(self):
@@ -684,26 +725,24 @@ class TestSections:
             assert list(d._made) == [13] and len(ac) > 0
             assert d.section(2, 3, "ac") is ac
             scan(ac, build_histogram([0, 1, 1, 2]), 0.0, 5)
-            # The section owns its offsets and key copy; its bins stay views.
+            # The section owns its offsets; its keys and bins stay views.
             owned = [
                 name for name, a in vars(ac).items() if isinstance(a, np.ndarray) and a.base is None
             ]
-            assert sorted(owned) == ["keys", "offsets"] and ac.count == 81.0
+            assert owned == ["offsets"] and ac.count == 81.0
             assert list(d._made) == [13]
 
     def test_masses_match_whole_columns(self):
         ds = self.built()
         h = build_histogram([-3, -1, 0, 0, 0, 1, 2, 5])
         for d in (ds, deserialize(serialize(ds))):
-            offsets = np.concatenate([[0], np.cumsum(d.lengths, dtype=np.int64)])
             for s, key in enumerate(d.subs):
                 for kind in (0, 1):
                     packed = d.section(*key, _KINDS[kind])
-                    r0, r1 = d.bounds[2 * s + kind], d.bounds[2 * s + kind + 1]
-                    b0, b1 = offsets[r0], offsets[r1]
-                    assert (b0, b1) == tuple(d.starts[2 * s + kind : 2 * s + kind + 2])
-                    assert len(packed) == r1 - r0
-                    assert np.array_equal(packed.offsets, offsets[r0 : r1 + 1] - b0)
+                    assert len(packed) == d.bounds[2 * s + kind + 1] - d.bounds[2 * s + kind]
+                    assert packed.offsets[-1] == packed.values.size == packed.bins.size == (
+                        d.bin_bounds[2 * s + kind + 1] - d.bin_bounds[2 * s + kind]
+                    )
                     # Whole-section windows: every record's masses c / 81 enter.
                     for n in (len(packed), len(packed) + 10):
                         got = scan(packed, h, 1.0, n)
@@ -725,10 +764,10 @@ class TestSections:
                 scan(sub.dc, h, 0.0, 1000), scan(sub.ac, h, 0.0, 1000)
             assert serialize(d) == blob
 
-    def test_scoring_retains_offsets_and_keys_only(self):
-        # Per section made: int64 offsets and f64 keys, 16 bytes per record,
-        # and about 1 KB of Python objects. A kept f64 mass per bin would add
-        # about 100 bytes per record here (12.8 bins per record).
+    def test_scoring_retains_offsets_only(self):
+        # Per section made: int64 offsets, 8 bytes per record, and about
+        # 1 KB of Python objects. A kept f64 mass per bin would add about
+        # 100 bytes per record here (12.8 bins per record).
         ds = deserialize(serialize(
             build_reference(synth_patches(seed=34, count=40, side=32), q1_max=2, k=15)
         ))
@@ -746,7 +785,7 @@ class TestSections:
         assert sorted(ds._made) == [1, 3, 5, 7]
         records = sum(len(packed) for packed in ds._made.values())
         assert records > 2000
-        assert retained <= 16 * records + 2048 * len(pairs)
+        assert retained <= 8 * records + 2048 * len(pairs)
 
     def test_keys_order_and_missing_key(self):
         ds = self.built()
@@ -771,38 +810,37 @@ def _root(a):
 
 
 class TestLoad:
-    """A loaded dataset keeps its columns as views of the buffer it was read from."""
+    """A loaded dataset is a view of the buffer it was read from."""
 
-    COLUMNS = ("keys", "lengths", "values", "bins")
+    COLUMNS = ("keys", "values", "bins")
 
     @staticmethod
-    def assert_no_per_record_int64(ds):
-        big = [
-            name for name, a in vars(ds).items()
-            if isinstance(a, np.ndarray) and a.dtype == np.int64 and a.size >= ds.keys.size
-        ]
+    def assert_no_per_record_array(ds):
+        big = [name for name, a in vars(ds).items() if isinstance(a, np.ndarray) and a.size > 2 * ds.q1_max**2 + 1]
         assert big == []
 
-    def test_columns_are_views_of_the_bytes(self, small_ds):
+    def test_sections_are_views_of_the_bytes(self, small_ds):
         blob = serialize(small_ds)
         ds = deserialize(blob)
+        assert ds.data is blob and ds.bounds.size == ds.bin_bounds.size == 2 * 5 * 5 + 1
+        self.assert_no_per_record_array(ds)
         whole = np.frombuffer(blob, np.uint8)
-        for name in self.COLUMNS:
-            column = getattr(ds, name)
-            assert _root(column) is blob and np.shares_memory(column, whole), name
-        assert ds.keys.size > ds.bounds.size == ds.starts.size == 2 * 5 * 5 + 1
-        self.assert_no_per_record_int64(ds)
         for sub in ds.subs.values():
             for packed in (sub.dc, sub.ac):
+                for name in self.COLUMNS:
+                    column = getattr(packed, name)
+                    assert _root(column) is blob and np.shares_memory(column, whole), name
+                # A block starts 8-aligned, so its keys are aligned in an aligned buffer.
                 assert packed.keys.flags.aligned and packed.keys.dtype == np.float64
                 assert packed.offsets.dtype == np.int64
                 assert packed.offsets.size == len(packed) + 1
-        self.assert_no_per_record_int64(ds)
+        self.assert_no_per_record_array(ds)
         assert serialize(ds) == blob
 
     def test_load_makes_no_per_record_array(self):
-        # An int64 (or f64) copy of one column would take 8 bytes per record;
-        # the checks' bool temporaries take about 1.3.
+        # The load reads the footer only: at most ten int64 arrays of one
+        # entry per section (40 KB here). An int64 (or f64) copy of one
+        # column would take 8 bytes per record, 640 KB.
         blob = serialize(build_reference(synth_patches(seed=34, count=12), q1_max=22, k=15))
         deserialize(blob)
         tracemalloc.start()
@@ -811,28 +849,8 @@ class TestLoad:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ds.keys.size > 50_000
-        assert peak < 8 * ds.keys.size
-
-    def test_section_starts_match_lengths(self, small_ds):
-        for ds in (small_ds, deserialize(serialize(small_ds))):
-            offsets = np.concatenate([[0], np.cumsum(ds.lengths, dtype=np.int64)])
-            assert np.array_equal(ds.starts, offsets[ds.bounds])
-            assert ds.starts[-1] == ds.values.size == ds.bins.size
-
-    @pytest.mark.parametrize("chunk", [1, 7, 64])
-    def test_section_starts_across_chunks(self, small_ds, monkeypatch, chunk):
-        # Chunk edges before, at and after section bounds. A ramp of 8-pixel
-        # steps leaves half the sections of its dataset empty.
-        ramp = GrayImage((100 + np.mgrid[0:64, 0:64][1] // 8 * 3).astype(np.uint8))
-        for built in (small_ds, build_reference([ramp], q1_max=12, k=3)):
-            blob = serialize(built)
-            with monkeypatch.context() as m:
-                m.setattr(refdata, "_STARTS_CHUNK", chunk)
-                ds = deserialize(blob)
-            offsets = np.concatenate([[0], np.cumsum(ds.lengths, dtype=np.int64)])
-            assert np.array_equal(ds.starts, offsets[ds.bounds])
-            assert np.array_equal(ds.starts, built.starts)
+        assert ds.bounds[-1] > 50_000
+        assert peak < 10 * 8 * ds.bounds.size
 
     def test_load_dataset_maps_the_file(self, small_ds, tmp_path):
         blob = serialize(small_ds)
@@ -840,13 +858,14 @@ class TestLoad:
         path.write_bytes(blob)
         ds = refdata.load_dataset(path)
         assert ds.path == str(path)
-        assert ds.crc == deserialize(blob).crc == struct.unpack("<I", blob[-4:])[0]
+        assert ds.crc == small_ds.crc == struct.unpack("<I", blob[-4:])[0]
+        assert isinstance(ds.data, mmap.mmap)
         for name in self.COLUMNS:
-            column = getattr(ds, name)
+            column = getattr(ds.section(2, 3, "ac"), name)
             assert isinstance(_root(column), mmap.mmap) and not column.flags.writeable, name
-        self.assert_no_per_record_int64(ds)
+        self.assert_no_per_record_array(ds)
         assert serialize(ds) == blob
-        assert small_ds.path is None and small_ds.crc is None
+        assert small_ds.path is None
 
     @pytest.mark.parametrize("kind", ["empty", "directory", "missing", "not-a-directory"])
     def test_load_dataset_failures(self, tmp_path, kind):
