@@ -17,8 +17,10 @@ and input) and at the end of the build, the largest VmHWM of its pool
 workers (the peak RSS of its reaped children; fork workers count the pages
 they share with the parent) and the sha256 of the dataset file. VmHWM per
 patch above start is (end - start) / PATCHES, and a worker's is (worker
-VmHWM - start) / PATCHES; writer_extra_mb is how much more `fqe build`
-held than `build_reference` alone. Every run of one checkout must write
+VmHWM - start) / PATCHES. The median seconds are also given as ms per
+patch, and change_parent_seconds_ratio divides the change's by the
+parent's for each entry and job count. writer_extra_mb is how much more
+`fqe build` held than `build_reference` alone. Every run of one checkout must write
 the same bytes, or the script exits 1; the two checkouts may differ, as
 they do across a change of the file format, and checkouts_agree says
 whether they did. Linux only.
@@ -106,8 +108,10 @@ def summarize(runs: list[dict]) -> dict:
     """Medians over runs; memory in MB, per patch above start in MB per patch."""
     pooled = [run for run in runs if run["worker_vmhwm_kb"]]
     workers = [run["worker_vmhwm_kb"] for run in pooled]
+    seconds = statistics.median(run["seconds"] for run in runs)
     return {
-        "seconds": statistics.median(run["seconds"] for run in runs),
+        "seconds": seconds,
+        "ms_per_patch": 1000 * seconds / PATCHES,
         "start_vmhwm_mb": statistics.median(run["start_kb"] for run in runs) / 1024,
         "end_vmhwm_mb": statistics.median(run["end_kb"] for run in runs) / 1024,
         "vmhwm_mb_per_patch": statistics.median(
@@ -117,6 +121,14 @@ def summarize(runs: list[dict]) -> dict:
         "worker_vmhwm_mb_per_patch": statistics.median(
             (run["worker_vmhwm_kb"] - run["start_kb"]) / 1024 / PATCHES for run in pooled
         ) if pooled else None,
+    }
+
+
+def seconds_ratios(summary: dict) -> dict:
+    """The change's median seconds over the parent's, for each entry and job count."""
+    return {
+        name: summary["change"][name]["seconds"] / parent["seconds"]
+        for name, parent in summary["parent"].items()
     }
 
 
@@ -155,6 +167,7 @@ def main(argv=None) -> int:
                         print(f"run {i} {side} {entry} jobs {jobs}: {json.dumps(run)}", flush=True)
 
     summary = {side: {name: summarize(r) for name, r in by_name.items()} for side, by_name in runs.items()}
+    seconds_ratio = seconds_ratios(summary)
     digests = {
         side: sorted({run["sha256"] for r in by_name.values() for run in r})
         for side, by_name in runs.items()
@@ -188,12 +201,16 @@ def main(argv=None) -> int:
         "checkouts_agree": len({d for side in digests.values() for d in side}) == 1,
         "summary": summary,
         "writer_extra_mb": writer_extra_mb,
+        "change_parent_seconds_ratio": seconds_ratio,
         "runs": runs,
     }
     args.out.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
     print(json.dumps({"summary": summary, "writer_extra_mb": writer_extra_mb,
                       "datasets_identical": identical,
                       "checkouts_agree": out["checkouts_agree"]}, indent=2))
+    for name, ratio in seconds_ratio.items():
+        print(f"{name}: parent {summary['parent'][name]['ms_per_patch']:.2f} ms per patch, "
+              f"change {summary['change'][name]['ms_per_patch']:.2f}; change/parent {ratio:.3f}")
     return 0 if identical else 1
 
 

@@ -672,21 +672,20 @@ def _decode_lanes(
 def _scatter_path(out: np.ndarray, dest: int, states: np.ndarray, values: np.ndarray) -> None:
     """Write the blocks of a lane-decoded path into out from block dest on.
 
-    Works through the symbols in chunks, so that its index arrays stay small.
+    Each symbol's value goes where the state after it points (an EOB or ZRL writes 0 where the
+    zeroed block holds 0), then the DC predictions over the DC differences; chunked.
     """
     flat = out.reshape(-1)
     dc = states[:-1] == 1
-    preds = np.cumsum(values[dc])
-    nz = np.flatnonzero(preds)
-    flat[(dest + nz) * 64] = preds[nz]
     block = dest - 1
     for lo in range(0, values.size, 1 << 14):
         hi = lo + (1 << 14)
-        blocks = np.cumsum(dc[lo:hi]) + block
-        block = int(blocks[-1])
-        i = np.flatnonzero(~dc[lo:hi] & (values[lo:hi] != 0))
+        at = np.cumsum(dc[lo:hi]) + block
+        block = int(at[-1])
         # The state after a coefficient is its index + 2, or 1 after index 63.
-        flat[blocks[i] * 64 + ((states[lo + 1 + i] - 2) & 63)] = values[lo + i]
+        flat[at * 64 + ((states[lo + 1 : hi + 1] - 2) & 63)] = values[lo:hi]
+    preds = np.cumsum(values[dc])
+    flat[dest * 64 : (dest + preds.size) * 64 : 64] = preds
 
 
 class _Parser:

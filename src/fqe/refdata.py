@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
 import mmap
 import os
 import struct
@@ -150,7 +151,8 @@ class ReferenceDataset:
                 raise DatasetFormatError(f"support lengths of {where} do not sum to its bin count")
             if keys.size and (lengths.min() == 0 or bins.min() == 0):
                 raise DatasetFormatError(f"a record of {where} has an empty support or bin")
-            if not (np.isfinite(keys).all() and (keys[1:] >= keys[:-1]).all()):
+            ends = keys[:: len(keys) - 1 or 1].tolist()  # a NaN elsewhere breaks the order
+            if not ((keys[1:] >= keys[:-1]).all() and all(map(math.isfinite, ends))):
                 raise DatasetFormatError(f"record keys of {where} are not finite and sorted")
             if (np.add.reduceat(bins, offsets[:-1], dtype=np.int64) != n).any():
                 raise DatasetFormatError(f"a record of {where} does not hold {n} samples")
@@ -189,40 +191,44 @@ def _forward_dct(batch: list[GrayImage]) -> np.ndarray:
 
 
 def _q1_columns(f0: np.ndarray, n_patches: int, q1: int, q1_max: int, k: int):
-    """The records of one q1 over a batch of same-size patches, in (patch, q2, coefficient) order.
+    """The records of one q1 over a batch of same-size patches, in (q2, patch, coefficient) order.
 
     f0 is _forward_dct of the batch. Returns, per record, its section id
     (int32), key and support length (u16), and per bin its support value
     (i16) and count (u16); every record counts a patch's block count of
     samples. Bit-exact with the oracle tests/oracles.double_compress
     followed by build_histogram and fit_laplacian per coefficient: the
-    forward DCT of the q1 reconstruction is requantized for all q2 at once,
-    and each (patch, q2, coefficient) row is sorted, so the bins are its
-    runs of equal values and mu is, but for ties, its lower median sample.
+    forward DCT of the q1 reconstruction is sorted per (patch, coefficient),
+    then requantized for all q2 at once, so the bins of a row are its runs
+    of equal values and mu is, but for ties, its lower median sample.
     """
     n_blocks = f0.shape[0] // n_patches
-    # quantize_blocks then dequantize_blocks by constant_table(q1), without
-    # the zig-zag round trip and the int32 cast: the same values bit for bit.
-    recon = dctsim.idct_blocks(dctsim.round_half_away(f0 / q1) * q1)
-    f1 = dctsim.fdct_blocks(recon).reshape(n_patches, n_blocks, 64).transpose(0, 2, 1)
-    f1 = f1[:, None, ZIGZAG_TO_NATURAL[:k]]
-    # round_half_away(f1 / q2) as int16 for every q2: x + copysign(0.5, x)
-    # is +-(|x| + 0.5), rounded alike, and the cast truncates toward zero.
-    scaled = f1 / np.arange(1, q1_max + 1, dtype=np.float64)[:, None, None]
-    scaled += np.copysign(0.5, f1)
-    rows = scaled.astype(np.int16).reshape(-1, n_blocks)
-    rows.sort(axis=1)
-    starts = np.ones(rows.shape, dtype=bool)
-    np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
-    row_lengths = np.count_nonzero(starts, axis=1)
+    # Each rounding of x / q is round_half_away's as int16, for |x / q| < 32767.5:
+    # x / q + copysign(0.5, x) is +-(|x / q| + 0.5), rounded alike, and the cast
+    # truncates toward zero. Here quantize_blocks then dequantize_blocks by
+    # constant_table(q1), without the zig-zag round trip, as |f0 / q1| <= 2048.
+    recon = dctsim.idct_blocks((f0 / q1 + np.copysign(0.5, f0)).astype(np.int16) * float(q1))
+    f1 = dctsim.fdct_blocks(recon).reshape(n_patches, n_blocks, 64)[..., ZIGZAG_TO_NATURAL[:k]]
+    f1 = f1.transpose(0, 2, 1).copy()
+    # round_half_away(x / q2) is monotone in x, so sorted rows requantize to sorted
+    # rows, for every q2 at once. The float quotients are freed at the int16 cast.
+    f1.sort(axis=2)
+    rows = f1.reshape(-1) / np.arange(1, q1_max + 1, dtype=np.float64)[:, None]
+    rows += np.copysign(0.5, f1.reshape(-1))
+    rows = rows.astype(np.int16).reshape(-1, n_blocks)
+    starts = np.empty(rows.shape, dtype=bool)
+    np.not_equal(rows.reshape(-1)[1:], rows.reshape(-1)[:-1], out=starts.reshape(-1)[1:])
+    starts[:, 0] = True
     first = np.flatnonzero(starts)
+    row_lengths = np.bincount(first // n_blocks)
     row_bins = np.diff(first, append=rows.size)
     # A single-bin histogram carries no information about q1: no record.
     keep = row_lengths > 1
     bin_keep = np.repeat(keep, row_lengths)
-    # Row r = (p * q1_max + q2 - 1) * k + i: coefficient i of patch p over q2.
+    # Row r = ((q2 - 1) * n_patches + p) * k + i: coefficient i of patch p over q2.
     r = np.flatnonzero(keep)
-    sections = (2 * (r // k % q1_max) + (r % k > 0) + 2 * q1_max * (q1 - 1)).astype(np.int32)
+    table = 2 * np.arange(q1_max * (q1 - 1), q1_max * q1, dtype=np.int32)[:, None]
+    sections = np.repeat(table + (np.arange(k) > 0), n_patches, axis=0).reshape(-1)[keep]
     lengths = row_lengths[keep]
     values = rows.reshape(-1)[first[bin_keep]]
     bins = row_bins[bin_keep].astype(np.uint16)
@@ -266,6 +272,8 @@ def write_reference(
         raise ValueError(f"q1_max {q1_max} out of range [1, 255]")
     if not 2 <= k <= 64:
         raise ValueError(f"k {k} out of range [2, 64]")
+    if (len(patches) * q1_max * k) ** 2 >= 1 << 63:  # see _q1_records' sort keys
+        raise ValueError(f"{len(patches)} patches give too many records per q1 to order")
     side = patches[0].width
     if side % 8 or side == 0:
         raise ValueError("patch side must be a positive multiple of 8")
@@ -341,21 +349,21 @@ def build_reference(
 def _q1_records(batches: list, q1: int, q1_max: int, k: int):
     """The records of one q1 over all batches, in dataset order.
 
-    Each batch's _q1_columns are stacked in patch order and sorted stably by
-    section, then key. Returns the record and bin counts of each of the q1's
-    2 * q1_max sections, then the sorted keys, support lengths, support values
-    and bins: the q1's block of the file.
+    Each batch's _q1_columns are stacked in batch order and sorted by
+    section, then key, equal keys keeping their patch order. Returns the
+    record and bin counts of each of the q1's 2 * q1_max sections, then the
+    sorted keys, support lengths, support values and bins: the q1's block.
     """
     sections, keys, lengths, values, bins = map(
         np.concatenate, zip(*(_q1_columns(*batch, q1, q1_max, k) for batch in batches))
     )
-    local = sections - 2 * q1_max * (q1 - 1)
+    local = (sections - 2 * q1_max * (q1 - 1)).astype(np.uint16)
     counts = np.bincount(local, minlength=2 * q1_max)
     n_bins = np.bincount(local, lengths, 2 * q1_max).astype(np.int64)
-    # np.lexsort((keys, local)), faster: keys are ranked first, and a stable
-    # sort of section and rank keeps the stacked order of equal keys.
-    ranks = np.unique(keys, return_inverse=True)[1]
-    order = np.argsort(local * np.int64(keys.size) + ranks, kind="stable")
+    # np.lexsort((keys, local)), faster: quicksort the unique keys rank * n + stacked index
+    # (below n^2 < 2^63, as write_reference checks), then stably radix-sort the uint16 sections.
+    order = (np.unique(keys, return_inverse=True)[1] * keys.size + np.arange(keys.size)).argsort()
+    order = order[local[order].argsort(kind="stable")]
     stacked = np.cumsum(lengths, dtype=np.int64) - lengths
     lengths = lengths[order]
     starts = np.cumsum(lengths, dtype=np.int64) - lengths

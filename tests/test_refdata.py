@@ -4,6 +4,7 @@ import functools
 import hashlib
 import io
 import itertools
+import math
 import mmap
 import multiprocessing
 import struct
@@ -58,6 +59,11 @@ def tiny_blob() -> bytes:
 def with_crc(body: bytes) -> bytes:
     """body followed by its valid CRC-32 trailer."""
     return bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
+def cast_round(x: np.ndarray, q: int) -> np.ndarray:
+    """round_half_away(x / q) as int16, rounded as _q1_columns rounds it: by cast."""
+    return (x / q + np.copysign(0.5, x)).astype(np.int16)
 
 
 def brute_force_nearest(keys: np.ndarray, key: float, n: int) -> list[float]:
@@ -125,7 +131,7 @@ class TestBuild:
     @staticmethod
     def assert_columns_match_oracle(patches, q1_max, k):
         # Record for record against the per-column loop of each patch, one q1
-        # at a time, in (patch, q2, dc, ac) order.
+        # at a time, in (q2, patch, dc, ac) order.
         f0 = refdata._forward_dct(patches)
         items = [patch_items(patch, q1_max, k) for patch in patches]
         n_blocks = (patches[0].width // 8) * (patches[0].height // 8)
@@ -136,8 +142,8 @@ class TestBuild:
             )
             expect = [
                 (2 * ((q1 - 1) * q1_max + q2 - 1) + kind, item)
-                for per_patch in items
                 for q2 in range(1, q1_max + 1)
+                for per_patch in items
                 for kind in (0, 1)
                 for item in per_patch[(q1, q2)][kind]
             ]
@@ -312,6 +318,72 @@ class TestBuild:
         assert size == (tmp_path / "ref.fqe").stat().st_size > 6 * 2**20
         assert records.sum() > 200_000
         assert peak < 0.25 * 2**20 * len(patches)
+
+    def test_rejects_builds_whose_sort_keys_leave_int64(self):
+        # _q1_records orders a q1's n records by the keys rank * n + index,
+        # at most n^2 - 1 for n <= patches * q1_max * k. The largest n that
+        # write_reference accepts keeps that in int64; one more patch is
+        # rejected before any work.
+        per_patch = 255 * 64
+        patches = math.isqrt(2**63 - 1) // per_patch + 1
+        n = (patches - 1) * per_patch
+        top = np.int64(n - 1) * np.int64(n) + np.int64(n - 1)
+        assert int(top) == n * n - 1 < 2**63
+        patch = synth_patches(seed=22, count=1)[0]
+        with pytest.raises(ValueError, match="too many records"):
+            refdata.write_reference(io.BytesIO(), [patch] * patches, q1_max=255, k=64)
+
+    def test_record_order_is_lexsort_at_q1_max_255(self):
+        # Two batches at the largest q1_max and k: the q1's records come out
+        # in np.lexsort((keys, sections)) order of the stacked columns, so
+        # equal keys of a section keep their patch order.
+        patches = synth_patches(seed=33, count=3)
+        batches = [(refdata._forward_dct(patches[:2]), 2), (refdata._forward_dct(patches[2:]), 1)]
+        for q1 in (1, 9):
+            sections, keys, lengths, values, bins = map(
+                np.concatenate, zip(*(refdata._q1_columns(*b, q1, 255, 64) for b in batches))
+            )
+            counts, n_bins, *block = refdata._q1_records(batches, q1, 255, 64)
+            order = np.lexsort((keys, sections))
+            assert keys.size > 10_000 and np.unique(keys).size < keys.size  # ties to keep
+            offsets = np.append(0, np.cumsum(lengths, dtype=np.int64))
+            gather = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in order])
+            want = keys[order], lengths[order], values[gather], bins[gather]
+            for got, expected in zip(block, want):
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            local = sections - 2 * 255 * (q1 - 1)
+            assert np.array_equal(counts, np.bincount(local, minlength=510))
+            assert np.array_equal(n_bins, np.bincount(local, lengths, 510).astype(np.int64))
+
+    def test_cast_rounding_is_round_half_away(self, rng):
+        # _q1_columns rounds x / q by cast; that equals round_half_away
+        # wherever the result fits int16, and the build's values stay far
+        # inside it.
+        halves = np.arange(2049) + 0.5
+        edge = np.nextafter(32767.5, 0.0)
+        x = np.concatenate([
+            [0.0, -0.0, edge, -edge, 32767.0, -32767.0, np.nextafter(0.5, 0.0)],
+            halves, -halves, rng.uniform(-32767, 32767, 20_000), rng.normal(0, 40, 20_000),
+        ])
+        for q in (1, 7):
+            got = cast_round(x * q, q)
+            assert got.dtype == np.int16
+            assert np.array_equal(got, dctsim.round_half_away(x * q / q))
+
+    @settings(max_examples=200, deadline=None)
+    @given(q2=st.integers(1, 255), data=st.data())
+    def test_requantizing_sorted_rows_gives_sorted_rows(self, q2, data):
+        # _q1_columns sorts each (patch, coefficient) row of f1 once and then
+        # requantizes it for every q2: round_half_away(x / q2) is monotone,
+        # signed zeros and exact halves included.
+        samples = st.one_of(
+            st.sampled_from([0.0, -0.0]),
+            st.integers(-4200, 4200).map(lambda m: m * q2 / 2),
+            st.floats(-2100, 2100, allow_nan=False),
+        )
+        f1 = np.array(data.draw(st.lists(samples, min_size=1, max_size=64)))
+        assert np.array_equal(cast_round(np.sort(f1), q2), np.sort(cast_round(f1, q2)))
+        assert np.array_equal(cast_round(f1, q2), dctsim.round_half_away(f1 / q2))
 
     def test_rejects_block_counts_beyond_u16(self):
         # 2048 / 8 = 256 blocks a side: 65536 blocks overflow a u16 bin count.
@@ -635,15 +707,30 @@ class TestSerialization:
         with pytest.raises(DatasetFormatError, match=r"section \(1, 1, dc\) has an empty"):
             ds.section(1, 1, "dc")
 
-    @pytest.mark.parametrize("first_key", [1e300, float("nan")])
-    def test_unsorted_or_nan_keys_rejected(self, first_key):
-        # Section (1, 1, dc) holds two records; the window search needs sorted keys.
-        body = bytearray(tiny_blob()[:-4])
-        body[32:40] = struct.pack("<d", first_key)
+    @pytest.mark.parametrize(
+        "key, at",
+        [(1e300, "first")]
+        + list(itertools.product([np.nan, np.inf, -np.inf], ["first", "middle", "last", "only"])),
+    )
+    def test_unsorted_or_nan_keys_rejected(self, key, at):
+        # The window search needs finite keys, sorted within each section.
+        # Section (1, 1, ac) holds six records in tiny_blob and one in the
+        # q1_max 1, k 2 file of one patch ("only").
+        blob = (
+            serialize(build_reference(synth_patches(seed=26, count=1), q1_max=1, k=2))
+            if at == "only"
+            else tiny_blob()
+        )
+        ds = deserialize(blob)
+        n = int(ds.bounds[2] - ds.bounds[1])
+        assert n == (1 if at == "only" else 6)
+        i = int(ds.bounds[1]) + {"first": 0, "middle": n // 2, "last": n - 1, "only": 0}[at]
+        body = bytearray(blob[:-4])
+        body[32 + 8 * i : 40 + 8 * i] = struct.pack("<d", key)
         ds = deserialize(with_crc(bytes(body)))
-        with pytest.raises(DatasetFormatError, match=r"section \(1, 1, dc\) are not .* sorted"):
-            ds.section(1, 1, "dc")
-        assert len(ds.section(1, 1, "ac")) > 0
+        with pytest.raises(DatasetFormatError, match=r"section \(1, 1, ac\) are not .* sorted"):
+            ds.section(1, 1, "ac")
+        assert len(ds.section(1, 1, "dc")) > 0
 
     def test_lengths_must_sum_to_the_footer_bin_count(self):
         # One bin moved from section (1, 1, dc) to (1, 1, ac) in the footer.
