@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import bisect
 import functools
-from array import array
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -154,10 +153,12 @@ def _codes(bits: tuple[int, ...], values: tuple[int, ...]) -> Iterator[tuple[int
 # _ADV_SLOW, which _NEXT ignores, and its value field holds the magnitude
 # size, for the value is read from the bits of the scan (_slow_entry; the lane
 # decoder reads those of its path's slow entries once the path is known).
-# _PARKED is the state of a lane that has stopped: the third table of a
-# scan's lane tables holds zeros, so a parked lane stays.
+# _PARKED is the state of a lane that has stopped. A parked lane peeks at a
+# bit of 0xFF padding, 0xFFFF, which _PARKED_BASE maps to the zero entry
+# after a scan's DC and AC tables, so it stays.
 _ADV_DC, _ADV_ZRL, _ADV_COEF, _ADV_EOB, _ADV_ERR, _ADV_SLOW = 1, 16, 128, 256, 384, 512
 _PARKED = 100
+_PARKED_BASE = (2 << 16) - 0xFFFF
 _NEXT = np.zeros(1024, dtype=np.int8)
 _NEXT[1 + _ADV_DC] = 2
 _NEXT[_ADV_ZRL + 2 : 66] = np.arange(_ADV_ZRL + 2, 66)
@@ -168,7 +169,7 @@ _NEXT[_ADV_SLOW:] = _NEXT[:-_ADV_SLOW]
 _NEXT[_PARKED] = _PARKED
 # Offset of the table for the state that _NEXT gives, by _NEXT index.
 _BASE = np.where((_NEXT > 1) & (_NEXT <= 65), 1 << 16, 0)
-_BASE[_PARKED] = 2 << 16
+_BASE[_PARKED] = _PARKED_BASE
 
 def _build_table(bits: tuple[int, ...], values: tuple[int, ...], dc: bool) -> np.ndarray:
     """The decode table of a Huffman table definition, code by code."""
@@ -248,62 +249,44 @@ def _bit_windows(stream: bytes) -> memoryview:
     return memoryview(windows)
 
 
-class _BlockRun:
-    """The units (0, dest) of a single-component scan's restart segment, for
-    dest in `blocks`, without a tuple per block."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks: range):
-        self.blocks = blocks
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __iter__(self):
-        return zip(repeat(0), self.blocks)
-
-
 def _decode_scan(
     segments: list[bytes],
-    segment_units: list[list[tuple[int, int]]],
+    segment_dests: list[Sequence[int]],
+    pattern: list[int],
     comp_tables: list[tuple[np.ndarray, np.ndarray]],
     outputs: list[np.ndarray],
 ) -> None:
-    """Decode each restart segment's units (comp_index, dest_block) into the
-    zeroed component grids `outputs`."""
-    tables = [(memoryview(dc), memoryview(ac)) for dc, ac in comp_tables]
-    coeffs = [array("q") for _ in outputs]
+    """Decode each restart segment's blocks into the zeroed component grids
+    `outputs`: block i of a segment into block dests[i] of the grid of
+    component pattern[i % len(pattern)], the scan's per-MCU pattern."""
+    tables = [
+        (memoryview(dc), memoryview(ac), memoryview(out.reshape(-1)))
+        for (dc, ac), out in zip(comp_tables, outputs)
+    ]
     windows = None  # built once a segment needs the sequential decoder
     lane_table = None
     paths = []
     start = 0
-    for segment, units in zip(segments, segment_units):
+    for segment, dests in zip(segments, segment_dests):
         path = None
         # Below 256 MB, a bit offset on a lane path fits in int32.
         if len(comp_tables) == 1 and _LANE_MIN_BYTES <= len(segment) < 1 << 28:
             if lane_table is None:
-                # DC and AC tables, then zeros for parked lanes.
-                lane_table = np.zeros(3 << 16, dtype=np.int32)
+                # DC and AC tables, then a zero for parked lanes.
+                lane_table = np.zeros((2 << 16) + 1, dtype=np.int32)
                 lane_table[: 2 << 16].reshape(2, -1)[:] = comp_tables[0]
             n_lanes = min(_LANES, 8 * len(segment) // _LANE_BITS)
-            path = _decode_lanes(segment, len(units), lane_table, n_lanes)
+            path = _decode_lanes(segment, len(dests), lane_table, n_lanes)
         if path is None:
             if windows is None:
                 windows = _bit_windows(b"".join(s + b"\xff" * _GAP for s in segments))
-            _decode_segment(windows, 8 * start, 8 * len(segment), units, tables, coeffs)
+            _decode_segment(windows, 8 * start, 8 * len(segment), dests, pattern, tables)
         else:
-            paths.append((next(iter(units))[1], path))
+            paths.append((dests[0], path))
         start += len(segment) + _GAP
     del windows, lane_table  # freed before the scatter, which is the decode's memory peak
     for dest, path in paths:
         _scatter_path(outputs[0], dest, *path)
-    for out, packed in zip(outputs, coeffs):
-        packed = np.frombuffer(packed, dtype=np.int64)
-        values = packed.astype(np.uint16).view(np.int16)
-        packed >>= 16  # in place: flat index + 1
-        packed -= 1
-        out.reshape(-1)[packed] = values
 
 
 def _slow_entry(e: int, w: int, p: int, end: int) -> int:
@@ -328,22 +311,19 @@ def _decode_segment(
     windows: memoryview,
     p: int,
     n_bits: int,
-    units: list[tuple[int, int]],
-    tables: list[tuple[memoryview, memoryview]],
-    coeffs: list[array],
+    dests: Sequence[int],
+    pattern: list[int],
+    tables: list[tuple[memoryview, memoryview, memoryview]],
 ) -> None:
-    """Decode `units` from the segment of n_bits bits at bit p of `windows`.
-
-    Each non-zero coefficient is appended to its component's `coeffs` as
-    ((flat grid index + 1) << 16) | (value & 0xFFFF).
-    """
+    """Decode the segment of n_bits bits at bit p of `windows` into the
+    blocks `dests`, whose components cycle through `pattern`. tables holds
+    each component's DC and AC decode tables and its flat grid."""
     end = p + n_bits
     limit = end + 8 * _LOOKAHEAD_BYTES - 16
     shift = _WINDOW_BITS - 16
     dc_pred = [0] * len(tables)
-    for ci, dest in units:
-        dc_table, ac_table = tables[ci]
-        push = coeffs[ci].append
+    for ci, dest in zip(cycle(pattern), dests):
+        dc_table, ac_table, grid = tables[ci]
         if p > limit:
             raise JpegFormatError("entropy-coded data is truncated")
         w = windows[p >> 3]
@@ -359,11 +339,10 @@ def _decode_segment(
             if not -2048 < pred < 2048:
                 raise JpegFormatError("DC coefficient outside the 8-bit baseline range")
             dc_pred[ci] = pred
-        # k is one past the flat index of the last coefficient decoded.
-        k = (dest << 6) + 1
+        # k is the flat grid index of the last coefficient decoded.
+        k = dest << 6
         stop = k + 63
-        if pred:
-            push((k << 16) | (pred & 0xFFFF))
+        grid[k] = pred
         while True:
             if p > limit:
                 raise JpegFormatError("entropy-coded data is truncated")
@@ -383,7 +362,7 @@ def _decode_segment(
                 raise JpegFormatError("AC coefficient index overflows the block")
             p += (e >> 16) & 31
             if adv != _ADV_ZRL:
-                push((k << 16) | (e & 0xFFFF))
+                grid[k] = ((e & 0xFFFF) ^ 0x8000) - 0x8000
                 if k == stop:
                     break
 
@@ -444,7 +423,7 @@ def _decode_lanes(
     n_lanes = max(1, min(n_lanes, nbits))
     starts = np.arange(n_lanes + 1) * nbits // n_lanes
     seen = np.zeros(nbits + 64, dtype=np.int8)  # state recorded at each bit, 0: none
-    park = nbits + 56  # a bit with a window, where no lane decodes or meets
+    park = nbits + 56  # a byte of 0xFF padding with a window, where no lane decodes or meets
 
     def step(p, s, base):
         """Decode at bits p in states s: the table entries, _NEXT indices and
@@ -458,9 +437,10 @@ def _decode_lanes(
 
     # Phase 1, without compaction: a lane that is done is parked, and the
     # records form one (step, lane) array per field, of which only the steps
-    # taken are written.
+    # taken are written. They grow an eighth at a time, and at step 32 to
+    # room for 5/4 of the steps that the median lane's progress projects.
     span = int(starts[1])
-    cap = span // 4 + 16
+    cap = 32
     states = np.empty((cap, n_lanes), dtype=np.int8)
     values = np.empty((cap, n_lanes), dtype=np.int32)
     p = starts[:-1].copy()
@@ -476,7 +456,10 @@ def _decode_lanes(
     active, t, check = n_lanes, 0, 0
     while active:
         if t == cap:
-            cap += cap // 2
+            cap += cap // 8
+            if t == 32:
+                ran = max(float(np.median(p - starts[:-1])), 1.0)
+                cap = max(cap, int(1.25 * t * span / ran) + 16)
             states, values = _grown((states, values), t, cap)
         seen[p] = s
         e, x, ns, ok = step(p, s, base)
@@ -501,7 +484,7 @@ def _decode_lanes(
             if nearest <= 0:
                 done = np.flatnonzero(left <= 0)
                 rows[done], out_p[done], out_s[done] = t, p[done], s[done]
-                p[done], s[done], base[done], ends[done] = park, _PARKED, 2 << 16, 1 << 62
+                p[done], s[done], base[done], ends[done] = park, _PARKED, _PARKED_BASE, 1 << 62
                 left[done] = 1 << 62
                 active -= done.size
                 nearest = int(left.min())
@@ -862,7 +845,7 @@ class _Parser:
             ch = -(-frame.height * comp.v // vmax)
             comp.blocks_w, comp.blocks_h = -(-cw // 8), -(-ch // 8)
             n_mcus = comp.blocks_w * comp.blocks_h
-            per_mcu = 1
+            pattern = [0]
         else:
             mcus_x = -(-frame.width // (8 * hmax))
             mcus_y = -(-frame.height // (8 * vmax))
@@ -870,7 +853,8 @@ class _Parser:
             for comp in scan_comps:
                 comp.blocks_w = mcus_x * comp.h
                 comp.blocks_h = mcus_y * comp.v
-            per_mcu = sum(c.h * c.v for c in scan_comps)
+            pattern = [ci for ci, c in enumerate(scan_comps) for _ in range(c.h * c.v)]
+        per_mcu = len(pattern)
 
         # Every block codes a DC symbol and an EOB (or 63 AC terms), at least
         # two bits, so the scan data bounds the block count before anything
@@ -882,15 +866,18 @@ class _Parser:
                 f"{data_bytes} bytes of scan data cannot hold {n_mcus * per_mcu} blocks"
             )
 
-        if ns != 1:
-            units = []
-            for m in range(n_mcus):
-                my, mx = divmod(m, mcus_x)
-                for ci, comp in enumerate(scan_comps):
-                    for by in range(comp.v):
-                        row = my * comp.v + by
-                        for bx in range(comp.h):
-                            units.append((ci, row * comp.blocks_w + mx * comp.h + bx))
+        # The destination block of each block of the scan, in coding order:
+        # block (by, bx) of a component in MCU (my, mx) is block
+        # (my * v + by, mx * h + bx) of its grid.
+        if ns == 1:
+            dests: Sequence[int] = range(n_mcus)
+        else:
+            my, mx = np.divmod(np.arange(n_mcus)[:, None], mcus_x)
+            blocks = []
+            for c in scan_comps:
+                by, bx = np.divmod(np.arange(c.v * c.h), c.h)
+                blocks.append((my * c.v + by) * c.blocks_w + mx * c.h + bx)
+            dests = np.hstack(blocks).ravel().tolist()
 
         outputs = []
         for comp in scan_comps:
@@ -908,15 +895,10 @@ class _Parser:
             if n != i % 8:
                 raise JpegFormatError("restart markers out of sequence")
 
-        if ns == 1:
-            step = ri or n_mcus
-            segment_units = [
-                _BlockRun(range(lo, min(lo + step, n_mcus))) for lo in range(0, n_mcus, step)
-            ]
-        else:
-            step = ri * per_mcu if ri else len(units)
-            segment_units = [units[lo : lo + step] for lo in range(0, len(units), step)]
-        _decode_scan(segments, segment_units, comp_tables, outputs)
+        # A restart segment holds ri whole MCUs, the last one the rest.
+        step = ri * per_mcu or len(dests)
+        segment_dests = [dests[lo : lo + step] for lo in range(0, len(dests), step)]
+        _decode_scan(segments, segment_dests, pattern, comp_tables, outputs)
         return marker_pos
 
     def _assemble(self) -> ParsedJpeg:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -264,10 +265,12 @@ def huffman_lut(tc: int, bits: tuple[int, ...], values: tuple[int, ...]) -> list
     return lut
 
 
-def decode_scan(segments, segment_units, comp_tables, outputs):
+def decode_scan(segments, segment_dests, pattern, comp_tables, outputs):
     """Drop-in for jpegio._decode_scan: the byte-refill decoder, segment by
-    segment, on the (dc, ac) tables of huffman_lut."""
-    for segment, units in zip(segments, segment_units):
+    segment, on the (dc, ac) tables of huffman_lut. A segment's blocks go
+    to its dests in order, their components cycling through pattern."""
+    for segment, dests in zip(segments, segment_dests):
+        units = zip(itertools.cycle(pattern), dests)
         decode_segment(segment, units, comp_tables, outputs, [0] * len(comp_tables))
 
 

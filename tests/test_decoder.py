@@ -86,6 +86,24 @@ class TestRestartAndComponents:
         data, grids = written(45, 61, COLOR_420, [[1, 2, 3]], 0, seed=3)
         self.check(data, grids)
 
+    @pytest.mark.parametrize("restart_interval", [0, 5])
+    @pytest.mark.parametrize(
+        "components, blocks",
+        [
+            ([(1, 2, 1), (2, 1, 1), (3, 1, 1)], {1: 6 * 8, 2: 3 * 8, 3: 3 * 8}),
+            ([(1, 1, 2), (2, 1, 1), (3, 1, 1)], {1: 6 * 8, 2: 6 * 4, 3: 6 * 4}),
+            ([(1, 2, 2), (2, 1, 2), (3, 2, 1)], {1: 6 * 8, 2: 3 * 8, 3: 6 * 4}),
+        ],
+        ids=["Y2x1", "Y1x2", "Y2x2-Cb1x2-Cr2x1"],
+    )
+    def test_interleaved_asymmetric_sampling(self, components, blocks, restart_interval):
+        # 45x61 pixels make 24 MCUs of 16x8 or 8x16 pixels, or 12 of 16x16,
+        # so every grid is padded, and a restart every 5 MCUs leaves a short
+        # last segment. Within an MCU each component's blocks go row by row.
+        data, grids = written(45, 61, components, [[1, 2, 3]], restart_interval, seed=11)
+        assert {cid: g.shape[0] for cid, g in grids.items()} == blocks
+        self.check(data, grids)
+
     def test_three_single_component_scans(self):
         # Non-interleaved scans cover only the blocks each component needs:
         # chroma at half resolution is ceil(23 / 8) x ceil(31 / 8) = 3x4.
@@ -549,6 +567,19 @@ def megapixel() -> bytes:
     return jpegio.encode_baseline_gray(mosaic(11, 1024), dctsim.standard_table(50))
 
 
+def traced_parse(data: bytes, min_bytes: int):
+    """The tracemalloc peak of a parse with _LANE_MIN_BYTES = min_bytes, and
+    the parse; decode tables are built outside the count."""
+    with mock.patch.object(jpegio, "_LANE_MIN_BYTES", min_bytes):
+        jpegio.parse_jpeg(data)
+        tracemalloc.start()
+        try:
+            parsed = jpegio.parse_jpeg(data)
+            return tracemalloc.get_traced_memory()[1], parsed
+        finally:
+            tracemalloc.stop()
+
+
 class TestLargeScans:
     @pytest.mark.parametrize("restart_interval", [0, 3500])
     def test_mosaic_at_default_sizing(self, restart_interval):
@@ -582,15 +613,15 @@ class TestLargeScans:
         assert [path is not None for path in paths] == [not fails]
 
     def test_parse_memory_peak(self, megapixel):
-        def peak(min_bytes):
-            with mock.patch.object(jpegio, "_LANE_MIN_BYTES", min_bytes):
-                jpegio.parse_jpeg(megapixel)  # decode tables are built outside the count
-                tracemalloc.start()
-                try:
-                    jpegio.parse_jpeg(megapixel)
-                    return tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-
         assert [path is not None for path in lane_outcome(megapixel)[1]] == [True]
-        assert peak(jpegio._LANE_MIN_BYTES) <= 1.5 * peak(1 << 62)
+        lanes, _ = traced_parse(megapixel, jpegio._LANE_MIN_BYTES)
+        sequential, _ = traced_parse(megapixel, 1 << 62)
+        assert lanes <= 1.5 * sequential
+
+    def test_sequential_parse_holds_no_coefficient_buffer(self, megapixel):
+        # The sequential decoder writes each coefficient into the grid, so
+        # beside the grid the parse holds only the 8-byte bit windows of each
+        # byte of scan data and a few copies of that data.
+        peak, parsed = traced_parse(megapixel, 1 << 62)
+        n = len(megapixel)
+        assert peak <= parsed.coeffs.values.nbytes + 8 * n + 4 * n + (64 << 10)
