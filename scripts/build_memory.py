@@ -89,8 +89,7 @@ print(json.dumps({"seconds": seconds, "start_kb": start, "end_kb": end,
 
 
 def run_once(checkout: Path, entry: str, jobs: int, source: Path, out: Path) -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "FQE_JOBS"}
-    env["PYTHONPATH"] = str(checkout / "src")
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     done = subprocess.run(
         [sys.executable, "-c", DRIVER, entry, str(source), str(out), str(Q1_MAX), str(K), str(jobs)],
         cwd=checkout, env=env, capture_output=True, text=True,

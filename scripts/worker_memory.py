@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench import inputs  # noqa: E402  (after the path set-up)
+from build_memory import git_head  # noqa: E402
 
 METHODS = ("fork", "spawn")
 JOBS = 2
@@ -93,8 +94,7 @@ def workers_of(pid: int) -> list[int]:
 
 
 def run_once(checkout: Path, method: str, corpus: Path, dataset: Path) -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "FQE_JOBS"}
-    env["PYTHONPATH"] = str(checkout / "src")
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     with tempfile.TemporaryDirectory() as out_dir:
         t0 = time.perf_counter()
         proc = subprocess.Popen(
@@ -173,14 +173,6 @@ def build_dataset(checkout: Path, cache: Path) -> Path:
     if done.returncode:
         raise RuntimeError(f"building the dataset in {checkout} failed:\n{done.stderr}")
     return Path(done.stdout.strip().splitlines()[-1])
-
-
-def git_head(checkout: Path) -> str:
-    done = subprocess.run(
-        ["git", "describe", "--always", "--dirty", "--abbrev=12"],
-        cwd=checkout, capture_output=True, text=True,
-    )
-    return done.stdout.strip() or "unknown"
 
 
 def main(argv=None) -> int:

@@ -48,20 +48,6 @@ EXIT_DATASET_FAILURE = 3
 EXIT_UNSUPPORTED_Q2 = 4
 
 
-def _resolve_jobs(flag: int | None) -> int:
-    env = os.environ.get("FQE_JOBS")
-    if env is not None:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise click.ClickException(f"FQE_JOBS={env!r} is not an integer")
-    else:
-        jobs = flag if flag is not None else (os.cpu_count() or 1)
-    if jobs < 1:
-        raise click.ClickException("job count must be at least 1")
-    return jobs
-
-
 def _load_dataset(path: str) -> ReferenceDataset:
     """refdata.load_dataset, calling deserialize by this module's name.
 
@@ -148,7 +134,7 @@ def _weight(ctx: click.Context, param: click.Parameter, value: float) -> float:
 )
 @click.option(
     "--jobs", type=click.IntRange(min=1), help="Worker processes, each building whole q1s "
-    "(FQE_JOBS overrides); patches of 512 8x8 blocks or fewer in all build in-process. "
+    "(default: the CPU count); patches of 512 8x8 blocks or fewer in all build in-process. "
     "Each worker holds a whole q1's records (about 0.14 MB per 64x64 patch), and q1s "
     "finished before the file reaches them wait in this process."
 )
@@ -157,7 +143,7 @@ def build(
     raw_dir: str, out: str, q1_max: int, k: int, patch: int, jobs: int | None, verbose: bool
 ) -> None:
     """Build a reference dataset from a directory of PGM images."""
-    n_jobs = _resolve_jobs(jobs)
+    n_jobs = jobs or os.cpu_count() or 1
     paths = sorted(Path(raw_dir).glob("*.pgm"))
     patches: list[GrayImage] = []
     skipped = 0
@@ -300,22 +286,10 @@ def _format_estimate(result: EstimationResult, fmt: str) -> str:
         f"# k={p.k} n={p.n_candidates} w={p.w} reg_variant={p.reg_variant} "
         f"regularize={'on' if p.regularize else 'off'}\n"
     )
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["position", "q2", "status", "raw", "estimate", "raw_distance", "estimate_distance"]
-    )
-    for row in rows:
-        writer.writerow(
-            [
-                row["position"],
-                row["q2"],
-                row["status"],
-                "" if row["raw"] is None else row["raw"],
-                "" if row["estimate"] is None else row["estimate"],
-                "" if row["raw_distance"] is None else repr(row["raw_distance"]),
-                "" if row["estimate_distance"] is None else repr(row["estimate_distance"]),
-            ]
-        )
+    # csv writes None as "" and a float by its repr.
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     return buf.getvalue().rstrip("\n")
 
 
@@ -463,7 +437,7 @@ def make_corpus(
 @click.option("--corpus-dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--dataset", required=True, type=click.Path())
 @_estimation_options
-@click.option("--jobs", type=click.IntRange(min=1), help="Worker processes (FQE_JOBS overrides).")
+@click.option("--jobs", type=click.IntRange(min=1), help="Worker processes (default: the CPU count).")
 @click.option("--out-dir", default=".", show_default=True, type=click.Path(file_okay=False))
 def evaluate_cmd(
     corpus_dir: str,
@@ -477,7 +451,7 @@ def evaluate_cmd(
     out_dir: str,
 ) -> None:
     """Evaluate estimation accuracy over a corpus with a manifest."""
-    n_jobs = _resolve_jobs(jobs)
+    n_jobs = jobs or os.cpu_count() or 1
     try:
         ds = _load_dataset(dataset)
         params = _params_from_flags(ds, k, n, w, reg_variant, no_reg)

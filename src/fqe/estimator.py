@@ -5,12 +5,12 @@ the histogram is compared against the nearest reference records of every
 section (j, q2_i) of its kind, DC or AC; the per-candidate minima form a
 distance matrix whose row argmins are the raw estimates. Regularization
 rescores sliding triplets of consecutive usable coefficients with a
-smoothness term and aggregates the per-window votes by mode.
+smoothness term and aggregates the per-window votes.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,25 +126,22 @@ def raw_estimates(d: DistanceMatrix) -> list[int | None]:
     return out
 
 
-_REG_GRIDS: dict[tuple[int, str], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _reg_grid(q1_max: int, variant: str) -> np.ndarray:
     """Smoothness penalty of every candidate triplet (a, b, c) at [a - 1, b - 1, c - 1]:
-    (|b - a| + |b - c|) / 2, / (2 sqrt(b)) or / (2 b) for reg1, reg2 and reg3."""
-    grid = _REG_GRIDS.get((q1_max, variant))
-    if grid is None:
-        c = np.arange(1, q1_max + 1, dtype=np.float64)
-        delta = np.abs(c[None, :, None] - c[:, None, None]) + np.abs(
-            c[None, :, None] - c[None, None, :]
-        )
-        if variant == "reg1":
-            grid = delta / 2.0
-        elif variant == "reg2":
-            grid = delta / (2.0 * np.sqrt(c)[None, :, None])
-        else:
-            grid = delta / (2.0 * c[None, :, None])
-        _REG_GRIDS[(q1_max, variant)] = grid
+    (|b - a| + |b - c|) / 2, / (2 sqrt(b)) or / (2 b) for reg1, reg2 and reg3.
+    Read-only, as every caller shares it."""
+    c = np.arange(1, q1_max + 1, dtype=np.float64)
+    delta = np.abs(c[None, :, None] - c[:, None, None]) + np.abs(
+        c[None, :, None] - c[None, None, :]
+    )
+    if variant == "reg1":
+        grid = delta / 2.0
+    elif variant == "reg2":
+        grid = delta / (2.0 * np.sqrt(c)[None, :, None])
+    else:
+        grid = delta / (2.0 * c[None, :, None])
+    grid.flags.writeable = False
     return grid
 
 
@@ -168,49 +165,43 @@ def regularize(d: DistanceMatrix, p: EstimationParams) -> list[int | None]:
     Windows slide over the subsequence of ok coefficients in zig-zag order.
     Each window picks the triplet minimizing w * C_data + (1 - w) * C_reg,
     where C_data is the mean of the three per-row min-max normalized
-    distances; every coefficient then takes the mode of its window votes,
-    ties broken by the vote of the window it sits in the middle of, then by
-    the smaller value. A candidate without data ranks worst in the data term
-    only, so a smooth triplet can still pick it, at an infinite distance.
-    With fewer than 3 usable coefficients the raw estimates are returned
-    unchanged.
+    distances. A coefficient gets at most three votes, from the windows it
+    starts, centres and ends; it takes the value of the first and last
+    windows when they agree, otherwise the middle window's vote, otherwise
+    its only vote. This is the mode of its votes, ties broken by the middle
+    vote. A candidate without data ranks worst in the data term only, so a
+    smooth triplet can still pick it, at an infinite distance. With fewer
+    than 3 usable coefficients the raw estimates are returned unchanged.
     """
-    raw = raw_estimates(d)
     ok_rows = [i for i, s in enumerate(d.status) if s == OK]
     m = len(ok_rows)
     if m < 3:
-        return raw
+        return raw_estimates(d)
 
-    normalized = {i: _normalize_row(d.d[i]) for i in ok_rows}
+    normalized = [_normalize_row(d.d[i]) for i in ok_rows]
     reg = _reg_grid(d.q1_max, p.reg_variant)
-    votes: list[list[int]] = [[] for _ in range(m)]
-    middle_votes: dict[int, int] = {}
+    # The votes of ok position t; 0 where no window gives that vote.
+    first = np.zeros(m, dtype=np.int64)
+    middle = np.zeros(m, dtype=np.int64)
+    last = np.zeros(m, dtype=np.int64)
     for t in range(m - 2):
-        n1 = normalized[ok_rows[t]]
-        n2 = normalized[ok_rows[t + 1]]
-        n3 = normalized[ok_rows[t + 2]]
+        n1, n2, n3 = normalized[t : t + 3]
         data = (n1[:, None, None] + n2[None, :, None] + n3[None, None, :]) / 3.0
         score = p.w * data + (1.0 - p.w) * reg
         flat = int(np.argmin(score))
         a, rest = divmod(flat, d.q1_max * d.q1_max)
         b, c = divmod(rest, d.q1_max)
-        votes[t].append(a + 1)
-        votes[t + 1].append(b + 1)
-        votes[t + 2].append(c + 1)
-        middle_votes[t + 1] = b + 1
+        first[t] = a + 1
+        middle[t + 1] = b + 1
+        last[t + 2] = c + 1
 
+    # Only the ends lack a middle vote, and each end has a single vote.
+    votes = np.where(
+        (first == last) & (first > 0), first, np.where(middle > 0, middle, first + last)
+    )
     out: list[int | None] = [None] * len(d.status)
-    for pos, row_idx in enumerate(ok_rows):
-        if not votes[pos]:
-            out[row_idx] = raw[row_idx]
-            continue
-        counts = Counter(votes[pos])
-        top = max(counts.values())
-        tied = sorted(v for v, c in counts.items() if c == top)
-        if len(tied) > 1 and middle_votes.get(pos) in tied:
-            out[row_idx] = middle_votes[pos]
-        else:
-            out[row_idx] = tied[0]
+    for row, vote in zip(ok_rows, votes.tolist()):
+        out[row] = vote
     return out
 
 

@@ -826,6 +826,8 @@ class _Parser:
             comp = frame.components[by_id[cid]]
             if comp in scan_comps:
                 raise JpegFormatError(f"scan lists component {cid} twice")
+            if cid in self.comp_coeffs:  # sequential mode codes it in one scan
+                raise JpegFormatError(f"component {cid} is coded in a second scan")
             td, ta = tdta >> 4, tdta & 0x0F
             dc_table = self.huff_tables.get((0, td))
             ac_table = self.huff_tables.get((1, ta))

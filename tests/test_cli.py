@@ -28,7 +28,7 @@ from fqe.jpegio import crop_center, encode_baseline_gray, read_pgm
 from fqe.types import GrayImage
 
 from conftest import synth_patches, with_first_bin, write_pgm
-from jpegwriter import with_duplicate_component, with_scan_header
+from jpegwriter import encode_grids, with_duplicate_component, with_scan_header
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -197,24 +197,6 @@ class TestBuild:
         assert isinstance(result.exception, SystemExit)
         assert f"Invalid value for '{flag}'" in result.output
         assert not out.exists()
-
-    def test_bad_env_jobs_reported_before_reading(self, tmp_path, runner, monkeypatch):
-        bad = tmp_path / "bad"
-        bad.mkdir()
-        (bad / "x.pgm").write_bytes(b"not a pgm")
-        monkeypatch.setenv("FQE_JOBS", "0")
-        result = runner.invoke(main, ["build", "--raw-dir", str(bad), "--out", str(tmp_path / "o")])
-        assert result.exit_code == 1
-        assert "job count must be at least 1" in result.output
-        assert "skipping" not in result.output
-
-    def test_env_overrides_jobs(self, tmp_path, raw_dir, runner, monkeypatch):
-        monkeypatch.setenv("FQE_JOBS", "not-a-number")
-        result = runner.invoke(
-            main, ["build", "--raw-dir", str(raw_dir), "--out", str(tmp_path / "o"), "--jobs", "1"]
-        )
-        assert result.exit_code != 0
-        assert "FQE_JOBS" in result.output
 
     def test_rebuild_replaces_the_file_under_a_mapping(self, tmp_path, raw_dir, runner):
         out = tmp_path / "ref.fqe"
@@ -571,7 +553,9 @@ class TestEstimate:
         for row in report["positions"]:
             assert row["raw"] == row["estimate"]
 
-    @pytest.mark.parametrize("content", ["junk", "duplicate-component-id", "zero-component-scan"])
+    @pytest.mark.parametrize(
+        "content", ["junk", "duplicate-component-id", "zero-component-scan", "component-in-two-scans"]
+    )
     def test_parse_failure_exit_code(self, tmp_path, dataset_file, runner, content):
         bogus = tmp_path / "bogus.jpg"
         img = GrayImage(np.full((64, 64), 77, dtype=np.uint8))
@@ -580,8 +564,11 @@ class TestEstimate:
             bogus.write_bytes(b"not a jpeg at all")
         elif content == "duplicate-component-id":
             bogus.write_bytes(with_duplicate_component(valid))
-        else:
+        elif content == "zero-component-scan":
             bogus.write_bytes(with_scan_header(valid, bytes([0, 0, 63, 0])))
+        else:
+            grids = {1: np.zeros((64, 64), dtype=np.int32)}
+            bogus.write_bytes(encode_grids(64, 64, [(1, 1, 1)], [[1], [1]], grids))
         result = runner.invoke(
             main, ["estimate", "--image", str(bogus), "--dataset", str(dataset_file)]
         )
@@ -951,17 +938,6 @@ class TestEvaluate:
         assert isinstance(result.exception, SystemExit)
         assert f"Invalid value for '{flag}'" in result.output
         assert not out_dir.exists()
-
-    def test_bad_env_jobs_reported_before_reading(self, tmp_path, runner, monkeypatch):
-        broken = tmp_path / "broken.fqe"
-        broken.write_bytes(b"not a dataset")
-        monkeypatch.setenv("FQE_JOBS", "0")
-        result = runner.invoke(
-            main, ["evaluate", "--corpus-dir", str(tmp_path), "--dataset", str(broken)]
-        )
-        assert result.exit_code == 1
-        assert "job count must be at least 1" in result.output
-        assert "checksum" not in result.output
 
 
 def test_import_starts_no_pool_machinery():

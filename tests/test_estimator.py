@@ -245,17 +245,30 @@ class TestRegularize:
         assert regularize(dm, p) == [2] * 6
 
     def test_matches_brute_force(self, rng):
-        for trial in range(15):
-            k = int(rng.integers(3, 9))
-            rows = rng.uniform(0, 1, (k, 6)).tolist()
-            status = [OK if rng.random() > 0.2 else DEGENERATE for _ in range(k)]
-            if sum(s == OK for s in status) < 3:
-                status = [OK] * k
-            dm = make_matrix(rows, status=status)
-            w = float(rng.uniform(0.5, 1.0))
-            for variant in ("reg1", "reg2", "reg3"):
-                p = EstimationParams(w=w, q1_max=6, reg_variant=variant)
-                assert regularize(dm, p) == brute_force_regularize(dm, p)
+        for q1_max in (1, 2, 6):
+            for trial in range(15):
+                k = int(rng.integers(3, 9))
+                if trial % 3 == 0:
+                    rows = rng.uniform(0, 1, (k, q1_max))
+                    w = float(rng.uniform(0.5, 1.0))
+                else:
+                    # A coarse grid ties triplets in the data term and windows
+                    # in their votes.
+                    rows = rng.integers(0, 3, (k, q1_max)) * 0.5
+                    w = float(rng.choice([0.0, 0.5, 0.92, 1.0]))
+                rows[rng.random((k, q1_max)) < 0.2] = np.inf
+                rows[np.arange(k), rng.integers(0, q1_max, k)] = rng.integers(0, 3, k) * 0.5
+                if trial % 5 == 4:
+                    ok = rng.choice(k, 3, replace=False)
+                    status = [OK if i in ok else DEGENERATE for i in range(k)]
+                else:
+                    status = [OK if rng.random() > 0.2 else DEGENERATE for _ in range(k)]
+                    if sum(s == OK for s in status) < 3:
+                        status = [OK] * k
+                dm = make_matrix(rows.tolist(), status=status)
+                for variant in ("reg1", "reg2", "reg3"):
+                    p = EstimationParams(w=w, q1_max=q1_max, reg_variant=variant)
+                    assert regularize(dm, p) == brute_force_regularize(dm, p)
 
     def test_shallow_minimum_pulled_to_neighbors(self):
         # Neighbors firmly at 4; the middle row has a slightly better value

@@ -14,7 +14,7 @@ from fqe import dctsim, jpegio
 from fqe.types import GrayImage, QuantTable
 
 from conftest import synth_patch, synth_patches, write_pgm
-from jpegwriter import with_duplicate_component, with_scan_header
+from jpegwriter import encode_grids, with_duplicate_component, with_scan_header
 
 try:
     from PIL import Image as PIL_Image
@@ -189,6 +189,20 @@ class TestParserErrors:
         with pytest.raises(jpegio.JpegFormatError) as excinfo:
             jpegio.parse_jpeg(data)
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "components, scans",
+        [
+            ([(1, 1, 1)], [[1], [1]]),
+            ([(1, 1, 1), (2, 1, 1), (3, 1, 1)], [[1, 2, 3], [2]]),
+        ],
+    )
+    def test_component_in_two_scans_rejected(self, components, scans):
+        grids = {cid: np.zeros((4, 64), dtype=np.int32) for cid, _, _ in components}
+        data = encode_grids(16, 16, components, scans, grids)
+        with pytest.raises(jpegio.JpegFormatError) as excinfo:
+            jpegio.parse_jpeg(data)
+        assert str(excinfo.value) == f"component {scans[1][0]} is coded in a second scan"
 
     def test_garbage_marker_stream(self):
         data = bytearray(self.build_valid())
