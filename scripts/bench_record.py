@@ -35,12 +35,12 @@ from __future__ import annotations
 import argparse
 import json
 import re
-import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from checkouts import ROOT, orders, quartiles, sides
+
 PROVENANCE = "provenance: "
 DIGEST = "digest "
 
@@ -65,14 +65,6 @@ def record(checkout: Path, workload: str, seed: int, seconds: float, trace: int)
         "digests": digests,
         "result": json.loads(lines[-1]),
     }, proc.returncode
-
-
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    """Lower quartile, median and upper quartile (linear interpolation)."""
-    if len(values) == 1:
-        return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, median, q3
 
 
 def summarize(
@@ -118,15 +110,14 @@ def differing_pairs(parent: list[dict], change: list[dict]) -> list[int]:
 def run_pairs(args) -> int:
     contract = json.loads((args.checkout / "BENCHMARK.json").read_text())
     suffix = "-trace" if args.trace else ""
-    sides = {"parent": args.parent_checkout, "change": args.checkout}
+    paths = sides(args.parent_checkout, args.checkout)
     values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
     digests: dict[str, list[dict]] = {"parent": [], "change": []}
     worst = 0
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+    for i, order in enumerate(orders(args.pairs)):
         for side in order:
             content, code = record(
-                sides[side], args.workload, args.seed + i, args.seconds, args.trace
+                paths[side], args.workload, args.seed + i, args.seconds, args.trace
             )
             worst = max(worst, code)
             metrics = content["result"]["metrics"]

@@ -31,19 +31,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import statistics
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-
-from perfbench import inputs  # noqa: E402  (after the path set-up)
+import checkouts
 
 PATCHES = 400
 SEED = 1901
@@ -89,14 +84,11 @@ print(json.dumps({"seconds": seconds, "start_kb": start, "end_kb": end,
 
 
 def run_once(checkout: Path, entry: str, jobs: int, source: Path, out: Path) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    done = subprocess.run(
-        [sys.executable, "-c", DRIVER, entry, str(source), str(out), str(Q1_MAX), str(K), str(jobs)],
-        cwd=checkout, env=env, capture_output=True, text=True,
+    stdout = checkouts.run(
+        checkout, ["-c", DRIVER, entry, str(source), str(out), str(Q1_MAX), str(K), str(jobs)],
+        f"{entry} jobs={jobs}",
     )
-    if done.returncode:
-        raise RuntimeError(f"{entry} jobs={jobs} in {checkout} exited {done.returncode}:\n{done.stderr}")
-    run = json.loads(done.stdout.splitlines()[-1])
+    run = json.loads(stdout.splitlines()[-1])
     run["sha256"] = hashlib.sha256(out.read_bytes()).hexdigest()
     run["dataset_bytes"] = out.stat().st_size
     out.unlink()
@@ -131,23 +123,15 @@ def seconds_ratios(summary: dict) -> dict:
     }
 
 
-def git_head(checkout: Path) -> str:
-    done = subprocess.run(
-        ["git", "describe", "--always", "--dirty", "--abbrev=12"],
-        cwd=checkout, capture_output=True, text=True,
-    )
-    return done.stdout.strip() or "unknown"
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent-checkout", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="the JSON file to write")
     args = p.parse_args(argv)
 
-    conftest = inputs.load_conftest()
+    conftest = checkouts.inputs().load_conftest()
     patches = conftest.synth_patches(SEED, PATCHES)
-    sides = {"parent": args.parent_checkout.resolve(), "change": ROOT}
+    sides = checkouts.sides(args.parent_checkout)
     runs = {side: {f"{entry}, jobs {j}": [] for entry in ENTRIES for j in JOBS} for side in sides}
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
@@ -156,8 +140,8 @@ def main(argv=None) -> int:
         raw.mkdir()
         for i, patch in enumerate(patches):
             (raw / f"p{i:03d}.pgm").write_bytes(conftest.write_pgm(patch))
-        for i in range(REPEATS):
-            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+        for i, order in enumerate(checkouts.orders(REPEATS)):
+            for side in order:
                 for entry in ENTRIES:
                     for jobs in JOBS:
                         source = npy if entry == "build_reference" else raw
@@ -189,9 +173,7 @@ def main(argv=None) -> int:
         for side, by_name in runs.items()
     }
     out = {
-        "command": ["python3", "scripts/build_memory.py", *(argv or sys.argv[1:])],
-        "checkouts": {side: git_head(path) for side, path in sides.items()},
-        "host": {"cpu_count": os.cpu_count(), "python": sys.version.split()[0]},
+        **checkouts.header(__file__, argv, sides),
         "patches": {"count": PATCHES, "seed": SEED, "side": 64, "q1_max": Q1_MAX, "k": K},
         "repeats": REPEATS,
         "dataset_sha256": digests,

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import statistics
 import subprocess
 import sys
@@ -30,11 +29,7 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-
-from perfbench import inputs  # noqa: E402  (after the path set-up)
-from build_memory import git_head  # noqa: E402
+import checkouts
 
 METHODS = ("fork", "spawn")
 JOBS = 2
@@ -94,12 +89,12 @@ def workers_of(pid: int) -> list[int]:
 
 
 def run_once(checkout: Path, method: str, corpus: Path, dataset: Path) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     with tempfile.TemporaryDirectory() as out_dir:
         t0 = time.perf_counter()
         proc = subprocess.Popen(
             [sys.executable, "-c", DRIVER, method, str(corpus), str(dataset), out_dir, str(JOBS)],
-            cwd=checkout, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            cwd=checkout, env=checkouts.child_env(checkout),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         peaks: dict[int, dict[str, int]] = {}
         while proc.poll() is None:
@@ -118,8 +113,7 @@ def run_once(checkout: Path, method: str, corpus: Path, dataset: Path) -> dict:
             time.sleep(INTERVAL)
         stdout, stderr = proc.communicate()
         seconds = time.perf_counter() - t0
-        if proc.returncode:
-            raise RuntimeError(f"evaluate under {method} in {checkout} exited {proc.returncode}:\n{stderr}")
+        checkouts.check(f"evaluate under {method} in {checkout}", proc.returncode, stderr)
         report = json.loads((Path(out_dir) / "report.json").read_text())
     vmhwm = [line.split()[1] for line in stdout.splitlines() if line.startswith("VmHWM ")]
     return {
@@ -148,9 +142,9 @@ def summarize(runs: list[dict]) -> dict:
 
 def make_corpus(corpus: Path) -> None:
     """RAW_IMAGES synthetic SIDE x SIDE patches, double-compressed by `fqe make-corpus`."""
+    conftest = checkouts.inputs().load_conftest()
     from fqe.cli import main
 
-    conftest = inputs.load_conftest()
     raw = corpus.parent / "raw"
     raw.mkdir()
     for i, patch in enumerate(conftest.synth_patches(SEED, RAW_IMAGES, SIDE)):
@@ -165,14 +159,8 @@ def build_dataset(checkout: Path, cache: Path) -> Path:
         "import sys; from pathlib import Path; from perfbench import inputs; "
         f"print(inputs.dataset(Path(sys.argv[1]), {PATCHES}, q1_max={Q1_MAX}, k={K}))"
     )
-    env = {**os.environ, "PYTHONPATH": f"{checkout / 'src'}{os.pathsep}{checkout}"}
-    done = subprocess.run(
-        [sys.executable, "-c", code, str(cache)], cwd=checkout, env=env,
-        capture_output=True, text=True,
-    )
-    if done.returncode:
-        raise RuntimeError(f"building the dataset in {checkout} failed:\n{done.stderr}")
-    return Path(done.stdout.strip().splitlines()[-1])
+    stdout = checkouts.run(checkout, ["-c", code, str(cache)], "the dataset build", perfbench=True)
+    return Path(stdout.strip().splitlines()[-1])
 
 
 def main(argv=None) -> int:
@@ -185,11 +173,11 @@ def main(argv=None) -> int:
         work = Path(work)
         corpus = work / "corpus"
         make_corpus(corpus)
-        sides = {"parent": args.parent_checkout.resolve(), "change": ROOT}
+        sides = checkouts.sides(args.parent_checkout)
         datasets = {side: build_dataset(path, work / side) for side, path in sides.items()}
         runs: dict[str, dict[str, list[dict]]] = {side: {m: [] for m in METHODS} for side in sides}
-        for i in range(REPEATS):
-            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+        for i, order in enumerate(checkouts.orders(REPEATS)):
+            for side in order:
                 for method in METHODS:
                     run = run_once(sides[side], method, corpus, datasets[side])
                     runs[side][method].append(run)
@@ -203,11 +191,9 @@ def main(argv=None) -> int:
     summary = {side: {m: summarize(runs[side][m]) for m in METHODS} for side in sides}
     reports = {run["report_sha256"] for s in runs.values() for m in s.values() for run in m}
     out = {
-        "command": ["python3", "scripts/worker_memory.py", *(argv or sys.argv[1:])],
-        "checkouts": {side: git_head(path) for side, path in sides.items()},
-        "host": {"cpu_count": os.cpu_count(), "python": sys.version.split()[0]},
-        "dataset": {"patches": PATCHES, "seed": inputs.DATASET_SEED, "q1_max": Q1_MAX, "k": K,
-                    "files": dataset_files},
+        **checkouts.header(__file__, argv, sides),
+        "dataset": {"patches": PATCHES, "seed": checkouts.inputs().DATASET_SEED, "q1_max": Q1_MAX,
+                    "k": K, "files": dataset_files},
         "corpus": {"images": len(QF1.split(",")) * RAW_IMAGES, "qf1": QF1, "qf2": QF2,
                    "seed": SEED, "side": SIDE},
         "jobs": JOBS,

@@ -76,6 +76,8 @@ def write_manifest(
 
 def read_manifest(path: Path) -> list[tuple[str, str, list[int]]]:
     """The (filename, label, truth) rows of a manifest; truth holds 15 factors."""
+    if not path.is_file():
+        raise ValueError(f"no {path.name} in {path.parent}")
     with path.open() as fh:
         lines = [line for line in fh if not line.startswith("#")]
     reader = csv.DictReader(lines)

@@ -878,6 +878,17 @@ class TestEvaluate:
         assert result.exit_code != 0
         assert "no images" in result.output
 
+    def test_corpus_without_manifest(self, tmp_path, dataset_file, runner):
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        result = runner.invoke(
+            main,
+            ["evaluate", "--corpus-dir", str(bare), "--dataset", str(dataset_file), "--jobs", "1"],
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: no manifest.csv in {bare}" in result.output
+
     @pytest.mark.parametrize("factors", ["3,3", ",".join(["3"] * 14 + ["x"])])
     def test_bad_manifest_row_names_the_row(
         self, tmp_path, raw_dir, dataset_file, runner, factors

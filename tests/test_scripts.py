@@ -1,0 +1,116 @@
+"""Every script under scripts/ starts, and the checkout plumbing they share works."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import checkouts
+
+SCRIPTS = sorted((checkouts.ROOT / "scripts").glob("*.py"))
+
+
+def load_script(path: Path):
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
+def test_script_runs_with_help_and_loads_by_file_path(script):
+    done = subprocess.run(
+        [sys.executable, str(script), "--help"], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    module = load_script(script)
+    if script.name != "checkouts.py":  # the one module that is not a command
+        assert "usage:" in done.stdout
+        assert callable(module.main)
+
+
+def test_orders_alternate_starting_with_the_parent():
+    assert checkouts.orders(4) == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change"), ("change", "parent")
+    ]
+    assert checkouts.orders(0) == []
+
+
+def test_sides_resolve_and_default_to_this_checkout(tmp_path):
+    assert checkouts.sides(tmp_path / "x" / "..") == {"parent": tmp_path, "change": checkouts.ROOT}
+
+
+def test_child_env_and_a_failing_child(tmp_path):
+    env = checkouts.child_env(tmp_path, perfbench=True)
+    assert env["PYTHONPATH"].split(os.pathsep) == [str(tmp_path / "src"), str(tmp_path)]
+    assert checkouts.child_env(tmp_path)["PYTHONPATH"] == str(tmp_path / "src")
+    assert checkouts.run(tmp_path, ["-c", "print('hi')"], "probe") == "hi\n"
+    with pytest.raises(RuntimeError, match=r"probe in .* exited 3:\nboom"):
+        checkouts.run(tmp_path, ["-c", "import sys; print('boom', file=sys.stderr); sys.exit(3)"],
+                      "probe")
+
+
+def test_header_names_the_command_checkouts_and_host():
+    h = checkouts.header("scripts/x.py", ["--rounds", "3"], {"change": checkouts.ROOT})
+    assert h["command"] == ["python3", "scripts/x.py", "--rounds", "3"]
+    assert set(h["checkouts"]) == {"change"} and h["checkouts"]["change"]
+    assert set(h["host"]) == {"cpu_count", "python"}
+
+
+@pytest.fixture
+def two_copies():
+    """This checkout's fqe loaded twice, as the packages a and b."""
+    yield checkouts.load_fqe(checkouts.ROOT, "a"), checkouts.load_fqe(checkouts.ROOT, "b")
+    for name in [m for m in sys.modules if m.split(".")[0] in ("a", "b")]:
+        del sys.modules[name]
+
+
+@pytest.fixture
+def image(tmp_path) -> bytes:
+    """One 64x64 double-compressed image of the perfbench inputs."""
+    checkouts.inputs().write_images(tmp_path, 2011, 1, 64, 15)
+    return (tmp_path / "img000.jpg").read_bytes()
+
+
+def test_two_copies_of_fqe_live_side_by_side(two_copies, image):
+    a, b = two_copies
+    assert a is not b and a.jpegio is not b.jpegio
+    assert a.jpegio.__name__ == "a.jpegio" and b.jpegio.__name__ == "b.jpegio"
+    assert a.jpegio.JpegError is not b.jpegio.JpegError
+    grids_a = a.jpegio.parse_jpeg(image).component_coeffs
+    grids_b = b.jpegio.parse_jpeg(image).component_coeffs
+    assert grids_a.keys() == grids_b.keys() == {1}
+    assert np.array_equal(grids_a[1], grids_b[1])
+    with pytest.raises(ValueError, match="already loaded"):
+        checkouts.load_fqe(checkouts.ROOT, "a")
+
+
+def test_parse_timing_reports_a_differing_digest(two_copies, image):
+    a, b = two_copies
+    parse_timing = load_script(checkouts.ROOT / "scripts" / "parse_timing.py")
+
+    class Shifted:
+        """b's jpegio with one coefficient of every parse changed."""
+
+        JpegError = b.jpegio.JpegError
+
+        @staticmethod
+        def parse_jpeg(data):
+            parsed = b.jpegio.parse_jpeg(data)
+            parsed.component_coeffs[1][0, 0] += 1
+            return parsed
+
+    same = parse_timing.time_input({"parent": a.jpegio, "change": b.jpegio}, [image] * 3, 2)
+    assert same["grids_equal"] and same["files"] == 3
+    assert len(same["parent"]["runs_ms"]) == len(same["change"]["runs_ms"]) == 2
+    assert set(same["ratio"]) == {"q1", "median", "q3"} and 0 <= same["change_won"] <= 2
+    differ = parse_timing.time_input({"parent": a.jpegio, "change": Shifted}, [image], 1)
+    assert not differ["grids_equal"]
+    # A file that fails to parse hashes its error, the same on both sides.
+    broken = parse_timing.time_input({"parent": a.jpegio, "change": b.jpegio}, [image[:40]], 1)
+    assert broken["grids_equal"]
+    assert parse_timing.digest(parse_timing.parse(a.jpegio, image[:40])).startswith("Jpeg")
