@@ -3,7 +3,7 @@
 Exit codes for `estimate`: 0 success, 2 unreadable or unsupported JPEG,
 3 dataset failure (unreadable file or parameter mismatch), 4 when nothing
 could be estimated because the image's q2 factors exceed the dataset grid.
-`evaluate` and `info` also exit 3 when the dataset file cannot be loaded.
+`evaluate` also exits 3 on a dataset failure, and `info` on an unreadable file.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .corpus import (
     write_manifest,
 )
 from .dctsim import standard_table
-from .estimator import OK, UNSUPPORTED, EstimationParams, EstimationResult, estimate
+from .estimator import OK, UNSUPPORTED, EstimationParams, EstimationResult, check_params, estimate
 from .jpegio import JpegError, PgmError, read_pgm, crop_center
 from .refdata import (
     DatasetFormatError,
@@ -49,11 +49,14 @@ EXIT_UNSUPPORTED_Q2 = 4
 
 
 def _load_dataset(path: str) -> ReferenceDataset:
-    """refdata.load_dataset, calling deserialize by this module's name.
+    """refdata.load_dataset, calling deserialize by this module's name; exits 3 on failure.
 
     perfbench/spans.py rebinds cli.deserialize to time the load.
     """
-    ds = deserialize(map_file(path))
+    try:
+        ds = deserialize(map_file(path))
+    except DatasetFormatError as exc:
+        _dataset_failure(exc)
     ds.path = path
     return ds
 
@@ -66,14 +69,15 @@ def _dataset_failure(exc: Exception) -> NoReturn:
 def _params_from_flags(
     ds: ReferenceDataset, k: int, n: int, w: float, reg_variant: str, no_reg: bool
 ) -> EstimationParams:
-    return EstimationParams(
-        k=k,
-        q1_max=ds.q1_max,
-        n_candidates=n,
-        w=w,
-        reg_variant=reg_variant,
-        regularize=not no_reg,
+    """The flags' params on ds's q1 grid; exits 3 if ds does not cover them."""
+    params = EstimationParams(
+        k=k, q1_max=ds.q1_max, n_candidates=n, w=w, reg_variant=reg_variant, regularize=not no_reg
     )
+    try:
+        check_params(ds, params)
+    except ValueError as exc:
+        _dataset_failure(exc)
+    return params
 
 
 def _estimation_options(command):
@@ -226,10 +230,7 @@ def _echo_summary(
 @click.option("--verbose", is_flag=True, help="List the record counts of every sub-dataset.")
 def info_cmd(dataset: str, verbose: bool) -> None:
     """Summarize a reference dataset file, as `build` does."""
-    try:
-        ds = _load_dataset(dataset)
-    except DatasetFormatError as exc:
-        _dataset_failure(exc)
+    ds = _load_dataset(dataset)
     click.echo(f"{dataset}: {os.path.getsize(dataset)} bytes")
     _echo_summary(ds.q1_max, ds.k, ds.patch_side, ds.source_count, np.diff(ds.bounds), verbose)
 
@@ -304,17 +305,14 @@ def estimate_cmd(
     image: str, dataset: str, k: int, n: int, w: float, reg_variant: str, no_reg: bool, fmt: str
 ) -> None:
     """Estimate the first quantization factors of one JPEG image."""
-    try:
-        ds = _load_dataset(dataset)
-        params = _params_from_flags(ds, k, n, w, reg_variant, no_reg)
-    except (DatasetFormatError, ValueError) as exc:
-        _dataset_failure(exc)
+    ds = _load_dataset(dataset)
+    params = _params_from_flags(ds, k, n, w, reg_variant, no_reg)
     try:
         result = estimate(Path(image).read_bytes(), ds, params)
     except (JpegError, OSError) as exc:
         click.echo(f"cannot parse {image}: {exc}", err=True)
         sys.exit(EXIT_PARSE_FAILURE)
-    except (DatasetFormatError, ValueError) as exc:  # a section fails when first made
+    except DatasetFormatError as exc:  # a section fails when first made
         _dataset_failure(exc)
     click.echo(_format_estimate(result, fmt))
     statuses = result.distances.status
@@ -330,12 +328,15 @@ def estimate_cmd(
 def _quality_factors(
     ctx: click.Context, param: click.Parameter, value: str | None
 ) -> list[int] | None:
-    # Every entry is checked as --qf2 is.
+    # Every entry is checked as --qf2 is; a repeated one would name two files alike.
     if value is None:
         return None
     qfs = [click.IntRange(1, 100).convert(x, param, ctx) for x in value.split(",") if x.strip()]
     if not qfs:
         raise click.BadParameter(f"{value!r} holds no quality factor")
+    for i, q in enumerate(qfs):
+        if q in qfs[:i]:
+            raise click.BadParameter(f"quality factor {q} is repeated")
     return qfs
 
 
@@ -452,9 +453,9 @@ def evaluate_cmd(
 ) -> None:
     """Evaluate estimation accuracy over a corpus with a manifest."""
     n_jobs = jobs or os.cpu_count() or 1
+    ds = _load_dataset(dataset)
+    params = _params_from_flags(ds, k, n, w, reg_variant, no_reg)
     try:
-        ds = _load_dataset(dataset)
-        params = _params_from_flags(ds, k, n, w, reg_variant, no_reg)
         report = evaluate_corpus(Path(corpus_dir), ds, params, jobs=n_jobs)
     except DatasetFormatError as exc:
         _dataset_failure(exc)
@@ -472,3 +473,7 @@ def evaluate_cmd(
             f"{label}: raw={acc_raw} reg={acc_reg} predictable={o['predictable']}/{o['total']}"
         )
     click.echo(f"reports written to {out / 'report.csv'} and {out / 'report.json'}")
+
+
+if __name__ == "__main__":
+    main()

@@ -8,9 +8,9 @@ position, how many estimates were degenerate, unsupported or correct.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import tempfile
 from pathlib import Path
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .dctsim import reconstruct
-from .estimator import DEGENERATE, OK, UNSUPPORTED, EstimationParams, estimate
+from .estimator import DEGENERATE, OK, UNSUPPORTED, EstimationParams, check_params, estimate
 from .jpegio import encode_baseline_gray, parse_jpeg
 from .refdata import DatasetFormatError, ReferenceDataset, load_dataset
 from .types import GrayImage, QuantTable
@@ -119,32 +119,23 @@ def _eval_one(
     return label, np.array(counts, dtype=int)
 
 
-# A pool worker's (dataset file, its CRC trailer, params, corpus dir), set by
-# _init_eval_worker in the worker process itself, so it works under every
-# start method, and the dataset the worker mapped from that file.
-_worker_ctx: tuple[str, int, EstimationParams, Path] | None = None
-_worker_ds: ReferenceDataset | None = None
+@functools.lru_cache(maxsize=1)
+def _mapped(path: str, crc: int) -> ReferenceDataset:
+    """The dataset file at path, mapped once per worker; it must still have CRC trailer crc."""
+    ds = load_dataset(path)
+    if ds.crc != crc:
+        raise DatasetFormatError(
+            f"dataset {path} changed since it was loaded: CRC {ds.crc:08x}, expected {crc:08x}"
+        )
+    return ds
 
 
-def _init_eval_worker(path: str, crc: int, params: EstimationParams, corpus: Path) -> None:
-    global _worker_ctx, _worker_ds
-    _worker_ctx, _worker_ds = (path, crc, params, corpus), None
-
-
-def _eval_in_worker(item: tuple[str, str, list[int]]) -> tuple[str, np.ndarray]:
-    # The file is mapped by the first task, not by the initializer, so that a
-    # load failure reaches the parent as this task's exception.
-    global _worker_ds
-    path, crc, params, corpus = _worker_ctx
-    if _worker_ds is None:
-        ds = load_dataset(path)
-        if ds.crc != crc:
-            raise DatasetFormatError(
-                f"dataset {path} changed since it was loaded: CRC {ds.crc:08x}, "
-                f"expected {crc:08x}"
-            )
-        _worker_ds = ds
-    return _eval_one(_worker_ds, params, corpus, item)
+def _eval_mapped(
+    path: str, crc: int, params: EstimationParams, corpus: Path, item: tuple[str, str, list[int]]
+) -> tuple[str, np.ndarray]:
+    # The file is mapped by the worker's first task, so that a load failure
+    # reaches the parent as that task's exception.
+    return _eval_one(_mapped(path, crc), params, corpus, item)
 
 
 def _row(counts: np.ndarray) -> dict:
@@ -178,6 +169,7 @@ def evaluate_corpus(
     temporary copy of a dataset held only in memory, and fails with
     DatasetFormatError if that file's CRC trailer is not ds's.
     """
+    check_params(ds, params)
     work = read_manifest(corpus_dir / MANIFEST_NAME)
     if params.k > MANIFEST_FACTORS:
         raise ValueError(f"manifest carries {MANIFEST_FACTORS} factors, requested k={params.k}")
@@ -187,17 +179,13 @@ def evaluate_corpus(
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with contextlib.ExitStack() as stack:
+        with tempfile.TemporaryDirectory() as tmp, ProcessPoolExecutor(jobs) as pool:
             path = ds.path
             if path is None:
-                path = str(Path(stack.enter_context(tempfile.TemporaryDirectory())) / "ref.fqe")
+                path = str(Path(tmp) / "ref.fqe")
                 Path(path).write_bytes(ds.data)
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=jobs,
-                initializer=_init_eval_worker,
-                initargs=(path, ds.crc, params, corpus_dir),
-            ))
-            outcomes = list(pool.map(_eval_in_worker, work, chunksize=8))
+            task = functools.partial(_eval_mapped, path, ds.crc, params, corpus_dir)
+            outcomes = list(pool.map(task, work, chunksize=8))
     else:
         outcomes = [_eval_one(ds, params, corpus_dir, item) for item in work]
 

@@ -77,6 +77,16 @@ class EstimationResult:
     warnings: list[str] = field(default_factory=list)
 
 
+def check_params(ds: ReferenceDataset, p: EstimationParams) -> None:
+    """Raise ValueError unless ds covers p's first k coefficients on p's q1 grid."""
+    if p.k > ds.k:
+        raise ValueError(f"dataset covers k={ds.k} coefficients, requested k={p.k}")
+    if p.q1_max != ds.q1_max:
+        raise ValueError(
+            f"params q1_max={p.q1_max} does not match dataset q1_max={ds.q1_max}"
+        )
+
+
 def distance_matrix(
     grid: CoeffGrid,
     q2_table: QuantTable,
@@ -84,12 +94,7 @@ def distance_matrix(
     p: EstimationParams,
 ) -> DistanceMatrix:
     """Best distances of each coefficient against every q1 candidate."""
-    if p.k > ds.k:
-        raise ValueError(f"dataset covers k={ds.k} coefficients, requested k={p.k}")
-    if p.q1_max != ds.q1_max:
-        raise ValueError(
-            f"params q1_max={p.q1_max} does not match dataset q1_max={ds.q1_max}"
-        )
+    check_params(ds, p)
     d = np.full((p.k, p.q1_max), np.inf)
     status: list[str] = []
     q2s: list[int] = []

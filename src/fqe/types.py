@@ -52,9 +52,6 @@ class QuantTable:
     def to_zigzag(self) -> np.ndarray:
         return self.factors[ZIGZAG_TO_NATURAL]
 
-    def as_matrix(self) -> np.ndarray:
-        return self.factors.reshape(8, 8)
-
     def zigzag_factor(self, i: int) -> int:
         """Factor at 1-based zig-zag position i (i = 1 is DC)."""
         if not 1 <= i <= 64:

@@ -298,6 +298,16 @@ class TestBuild:
         assert one.read_bytes() == two.read_bytes()
 
 
+def test_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "fqe.cli", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "fqe, version 0.1.0"
+
+
 class TestInfo:
     def test_lines_equal_builds(self, tmp_path, raw_dir, runner):
         out = tmp_path / "ref.fqe"
@@ -391,7 +401,7 @@ class TestMakeCorpus:
     @pytest.mark.parametrize(
         "qf1, message",
         [("0", "0 is not in the range"), ("80,101", "101 is not in the range"),
-         ("x", "'x' is not a valid integer")],
+         ("x", "'x' is not a valid integer"), ("60,70,60", "quality factor 60 is repeated")],
     )
     def test_bad_qf1_is_usage_error(self, tmp_path, runner, qf1, message):
         # Rejected before the raw directory is read: it holds no PGM.
@@ -695,6 +705,27 @@ def test_bin_sum_mismatch_exits_3(tmp_path, raw_dir, runner, argv):
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_k_above_dataset_fails_before_any_worker(
+        self, tmp_path, raw_dir, runner, monkeypatch, jobs
+    ):
+        dataset = tmp_path / "k10.fqe"
+        build(runner, raw_dir, dataset, "--q1-max", "4", "--k", "10")
+        corpus = make_corpus(runner, raw_dir, tmp_path / "k12", "--qf1", "75")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        result = runner.invoke(
+            main,
+            ["evaluate", "--corpus-dir", str(corpus), "--dataset", str(dataset), "--k", "12",
+             "--out-dir", str(tmp_path / "rep"), "--jobs", jobs],
+        )
+        assert result.exit_code == cli.EXIT_DATASET_FAILURE, result.output
+        assert "dataset error: dataset covers k=10 coefficients, requested k=12" in result.output
+        assert not (tmp_path / "rep").exists()
+
     def test_self_retrieval_corpus(self, tmp_path, raw_dir, dataset_file, runner):
         # Constant Q1 = M_6 on the dataset's own source patches with QF2=90
         # (all q2 factors below 6): every usable position must be recovered

@@ -68,3 +68,10 @@ def test_file_under_two_labels_counts_under_each(tmp_path):
     a, b = (report["labels"][label]["overall"] for label in "AB")
     assert a == b and a["total"] == 15
     assert report["overall"]["overall"]["total"] == 30
+
+
+def test_params_are_checked_before_the_manifest(tmp_path):
+    # tmp_path holds no manifest: the params error shows that check came first.
+    ds = build_reference(synth_patches(seed=75, count=2), q1_max=3, k=4)
+    with pytest.raises(ValueError, match="dataset covers k=4 coefficients, requested k=15"):
+        corpus.evaluate_corpus(tmp_path, ds, EstimationParams(q1_max=3), jobs=2)

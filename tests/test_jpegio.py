@@ -359,6 +359,24 @@ class TestPgm:
         with pytest.raises(jpegio.PgmError):
             jpegio.read_pgm(b"P6 1 1 255 abc")
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P5 #abc", "unterminated comment in PGM header"),
+            (b"P5 2 x 255 ", "bad PGM header token b'x'"),
+            (b"P5 2", "bad PGM header token b''"),
+            (b"P5 0 2 255 ", "bad PGM dimensions"),
+            (b"P5 1 1 0 ", "unsupported PGM maxval 0"),
+            (b"P5 1 1 65536 ", "unsupported PGM maxval 65536"),
+            (b"P5 1 1 255", "missing whitespace before PGM raster"),
+            (b"P5 2 1 65535 " + bytes(3), "truncated PGM pixel data"),
+        ],
+    )
+    def test_header_and_raster_errors(self, data, message):
+        with pytest.raises(jpegio.PgmError) as info:
+            jpegio.read_pgm(data)
+        assert str(info.value) == message
+
     def test_comments_in_header(self):
         data = b"P5\n# a comment\n2 1\n# another\n255\n" + bytes([9, 10])
         img = jpegio.read_pgm(data)
