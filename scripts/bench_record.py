@@ -1,33 +1,31 @@
-"""Record benchmark runs as BENCH_<label>.json, alone or as parent/change pairs.
-
-    python3 scripts/bench_record.py --label change-estimate-cold \
-        --workload estimate-cold --seed 5
-
-Runs perfbench/run.py of a checkout (this one unless --checkout names
-another, such as a clone of the parent commit) with the given workload,
-seed, run length and trace flag, and writes BENCH_<label>.json to --out-dir
-(this repository's root by default). The file holds the run's command, its
-provenance line (git SHA, seed, dataset size, cpu_count and the rest of
-what run.py prints), its output digests (estimates or dataset blob) and its
-final metrics object (run.py's last line). The exit code is run.py's.
+"""Record benchmark runs of a parent and a change as pairs, in BENCH_*.json files.
 
     python3 scripts/bench_record.py --label batched --workload build --seed 201 \
-        --pairs 10 --parent-checkout ../parent
+        --parent-checkout ../parent --checkout ../change
 
-Pairs mode runs --pairs pairs of the parent checkout and --checkout (the
-change), seed --seed + i for pair i, alternating which side runs first. It
+Runs perfbench/run.py of the parent checkout and of --checkout (the change;
+this one by default) with the given workload, run length and trace flag,
+--pairs pairs in all (10 by default), seed --seed + i for pair i,
+alternating which side runs first. A run in place can read slower than the
+same code run from a clone, so both sides are best run from clones. It
 writes the first pair as BENCH_<label>-parent-<workload>.json and
 BENCH_<label>-change-<workload>.json ("-trace" appended for traced runs)
-and prints, for each end-to-end metric of BENCHMARK.json (each per-layer
-metric for traced runs), both sides' medians and quartiles and the pairs
-the change won. A gain is claimed when the change wins at least nine
-tenths of the pairs, ties counting for neither, and the medians differ by
-more than the parent's interquartile range. Each end-to-end metric also
-reads "REGRESSION" or "no regression": whether the change's median is
-worse than the parent's by more than the metric's relative bound in
-BENCHMARK.json. Both runs of a pair must give the same output digests
+to --out-dir (this repository's root by default). Each file holds the
+run's command, its provenance line (git SHA, seed, dataset size, cpu_count
+and the rest of what run.py prints), its output digests (estimates or
+dataset blob) and its final metrics object (run.py's last line).
+
+It then prints, for each end-to-end metric of BENCHMARK.json (each
+per-layer metric for traced runs), both sides' medians and quartiles and
+the pairs the change won. A gain is claimed when the change wins at least
+nine tenths of the pairs, ties counting for neither, and the medians
+differ by more than the parent's interquartile range. Each end-to-end
+metric also reads "REGRESSION" or "no regression": whether the change's
+median is worse than the parent's by more than the metric's relative bound
+in BENCHMARK.json. Both runs of a pair must give the same output digests
 (estimates or dataset blob); a pair whose digests differ is printed. The
-exit code is 1 when any run exited non-zero or any pair's digests differ.
+exit code is 1 when any run exited non-zero or any pair's digests differ,
+2 when a run printed no metrics.
 """
 
 from __future__ import annotations
@@ -159,31 +157,25 @@ def run_pairs(args) -> int:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
+    p.add_argument("--label", required=True, help="names the files BENCH_<label>-*.json")
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, default=15)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--checkout", type=Path, default=ROOT, help="the checkout to run")
+    p.add_argument("--checkout", type=Path, default=ROOT, help="the change's checkout")
+    p.add_argument("--parent-checkout", type=Path, required=True, help="the parent's checkout")
+    p.add_argument("--pairs", type=int, default=10, help="parent/change pairs to run")
     p.add_argument("--out-dir", type=Path, default=ROOT)
-    p.add_argument("--pairs", type=int, default=0, help="parent/change pairs to run")
-    p.add_argument("--parent-checkout", type=Path, help="the parent's checkout, for --pairs")
     args = p.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9._-]+", args.label):
         p.error("--label may hold only letters, digits, '.', '_' and '-'")
-    if args.pairs < 0 or (args.pairs > 0) != (args.parent_checkout is not None):
-        p.error("--pairs N (N >= 1) and --parent-checkout go together")
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
     try:
-        if args.pairs:
-            return run_pairs(args)
-        content, code = record(args.checkout, args.workload, args.seed, args.seconds, args.trace)
+        return run_pairs(args)
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 2
-    out = args.out_dir / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
-    print(out)
-    return code
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ could be estimated because the image's q2 factors exceed the dataset grid.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -69,9 +68,9 @@ def _dataset_failure(exc: Exception) -> NoReturn:
 def _params_from_flags(
     ds: ReferenceDataset, k: int, n: int, w: float, reg_variant: str, no_reg: bool
 ) -> EstimationParams:
-    """The flags' params on ds's q1 grid; exits 3 if ds does not cover them."""
+    """The flags' params; exits 3 if ds does not cover them."""
     params = EstimationParams(
-        k=k, q1_max=ds.q1_max, n_candidates=n, w=w, reg_variant=reg_variant, regularize=not no_reg
+        k=k, n_candidates=n, w=w, reg_variant=reg_variant, regularize=not no_reg
     )
     try:
         check_params(ds, params)
@@ -274,7 +273,7 @@ def _format_estimate(result: EstimationResult, fmt: str) -> str:
                     row[key] = None
         return json.dumps(
             {
-                "params": dataclasses.asdict(result.params),
+                "params": result.params.as_dict(result.distances.q1_max),
                 "warnings": result.warnings,
                 "positions": rows,
             },

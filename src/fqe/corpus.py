@@ -9,7 +9,6 @@ position, how many estimates were degenerate, unsupported or correct.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import io
 import tempfile
@@ -194,7 +193,7 @@ def evaluate_corpus(
     for label, counts in outcomes:
         tally[label] += counts
     return {
-        "params": dataclasses.asdict(params),
+        "params": params.as_dict(ds.q1_max),
         "dataset": {
             "q1_max": ds.q1_max,
             "k": ds.k,

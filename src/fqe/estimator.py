@@ -11,7 +11,7 @@ smoothness term and aggregates the per-window votes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,6 @@ REG_VARIANTS = ("reg1", "reg2", "reg3")
 @dataclass(frozen=True)
 class EstimationParams:
     k: int = 15
-    q1_max: int = 22
     n_candidates: int = 1000
     w: float = 0.92
     reg_variant: str = "reg3"
@@ -39,14 +38,18 @@ class EstimationParams:
     def __post_init__(self) -> None:
         if not 2 <= self.k <= 64:
             raise ValueError(f"k {self.k} out of range [2, 64]")
-        if self.q1_max < 1:
-            raise ValueError("q1_max must be at least 1")
         if self.n_candidates < 1:
             raise ValueError("n_candidates must be at least 1")
         if not 0.0 <= self.w <= 1.0:
             raise ValueError(f"w {self.w} out of range [0, 1]")
         if self.reg_variant not in REG_VARIANTS:
             raise ValueError(f"reg_variant must be one of {REG_VARIANTS}")
+
+    def as_dict(self, q1_max: int) -> dict:
+        """The fields as the reports print them, with the q1 grid of the
+        dataset they ran on as the second key."""
+        fields = asdict(self)
+        return {"k": fields.pop("k"), "q1_max": q1_max, **fields}
 
 
 @dataclass
@@ -78,13 +81,9 @@ class EstimationResult:
 
 
 def check_params(ds: ReferenceDataset, p: EstimationParams) -> None:
-    """Raise ValueError unless ds covers p's first k coefficients on p's q1 grid."""
+    """Raise ValueError unless ds covers p's first k coefficients."""
     if p.k > ds.k:
         raise ValueError(f"dataset covers k={ds.k} coefficients, requested k={p.k}")
-    if p.q1_max != ds.q1_max:
-        raise ValueError(
-            f"params q1_max={p.q1_max} does not match dataset q1_max={ds.q1_max}"
-        )
 
 
 def distance_matrix(
@@ -93,9 +92,9 @@ def distance_matrix(
     ds: ReferenceDataset,
     p: EstimationParams,
 ) -> DistanceMatrix:
-    """Best distances of each coefficient against every q1 candidate."""
+    """Best distances of each coefficient against every q1 candidate of ds."""
     check_params(ds, p)
-    d = np.full((p.k, p.q1_max), np.inf)
+    d = np.full((p.k, ds.q1_max), np.inf)
     status: list[str] = []
     q2s: list[int] = []
     for i in range(1, p.k + 1):
@@ -113,7 +112,7 @@ def distance_matrix(
         key = params.mu if i == 1 else params.beta
         table, total = mass_table(hist)  # shared by the windows of every q1
         row = d[i - 1]
-        for j in range(1, p.q1_max + 1):
+        for j in range(1, ds.q1_max + 1):
             row[j - 1] = batch_min_distance(
                 ds.section(j, q2_i, kind), table, key, p.n_candidates, total
             )
@@ -211,11 +210,9 @@ def regularize(d: DistanceMatrix, p: EstimationParams) -> list[int | None]:
 
 
 def estimate(
-    jpeg_bytes: bytes, ds: ReferenceDataset, p: EstimationParams | None = None
+    jpeg_bytes: bytes, ds: ReferenceDataset, p: EstimationParams = EstimationParams()
 ) -> EstimationResult:
     """End-to-end estimation of the first k quantization factors."""
-    if p is None:
-        p = EstimationParams(q1_max=ds.q1_max)
     parsed = parse_jpeg(jpeg_bytes)
     dm = distance_matrix(parsed.coeffs, parsed.luma_table, ds, p)
     raw = raw_estimates(dm)

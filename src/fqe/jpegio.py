@@ -1080,15 +1080,13 @@ def read_pgm(data: bytes) -> GrayImage:
         raise PgmError("missing whitespace before PGM raster")
     pos += 1  # exactly one whitespace byte before the raster
     n = width * height
-    if maxval > 255:
-        if pos + 2 * n > len(data):
-            raise PgmError("truncated PGM pixel data")
-        samples = np.frombuffer(data, dtype=">u2", count=n, offset=pos)
-        pixels = (samples >> 8).astype(np.uint8)
-    else:
-        if pos + n > len(data):
-            raise PgmError("truncated PGM pixel data")
-        pixels = np.frombuffer(data, dtype=np.uint8, count=n, offset=pos).copy()
+    wide = maxval > 255
+    if pos + (2 if wide else 1) * n > len(data):
+        raise PgmError("truncated PGM pixel data")
+    samples = np.frombuffer(data, dtype=">u2" if wide else np.uint8, count=n, offset=pos)
+    if samples.max() > maxval:
+        raise PgmError(f"PGM sample {samples.max()} exceeds maxval {maxval}")
+    pixels = (samples >> 8 if wide else samples).astype(np.uint8)
     return GrayImage(pixels.reshape(height, width))
 
 

@@ -485,6 +485,8 @@ def deserialize(data: bytes | memoryview | mmap.mmap) -> ReferenceDataset:
         raise DatasetFormatError(f"unsupported dataset version {version}")
     if q1_max < 1:
         raise DatasetFormatError("dataset declares q1_max 0")
+    if not 2 <= k <= 64:
+        raise DatasetFormatError(f"dataset declares k {k}, not 2 to 64")
     # Every mass is divided by the block count (patch_side / 8)^2.
     if patch_side % 8 or not 0 < (patch_side // 8) ** 2 <= _MAX_BIN:
         raise DatasetFormatError(f"dataset declares patch side {patch_side}, not 8 to 2040 by 8")

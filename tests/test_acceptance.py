@@ -107,7 +107,7 @@ def test_criterion_3_exact_match_consistency():
     # identical distributions, which no retrieval could separate.
     patches = synth_patches(seed=9301, count=100)
     ds = build_reference(patches, q1_max=8, k=15)
-    params = EstimationParams(q1_max=8)
+    params = EstimationParams()
     correct = total = 0
     for idx, img in enumerate(patches):
         q1 = idx % 8 + 1
@@ -252,7 +252,7 @@ def test_criterion_7_regularization_units():
         rows = rng.uniform(0.2, 1.0, (k, m))
         rows[np.arange(k), rng.integers(0, m, k)] = rng.uniform(0, 0.05, k)
         dm = make_matrix(rows.tolist())
-        p = EstimationParams(w=1.0, q1_max=m)
+        p = EstimationParams(w=1.0)
         assert regularize(dm, p) == raw_estimates(dm)
 
     assert reg_term(4, 4, 4, "reg1") == 0.0
@@ -264,7 +264,7 @@ def test_criterion_7_regularization_units():
     for _ in range(100):
         k, m = int(rng.integers(3, 10)), int(rng.integers(2, 9))
         dm = make_matrix(rng.uniform(0.01, 1.0, (k, m)).tolist())
-        p = EstimationParams(w=float(rng.uniform(0.5, 1.0)), q1_max=m)
+        p = EstimationParams(w=float(rng.uniform(0.5, 1.0)))
         base = regularize(dm, p)
         scales = rng.uniform(0.01, 1000.0, k)
         scaled = make_matrix((dm.d * scales[:, None]).tolist())
@@ -298,12 +298,10 @@ def test_criterion_8_degenerate_handling(tmp_path):
         "flat and textured",
     )
 
-    result = estimator.estimate(
-        (corpus / "flat.jpg").read_bytes(), ds, EstimationParams(q1_max=6)
-    )
+    result = estimator.estimate((corpus / "flat.jpg").read_bytes(), ds, EstimationParams())
     assert result.distances.status == ["degenerate"] * 15
 
-    report_data = evaluate_corpus(corpus, ds, EstimationParams(q1_max=6), jobs=1)
+    report_data = evaluate_corpus(corpus, ds, EstimationParams(), jobs=1)
     section = report_data["labels"]["m6"]
     for row in section["positions"]:
         assert row["degenerate"] >= 1  # the flat image at every position
@@ -316,7 +314,7 @@ def test_criterion_8_degenerate_handling(tmp_path):
     flat_corpus.mkdir()
     (flat_corpus / "flat.jpg").write_bytes(double_compress_file(flat, m6, m2))
     write_manifest(flat_corpus, [("flat.jpg", "m6", 0, 0, m6)], "flat only")
-    flat_report = evaluate_corpus(flat_corpus, ds, EstimationParams(q1_max=6), jobs=1)
+    flat_report = evaluate_corpus(flat_corpus, ds, EstimationParams(), jobs=1)
     overall = flat_report["labels"]["m6"]["overall"]
     assert overall["accuracy_raw"] is None and overall["accuracy_reg"] is None
     assert overall["degenerate_pct"] == 1.0

@@ -1,6 +1,7 @@
 """CLI surface tests: build, estimate, make-corpus, evaluate."""
 
 import errno
+import hashlib
 import json
 import mmap
 import os
@@ -14,7 +15,7 @@ from click.testing import CliRunner
 
 from fqe import cli, refdata
 from fqe.cli import main
-from fqe.corpus import evaluate_corpus, read_table_file
+from fqe.corpus import double_compress_file, evaluate_corpus, read_table_file
 from fqe.estimator import (
     OK,
     DistanceMatrix,
@@ -23,8 +24,9 @@ from fqe.estimator import (
     raw_estimates,
     regularize,
 )
-from fqe.dctsim import standard_table
+from fqe.dctsim import constant_table, standard_table
 from fqe.jpegio import crop_center, encode_baseline_gray, read_pgm
+from fqe.refdata import build_reference, serialize
 from fqe.types import GrayImage
 
 from conftest import synth_patches, with_first_bin, write_pgm
@@ -172,11 +174,13 @@ class TestBuild:
         bad = tmp_path / "bad"
         bad.mkdir()
         (bad / "x.pgm").write_bytes(b"not a pgm")
+        (bad / "y.pgm").write_bytes(b"P5\n2 1\n15\n" + bytes([3, 200]))
         result = runner.invoke(
             main, ["build", "--raw-dir", str(bad), "--out", str(tmp_path / "o"), "--jobs", "1"]
         )
         assert result.exit_code != 0
         assert "skipping" in result.output
+        assert "skipping y.pgm: PGM sample 200 exceeds maxval 15" in result.output
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -520,6 +524,32 @@ class TestEstimate:
                 assert 1 <= row["estimate"] <= 6
                 assert row["raw_distance"] >= 0.0
 
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "ec356461209955309dfdd5ce5ad5a022a8234cb64d1503456a506203f05f1cb1"),
+            ("csv", "0e6e4c2138b8b152a9be505918c0cafc79534fa6d4564fe7ec42794d73fc67a3"),
+        ],
+    )
+    def test_output_bytes_pinned(self, tmp_path, runner, fmt, digest):
+        # q1_max 4 against QF2 90: position 15 (q2 = 5) is unsupported, and
+        # the JSON params echo the dataset's q1 grid.
+        dataset = tmp_path / "ref.fqe"
+        ds = build_reference(synth_patches(seed=81, count=4), q1_max=4, k=15)
+        dataset.write_bytes(serialize(ds))
+        image = tmp_path / "dc.jpg"
+        image.write_bytes(
+            double_compress_file(
+                synth_patches(seed=82, count=1)[0], constant_table(3), standard_table(90)
+            )
+        )
+        result = runner.invoke(
+            main,
+            ["estimate", "--image", str(image), "--dataset", str(dataset), "--format", fmt],
+        )
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
     def test_load_calls_cli_deserialize_on_a_mapping(
         self, tmp_path, raw_dir, dataset_file, runner, monkeypatch
     ):
@@ -838,7 +868,7 @@ class TestEvaluate:
             "multiprocessing.set_start_method('spawn')\n"
             "reports = []\n"
             "for ds in (load_dataset(sys.argv[1]), deserialize(Path(sys.argv[1]).read_bytes())):\n"
-            "    params = EstimationParams(q1_max=ds.q1_max)\n"
+            "    params = EstimationParams()\n"
             "    reports += [evaluate_corpus(Path(sys.argv[2]), ds, params, jobs=j) for j in (1, 2)]\n"
             "print(json.dumps(all(r == reports[0] for r in reports)))\n"
         )
@@ -877,7 +907,7 @@ class TestEvaluate:
     ):
         corpus = make_corpus(runner, raw_dir, tmp_path / "mem", "--qf1", "75")
         ds = refdata.deserialize(dataset_file.read_bytes())
-        params = EstimationParams(q1_max=ds.q1_max)
+        params = EstimationParams()
         scratch = tmp_path / "scratch"
         scratch.mkdir()
         monkeypatch.setattr("tempfile.tempdir", str(scratch))

@@ -11,7 +11,7 @@ from fqe import corpus
 from fqe.cli import evaluate_corpus, main, report_to_csv
 from fqe.dctsim import constant_table
 from fqe.estimator import EstimationParams
-from fqe.refdata import build_reference
+from fqe.refdata import build_reference, load_dataset, serialize
 from fqe.types import GrayImage
 
 from conftest import synth_patches, write_pgm
@@ -40,7 +40,7 @@ def test_report_bytes_pinned(pinned_corpus, jobs):
     # q1_max 4 against QF2 90: position 15 (q2 = 5) is unsupported, the flat
     # patch is degenerate at every position and QF1 85 truths exceed the grid.
     ds = build_reference(synth_patches(seed=72, count=6), q1_max=4, k=15)
-    report = evaluate_corpus(pinned_corpus, ds, EstimationParams(q1_max=4), jobs=jobs)
+    report = evaluate_corpus(pinned_corpus, ds, EstimationParams(), jobs=jobs)
     overall = report["overall"]["overall"]
     assert overall["degenerate"] >= 15 and overall["unsupported"] >= 6
     assert report["overall"]["positions"][14]["accuracy_raw"] is None
@@ -54,6 +54,15 @@ def test_report_bytes_pinned(pinned_corpus, jobs):
     ]
 
 
+def test_default_params_on_a_small_grid_file(pinned_corpus, tmp_path):
+    # Default params against a q1_max 4 dataset file, in a pool of workers.
+    path = tmp_path / "ref.fqe"
+    path.write_bytes(serialize(build_reference(synth_patches(seed=72, count=6), q1_max=4, k=15)))
+    report = evaluate_corpus(pinned_corpus, load_dataset(path), EstimationParams(), jobs=2)
+    assert report["params"]["q1_max"] == report["dataset"]["q1_max"] == 4
+    assert report["images"] == 8 and report["overall"]["overall"]["total"] == 8 * 15
+
+
 def test_file_under_two_labels_counts_under_each(tmp_path):
     ds = build_reference(synth_patches(seed=73, count=4), q1_max=6, k=15)
     m3 = constant_table(3)
@@ -63,7 +72,7 @@ def test_file_under_two_labels_counts_under_each(tmp_path):
     corpus.write_manifest(
         tmp_path, [("a.jpg", "A", 0, 0, m3), ("a.jpg", "B", 0, 0, m3)], "one file, two labels"
     )
-    report = corpus.evaluate_corpus(tmp_path, ds, EstimationParams(q1_max=6))
+    report = corpus.evaluate_corpus(tmp_path, ds, EstimationParams())
     assert report["images"] == 2
     a, b = (report["labels"][label]["overall"] for label in "AB")
     assert a == b and a["total"] == 15
@@ -74,4 +83,4 @@ def test_params_are_checked_before_the_manifest(tmp_path):
     # tmp_path holds no manifest: the params error shows that check came first.
     ds = build_reference(synth_patches(seed=75, count=2), q1_max=3, k=4)
     with pytest.raises(ValueError, match="dataset covers k=4 coefficients, requested k=15"):
-        corpus.evaluate_corpus(tmp_path, ds, EstimationParams(q1_max=3), jobs=2)
+        corpus.evaluate_corpus(tmp_path, ds, EstimationParams(), jobs=2)

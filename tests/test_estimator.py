@@ -101,7 +101,7 @@ class TestDistanceMatrix:
         img = patches[5]
         data = double_compress_file(img, dctsim.constant_table(3), dctsim.constant_table(4))
         parsed = jpegio.parse_jpeg(data)
-        p = EstimationParams(q1_max=8)
+        p = EstimationParams()
         dm = distance_matrix(parsed.coeffs, parsed.luma_table, ds8, p)
         for i in range(p.k):
             if dm.status[i] == OK:
@@ -120,7 +120,7 @@ class TestDistanceMatrix:
             for img, qf in zip(synth_patches(seed=35, count=8), [60, 70, 80, 90] * 2)
         ]
         parsed = [jpegio.parse_jpeg(data) for data in images]
-        p = EstimationParams(q1_max=8)
+        p = EstimationParams()
         fast = [distance_matrix(pj.coeffs, pj.luma_table, ds8, p) for pj in parsed]
         monkeypatch.setattr(estimator, "mass_table", lambda h: (h, None))
         monkeypatch.setattr(
@@ -140,7 +140,7 @@ class TestDistanceMatrix:
         img = GrayImage(np.full((64, 64), 128, dtype=np.uint8))
         data = double_compress_file(img, dctsim.constant_table(2), dctsim.constant_table(3))
         parsed = jpegio.parse_jpeg(data)
-        dm = distance_matrix(parsed.coeffs, parsed.luma_table, ds8, EstimationParams(q1_max=8))
+        dm = distance_matrix(parsed.coeffs, parsed.luma_table, ds8, EstimationParams())
         assert dm.status == [DEGENERATE] * 15
 
     def test_unsupported_q2(self, ds8):
@@ -151,7 +151,7 @@ class TestDistanceMatrix:
         parsed = jpegio.parse_jpeg(
             double_compress_file(img, dctsim.constant_table(2), q2)
         )
-        dm = distance_matrix(parsed.coeffs, parsed.luma_table, ds8, EstimationParams(q1_max=8))
+        dm = distance_matrix(parsed.coeffs, parsed.luma_table, ds8, EstimationParams())
         assert dm.status[4] == UNSUPPORTED
         assert dm.q2[4] == 40
         assert raw_estimates(dm)[4] is None
@@ -163,16 +163,8 @@ class TestDistanceMatrix:
         )
         with pytest.raises(ValueError, match="k="):
             distance_matrix(
-                grid, dctsim.constant_table(3), ds8, EstimationParams(k=16, q1_max=8)
+                grid, dctsim.constant_table(3), ds8, EstimationParams(k=16)
             )
-
-    def test_q1_max_mismatch(self, ds8):
-        patches = synth_patches(seed=34, count=1)
-        grid = double_compress(
-            patches[0], dctsim.constant_table(2), dctsim.constant_table(3)
-        )
-        with pytest.raises(ValueError, match="q1_max"):
-            distance_matrix(grid, dctsim.constant_table(3), ds8, EstimationParams(q1_max=22))
 
 
 class TestRawEstimates:
@@ -235,13 +227,13 @@ class TestRegularize:
     def test_w1_returns_raw_on_unimodal_rows(self, rng):
         for _ in range(30):
             dm = self.strict_unimodal_matrix(rng)
-            p = EstimationParams(w=1.0, q1_max=6)
+            p = EstimationParams(w=1.0)
             assert regularize(dm, p) == raw_estimates(dm)
 
     def test_consensus(self):
         row = [0.9, 0.1, 0.8, 0.7, 0.6, 0.5]
         dm = make_matrix([row] * 6)
-        p = EstimationParams(q1_max=6)
+        p = EstimationParams()
         assert regularize(dm, p) == [2] * 6
 
     def test_matches_brute_force(self, rng):
@@ -267,7 +259,7 @@ class TestRegularize:
                         status = [OK] * k
                 dm = make_matrix(rows.tolist(), status=status)
                 for variant in ("reg1", "reg2", "reg3"):
-                    p = EstimationParams(w=w, q1_max=q1_max, reg_variant=variant)
+                    p = EstimationParams(w=w, reg_variant=variant)
                     assert regularize(dm, p) == brute_force_regularize(dm, p)
 
     def test_shallow_minimum_pulled_to_neighbors(self):
@@ -281,7 +273,7 @@ class TestRegularize:
         shallow[6] = 0.50
         shallow[3] = 0.55
         dm = make_matrix([firm, shallow, firm])
-        p = EstimationParams(w=0.92, q1_max=8, reg_variant="reg3")
+        p = EstimationParams(w=0.92, reg_variant="reg3")
         assert raw_estimates(dm)[1] == 7
         result = regularize(dm, p)
         assert result == [4, 4, 4]
@@ -291,7 +283,7 @@ class TestRegularize:
         # Per-row positive scaling must not change any window argmin.
         for _ in range(30):
             dm = make_matrix(rng.uniform(0.01, 1.0, (6, 6)).tolist())
-            p = EstimationParams(q1_max=6)
+            p = EstimationParams()
             base = regularize(dm, p)
             scales = rng.uniform(0.1, 900.0, 6)
             scaled = make_matrix((dm.d * scales[:, None]).tolist())
@@ -302,7 +294,7 @@ class TestRegularize:
             [[0.5, 0.1], [0.4, 0.2], [np.inf, np.inf]],
             status=[OK, OK, DEGENERATE],
         )
-        p = EstimationParams(q1_max=2)
+        p = EstimationParams()
         assert regularize(dm, p) == raw_estimates(dm)
 
     def test_infinite_candidates_never_win(self):
@@ -310,7 +302,7 @@ class TestRegularize:
         rows[:, 1] = 0.0
         rows[:, 4] = np.inf  # no reference data for q1=5
         dm = make_matrix(rows.tolist())
-        assert regularize(dm, EstimationParams(q1_max=5)) == [2, 2, 2, 2]
+        assert regularize(dm, EstimationParams()) == [2, 2, 2, 2]
 
 
 class TestEstimate:
@@ -319,7 +311,7 @@ class TestEstimate:
         data = double_compress_file(
             patches[7], dctsim.constant_table(3), dctsim.constant_table(4)
         )
-        result = estimate(data, ds8, EstimationParams(q1_max=8))
+        result = estimate(data, ds8, EstimationParams())
         for est, status in zip(result.estimates, result.distances.status):
             if status == OK:
                 assert est == 3
@@ -329,7 +321,7 @@ class TestEstimate:
         # behavior, no correctness claim.
         img = synth_patches(seed=36, count=1)[0]
         data = jpegio.encode_baseline_gray(img, dctsim.constant_table(4))
-        result = estimate(data, ds8, EstimationParams(q1_max=8))
+        result = estimate(data, ds8, EstimationParams())
         assert len(result.estimates) == 15
 
     def test_no_reg_keeps_raw(self, ds8):
@@ -337,7 +329,7 @@ class TestEstimate:
         data = double_compress_file(
             patches[0], dctsim.constant_table(5), dctsim.constant_table(2)
         )
-        result = estimate(data, ds8, EstimationParams(q1_max=8, regularize=False))
+        result = estimate(data, ds8, EstimationParams(regularize=False))
         assert result.estimates == result.raw_estimates
 
     def test_determinism(self, ds8):
@@ -345,7 +337,7 @@ class TestEstimate:
         data = double_compress_file(
             patches[0], dctsim.constant_table(2), dctsim.constant_table(6)
         )
-        p = EstimationParams(q1_max=8)
+        p = EstimationParams()
         r1 = estimate(data, ds8, p)
         r2 = estimate(data, ds8, p)
         assert r1.estimates == r2.estimates
@@ -355,9 +347,21 @@ class TestEstimate:
     def test_flat_image_warning(self, ds8):
         img = GrayImage(np.full((64, 64), 64, dtype=np.uint8))
         data = double_compress_file(img, dctsim.constant_table(2), dctsim.constant_table(3))
-        result = estimate(data, ds8, EstimationParams(q1_max=8))
+        result = estimate(data, ds8, EstimationParams())
         assert result.estimates == [None] * 15
         assert result.warnings
+
+    def test_grid_is_the_datasets(self, ds8):
+        # The params carry no q1 grid: estimates range over ds8's 1..8.
+        data = double_compress_file(
+            synth_patches(seed=39, count=1)[0], dctsim.constant_table(3), dctsim.constant_table(2)
+        )
+        result = estimate(data, ds8, EstimationParams(k=10))
+        assert result.distances.d.shape == (10, 8)
+        assert any(e is not None for e in result.estimates)
+        assert all(e is None or 1 <= e <= 8 for e in result.estimates)
+        with pytest.raises(TypeError):
+            EstimationParams(q1_max=8)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

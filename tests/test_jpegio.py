@@ -370,6 +370,8 @@ class TestPgm:
             (b"P5 1 1 65536 ", "unsupported PGM maxval 65536"),
             (b"P5 1 1 255", "missing whitespace before PGM raster"),
             (b"P5 2 1 65535 " + bytes(3), "truncated PGM pixel data"),
+            (b"P5 2 1 15\n" + bytes([3, 200]), "PGM sample 200 exceeds maxval 15"),
+            (b"P5 2 1 1000 " + bytes([3, 0xE8, 3, 0xE9]), "PGM sample 1001 exceeds maxval 1000"),
         ],
     )
     def test_header_and_raster_errors(self, data, message):

@@ -675,6 +675,14 @@ class TestSerialization:
         with pytest.raises(DatasetFormatError, match=f"patch side {side}"):
             deserialize(with_crc(bytes(body)))
 
+    @pytest.mark.parametrize("k", [0, 1, 65, 200])
+    def test_bad_k_rejected(self, k):
+        # write_reference takes k in 2..64 only; the header's k byte follows q1_max.
+        body = bytearray(tiny_blob()[:-4])
+        body[7] = k
+        with pytest.raises(DatasetFormatError, match=f"declares k {k},"):
+            deserialize(with_crc(bytes(body)))
+
     @pytest.mark.parametrize("sections", [[0], [7], list(range(8))])
     @pytest.mark.parametrize("count", ["records", "bins"])
     def test_huge_section_count(self, sections, count):
