@@ -20,10 +20,12 @@ per-layer metric for traced runs), both sides' medians and quartiles and
 the pairs the change won. A gain is claimed when the change wins at least
 nine tenths of the pairs, ties counting for neither, and the medians
 differ by more than the parent's interquartile range. Each end-to-end
-metric also reads "REGRESSION" or "no regression": whether the change's
-median is worse than the parent's by more than the metric's relative bound
-in BENCHMARK.json. Both runs of a pair must give the same output digests
-(estimates or dataset blob); a pair whose digests differ is printed. The
+metric also reads "REGRESSION" when the change's median is worse than the
+parent's by more than the metric's relative bound in BENCHMARK.json, else
+"unresolved" when the parent's interquartile range is wider than that bound
+and not every change run beats every parent run, else "no regression".
+Both runs of a pair must give the same output digests (estimates or
+dataset blob); a pair whose digests differ is printed. The
 exit code is 1 when any run exited non-zero or any pair's digests differ,
 2 when a run printed no metrics.
 """
@@ -76,7 +78,9 @@ def summarize(
     better than the parent's by more than the parent's interquartile range.
     With a relative bound, the regression holds when the change's median
     is worse than the parent's by more than bound times the parent's
-    median (None without a bound).
+    median, and the metric is unresolved when the parent's interquartile
+    range is wider than that bound unless every change run reads better
+    than every parent run (both None without a bound).
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of parent and change runs")
@@ -85,6 +89,7 @@ def summarize(
     ties = sum(c == p for p, c in zip(parent, change))
     p_q1, p_median, p_q3 = quartiles(parent)
     c_q1, c_median, c_q3 = quartiles(change)
+    all_better = min(sign * c for c in change) > max(sign * p for p in parent)
     return {
         "pairs": len(parent),
         "wins": wins,
@@ -94,6 +99,9 @@ def summarize(
         "gain": 10 * wins >= 9 * len(parent) and sign * (c_median - p_median) > p_q3 - p_q1,
         "regression": (
             None if bound is None else sign * (p_median - c_median) > bound * abs(p_median)
+        ),
+        "unresolved": (
+            None if bound is None else p_q3 - p_q1 > bound * abs(p_median) and not all_better
         ),
     }
 
@@ -145,7 +153,11 @@ def run_pairs(args) -> int:
         p, c = s["parent"], s["change"]
         regression = ""
         if s["regression"] is not None:
-            verdict = "REGRESSION" if s["regression"] else "no regression"
+            verdict = (
+                "REGRESSION" if s["regression"]
+                else "unresolved" if s["unresolved"]
+                else "no regression"
+            )
             regression = f"; {verdict} beyond the {metric['bound']:.0%} bound"
         print(
             f"{name}: parent {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}] -> change {c[1]:.4g} "

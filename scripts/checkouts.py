@@ -24,26 +24,15 @@ def orders(rounds: int) -> list[tuple[str, str]]:
     return [("parent", "change") if r % 2 == 0 else ("change", "parent") for r in range(rounds)]
 
 
-def child_env(checkout: Path, perfbench: bool = False) -> dict[str, str]:
-    """The environment of a child that imports checkout's fqe (and its perfbench)."""
-    paths = [checkout / "src", checkout] if perfbench else [checkout / "src"]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
+def child_env(checkout: Path) -> dict[str, str]:
+    """The environment of a child that imports checkout's fqe."""
+    return {**os.environ, "PYTHONPATH": str(checkout / "src")}
 
 
 def check(what: str, returncode: int, stderr: str) -> None:
     """Raise RuntimeError with the tail of stderr if a child exited non-zero."""
     if returncode:
         raise RuntimeError(f"{what} exited {returncode}:\n{stderr[-2000:]}")
-
-
-def run(checkout: Path, args: list[str], what: str, perfbench: bool = False) -> str:
-    """Run `python args` in checkout with child_env; its stdout."""
-    done = subprocess.run(
-        [sys.executable, *args], cwd=checkout, env=child_env(checkout, perfbench),
-        capture_output=True, text=True,
-    )
-    check(f"{what} in {checkout}", done.returncode, done.stderr)
-    return done.stdout
 
 
 def git_head(checkout: Path) -> str:

@@ -80,11 +80,15 @@ def read_manifest(path: Path) -> list[tuple[str, str, list[int]]]:
     with path.open() as fh:
         lines = [line for line in fh if not line.startswith("#")]
     reader = csv.DictReader(lines)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ValueError(f"manifest {path}: {exc}") from None
     factors = [f"q1_{i}" for i in range(1, MANIFEST_FACTORS + 1)]
     if reader.fieldnames is None or not {"filename", "label", *factors} <= set(reader.fieldnames):
         raise ValueError(f"manifest {path} is missing required columns")
     entries = []
-    for n, row in enumerate(reader, start=1):
+    for n, row in enumerate(rows, start=1):
         try:
             truth = [int(row[name]) for name in factors]
         except (TypeError, ValueError):

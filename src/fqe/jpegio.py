@@ -1050,7 +1050,8 @@ def encode_baseline_gray(img: GrayImage, table: QuantTable) -> bytes:
 
 
 def read_pgm(data: bytes) -> GrayImage:
-    """Read a binary PGM (P5). 16-bit samples are mapped to their high byte."""
+    """Read a binary PGM (P5). Samples are scaled from 0..maxval to 0..255,
+    rounding to nearest, so maxval 255 reads each sample as it is."""
     if not data.startswith(b"P5"):
         raise PgmError("not a binary PGM (P5) stream")
     pos = 2
@@ -1086,7 +1087,7 @@ def read_pgm(data: bytes) -> GrayImage:
     samples = np.frombuffer(data, dtype=">u2" if wide else np.uint8, count=n, offset=pos)
     if samples.max() > maxval:
         raise PgmError(f"PGM sample {samples.max()} exceeds maxval {maxval}")
-    pixels = (samples >> 8 if wide else samples).astype(np.uint8)
+    pixels = ((samples.astype(np.uint32) * 255 + maxval // 2) // maxval).astype(np.uint8)
     return GrayImage(pixels.reshape(height, width))
 
 

@@ -68,7 +68,21 @@ def test_regression_beyond_the_relative_bound():
 
 
 def test_no_bound_reads_none():
-    assert summarize([1.0, 2.0], [3.0, 4.0], "lower")["regression"] is None
+    s = summarize([1.0, 2.0], [3.0, 4.0], "lower")
+    assert s["regression"] is None and s["unresolved"] is None
+
+
+def test_unresolved_when_the_parent_spread_passes_the_bound():
+    # Parent quartiles 87.5 and 112.5: a spread of 25 % of the median 100.
+    parent = [50.0, 100.0, 150.0, 100.0]
+    s = summarize(parent, [101.0] * 4, "lower", 0.24)
+    assert s["unresolved"] and not s["regression"]
+    # Every change run beats every parent run: resolved, in either direction.
+    s = summarize(parent, [40.0] * 4, "lower", 0.24)
+    assert not s["unresolved"] and not s["regression"]
+    assert not summarize(parent, [160.0] * 4, "higher", 0.24)["unresolved"]
+    # A spread within the bound resolves the metric.
+    assert not summarize(parent, [101.0] * 4, "lower", 0.26)["unresolved"]
 
 
 def test_differing_pairs_names_each_pair_that_differs():

@@ -107,6 +107,18 @@ class TestBuild:
         # byte-identical regardless of worker count
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_twelve_bit_pgm_builds_as_its_eight_bit_image(self, tmp_path, raw_dir, runner):
+        deep = tmp_path / "deep"
+        deep.mkdir()
+        for path in sorted(raw_dir.glob("*.pgm")):
+            img = read_pgm(path.read_bytes())
+            samples = np.round(img.pixels.astype(np.float64) * 4095 / 255).astype(">u2")
+            header = f"P5\n{img.width} {img.height}\n4095\n".encode()
+            (deep / path.name).write_bytes(header + samples.tobytes())
+        build(runner, raw_dir, tmp_path / "8.fqe", "--q1-max", "4")
+        build(runner, deep, tmp_path / "12.fqe", "--q1-max", "4")
+        assert (tmp_path / "12.fqe").read_bytes() == (tmp_path / "8.fqe").read_bytes()
+
     def test_file_equals_serialize(self, tmp_path, raw_dir, runner):
         out = tmp_path / "w.fqe"
         lines = build(runner, raw_dir, out, "--q1-max", "5")
@@ -970,6 +982,25 @@ class TestEvaluate:
         assert f"Error: manifest {manifest} row 2 ({name}): needs 15 integer q1 factors" in (
             result.output
         )
+        assert not (tmp_path / "rep").exists()
+
+    def test_oversized_manifest_field_is_an_error_not_a_traceback(self, tmp_path, dataset_file):
+        # A field past csv's 131072-character limit makes the reader raise csv.Error.
+        corpus = tmp_path / "huge"
+        corpus.mkdir()
+        header = "filename,label,crop_x,crop_y," + ",".join(f"q1_{i}" for i in range(1, 16))
+        row = "x" * 200_000 + ".jpg,qf80,0,0," + ",".join(["3"] * 15)
+        (corpus / "manifest.csv").write_text(f"{header}\n{row}\n")
+        done = run_python(
+            "import sys; from fqe.cli import main; main(sys.argv[1:])",
+            "evaluate", "--corpus-dir", str(corpus), "--dataset", str(dataset_file),
+            "--out-dir", str(tmp_path / "rep"), "--jobs", "1",
+        )
+        assert done.returncode == 1, done.stderr
+        assert f"Error: manifest {corpus / 'manifest.csv'}: field larger than field limit" in (
+            done.stderr
+        )
+        assert "Traceback" not in done.stderr
         assert not (tmp_path / "rep").exists()
 
     def test_report_deterministic(self, tmp_path, raw_dir, dataset_file, runner):

@@ -347,9 +347,21 @@ class TestPgm:
         assert img.width == 2 and img.height == 2
         assert img.pixels.reshape(-1).tolist() == [0, 64, 128, 255]
 
-    def test_sixteen_bit_high_byte(self):
-        data = b"P5 1 1 65535 " + bytes([0xFF, 0x00])
-        assert jpegio.read_pgm(data).pixels[0, 0] == 255
+    @pytest.mark.parametrize(
+        "maxval, sample, pixel",
+        [
+            (65535, 0xFFFF, 255),
+            (65535, 0xFF00, 254),  # not its high byte, 255
+            (1000, 1000, 255),
+            (15, 15, 255),
+            (15, 7, 119),
+            (255, 64, 64),
+        ],
+    )
+    def test_samples_scale_by_maxval(self, maxval, sample, pixel):
+        raster = sample.to_bytes(2 if maxval > 255 else 1, "big")
+        data = b"P5 1 1 %d " % maxval + raster
+        assert jpegio.read_pgm(data).pixels[0, 0] == pixel
 
     def test_truncated(self):
         with pytest.raises(jpegio.PgmError):

@@ -1,7 +1,6 @@
 """Every script under scripts/ starts, and the checkout plumbing they share works."""
 
 import importlib.util
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -45,13 +44,10 @@ def test_sides_resolve_and_default_to_this_checkout(tmp_path):
 
 
 def test_child_env_and_a_failing_child(tmp_path):
-    env = checkouts.child_env(tmp_path, perfbench=True)
-    assert env["PYTHONPATH"].split(os.pathsep) == [str(tmp_path / "src"), str(tmp_path)]
     assert checkouts.child_env(tmp_path)["PYTHONPATH"] == str(tmp_path / "src")
-    assert checkouts.run(tmp_path, ["-c", "print('hi')"], "probe") == "hi\n"
-    with pytest.raises(RuntimeError, match=r"probe in .* exited 3:\nboom"):
-        checkouts.run(tmp_path, ["-c", "import sys; print('boom', file=sys.stderr); sys.exit(3)"],
-                      "probe")
+    checkouts.check("probe", 0, "")
+    with pytest.raises(RuntimeError, match=r"probe exited 3:\nboom"):
+        checkouts.check("probe", 3, "boom")
 
 
 def test_header_names_the_command_checkouts_and_host():
