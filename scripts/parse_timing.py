@@ -14,7 +14,8 @@ per parse; the round's ratio is the change's over the parent's.
 It writes BENCH_<label>.json to --out-dir (this repository's root by
 default): per input the sides' per-round times with their quartiles, the
 peaks, the ratio's quartiles and the rounds the change won. The files are
-made in a temporary directory, removed before the timing starts.
+made once into scripts/.cache/<key>, keyed by a sha256 over the sources
+they are made from (KEYED), and read from there by every later run.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shutil
 import statistics
 import sys
 import tempfile
@@ -40,10 +42,14 @@ INPUTS = {
     "gray-1mp-rst1": "the color-420 luma as one gray scan, a restart after every MCU (no lanes)",
 }
 QUARTILES = ("q1", "median", "q3")
+CACHE = checkouts.ROOT / "scripts" / ".cache"
+# The files make_inputs reads to make its input files, and this script.
+KEYED = ("src/**/*.py", "tests/conftest.py", "tests/jpegwriter.py", "perfbench/inputs.py",
+         "scripts/parse_timing.py")
 
 
-def make_inputs(folder: Path) -> dict[str, list[bytes]]:
-    """Write every input set as folder/<name>/**/*.jpg; each set's files."""
+def make_inputs(folder: Path) -> None:
+    """Write every input set as folder/<name>/**/*.jpg."""
     bench = checkouts.inputs()
     from fqe import dctsim, jpegio
 
@@ -70,6 +76,32 @@ def make_inputs(folder: Path) -> dict[str, list[bytes]]:
     # 2048x512 image of the same blocks.
     data = writer.encode_grids(512, 2048, [(1, 1, 1)], [[1]], {1: luma}, 1)
     (folder / "gray-1mp-rst1" / "img000.jpg").write_bytes(data)
+
+
+def inputs_key() -> str:
+    """sha256 over the path and bytes of every KEYED file of this checkout."""
+    h = hashlib.sha256()
+    for pattern in KEYED:
+        for path in sorted(checkouts.ROOT.glob(pattern)):
+            h.update(path.relative_to(checkouts.ROOT).as_posix().encode() + b"\0")
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def cached_inputs(cache: Path = CACHE) -> dict[str, list[bytes]]:
+    """Each input set's files, made by make_inputs into cache/<inputs_key()> on first use.
+
+    A set is made in a temporary folder and renamed into place, so a run
+    cut short leaves no half-made set; the sets of other keys are removed.
+    """
+    folder = cache / inputs_key()
+    if not folder.is_dir():
+        cache.mkdir(parents=True, exist_ok=True)
+        for stale in cache.iterdir():
+            shutil.rmtree(stale)
+        tmp = Path(tempfile.mkdtemp(dir=cache, prefix=".making-"))
+        make_inputs(tmp)
+        tmp.rename(folder)
     return {n: [f.read_bytes() for f in sorted((folder / n).rglob("*.jpg"))] for n in INPUTS}
 
 
@@ -135,8 +167,7 @@ def main(argv=None) -> int:
     if args.rounds < 1:
         p.error("--rounds must be at least 1")
     sides = checkouts.sides(args.parent_checkout, args.checkout)
-    with tempfile.TemporaryDirectory(prefix="parse-timing-") as tmp:
-        files = make_inputs(Path(tmp))
+    files = cached_inputs()
     jpegios = {side: checkouts.load_fqe(path, f"fqe_{side}").jpegio for side, path in sides.items()}
     results = {}
     for name, description in INPUTS.items():

@@ -66,12 +66,10 @@ def _dataset_failure(exc: Exception) -> NoReturn:
 
 
 def _params_from_flags(
-    ds: ReferenceDataset, k: int, n: int, w: float, reg_variant: str, no_reg: bool
+    ds: ReferenceDataset, k: int, n: int, w: float, reg_variant: str
 ) -> EstimationParams:
     """The flags' params; exits 3 if ds does not cover them."""
-    params = EstimationParams(
-        k=k, n_candidates=n, w=w, reg_variant=reg_variant, regularize=not no_reg
-    )
+    params = EstimationParams(k=k, n_candidates=n, w=w, reg_variant=reg_variant)
     try:
         check_params(ds, params)
     except ValueError as exc:
@@ -80,7 +78,7 @@ def _params_from_flags(
 
 
 def _estimation_options(command):
-    """--k, --n, --w, --reg-variant and --no-reg, the flags of _params_from_flags."""
+    """--k, --n, --w and --reg-variant, the flags of _params_from_flags."""
     options = [
         click.option("--k", default=15, show_default=True, type=click.IntRange(2, 64)),
         click.option(
@@ -95,7 +93,6 @@ def _estimation_options(command):
             "--reg-variant", default="reg3", show_default=True,
             type=click.Choice(["reg1", "reg2", "reg3"]),
         ),
-        click.option("--no-reg", is_flag=True, help="Report raw argmin estimates only."),
     ]
     for option in reversed(options):
         command = option(command)
@@ -264,6 +261,7 @@ def _result_rows(result: EstimationResult) -> list[dict]:
 
 def _format_estimate(result: EstimationResult, fmt: str) -> str:
     rows = _result_rows(result)
+    params = result.params.as_dict(result.distances.q1_max)
     if fmt == "json":
         # JSON has no infinity: a candidate without reference data, which the
         # smoothness term can still pick, gets a null distance.
@@ -273,19 +271,15 @@ def _format_estimate(result: EstimationResult, fmt: str) -> str:
                     row[key] = None
         return json.dumps(
             {
-                "params": result.params.as_dict(result.distances.q1_max),
+                "params": params,
                 "warnings": result.warnings,
                 "positions": rows,
             },
             indent=2,
             allow_nan=False,
         )
-    p = result.params
     buf = io.StringIO()
-    buf.write(
-        f"# k={p.k} n={p.n_candidates} w={p.w} reg_variant={p.reg_variant} "
-        f"regularize={'on' if p.regularize else 'off'}\n"
-    )
+    buf.write("# " + " ".join(f"{key}={value}" for key, value in params.items()) + "\n")
     # csv writes None as "" and a float by its repr.
     writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
@@ -301,11 +295,11 @@ def _format_estimate(result: EstimationResult, fmt: str) -> str:
     "--format", "fmt", default="json", show_default=True, type=click.Choice(["json", "csv"])
 )
 def estimate_cmd(
-    image: str, dataset: str, k: int, n: int, w: float, reg_variant: str, no_reg: bool, fmt: str
+    image: str, dataset: str, k: int, n: int, w: float, reg_variant: str, fmt: str
 ) -> None:
     """Estimate the first quantization factors of one JPEG image."""
     ds = _load_dataset(dataset)
-    params = _params_from_flags(ds, k, n, w, reg_variant, no_reg)
+    params = _params_from_flags(ds, k, n, w, reg_variant)
     try:
         result = estimate(Path(image).read_bytes(), ds, params)
     except (JpegError, OSError) as exc:
@@ -446,14 +440,13 @@ def evaluate_cmd(
     n: int,
     w: float,
     reg_variant: str,
-    no_reg: bool,
     jobs: int | None,
     out_dir: str,
 ) -> None:
     """Evaluate estimation accuracy over a corpus with a manifest."""
     n_jobs = jobs or os.cpu_count() or 1
     ds = _load_dataset(dataset)
-    params = _params_from_flags(ds, k, n, w, reg_variant, no_reg)
+    params = _params_from_flags(ds, k, n, w, reg_variant)
     try:
         report = evaluate_corpus(Path(corpus_dir), ds, params, jobs=n_jobs)
     except DatasetFormatError as exc:

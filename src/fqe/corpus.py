@@ -96,6 +96,11 @@ def read_manifest(path: Path) -> list[tuple[str, str, list[int]]]:
                 f"manifest {path} row {n} ({row['filename']}): "
                 f"needs {MANIFEST_FACTORS} integer q1 factors"
             ) from None
+        for i, t in enumerate(truth, start=1):
+            if not 1 <= t <= 255:
+                raise ValueError(
+                    f"manifest {path} row {n} ({row['filename']}): q1_{i} is {t}, not 1 to 255"
+                )
         entries.append((row["filename"], row["label"], truth))
     if not entries:
         raise ValueError(f"manifest {path} lists no images")

@@ -33,7 +33,6 @@ class EstimationParams:
     n_candidates: int = 1000
     w: float = 0.92
     reg_variant: str = "reg3"
-    regularize: bool = True
 
     def __post_init__(self) -> None:
         if not 2 <= self.k <= 64:
@@ -215,21 +214,11 @@ def estimate(
     """End-to-end estimation of the first k quantization factors."""
     parsed = parse_jpeg(jpeg_bytes)
     dm = distance_matrix(parsed.coeffs, parsed.luma_table, ds, p)
-    raw = raw_estimates(dm)
-    warnings: list[str] = []
-    if p.regularize:
-        ok_count = sum(1 for s in dm.status if s == OK)
-        est = regularize(dm, p)
-        if ok_count < 3:
-            warnings.append(
-                "fewer than 3 usable coefficients: regularization skipped"
-            )
-    else:
-        est = raw
+    few = dm.status.count(OK) < 3
     return EstimationResult(
-        estimates=est,
-        raw_estimates=raw,
+        estimates=regularize(dm, p),
+        raw_estimates=raw_estimates(dm),
         distances=dm,
         params=p,
-        warnings=warnings,
+        warnings=["fewer than 3 usable coefficients: regularization skipped"] if few else [],
     )

@@ -268,26 +268,15 @@ def write_reference(
     """
     if not patches:
         raise ValueError("cannot build a reference dataset from no patches")
-    if q1_max < 1 or q1_max > 255:
-        raise ValueError(f"q1_max {q1_max} out of range [1, 255]")
-    if not 2 <= k <= 64:
-        raise ValueError(f"k {k} out of range [2, 64]")
+    side = patches[0].width
+    check_header(q1_max, k, side)
     if (len(patches) * q1_max * k) ** 2 >= 1 << 63:  # see _q1_records' sort keys
         raise ValueError(f"{len(patches)} patches give too many records per q1 to order")
-    side = patches[0].width
-    if side % 8 or side == 0:
-        raise ValueError("patch side must be a positive multiple of 8")
     for p in patches:
         if p.width != side or p.height != side:
             raise ValueError("all patches must share one square size")
-    n_blocks = (side // 8) ** 2
-    if n_blocks > _MAX_BIN:
-        raise ValueError(
-            f"patch side {side} gives {n_blocks} blocks; bin counts "
-            f"are stored as u16, so a patch may have at most {_MAX_BIN} blocks"
-        )
 
-    per_batch = max(1, _BATCH_BLOCKS // n_blocks)
+    per_batch = max(1, _BATCH_BLOCKS // (side // 8) ** 2)
     batches = [
         (_forward_dct(patches[i : i + per_batch]), len(patches[i : i + per_batch]))
         for i in range(0, len(patches), per_batch)
@@ -455,6 +444,19 @@ _COLUMNS = ("<f8", "<u2", "<i2", "<u2")
 _MAX_BIN = 0xFFFF
 
 
+def check_header(q1_max: int, k: int, patch_side: int) -> None:
+    """Raise ValueError naming the first FQE4 header field out of range: the one
+    rule of write_reference and deserialize. A u16 bin count must hold (side / 8)^2."""
+    if not 1 <= q1_max <= 255:
+        raise ValueError(f"q1_max {q1_max}, not 1 to 255")
+    if not 2 <= k <= 64:
+        raise ValueError(f"k {k}, not 2 to 64")
+    if patch_side % 8 or patch_side == 0:
+        raise ValueError(f"patch side {patch_side}, not 8 to 2040 by 8")
+    if (patch_side // 8) ** 2 > _MAX_BIN:
+        raise ValueError(f"patch side {patch_side}, not 8 to 2040 by 8: over {_MAX_BIN} blocks")
+
+
 def serialize(ds: ReferenceDataset) -> bytes:
     """The FQE4 file of ds: the bytes it is a view of."""
     return bytes(ds.data)
@@ -483,13 +485,10 @@ def deserialize(data: bytes | memoryview | mmap.mmap) -> ReferenceDataset:
     version, q1_max, k, patch_side, source_count = _HEADER.unpack_from(data, 4)
     if version != _VERSION:
         raise DatasetFormatError(f"unsupported dataset version {version}")
-    if q1_max < 1:
-        raise DatasetFormatError("dataset declares q1_max 0")
-    if not 2 <= k <= 64:
-        raise DatasetFormatError(f"dataset declares k {k}, not 2 to 64")
-    # Every mass is divided by the block count (patch_side / 8)^2.
-    if patch_side % 8 or not 0 < (patch_side // 8) ** 2 <= _MAX_BIN:
-        raise DatasetFormatError(f"dataset declares patch side {patch_side}, not 8 to 2040 by 8")
+    try:
+        check_header(q1_max, k, patch_side)
+    except ValueError as exc:
+        raise DatasetFormatError(f"dataset declares {exc}") from None
 
     n_sections = len(_KINDS) * q1_max * q1_max
     footer = size - 4 - 12 * n_sections

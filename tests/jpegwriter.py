@@ -121,6 +121,25 @@ def with_scan_header(data: bytes, payload: bytes) -> bytes:
     return data[:sos] + jpegio._segment(0xDA, payload) + data[end:]
 
 
+def with_segments_after_soi(data: bytes, segments: list[tuple[int, bytes]]) -> bytes:
+    """A stream with the given (marker, payload) segments inserted right after SOI."""
+    assert data[:2] == b"\xff\xd8"
+    return data[:2] + b"".join(jpegio._segment(m, p) for m, p in segments) + data[2:]
+
+
+def with_wide_dqt(data: bytes) -> bytes:
+    """A stream whose first DQT segment holds the same tables with 16-bit (Pq = 1) factors."""
+    dqt = data.find(b"\xff\xdb")
+    end = dqt + 2 + ((data[dqt + 2] << 8) | data[dqt + 3])
+    payload = data[dqt + 4 : end]
+    wide = b""
+    for pos in range(0, len(payload), 65):
+        assert payload[pos] >> 4 == 0, "8-bit tables only"
+        factors = np.frombuffer(payload, np.uint8, 64, pos + 1)
+        wide += bytes([0x10 | payload[pos]]) + factors.astype(">u2").tobytes()
+    return data[:dqt] + jpegio._segment(0xDB, wide) + data[end:]
+
+
 def random_grid(rng, blocks_w, blocks_h):
     """Sparse zig-zag blocks within the annex K tables' ranges: DC in
     [-1023, 1023], about one AC term in six non-zero with |value| < 1024,

@@ -539,8 +539,8 @@ class TestEstimate:
     @pytest.mark.parametrize(
         "fmt, digest",
         [
-            ("json", "ec356461209955309dfdd5ce5ad5a022a8234cb64d1503456a506203f05f1cb1"),
-            ("csv", "0e6e4c2138b8b152a9be505918c0cafc79534fa6d4564fe7ec42794d73fc67a3"),
+            ("json", "fa4346ea48a829f83d5b9429db40d9c95f0cc1263a4f3acd4dd4fa1ac45e4b02"),
+            ("csv", "b0d9a1ec8f33320877af372147dae21c0db340923b6ed63078604f51804401ac"),
         ],
     )
     def test_output_bytes_pinned(self, tmp_path, runner, fmt, digest):
@@ -592,18 +592,17 @@ class TestEstimate:
             ],
         )
         assert result.exit_code == 0
-        assert result.output.splitlines()[0] == "# k=15 n=1000 w=0.92 reg_variant=reg3 regularize=on"
+        assert result.output.splitlines()[0] == "# k=15 q1_max=6 n_candidates=1000 w=0.92 reg_variant=reg3"
 
-    def test_no_reg_columns_equal(self, tmp_path, raw_dir, dataset_file, runner):
-        corpus = make_corpus(runner, raw_dir, tmp_path / "corpus3", "--qf1", "85")
-        image = next(p for p in sorted(corpus.iterdir()) if p.suffix == ".jpg")
+    @pytest.mark.parametrize("command, source", [("estimate", "--image"), ("evaluate", "--corpus-dir")])
+    def test_no_reg_is_usage_error(self, tmp_path, dataset_file, runner, command, source):
+        # Regularization always runs: the flag that turned it off is gone.
+        path = dataset_file if command == "estimate" else tmp_path
         result = runner.invoke(
-            main,
-            ["estimate", "--image", str(image), "--dataset", str(dataset_file), "--no-reg"],
+            main, [command, source, str(path), "--dataset", str(dataset_file), "--no-reg"]
         )
-        report = json.loads(result.output)
-        for row in report["positions"]:
-            assert row["raw"] == row["estimate"]
+        assert result.exit_code == 2, result.output
+        assert "No such option" in result.output and "--no-reg" in result.output
 
     @pytest.mark.parametrize(
         "content", ["junk", "duplicate-component-id", "zero-component-scan", "component-in-two-scans"]
@@ -982,6 +981,30 @@ class TestEvaluate:
         assert f"Error: manifest {manifest} row 2 ({name}): needs 15 integer q1 factors" in (
             result.output
         )
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("position, factor", [(1, 0), (7, 999), (15, -3)])
+    def test_manifest_factor_out_of_range_names_the_position(
+        self, tmp_path, raw_dir, dataset_file, runner, position, factor
+    ):
+        corpus = make_corpus(runner, raw_dir, tmp_path / "range", "--qf1", "80")
+        manifest = corpus / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[3 + position] = str(factor)
+        lines[2] = ",".join(cells)
+        manifest.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(
+            main,
+            ["evaluate", "--corpus-dir", str(corpus), "--dataset", str(dataset_file),
+             "--out-dir", str(tmp_path / "rep"), "--jobs", "1"],
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert (
+            f"Error: manifest {manifest} row 1 ({cells[0]}): q1_{position} is {factor}, "
+            "not 1 to 255"
+        ) in result.output
         assert not (tmp_path / "rep").exists()
 
     def test_oversized_manifest_field_is_an_error_not_a_traceback(self, tmp_path, dataset_file):

@@ -49,7 +49,7 @@ def test_report_bytes_pinned(pinned_corpus, jobs):
         for text in (json.dumps(report, indent=2), report_to_csv(report))
     ]
     assert digests == [
-        "543164fd07ca748cab739c196acbfc944b71039bb069c1a88619d982bd176eab",
+        "aff7fb50387863372d40fe5e376c01efe088bd8ec8226aa8a1718f0778f18f8d",
         "d9592f223282b4236a173dcbd4be6a050613572b10b181e14d435eb1c5cfc455",
     ]
 

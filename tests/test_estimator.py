@@ -324,13 +324,18 @@ class TestEstimate:
         result = estimate(data, ds8, EstimationParams())
         assert len(result.estimates) == 15
 
-    def test_no_reg_keeps_raw(self, ds8):
+    def test_always_regularizes(self, ds8):
+        # Regularization is not optional: the estimates are always its answer.
         patches = synth_patches(seed=37, count=1)
         data = double_compress_file(
             patches[0], dctsim.constant_table(5), dctsim.constant_table(2)
         )
-        result = estimate(data, ds8, EstimationParams(regularize=False))
-        assert result.estimates == result.raw_estimates
+        result = estimate(data, ds8, EstimationParams())
+        assert result.estimates == regularize(result.distances, result.params)
+        assert result.raw_estimates == raw_estimates(result.distances)
+        assert not result.warnings
+        with pytest.raises(TypeError):
+            EstimationParams(regularize=False)
 
     def test_determinism(self, ds8):
         patches = synth_patches(seed=38, count=1)

@@ -14,7 +14,15 @@ from fqe import dctsim, jpegio
 from fqe.types import GrayImage, QuantTable
 
 from conftest import synth_patch, synth_patches, write_pgm
-from jpegwriter import encode_grids, with_duplicate_component, with_scan_header
+from jpegwriter import (
+    encode_grids,
+    random_grid,
+    scan_layout,
+    with_duplicate_component,
+    with_scan_header,
+    with_segments_after_soi,
+    with_wide_dqt,
+)
 
 try:
     from PIL import Image as PIL_Image
@@ -267,6 +275,59 @@ class TestParserErrors:
         data = self.hand_built(65535, 65535, 0, "00" * 16)
         with pytest.raises(jpegio.JpegFormatError, match="cannot hold"):
             jpegio.parse_jpeg(data)
+
+
+# What a camera writes before its tables: JFIF, Exif and a comment. The Exif
+# and comment payloads hold EOI and SOI byte pairs, which the segment length skips.
+APP_AND_COM = [
+    (0xE0, b"JFIF\x00\x01\x01\x00\x00\x01\x00\x01\x00\x00"),
+    (0xE1, b"Exif\x00\x00MM\x00\x2a" + b"\xff\xd9\xff\xd8" * 8),
+    (0xFE, b"a comment \xff\xd9"),
+]
+
+
+def gray_stream(table: QuantTable) -> bytes:
+    return jpegio.encode_baseline_gray(synth_patches(seed=41, count=1)[0], table)
+
+
+def color_420_stream() -> bytes:
+    components = [(1, 2, 2), (2, 1, 1), (3, 1, 1)]
+    rng = np.random.default_rng(42)
+    layout = scan_layout(40, 24, components, [1, 2, 3])
+    grids = {cid: random_grid(rng, bw, bh) for cid, (bw, bh) in layout.items()}
+    return encode_grids(40, 24, components, [[1, 2, 3]], grids)
+
+
+def assert_same_parse(data: bytes, expected: bytes) -> None:
+    got, want = jpegio.parse_jpeg(data), jpegio.parse_jpeg(expected)
+    assert got.tables == want.tables
+    assert got.frame == want.frame
+    assert got.coeffs == want.coeffs
+    assert got.component_coeffs.keys() == want.component_coeffs.keys()
+    for cid, grid in want.component_coeffs.items():
+        assert np.array_equal(got.component_coeffs[cid], grid)
+
+
+class TestSkippedAndWideSegments:
+    @pytest.mark.parametrize("kind", ["gray", "4:2:0"])
+    def test_app_and_com_segments_are_skipped(self, kind):
+        data = gray_stream(dctsim.standard_table(75)) if kind == "gray" else color_420_stream()
+        assert_same_parse(with_segments_after_soi(data, APP_AND_COM), data)
+
+    def test_16_bit_dqt_parses_to_the_same_table(self):
+        table = dctsim.standard_table(10)  # factors up to 255
+        data = gray_stream(table)
+        wide = with_wide_dqt(data)
+        assert len(wide) == len(data) + 64
+        assert_same_parse(wide, data)
+        assert jpegio.parse_jpeg(wide).luma_table == table
+
+    def test_16_bit_dqt_factor_above_255_rejected(self):
+        wide = bytearray(with_wide_dqt(gray_stream(dctsim.constant_table(255))))
+        first = wide.find(b"\xff\xdb") + 5  # the first factor's two bytes
+        wide[first : first + 2] = (256).to_bytes(2, "big")
+        with pytest.raises(jpegio.JpegFormatError, match=r"outside \[1, 255\]"):
+            jpegio.parse_jpeg(bytes(wide))
 
 
 @pytest.mark.skipif(PIL_Image is None, reason="Pillow cross-checks")

@@ -675,6 +675,28 @@ class TestSerialization:
         with pytest.raises(DatasetFormatError, match=f"patch side {side}"):
             deserialize(with_crc(bytes(body)))
 
+    @pytest.mark.parametrize(
+        "q1_max, k, side, field",
+        [
+            (0, 4, 64, "q1_max 0, not 1 to 255"),
+            (2, 1, 64, "k 1, not 2 to 64"),
+            (2, 65, 64, "k 65, not 2 to 64"),
+            (2, 4, 12, "patch side 12, not 8 to 2040 by 8"),
+            (2, 4, 60, "patch side 60, not 8 to 2040 by 8"),
+            (2, 4, 2048, "patch side 2048, not 8 to 2040 by 8: over 65535 blocks"),
+        ],
+    )
+    def test_writer_and_reader_share_the_header_rule(self, q1_max, k, side, field):
+        patch = GrayImage(np.zeros((side, side), dtype=np.uint8))
+        with pytest.raises(ValueError) as written:
+            refdata.write_reference(io.BytesIO(), [patch], q1_max=q1_max, k=k)
+        body = bytearray(tiny_blob()[:-4])
+        struct.pack_into("<BBH", body, 6, q1_max, k, side)  # the header after magic and version
+        with pytest.raises(DatasetFormatError) as read:
+            deserialize(with_crc(bytes(body)))
+        assert str(written.value) == field
+        assert str(read.value) == f"dataset declares {field}"
+
     @pytest.mark.parametrize("k", [0, 1, 65, 200])
     def test_bad_k_rejected(self, k):
         # write_reference takes k in 2..64 only; the header's k byte follows q1_max.

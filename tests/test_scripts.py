@@ -110,3 +110,26 @@ def test_parse_timing_reports_a_differing_digest(two_copies, image):
     broken = parse_timing.time_input({"parent": a.jpegio, "change": b.jpegio}, [image[:40]], 1)
     assert broken["grids_equal"]
     assert parse_timing.digest(parse_timing.parse(a.jpegio, image[:40])).startswith("Jpeg")
+
+
+def test_parse_timing_makes_its_inputs_once_per_key(tmp_path, monkeypatch):
+    parse_timing = load_script(checkouts.ROOT / "scripts" / "parse_timing.py")
+    made = []
+
+    def make_inputs(folder):
+        made.append(folder)
+        for name in parse_timing.INPUTS:
+            (folder / name).mkdir()
+            (folder / name / "img000.jpg").write_bytes(name.encode())
+
+    monkeypatch.setattr(parse_timing, "make_inputs", make_inputs)
+    key = parse_timing.inputs_key()
+    assert len(key) == 64 and key == parse_timing.inputs_key()
+    first = parse_timing.cached_inputs(tmp_path)
+    assert parse_timing.cached_inputs(tmp_path) == first
+    assert len(made) == 1 and [p.name for p in tmp_path.iterdir()] == [key]
+    assert first == {name: [name.encode()] for name in parse_timing.INPUTS}
+    # A new key makes the inputs again and drops the old key's.
+    monkeypatch.setattr(parse_timing, "inputs_key", lambda: "other")
+    parse_timing.cached_inputs(tmp_path)
+    assert len(made) == 2 and [p.name for p in tmp_path.iterdir()] == ["other"]
