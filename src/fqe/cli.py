@@ -1,8 +1,8 @@
 """Command-line surface: build datasets, generate corpora, estimate, evaluate.
 
 Exit codes for `estimate`: 0 success, 2 unreadable or unsupported JPEG,
-3 dataset failure (unreadable file or parameter mismatch), 4 when nothing
-could be estimated because the image's q2 factors exceed the dataset grid.
+3 dataset unreadable or corrupt, 4 when nothing could be estimated
+because the image's q2 factors exceed the dataset grid.
 `evaluate` also exits 3 on a dataset failure, and `info` on an unreadable file.
 """
 
@@ -31,7 +31,7 @@ from .corpus import (
     write_manifest,
 )
 from .dctsim import standard_table
-from .estimator import OK, UNSUPPORTED, EstimationParams, EstimationResult, check_params, estimate
+from .estimator import OK, UNSUPPORTED, EstimationParams, EstimationResult, estimate
 from .jpegio import JpegError, PgmError, read_pgm, crop_center
 from .refdata import (
     DatasetFormatError,
@@ -65,22 +65,9 @@ def _dataset_failure(exc: Exception) -> NoReturn:
     sys.exit(EXIT_DATASET_FAILURE)
 
 
-def _params_from_flags(
-    ds: ReferenceDataset, k: int, n: int, w: float, reg_variant: str
-) -> EstimationParams:
-    """The flags' params; exits 3 if ds does not cover them."""
-    params = EstimationParams(k=k, n_candidates=n, w=w, reg_variant=reg_variant)
-    try:
-        check_params(ds, params)
-    except ValueError as exc:
-        _dataset_failure(exc)
-    return params
-
-
 def _estimation_options(command):
-    """--k, --n, --w and --reg-variant, the flags of _params_from_flags."""
+    """--n, --w and --reg-variant, the fields of EstimationParams."""
     options = [
-        click.option("--k", default=15, show_default=True, type=click.IntRange(2, 64)),
         click.option(
             "--n", default=1000, show_default=True, type=click.IntRange(min=1),
             help="Candidates per sub-dataset.",
@@ -261,7 +248,7 @@ def _result_rows(result: EstimationResult) -> list[dict]:
 
 def _format_estimate(result: EstimationResult, fmt: str) -> str:
     rows = _result_rows(result)
-    params = result.params.as_dict(result.distances.q1_max)
+    params = result.params.as_dict(result.distances.k, result.distances.q1_max)
     if fmt == "json":
         # JSON has no infinity: a candidate without reference data, which the
         # smoothness term can still pick, gets a null distance.
@@ -294,12 +281,10 @@ def _format_estimate(result: EstimationResult, fmt: str) -> str:
 @click.option(
     "--format", "fmt", default="json", show_default=True, type=click.Choice(["json", "csv"])
 )
-def estimate_cmd(
-    image: str, dataset: str, k: int, n: int, w: float, reg_variant: str, fmt: str
-) -> None:
+def estimate_cmd(image: str, dataset: str, n: int, w: float, reg_variant: str, fmt: str) -> None:
     """Estimate the first quantization factors of one JPEG image."""
     ds = _load_dataset(dataset)
-    params = _params_from_flags(ds, k, n, w, reg_variant)
+    params = EstimationParams(n_candidates=n, w=w, reg_variant=reg_variant)
     try:
         result = estimate(Path(image).read_bytes(), ds, params)
     except (JpegError, OSError) as exc:
@@ -436,7 +421,6 @@ def make_corpus(
 def evaluate_cmd(
     corpus_dir: str,
     dataset: str,
-    k: int,
     n: int,
     w: float,
     reg_variant: str,
@@ -446,7 +430,7 @@ def evaluate_cmd(
     """Evaluate estimation accuracy over a corpus with a manifest."""
     n_jobs = jobs or os.cpu_count() or 1
     ds = _load_dataset(dataset)
-    params = _params_from_flags(ds, k, n, w, reg_variant)
+    params = EstimationParams(n_candidates=n, w=w, reg_variant=reg_variant)
     try:
         report = evaluate_corpus(Path(corpus_dir), ds, params, jobs=n_jobs)
     except DatasetFormatError as exc:

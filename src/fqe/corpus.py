@@ -3,7 +3,8 @@
 A corpus is a directory of JPEG files and a manifest that gives each file a
 label (its first-compression table) and the first 15 zig-zag factors of that
 table. `evaluate_corpus` estimates every file and counts, per label and per
-position, how many estimates were degenerate, unsupported or correct.
+position up to the dataset's k or 15, how many estimates were degenerate,
+unsupported or correct.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ import csv
 import functools
 import io
 import tempfile
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 
 from .dctsim import reconstruct
-from .estimator import DEGENERATE, OK, UNSUPPORTED, EstimationParams, check_params, estimate
+from .estimator import DEGENERATE, OK, UNSUPPORTED, EstimationParams, estimate
 from .jpegio import encode_baseline_gray, parse_jpeg
 from .refdata import DatasetFormatError, ReferenceDataset, load_dataset
 from .types import GrayImage, QuantTable
@@ -101,6 +102,9 @@ def read_manifest(path: Path) -> list[tuple[str, str, list[int]]]:
                 raise ValueError(
                     f"manifest {path} row {n} ({row['filename']}): q1_{i} is {t}, not 1 to 255"
                 )
+        name = PurePath(row["filename"])
+        if name.is_absolute() or ".." in name.parts:
+            raise ValueError(f"manifest {path} row {n} ({name}): leaves the corpus directory")
         entries.append((row["filename"], row["label"], truth))
     if not entries:
         raise ValueError(f"manifest {path} lists no images")
@@ -116,9 +120,10 @@ def _eval_one(
     """Estimate one corpus file: its label and the counts of _row per position."""
     filename, label, truth = item
     result = estimate((corpus / filename).read_bytes(), ds, params)
-    status = result.distances.status
+    positions = min(ds.k, MANIFEST_FACTORS)
+    status = result.distances.status[:positions]
     counts = [
-        [1] * params.k,
+        [1] * positions,
         [s == DEGENERATE for s in status],
         [s == UNSUPPORTED for s in status],
         [s == OK and r == t for s, r, t in zip(status, result.raw_estimates, truth)],
@@ -177,10 +182,7 @@ def evaluate_corpus(
     temporary copy of a dataset held only in memory, and fails with
     DatasetFormatError if that file's CRC trailer is not ds's.
     """
-    check_params(ds, params)
     work = read_manifest(corpus_dir / MANIFEST_NAME)
-    if params.k > MANIFEST_FACTORS:
-        raise ValueError(f"manifest carries {MANIFEST_FACTORS} factors, requested k={params.k}")
     for filename, _, _ in work:
         if not (corpus_dir / filename).is_file():
             raise ValueError(f"manifest lists missing file {filename}")
@@ -198,11 +200,11 @@ def evaluate_corpus(
         outcomes = [_eval_one(ds, params, corpus_dir, item) for item in work]
 
     labels = sorted({label for _, label, _ in work})
-    tally = {label: np.zeros((5, params.k), dtype=int) for label in labels}
+    tally = {label: np.zeros((5, min(ds.k, MANIFEST_FACTORS)), dtype=int) for label in labels}
     for label, counts in outcomes:
         tally[label] += counts
     return {
-        "params": params.as_dict(ds.q1_max),
+        "params": params.as_dict(ds.k, ds.q1_max),
         "dataset": {
             "q1_max": ds.q1_max,
             "k": ds.k,

@@ -1,11 +1,11 @@
 """First-quantization estimation: candidate scoring and regularization.
 
 For each of the first k zig-zag coefficients of a double-compressed image,
-the histogram is compared against the nearest reference records of every
-section (j, q2_i) of its kind, DC or AC; the per-candidate minima form a
-distance matrix whose row argmins are the raw estimates. Regularization
-rescores sliding triplets of consecutive usable coefficients with a
-smoothness term and aggregates the per-window votes.
+k being the reference dataset's, the histogram is compared against the
+nearest reference records of every section (j, q2_i) of its kind, DC or AC;
+the per-candidate minima form a distance matrix whose row argmins are the
+raw estimates. Regularization rescores sliding triplets of consecutive
+usable coefficients with a smoothness term and aggregates the window votes.
 """
 
 from __future__ import annotations
@@ -29,14 +29,11 @@ REG_VARIANTS = ("reg1", "reg2", "reg3")
 
 @dataclass(frozen=True)
 class EstimationParams:
-    k: int = 15
     n_candidates: int = 1000
     w: float = 0.92
     reg_variant: str = "reg3"
 
     def __post_init__(self) -> None:
-        if not 2 <= self.k <= 64:
-            raise ValueError(f"k {self.k} out of range [2, 64]")
         if self.n_candidates < 1:
             raise ValueError("n_candidates must be at least 1")
         if not 0.0 <= self.w <= 1.0:
@@ -44,11 +41,10 @@ class EstimationParams:
         if self.reg_variant not in REG_VARIANTS:
             raise ValueError(f"reg_variant must be one of {REG_VARIANTS}")
 
-    def as_dict(self, q1_max: int) -> dict:
-        """The fields as the reports print them, with the q1 grid of the
-        dataset they ran on as the second key."""
-        fields = asdict(self)
-        return {"k": fields.pop("k"), "q1_max": q1_max, **fields}
+    def as_dict(self, k: int, q1_max: int) -> dict:
+        """The fields as the reports print them, after the k and the q1 grid
+        of the dataset they ran on."""
+        return {"k": k, "q1_max": q1_max, **asdict(self)}
 
 
 @dataclass
@@ -79,24 +75,17 @@ class EstimationResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def check_params(ds: ReferenceDataset, p: EstimationParams) -> None:
-    """Raise ValueError unless ds covers p's first k coefficients."""
-    if p.k > ds.k:
-        raise ValueError(f"dataset covers k={ds.k} coefficients, requested k={p.k}")
-
-
 def distance_matrix(
     grid: CoeffGrid,
     q2_table: QuantTable,
     ds: ReferenceDataset,
     p: EstimationParams,
 ) -> DistanceMatrix:
-    """Best distances of each coefficient against every q1 candidate of ds."""
-    check_params(ds, p)
-    d = np.full((p.k, ds.q1_max), np.inf)
+    """Best distances of ds's first k coefficients against every q1 candidate of ds."""
+    d = np.full((ds.k, ds.q1_max), np.inf)
     status: list[str] = []
     q2s: list[int] = []
-    for i in range(1, p.k + 1):
+    for i in range(1, ds.k + 1):
         hist = build_histogram(grid.coefficient(i))
         q2_i = q2_table.zigzag_factor(i)
         q2s.append(q2_i)
@@ -211,7 +200,7 @@ def regularize(d: DistanceMatrix, p: EstimationParams) -> list[int | None]:
 def estimate(
     jpeg_bytes: bytes, ds: ReferenceDataset, p: EstimationParams = EstimationParams()
 ) -> EstimationResult:
-    """End-to-end estimation of the first k quantization factors."""
+    """End-to-end estimation of the first ds.k quantization factors."""
     parsed = parse_jpeg(jpeg_bytes)
     dm = distance_matrix(parsed.coeffs, parsed.luma_table, ds, p)
     few = dm.status.count(OK) < 3

@@ -115,7 +115,7 @@ def test_criterion_3_exact_match_consistency():
             img, dctsim.constant_table(q1), dctsim.constant_table(1)
         )
         result = estimator.estimate(data, ds, params)
-        for i in range(params.k):
+        for i in range(ds.k):
             if result.distances.status[i] != OK:
                 continue
             total += 1

@@ -31,6 +31,7 @@ from fqe.types import GrayImage
 
 from conftest import synth_patches, with_first_bin, write_pgm
 from jpegwriter import encode_grids, with_duplicate_component, with_scan_header
+from test_jpegio import PARSE_ERRORS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -500,6 +501,53 @@ class TestMakeCorpus:
         assert f"Error: {raw / 'b_cut.pgm'}: truncated PGM pixel data" in result.output
         assert not list(out.glob("*.jpg")) and not (out / "manifest.csv").exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 2 3\n", "line 1: expected 8 integers, got 3"),
+            ("\n1 2 3 4 5 6 7 x\n", "line 2: non-integer factor"),
+            ("1 2 3 4 5 6 7 8\n", "trailing lines do not form a full 8x8 table"),
+            ("\n \n", "table file contains no tables"),
+        ],
+    )
+    def test_bad_table_file_exits_1(self, tmp_path, raw_dir, runner, text, message):
+        tables = tmp_path / "tables.txt"
+        tables.write_text(text)
+        result = runner.invoke(
+            main,
+            [
+                "make-corpus", "--raw-dir", str(raw_dir), "--out-dir", str(tmp_path / "x"),
+                "--tables", str(tables), "--qf2", "90",
+            ],
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: bad table file {tables}: {message}" in result.output
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("case", ["both", "neither", "random-without-seed", "no-pgm"])
+    def test_bad_request_exits_1(self, tmp_path, raw_dir, runner, case):
+        tables = tmp_path / "tables.txt"
+        tables.write_text("\n".join(" ".join("7" for _ in range(8)) for _ in range(8)))
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        args, message = {
+            "both": (["--raw-dir", str(raw_dir), "--qf1", "80", "--tables", str(tables)],
+                     "exactly one of --qf1 or --tables is required"),
+            "neither": (["--raw-dir", str(raw_dir)],
+                        "exactly one of --qf1 or --tables is required"),
+            "random-without-seed": (["--raw-dir", str(raw_dir), "--qf1", "80", "--crop", "random"],
+                                    "--seed is required for random crops"),
+            "no-pgm": (["--raw-dir", str(empty), "--qf1", "80"], f"no PGM images in {empty}"),
+        }[case]
+        result = runner.invoke(
+            main, ["make-corpus", "--out-dir", str(tmp_path / "x"), "--qf2", "90", *args]
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: {message}" in result.output
+        assert not (tmp_path / "x").exists()
+
     def test_table_file_parser(self):
         text = "\n".join(" ".join(str(r * 8 + c + 1) for c in range(8)) for r in range(8))
         tables = read_table_file(text)
@@ -604,6 +652,41 @@ class TestEstimate:
         assert result.exit_code == 2, result.output
         assert "No such option" in result.output and "--no-reg" in result.output
 
+    @pytest.mark.parametrize("command, source", [("estimate", "--image"), ("evaluate", "--corpus-dir")])
+    def test_k_is_usage_error(self, tmp_path, dataset_file, runner, command, source):
+        # The coefficient count is the dataset's: only build takes --k.
+        path = dataset_file if command == "estimate" else tmp_path
+        result = runner.invoke(
+            main, [command, source, str(path), "--dataset", str(dataset_file), "--k", "15"]
+        )
+        assert result.exit_code == 2, result.output
+        assert "No such option" in result.output and "--k" in result.output
+
+    def test_k_is_the_datasets(self, tmp_path, raw_dir, runner):
+        dataset = tmp_path / "k6.fqe"
+        build(runner, raw_dir, dataset, "--q1-max", "4", "--k", "6")
+        corpus = make_corpus(runner, raw_dir, tmp_path / "k6", "--qf1", "90")
+        image = next(p for p in sorted(corpus.iterdir()) if p.suffix == ".jpg")
+        result = runner.invoke(main, ["estimate", "--image", str(image), "--dataset", str(dataset)])
+        assert result.exit_code == 0, result.output
+        output = json.loads(result.output)
+        assert output["params"]["k"] == 6
+        assert [row["position"] for row in output["positions"]] == [1, 2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [(data, message) for data, _, message in PARSE_ERRORS],
+        ids=[message for _, _, message in PARSE_ERRORS],
+    )
+    def test_every_parse_error_exits_2(self, tmp_path, dataset_file, runner, data, message):
+        image = tmp_path / "bad.jpg"
+        image.write_bytes(data)
+        result = runner.invoke(
+            main, ["estimate", "--image", str(image), "--dataset", str(dataset_file)]
+        )
+        assert result.exit_code == cli.EXIT_PARSE_FAILURE, result.output
+        assert f"cannot parse {image}: {message}" in result.output
+
     @pytest.mark.parametrize(
         "content", ["junk", "duplicate-component-id", "zero-component-scan", "component-in-two-scans"]
     )
@@ -646,18 +729,9 @@ class TestEstimate:
         )
         assert result.exit_code == cli.EXIT_UNSUPPORTED_Q2
 
-    def test_k_too_large_is_dataset_failure(self, tmp_path, raw_dir, dataset_file, runner):
-        corpus = make_corpus(runner, raw_dir, tmp_path / "corpus6", "--qf1", "90")
-        image = next(p for p in sorted(corpus.iterdir()) if p.suffix == ".jpg")
-        result = runner.invoke(
-            main,
-            ["estimate", "--image", str(image), "--dataset", str(dataset_file), "--k", "30"],
-        )
-        assert result.exit_code == cli.EXIT_DATASET_FAILURE
-
     @pytest.mark.parametrize(
         "flag, value",
-        [("--k", "1"), ("--k", "80"), ("--n", "0"), ("--w", "1.5"), ("--w", "nan")],
+        [("--n", "0"), ("--w", "1.5"), ("--w", "nan")],
     )
     def test_bad_arguments_are_usage_errors(self, tmp_path, runner, flag, value):
         # The dataset is unreadable: exit 2 rather than 3 shows the argument
@@ -681,7 +755,7 @@ class TestEstimate:
         d[1] = np.inf
         d[1, :2] = 0.3
         dm = DistanceMatrix(d=d, status=[OK] * 3, q2=[1, 1, 1])
-        params = EstimationParams(k=3)
+        params = EstimationParams()
         estimates = regularize(dm, params)
         assert estimates == [22, 22, 22]
         result = EstimationResult(estimates, raw_estimates(dm), dm, params)
@@ -746,26 +820,86 @@ def test_bin_sum_mismatch_exits_3(tmp_path, raw_dir, runner, argv):
 
 
 class TestEvaluate:
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_k_above_dataset_fails_before_any_worker(
-        self, tmp_path, raw_dir, runner, monkeypatch, jobs
-    ):
+    def test_positions_follow_the_datasets_k(self, tmp_path, raw_dir, runner):
         dataset = tmp_path / "k10.fqe"
         build(runner, raw_dir, dataset, "--q1-max", "4", "--k", "10")
-        corpus = make_corpus(runner, raw_dir, tmp_path / "k12", "--qf1", "75")
+        corpus = make_corpus(runner, raw_dir, tmp_path / "k10", "--qf1", "75")
+        reports = []
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / f"rep{jobs}"
+            result = runner.invoke(
+                main,
+                ["evaluate", "--corpus-dir", str(corpus), "--dataset", str(dataset),
+                 "--out-dir", str(out_dir), "--jobs", jobs],
+            )
+            assert result.exit_code == 0, result.output
+            reports.append([(out_dir / name).read_bytes() for name in ("report.json", "report.csv")])
+        assert reports[0] == reports[1]
+        report = json.loads(reports[0][0])
+        assert report["params"]["k"] == report["dataset"]["k"] == 10
+        for section in [*report["labels"].values(), report["overall"]]:
+            assert [row["position"] for row in section["positions"]] == list(range(1, 11))
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
+    @pytest.mark.parametrize("case", ["columns", "no-rows", "missing-file", "parent", "absolute"])
+    def test_bad_manifest_exits_1_before_any_estimate(
+        self, tmp_path, raw_dir, dataset_file, runner, monkeypatch, case
+    ):
+        corpus = make_corpus(runner, raw_dir, tmp_path / "corpus", "--qf1", "80")
+        manifest = corpus / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        name = lines[2].split(",")[0]
+        outside = tmp_path / "outside.jpg"
+        outside.write_bytes((corpus / name).read_bytes())
+        if case == "columns":
+            lines[1] = lines[1].removesuffix(",q1_15")
+            message = f"manifest {manifest} is missing required columns"
+        elif case == "no-rows":
+            lines = lines[:2]
+            message = f"manifest {manifest} lists no images"
+        elif case == "missing-file":
+            (corpus / name).unlink()
+            message = f"manifest lists missing file {name}"
+        else:
+            escape = "../outside.jpg" if case == "parent" else str(outside)
+            lines[2] = lines[2].replace(name, escape, 1)
+            message = f"manifest {manifest} row 1 ({escape}): leaves the corpus directory"
+        manifest.write_text("\n".join(lines) + "\n")
 
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        def no_estimate(*args):
+            raise AssertionError("an image was estimated")
+
+        monkeypatch.setattr("fqe.corpus.estimate", no_estimate)
         result = runner.invoke(
             main,
-            ["evaluate", "--corpus-dir", str(corpus), "--dataset", str(dataset), "--k", "12",
-             "--out-dir", str(tmp_path / "rep"), "--jobs", jobs],
+            ["evaluate", "--corpus-dir", str(corpus), "--dataset", str(dataset_file),
+             "--out-dir", str(tmp_path / "rep"), "--jobs", "1"],
         )
-        assert result.exit_code == cli.EXIT_DATASET_FAILURE, result.output
-        assert "dataset error: dataset covers k=10 coefficients, requested k=12" in result.output
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: {message}" in result.output
         assert not (tmp_path / "rep").exists()
+
+    def test_manifest_may_name_a_file_in_a_subdirectory(
+        self, tmp_path, raw_dir, dataset_file, runner
+    ):
+        corpus = make_corpus(runner, raw_dir, tmp_path / "corpus", "--qf1", "80")
+
+        def report(out_dir):
+            result = runner.invoke(
+                main,
+                ["evaluate", "--corpus-dir", str(corpus), "--dataset", str(dataset_file),
+                 "--out-dir", str(out_dir), "--jobs", "1"],
+            )
+            assert result.exit_code == 0, result.output
+            return (out_dir / "report.json").read_bytes()
+
+        flat = report(tmp_path / "flat")
+        manifest = corpus / "manifest.csv"
+        name = manifest.read_text().splitlines()[2].split(",")[0]
+        (corpus / "sub").mkdir()
+        (corpus / name).rename(corpus / "sub" / name)
+        manifest.write_text(manifest.read_text().replace(f"\n{name},", f"\nsub/{name},"))
+        assert report(tmp_path / "nested") == flat
 
     def test_self_retrieval_corpus(self, tmp_path, raw_dir, dataset_file, runner):
         # Constant Q1 = M_6 on the dataset's own source patches with QF2=90
@@ -1046,8 +1180,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--k", "1"), ("--k", "80"), ("--n", "0"), ("--w", "1.5"), ("--w", "nan"),
-         ("--jobs", "0"), ("--jobs", "-3")],
+        [("--n", "0"), ("--w", "1.5"), ("--w", "nan"), ("--jobs", "0"), ("--jobs", "-3")],
     )
     def test_bad_arguments_are_usage_errors(self, tmp_path, runner, flag, value):
         broken = tmp_path / "broken.fqe"

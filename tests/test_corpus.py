@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fqe import corpus
+from fqe import corpus, estimate
 from fqe.cli import evaluate_corpus, main, report_to_csv
 from fqe.dctsim import constant_table
-from fqe.estimator import EstimationParams
-from fqe.refdata import build_reference, load_dataset, serialize
+from fqe.estimator import OK, EstimationParams
+from fqe.refdata import DatasetFormatError, build_reference, load_dataset, serialize
 from fqe.types import GrayImage
 
 from conftest import synth_patches, write_pgm
@@ -79,8 +79,38 @@ def test_file_under_two_labels_counts_under_each(tmp_path):
     assert report["overall"]["overall"]["total"] == 30
 
 
-def test_params_are_checked_before_the_manifest(tmp_path):
-    # tmp_path holds no manifest: the params error shows that check came first.
-    ds = build_reference(synth_patches(seed=75, count=2), q1_max=3, k=4)
-    with pytest.raises(ValueError, match="dataset covers k=4 coefficients, requested k=15"):
-        corpus.evaluate_corpus(tmp_path, ds, EstimationParams(), jobs=2)
+def test_k_above_15_scores_the_first_15_positions_of_each_estimate(pinned_corpus, tmp_path):
+    # Each file alone in a corpus: its counts are the first 15 rows of the
+    # estimate that ran over all 20 coefficients.
+    ds = build_reference(synth_patches(seed=72, count=6), q1_max=4, k=20)
+    manifest = (pinned_corpus / corpus.MANIFEST_NAME).read_text().splitlines()
+    for n, (filename, label, truth) in enumerate(
+        corpus.read_manifest(pinned_corpus / corpus.MANIFEST_NAME)
+    ):
+        solo = tmp_path / str(n)
+        solo.mkdir()
+        (solo / filename).write_bytes((pinned_corpus / filename).read_bytes())
+        (solo / corpus.MANIFEST_NAME).write_text("\n".join([manifest[1], manifest[2 + n]]))
+        positions = evaluate_corpus(solo, ds, EstimationParams())["labels"][label]["positions"]
+        result = estimate((solo / filename).read_bytes(), ds)
+        assert len(result.estimates) == 20
+        assert [row["position"] for row in positions] == list(range(1, 16))
+        ok = [s == OK for s in result.distances.status[:15]]
+        assert [row["predictable"] for row in positions] == ok
+        assert [row["correct_raw"] for row in positions] == [
+            o and r == t for o, r, t in zip(ok, result.raw_estimates, truth)
+        ]
+        assert [row["correct_reg"] for row in positions] == [
+            o and e == t for o, e, t in zip(ok, result.estimates, truth)
+        ]
+
+
+def test_worker_rejects_a_dataset_file_with_another_crc(tmp_path):
+    path = tmp_path / "ref.fqe"
+    path.write_bytes(serialize(build_reference(synth_patches(seed=75, count=2), q1_max=3, k=4)))
+    crc = load_dataset(path).crc
+    with pytest.raises(DatasetFormatError) as info:
+        corpus._mapped(str(path), crc ^ 1)
+    assert str(info.value) == (
+        f"dataset {path} changed since it was loaded: CRC {crc:08x}, expected {crc ^ 1:08x}"
+    )

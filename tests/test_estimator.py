@@ -23,7 +23,7 @@ from fqe.refdata import build_reference
 from fqe.types import GrayImage, QuantTable
 
 from conftest import synth_patches
-from oracles import dense_min_distance, double_compress, reg_term
+from oracles import dense_min_distance, reg_term
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +103,7 @@ class TestDistanceMatrix:
         parsed = jpegio.parse_jpeg(data)
         p = EstimationParams()
         dm = distance_matrix(parsed.coeffs, parsed.luma_table, ds8, p)
-        for i in range(p.k):
+        for i in range(ds8.k):
             if dm.status[i] == OK:
                 assert dm.d[i][2] == 0.0
         assert all(r in (3, None) for r in raw_estimates(dm))
@@ -155,16 +155,6 @@ class TestDistanceMatrix:
         assert dm.status[4] == UNSUPPORTED
         assert dm.q2[4] == 40
         assert raw_estimates(dm)[4] is None
-
-    def test_k_exceeds_dataset(self, ds8):
-        patches = synth_patches(seed=34, count=1)
-        grid = double_compress(
-            patches[0], dctsim.constant_table(2), dctsim.constant_table(3)
-        )
-        with pytest.raises(ValueError, match="k="):
-            distance_matrix(
-                grid, dctsim.constant_table(3), ds8, EstimationParams(k=16)
-            )
 
 
 class TestRawEstimates:
@@ -361,8 +351,8 @@ class TestEstimate:
         data = double_compress_file(
             synth_patches(seed=39, count=1)[0], dctsim.constant_table(3), dctsim.constant_table(2)
         )
-        result = estimate(data, ds8, EstimationParams(k=10))
-        assert result.distances.d.shape == (10, 8)
+        result = estimate(data, ds8, EstimationParams())
+        assert result.distances.d.shape == (15, 8)
         assert any(e is not None for e in result.estimates)
         assert all(e is None or 1 <= e <= 8 for e in result.estimates)
         with pytest.raises(TypeError):
@@ -371,7 +361,7 @@ class TestEstimate:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             EstimationParams(w=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             EstimationParams(k=1)
         with pytest.raises(ValueError):
             EstimationParams(reg_variant="reg4")

@@ -277,6 +277,98 @@ class TestParserErrors:
             jpegio.parse_jpeg(data)
 
 
+def edit(data: bytes, marker: int, offset: int, new: bytes) -> bytes:
+    """data with new written `offset` bytes past the first 0xFF `marker` pair."""
+    pos = data.index(bytes([0xFF, marker])) + offset
+    return data[:pos] + new + data[pos + len(new) :]
+
+
+def segment(data: bytes, marker: int) -> bytes:
+    """The first `marker` segment of data, from its 0xFF to its last payload byte."""
+    pos = data.index(bytes([0xFF, marker]))
+    return data[pos : pos + 2 + int.from_bytes(data[pos + 2 : pos + 4], "big")]
+
+
+# Two all-zero blocks of one 16x8 component, as one restart segment and as two.
+GRAY = encode_grids(16, 8, [(1, 1, 1)], [[1]], {1: np.zeros((2, 64), np.int32)})
+RESTARTS = encode_grids(
+    16, 8, [(1, 1, 1)], [[1]], {1: np.zeros((2, 64), np.int32)}, restart_interval=1
+)
+SOF = segment(GRAY, 0xC0)
+FORMAT, UNSUPPORTED = jpegio.JpegFormatError, jpegio.UnsupportedJpegError
+
+# (stream, exception type, message) of each error parse_jpeg raises outside
+# the entropy decoder. Offsets count from the marker's 0xFF: its length is
+# at 2 and its payload starts at 4. The SOF payload is precision, height,
+# width, component count, then id, sampling and table of each component.
+PARSE_ERRORS = [
+    (b"\xff\x00" + GRAY[2:], FORMAT, "missing SOI marker"),
+    (edit(GRAY, 0xDB, 0, b"\x00"), FORMAT, "expected marker at offset 2"),
+    (GRAY[:2] + b"\xff\xff", FORMAT, "truncated marker"),
+    (edit(GRAY, 0xDB, 1, b"\xd8"), FORMAT, "unexpected marker 0xFFD8"),
+    (GRAY[:5], FORMAT, "truncated segment header"),
+    (edit(GRAY, 0xDB, 2, b"\xff\xff"), FORMAT, "segment length exceeds file size"),
+    (edit(GRAY, 0xDB, 4, b"\x20"), FORMAT, "bad DQT precision or table id"),
+    (edit(GRAY, 0xDB, 4, b"\x04"), FORMAT, "bad DQT precision or table id"),
+    (edit(GRAY, 0xDB, 2, b"\x00\x42"), FORMAT, "truncated DQT segment"),
+    (edit(GRAY, 0xDB, 5, b"\x00"), FORMAT, "quantization factor outside [1, 255]"),
+    (edit(GRAY, 0xC4, 4, b"\x20"), FORMAT, "bad DHT class or table id"),
+    (edit(GRAY, 0xC4, 2, b"\x00\x0c"), FORMAT, "truncated DHT segment"),
+    (edit(GRAY, 0xC4, 2, b"\x00\x1c"), FORMAT, "truncated DHT segment"),
+    (GRAY.replace(SOF, SOF * 2), FORMAT, "multiple SOF segments"),
+    (edit(GRAY, 0xC0, 2, b"\x00\x07"), FORMAT, "truncated SOF segment"),
+    (edit(GRAY, 0xC0, 4, b"\x0c"), UNSUPPORTED, "12-bit precision is not supported"),
+    (edit(GRAY, 0xC0, 5, b"\x00\x00"), UNSUPPORTED, "deferred height (DNL) is not supported"),
+    (edit(GRAY, 0xC0, 7, b"\x00\x00"), FORMAT, "bad frame dimensions"),
+    (edit(GRAY, 0xC0, 9, b"\x02"), FORMAT, "bad SOF segment length"),
+    (edit(GRAY, 0xC0, 11, b"\x51"), FORMAT, "bad component sampling or table id"),
+    (edit(GRAY, 0xC0, 12, b"\x04"), FORMAT, "bad component sampling or table id"),
+    (edit(GRAY, 0xC0, 1, b"\xc2"), UNSUPPORTED,
+     "progressive JPEG is not supported (baseline only)"),
+    (with_segments_after_soi(GRAY, [(0xDD, b"\x00\x01\x00")]), FORMAT, "bad DRI segment"),
+    (with_segments_after_soi(GRAY, [(0xCC, b"\x00\x11")]), UNSUPPORTED,
+     "arithmetic coding is not supported"),
+    (edit(GRAY, 0xC0, 1, b"\xe0"), FORMAT, "SOS before SOF"),
+    (with_scan_header(GRAY, b""), FORMAT, "truncated SOS segment"),
+    (with_scan_header(GRAY, bytes([1, 1, 0, 0, 63])), FORMAT, "bad SOS segment length"),
+    (with_scan_header(GRAY, bytes([1, 9, 0, 0, 63, 0])), FORMAT,
+     "scan references unknown component 9"),
+    (with_scan_header(GRAY, bytes([1, 1, 0x11, 0, 63, 0])), FORMAT,
+     "scan references a missing Huffman table"),
+    (with_scan_header(GRAY, bytes([1, 1, 0, 1, 63, 0])), UNSUPPORTED,
+     "spectral selection implies a non-baseline scan"),
+    (edit(GRAY, 0xC0, 7, b"\x08\x00"), FORMAT, "2 bytes of scan data cannot hold 256 blocks"),
+    (edit(RESTARTS, 0xDD, 4, b"\x00\x02"), FORMAT, "expected 1 restart segment(s), found 2"),
+    (edit(RESTARTS, 0xD0, 1, b"\xd1"), FORMAT, "restart markers out of sequence"),
+    (GRAY[:-2] + b"\xff\xfe\x00\x02", FORMAT, "missing EOI marker"),
+    (GRAY[:2] + GRAY[-2:], FORMAT, "file contains no frame"),
+    (encode_grids(8, 8, [(1, 1, 1), (2, 1, 1)], [[2]], {2: np.zeros((1, 64), np.int32)}),
+     FORMAT, "luminance component was never scanned"),
+    (edit(GRAY, 0xDB, 1, b"\xe0"), FORMAT, "component 1 references missing DQT 0"),
+]
+
+TINY = GrayImage(np.full((8, 8), 77, dtype=np.uint8))
+SHORT = GrayImage(np.full((4, 12), 77, dtype=np.uint8))
+# (reader, its arguments, exception type, message)
+READER_ERRORS = [(jpegio.parse_jpeg, (data,), *outcome) for data, *outcome in PARSE_ERRORS] + [
+    (jpegio.read_pgm, (b"P6 1 1 255 x",), jpegio.PgmError, "not a binary PGM (P5) stream"),
+    (jpegio.crop_center, (TINY, 0), ValueError, "crop side must be positive"),
+    (jpegio.crop_center, (TINY, 9), ValueError, "crop side 9 exceeds image size 8x8"),
+    (jpegio.encode_baseline_gray, (SHORT, dctsim.constant_table(1)), ValueError,
+     "image must be at least 8x8"),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, args, error, message", READER_ERRORS, ids=[case[3] for case in READER_ERRORS]
+)
+def test_reader_errors(reader, args, error, message):
+    with pytest.raises(error) as info:
+        reader(*args)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 # What a camera writes before its tables: JFIF, Exif and a comment. The Exif
 # and comment payloads hold EOI and SOI byte pairs, which the segment length skips.
 APP_AND_COM = [
