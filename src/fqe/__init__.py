@@ -8,7 +8,6 @@ from .estimator import (
     OK,
     UNSUPPORTED,
     DistanceMatrix,
-    EstimationParams,
     EstimationResult,
     distance_matrix,
     estimate,
@@ -49,7 +48,6 @@ __all__ = [
     "DEGENERATE",
     "DatasetFormatError",
     "DistanceMatrix",
-    "EstimationParams",
     "EstimationResult",
     "GrayImage",
     "JpegError",

@@ -31,7 +31,7 @@ from .corpus import (
     write_manifest,
 )
 from .dctsim import standard_table
-from .estimator import OK, UNSUPPORTED, EstimationParams, EstimationResult, estimate
+from .estimator import OK, UNSUPPORTED, EstimationResult, estimate, printed_params
 from .jpegio import JpegError, PgmError, read_pgm, crop_center
 from .refdata import (
     DatasetFormatError,
@@ -65,27 +65,6 @@ def _dataset_failure(exc: Exception) -> NoReturn:
     sys.exit(EXIT_DATASET_FAILURE)
 
 
-def _estimation_options(command):
-    """--n, --w and --reg-variant, the fields of EstimationParams."""
-    options = [
-        click.option(
-            "--n", default=1000, show_default=True, type=click.IntRange(min=1),
-            help="Candidates per sub-dataset.",
-        ),
-        click.option(
-            "--w", default=0.92, show_default=True, type=click.FloatRange(0, 1),
-            callback=_weight, help="Data-term weight.",
-        ),
-        click.option(
-            "--reg-variant", default="reg3", show_default=True,
-            type=click.Choice(["reg1", "reg2", "reg3"]),
-        ),
-    ]
-    for option in reversed(options):
-        command = option(command)
-    return command
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="fqe")
 def main() -> None:
@@ -101,13 +80,6 @@ def _patch_side(ctx: click.Context, param: click.Parameter, value: int) -> int:
     # u16 bin counts hold at most 65535 blocks per patch: 255 x 255 at side 2040.
     if value % 8 or not 8 <= value <= 2040:
         raise click.BadParameter(f"{value} is not a multiple of 8 from 8 to 2040")
-    return value
-
-
-def _weight(ctx: click.Context, param: click.Parameter, value: float) -> float:
-    # NaN passes click.FloatRange: it compares false with both bounds.
-    if math.isnan(value):
-        raise click.BadParameter(f"{value} is not in the range 0<=x<=1.")
     return value
 
 
@@ -248,7 +220,7 @@ def _result_rows(result: EstimationResult) -> list[dict]:
 
 def _format_estimate(result: EstimationResult, fmt: str) -> str:
     rows = _result_rows(result)
-    params = result.params.as_dict(result.distances.k, result.distances.q1_max)
+    params = printed_params(result.distances.k, result.distances.q1_max)
     if fmt == "json":
         # JSON has no infinity: a candidate without reference data, which the
         # smoothness term can still pick, gets a null distance.
@@ -277,16 +249,14 @@ def _format_estimate(result: EstimationResult, fmt: str) -> str:
 @main.command("estimate")
 @click.option("--image", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--dataset", required=True, type=click.Path())
-@_estimation_options
 @click.option(
     "--format", "fmt", default="json", show_default=True, type=click.Choice(["json", "csv"])
 )
-def estimate_cmd(image: str, dataset: str, n: int, w: float, reg_variant: str, fmt: str) -> None:
+def estimate_cmd(image: str, dataset: str, fmt: str) -> None:
     """Estimate the first quantization factors of one JPEG image."""
     ds = _load_dataset(dataset)
-    params = EstimationParams(n_candidates=n, w=w, reg_variant=reg_variant)
     try:
-        result = estimate(Path(image).read_bytes(), ds, params)
+        result = estimate(Path(image).read_bytes(), ds)
     except (JpegError, OSError) as exc:
         click.echo(f"cannot parse {image}: {exc}", err=True)
         sys.exit(EXIT_PARSE_FAILURE)
@@ -415,24 +385,14 @@ def make_corpus(
 @main.command("evaluate")
 @click.option("--corpus-dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--dataset", required=True, type=click.Path())
-@_estimation_options
 @click.option("--jobs", type=click.IntRange(min=1), help="Worker processes (default: the CPU count).")
 @click.option("--out-dir", default=".", show_default=True, type=click.Path(file_okay=False))
-def evaluate_cmd(
-    corpus_dir: str,
-    dataset: str,
-    n: int,
-    w: float,
-    reg_variant: str,
-    jobs: int | None,
-    out_dir: str,
-) -> None:
+def evaluate_cmd(corpus_dir: str, dataset: str, jobs: int | None, out_dir: str) -> None:
     """Evaluate estimation accuracy over a corpus with a manifest."""
     n_jobs = jobs or os.cpu_count() or 1
     ds = _load_dataset(dataset)
-    params = EstimationParams(n_candidates=n, w=w, reg_variant=reg_variant)
     try:
-        report = evaluate_corpus(Path(corpus_dir), ds, params, jobs=n_jobs)
+        report = evaluate_corpus(Path(corpus_dir), ds, jobs=n_jobs)
     except DatasetFormatError as exc:
         _dataset_failure(exc)
     except (JpegError, ValueError) as exc:

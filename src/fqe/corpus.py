@@ -18,7 +18,7 @@ from pathlib import Path, PurePath
 import numpy as np
 
 from .dctsim import reconstruct
-from .estimator import DEGENERATE, OK, UNSUPPORTED, EstimationParams, estimate
+from .estimator import DEGENERATE, OK, UNSUPPORTED, estimate, printed_params
 from .jpegio import encode_baseline_gray, parse_jpeg
 from .refdata import DatasetFormatError, ReferenceDataset, load_dataset
 from .types import GrayImage, QuantTable
@@ -112,14 +112,11 @@ def read_manifest(path: Path) -> list[tuple[str, str, list[int]]]:
 
 
 def _eval_one(
-    ds: ReferenceDataset,
-    params: EstimationParams,
-    corpus: Path,
-    item: tuple[str, str, list[int]],
+    ds: ReferenceDataset, corpus: Path, item: tuple[str, str, list[int]]
 ) -> tuple[str, np.ndarray]:
     """Estimate one corpus file: its label and the counts of _row per position."""
     filename, label, truth = item
-    result = estimate((corpus / filename).read_bytes(), ds, params)
+    result = estimate((corpus / filename).read_bytes(), ds)
     positions = min(ds.k, MANIFEST_FACTORS)
     status = result.distances.status[:positions]
     counts = [
@@ -144,11 +141,11 @@ def _mapped(path: str, crc: int) -> ReferenceDataset:
 
 
 def _eval_mapped(
-    path: str, crc: int, params: EstimationParams, corpus: Path, item: tuple[str, str, list[int]]
+    path: str, crc: int, corpus: Path, item: tuple[str, str, list[int]]
 ) -> tuple[str, np.ndarray]:
     # The file is mapped by the worker's first task, so that a load failure
     # reaches the parent as that task's exception.
-    return _eval_one(_mapped(path, crc), params, corpus, item)
+    return _eval_one(_mapped(path, crc), corpus, item)
 
 
 def _row(counts: np.ndarray) -> dict:
@@ -173,9 +170,7 @@ def _summary(counts: np.ndarray) -> dict:
     return {"positions": positions, "overall": _row(counts.sum(axis=1))}
 
 
-def evaluate_corpus(
-    corpus_dir: Path, ds: ReferenceDataset, params: EstimationParams, jobs: int = 1
-) -> dict:
+def evaluate_corpus(corpus_dir: Path, ds: ReferenceDataset, jobs: int = 1) -> dict:
     """Run the estimator over a corpus and assemble the accuracy report.
 
     With jobs > 1, each worker maps the file ds was loaded from, or a
@@ -194,17 +189,17 @@ def evaluate_corpus(
             if path is None:
                 path = str(Path(tmp) / "ref.fqe")
                 Path(path).write_bytes(ds.data)
-            task = functools.partial(_eval_mapped, path, ds.crc, params, corpus_dir)
+            task = functools.partial(_eval_mapped, path, ds.crc, corpus_dir)
             outcomes = list(pool.map(task, work, chunksize=8))
     else:
-        outcomes = [_eval_one(ds, params, corpus_dir, item) for item in work]
+        outcomes = [_eval_one(ds, corpus_dir, item) for item in work]
 
     labels = sorted({label for _, label, _ in work})
     tally = {label: np.zeros((5, min(ds.k, MANIFEST_FACTORS)), dtype=int) for label in labels}
     for label, counts in outcomes:
         tally[label] += counts
     return {
-        "params": params.as_dict(ds.k, ds.q1_max),
+        "params": printed_params(ds.k, ds.q1_max),
         "dataset": {
             "q1_max": ds.q1_max,
             "k": ds.k,

@@ -11,7 +11,7 @@ usable coefficients with a smoothness term and aggregates the window votes.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,27 +24,16 @@ OK = "ok"
 DEGENERATE = "degenerate"
 UNSUPPORTED = "unsupported"
 
-REG_VARIANTS = ("reg1", "reg2", "reg3")
+# The reference configuration: the nearest records scored per section, and
+# the data-term weight of the regularizer, whose smoothness term is reg3.
+N_CANDIDATES = 1000
+W = 0.92
 
 
-@dataclass(frozen=True)
-class EstimationParams:
-    n_candidates: int = 1000
-    w: float = 0.92
-    reg_variant: str = "reg3"
-
-    def __post_init__(self) -> None:
-        if self.n_candidates < 1:
-            raise ValueError("n_candidates must be at least 1")
-        if not 0.0 <= self.w <= 1.0:
-            raise ValueError(f"w {self.w} out of range [0, 1]")
-        if self.reg_variant not in REG_VARIANTS:
-            raise ValueError(f"reg_variant must be one of {REG_VARIANTS}")
-
-    def as_dict(self, k: int, q1_max: int) -> dict:
-        """The fields as the reports print them, after the k and the q1 grid
-        of the dataset they ran on."""
-        return {"k": k, "q1_max": q1_max, **asdict(self)}
+def printed_params(k: int, q1_max: int) -> dict:
+    """The settings as the reports print them, after the k and the q1 grid
+    of the dataset they ran on."""
+    return {"k": k, "q1_max": q1_max, "n_candidates": N_CANDIDATES, "w": W, "reg_variant": "reg3"}
 
 
 @dataclass
@@ -71,16 +60,10 @@ class EstimationResult:
     estimates: list[int | None]
     raw_estimates: list[int | None]
     distances: DistanceMatrix
-    params: EstimationParams
     warnings: list[str] = field(default_factory=list)
 
 
-def distance_matrix(
-    grid: CoeffGrid,
-    q2_table: QuantTable,
-    ds: ReferenceDataset,
-    p: EstimationParams,
-) -> DistanceMatrix:
+def distance_matrix(grid: CoeffGrid, q2_table: QuantTable, ds: ReferenceDataset) -> DistanceMatrix:
     """Best distances of ds's first k coefficients against every q1 candidate of ds."""
     d = np.full((ds.k, ds.q1_max), np.inf)
     status: list[str] = []
@@ -102,7 +85,7 @@ def distance_matrix(
         row = d[i - 1]
         for j in range(1, ds.q1_max + 1):
             row[j - 1] = batch_min_distance(
-                ds.section(j, q2_i, kind), table, key, p.n_candidates, total
+                ds.section(j, q2_i, kind), table, key, N_CANDIDATES, total
             )
         # A candidate with no reference data scores inf; with no usable
         # candidate at all the factor cannot be estimated from this dataset.
@@ -119,20 +102,15 @@ def raw_estimates(d: DistanceMatrix) -> list[int | None]:
 
 
 @functools.lru_cache(maxsize=None)
-def _reg_grid(q1_max: int, variant: str) -> np.ndarray:
-    """Smoothness penalty of every candidate triplet (a, b, c) at [a - 1, b - 1, c - 1]:
-    (|b - a| + |b - c|) / 2, / (2 sqrt(b)) or / (2 b) for reg1, reg2 and reg3.
-    Read-only, as every caller shares it."""
+def _reg_grid(q1_max: int) -> np.ndarray:
+    """Smoothness penalty (reg3) of every candidate triplet (a, b, c) at
+    [a - 1, b - 1, c - 1]: (|b - a| + |b - c|) / (2 b). Read-only, as every
+    caller shares it."""
     c = np.arange(1, q1_max + 1, dtype=np.float64)
     delta = np.abs(c[None, :, None] - c[:, None, None]) + np.abs(
         c[None, :, None] - c[None, None, :]
     )
-    if variant == "reg1":
-        grid = delta / 2.0
-    elif variant == "reg2":
-        grid = delta / (2.0 * np.sqrt(c)[None, :, None])
-    else:
-        grid = delta / (2.0 * c[None, :, None])
+    grid = delta / (2.0 * c[None, :, None])
     grid.flags.writeable = False
     return grid
 
@@ -151,7 +129,7 @@ def _normalize_row(row: np.ndarray) -> np.ndarray:
     return out
 
 
-def regularize(d: DistanceMatrix, p: EstimationParams) -> list[int | None]:
+def regularize(d: DistanceMatrix, w: float = W) -> list[int | None]:
     """Triplet-window rescoring of the usable coefficients.
 
     Windows slide over the subsequence of ok coefficients in zig-zag order.
@@ -171,7 +149,7 @@ def regularize(d: DistanceMatrix, p: EstimationParams) -> list[int | None]:
         return raw_estimates(d)
 
     normalized = [_normalize_row(d.d[i]) for i in ok_rows]
-    reg = _reg_grid(d.q1_max, p.reg_variant)
+    reg = _reg_grid(d.q1_max)
     # The votes of ok position t; 0 where no window gives that vote.
     first = np.zeros(m, dtype=np.int64)
     middle = np.zeros(m, dtype=np.int64)
@@ -179,7 +157,7 @@ def regularize(d: DistanceMatrix, p: EstimationParams) -> list[int | None]:
     for t in range(m - 2):
         n1, n2, n3 = normalized[t : t + 3]
         data = (n1[:, None, None] + n2[None, :, None] + n3[None, None, :]) / 3.0
-        score = p.w * data + (1.0 - p.w) * reg
+        score = w * data + (1.0 - w) * reg
         flat = int(np.argmin(score))
         a, rest = divmod(flat, d.q1_max * d.q1_max)
         b, c = divmod(rest, d.q1_max)
@@ -197,17 +175,14 @@ def regularize(d: DistanceMatrix, p: EstimationParams) -> list[int | None]:
     return out
 
 
-def estimate(
-    jpeg_bytes: bytes, ds: ReferenceDataset, p: EstimationParams = EstimationParams()
-) -> EstimationResult:
+def estimate(jpeg_bytes: bytes, ds: ReferenceDataset) -> EstimationResult:
     """End-to-end estimation of the first ds.k quantization factors."""
     parsed = parse_jpeg(jpeg_bytes)
-    dm = distance_matrix(parsed.coeffs, parsed.luma_table, ds, p)
+    dm = distance_matrix(parsed.coeffs, parsed.luma_table, ds)
     few = dm.status.count(OK) < 3
     return EstimationResult(
-        estimates=regularize(dm, p),
+        estimates=regularize(dm),
         raw_estimates=raw_estimates(dm),
         distances=dm,
-        params=p,
         warnings=["fewer than 3 usable coefficients: regularization skipped"] if few else [],
     )

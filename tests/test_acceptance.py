@@ -13,7 +13,7 @@ import pytest
 
 from fqe import dctsim, jpegio, refdata, estimator
 from fqe.corpus import double_compress_file, evaluate_corpus, write_manifest
-from fqe.estimator import OK, EstimationParams, raw_estimates, regularize
+from fqe.estimator import OK, raw_estimates, regularize
 from fqe.refdata import build_reference, deserialize, serialize, DatasetFormatError
 from fqe.stats import CoeffHistogram, build_histogram, fit_laplacian
 from fqe.types import GrayImage, QuantTable
@@ -107,14 +107,13 @@ def test_criterion_3_exact_match_consistency():
     # identical distributions, which no retrieval could separate.
     patches = synth_patches(seed=9301, count=100)
     ds = build_reference(patches, q1_max=8, k=15)
-    params = EstimationParams()
     correct = total = 0
     for idx, img in enumerate(patches):
         q1 = idx % 8 + 1
         data = double_compress_file(
             img, dctsim.constant_table(q1), dctsim.constant_table(1)
         )
-        result = estimator.estimate(data, ds, params)
+        result = estimator.estimate(data, ds)
         for i in range(ds.k):
             if result.distances.status[i] != OK:
                 continue
@@ -176,7 +175,7 @@ def _evaluate_cell(corpus, ds, images, q1_tables, q2_table) -> dict:
         (corpus / name).write_bytes(double_compress_file(img, q1_table, q2_table))
         rows.append((name, f"t{idx % len(q1_tables)}", 0, 0, q1_table))
     write_manifest(corpus, rows, "acceptance cell")
-    return evaluate_corpus(corpus, ds, EstimationParams())["overall"]["overall"]
+    return evaluate_corpus(corpus, ds)["overall"]["overall"]
 
 
 def test_criterion_5_desk_scale_accuracy(tmp_path, desk_dataset, test_patches):
@@ -252,8 +251,7 @@ def test_criterion_7_regularization_units():
         rows = rng.uniform(0.2, 1.0, (k, m))
         rows[np.arange(k), rng.integers(0, m, k)] = rng.uniform(0, 0.05, k)
         dm = make_matrix(rows.tolist())
-        p = EstimationParams(w=1.0)
-        assert regularize(dm, p) == raw_estimates(dm)
+        assert regularize(dm, w=1.0) == raw_estimates(dm)
 
     assert reg_term(4, 4, 4, "reg1") == 0.0
     assert reg_term(4, 4, 4, "reg2") == 0.0
@@ -264,11 +262,11 @@ def test_criterion_7_regularization_units():
     for _ in range(100):
         k, m = int(rng.integers(3, 10)), int(rng.integers(2, 9))
         dm = make_matrix(rng.uniform(0.01, 1.0, (k, m)).tolist())
-        p = EstimationParams(w=float(rng.uniform(0.5, 1.0)))
-        base = regularize(dm, p)
+        w = float(rng.uniform(0.5, 1.0))
+        base = regularize(dm, w)
         scales = rng.uniform(0.01, 1000.0, k)
         scaled = make_matrix((dm.d * scales[:, None]).tolist())
-        assert regularize(scaled, p) == base
+        assert regularize(scaled, w) == base
         trials += 1
     assert trials == 100
     report(7, "w=1 equals raw, reg_term examples exact, 100 scale-invariance trials")
@@ -298,10 +296,10 @@ def test_criterion_8_degenerate_handling(tmp_path):
         "flat and textured",
     )
 
-    result = estimator.estimate((corpus / "flat.jpg").read_bytes(), ds, EstimationParams())
+    result = estimator.estimate((corpus / "flat.jpg").read_bytes(), ds)
     assert result.distances.status == ["degenerate"] * 15
 
-    report_data = evaluate_corpus(corpus, ds, EstimationParams(), jobs=1)
+    report_data = evaluate_corpus(corpus, ds, jobs=1)
     section = report_data["labels"]["m6"]
     for row in section["positions"]:
         assert row["degenerate"] >= 1  # the flat image at every position
@@ -314,7 +312,7 @@ def test_criterion_8_degenerate_handling(tmp_path):
     flat_corpus.mkdir()
     (flat_corpus / "flat.jpg").write_bytes(double_compress_file(flat, m6, m2))
     write_manifest(flat_corpus, [("flat.jpg", "m6", 0, 0, m6)], "flat only")
-    flat_report = evaluate_corpus(flat_corpus, ds, EstimationParams(), jobs=1)
+    flat_report = evaluate_corpus(flat_corpus, ds, jobs=1)
     overall = flat_report["labels"]["m6"]["overall"]
     assert overall["accuracy_raw"] is None and overall["accuracy_reg"] is None
     assert overall["degenerate_pct"] == 1.0

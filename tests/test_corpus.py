@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from fqe import corpus, estimate
 from fqe.cli import evaluate_corpus, main, report_to_csv
 from fqe.dctsim import constant_table
-from fqe.estimator import OK, EstimationParams
+from fqe.estimator import OK
 from fqe.refdata import DatasetFormatError, build_reference, load_dataset, serialize
 from fqe.types import GrayImage
 
@@ -40,7 +40,7 @@ def test_report_bytes_pinned(pinned_corpus, jobs):
     # q1_max 4 against QF2 90: position 15 (q2 = 5) is unsupported, the flat
     # patch is degenerate at every position and QF1 85 truths exceed the grid.
     ds = build_reference(synth_patches(seed=72, count=6), q1_max=4, k=15)
-    report = evaluate_corpus(pinned_corpus, ds, EstimationParams(), jobs=jobs)
+    report = evaluate_corpus(pinned_corpus, ds, jobs=jobs)
     overall = report["overall"]["overall"]
     assert overall["degenerate"] >= 15 and overall["unsupported"] >= 6
     assert report["overall"]["positions"][14]["accuracy_raw"] is None
@@ -55,10 +55,10 @@ def test_report_bytes_pinned(pinned_corpus, jobs):
 
 
 def test_default_params_on_a_small_grid_file(pinned_corpus, tmp_path):
-    # Default params against a q1_max 4 dataset file, in a pool of workers.
+    # The printed params against a q1_max 4 dataset file, in a pool of workers.
     path = tmp_path / "ref.fqe"
     path.write_bytes(serialize(build_reference(synth_patches(seed=72, count=6), q1_max=4, k=15)))
-    report = evaluate_corpus(pinned_corpus, load_dataset(path), EstimationParams(), jobs=2)
+    report = evaluate_corpus(pinned_corpus, load_dataset(path), jobs=2)
     assert report["params"]["q1_max"] == report["dataset"]["q1_max"] == 4
     assert report["images"] == 8 and report["overall"]["overall"]["total"] == 8 * 15
 
@@ -72,7 +72,7 @@ def test_file_under_two_labels_counts_under_each(tmp_path):
     corpus.write_manifest(
         tmp_path, [("a.jpg", "A", 0, 0, m3), ("a.jpg", "B", 0, 0, m3)], "one file, two labels"
     )
-    report = corpus.evaluate_corpus(tmp_path, ds, EstimationParams())
+    report = corpus.evaluate_corpus(tmp_path, ds)
     assert report["images"] == 2
     a, b = (report["labels"][label]["overall"] for label in "AB")
     assert a == b and a["total"] == 15
@@ -91,7 +91,7 @@ def test_k_above_15_scores_the_first_15_positions_of_each_estimate(pinned_corpus
         solo.mkdir()
         (solo / filename).write_bytes((pinned_corpus / filename).read_bytes())
         (solo / corpus.MANIFEST_NAME).write_text("\n".join([manifest[1], manifest[2 + n]]))
-        positions = evaluate_corpus(solo, ds, EstimationParams())["labels"][label]["positions"]
+        positions = evaluate_corpus(solo, ds)["labels"][label]["positions"]
         result = estimate((solo / filename).read_bytes(), ds)
         assert len(result.estimates) == 20
         assert [row["position"] for row in positions] == list(range(1, 16))

@@ -13,7 +13,6 @@ from fqe.estimator import (
     OK,
     UNSUPPORTED,
     DistanceMatrix,
-    EstimationParams,
     distance_matrix,
     estimate,
     raw_estimates,
@@ -38,7 +37,7 @@ def make_matrix(rows: list[list[float]], status: list[str] | None = None) -> Dis
     return DistanceMatrix(d=d, status=status, q2=[1] * d.shape[0])
 
 
-def brute_force_regularize(dm: DistanceMatrix, p: EstimationParams) -> list[int | None]:
+def brute_force_regularize(dm: DistanceMatrix, w: float) -> list[int | None]:
     """Window search written from the definition with plain loops."""
     raw = raw_estimates(dm)
     ok_rows = [i for i, s in enumerate(dm.status) if s == OK]
@@ -70,9 +69,9 @@ def brute_force_regularize(dm: DistanceMatrix, p: EstimationParams) -> list[int 
         for a in range(1, m + 1):
             for b in range(1, m + 1):
                 for c in range(1, m + 1):
-                    s = p.w * (n1[a - 1] + n2[b - 1] + n3[c - 1]) / 3.0 + (
-                        1 - p.w
-                    ) * reg_term(a, b, c, p.reg_variant)
+                    s = w * (n1[a - 1] + n2[b - 1] + n3[c - 1]) / 3.0 + (
+                        1 - w
+                    ) * reg_term(a, b, c, "reg3")
                     if best is None or s < best[0]:
                         best = (s, (a, b, c))
         a, b, c = best[1]
@@ -101,8 +100,7 @@ class TestDistanceMatrix:
         img = patches[5]
         data = double_compress_file(img, dctsim.constant_table(3), dctsim.constant_table(4))
         parsed = jpegio.parse_jpeg(data)
-        p = EstimationParams()
-        dm = distance_matrix(parsed.coeffs, parsed.luma_table, ds8, p)
+        dm = distance_matrix(parsed.coeffs, parsed.luma_table, ds8)
         for i in range(ds8.k):
             if dm.status[i] == OK:
                 assert dm.d[i][2] == 0.0
@@ -120,8 +118,7 @@ class TestDistanceMatrix:
             for img, qf in zip(synth_patches(seed=35, count=8), [60, 70, 80, 90] * 2)
         ]
         parsed = [jpegio.parse_jpeg(data) for data in images]
-        p = EstimationParams()
-        fast = [distance_matrix(pj.coeffs, pj.luma_table, ds8, p) for pj in parsed]
+        fast = [distance_matrix(pj.coeffs, pj.luma_table, ds8) for pj in parsed]
         monkeypatch.setattr(estimator, "mass_table", lambda h: (h, None))
         monkeypatch.setattr(
             estimator,
@@ -129,7 +126,7 @@ class TestDistanceMatrix:
             lambda packed, h, key, n, total: dense_min_distance(packed, h, key, n),
         )
         for pj, dm in zip(parsed, fast):
-            want = distance_matrix(pj.coeffs, pj.luma_table, ds8, p)
+            want = distance_matrix(pj.coeffs, pj.luma_table, ds8)
             assert np.array_equal(dm.d, want.d)
             assert dm.status == want.status
         for (q1, _), dm in zip(pairs, fast):
@@ -140,7 +137,7 @@ class TestDistanceMatrix:
         img = GrayImage(np.full((64, 64), 128, dtype=np.uint8))
         data = double_compress_file(img, dctsim.constant_table(2), dctsim.constant_table(3))
         parsed = jpegio.parse_jpeg(data)
-        dm = distance_matrix(parsed.coeffs, parsed.luma_table, ds8, EstimationParams())
+        dm = distance_matrix(parsed.coeffs, parsed.luma_table, ds8)
         assert dm.status == [DEGENERATE] * 15
 
     def test_unsupported_q2(self, ds8):
@@ -151,7 +148,7 @@ class TestDistanceMatrix:
         parsed = jpegio.parse_jpeg(
             double_compress_file(img, dctsim.constant_table(2), q2)
         )
-        dm = distance_matrix(parsed.coeffs, parsed.luma_table, ds8, EstimationParams())
+        dm = distance_matrix(parsed.coeffs, parsed.luma_table, ds8)
         assert dm.status[4] == UNSUPPORTED
         assert dm.q2[4] == 40
         assert raw_estimates(dm)[4] is None
@@ -196,13 +193,10 @@ class TestRegTerm:
     def test_grid_matches_scalar(self, rng):
         from fqe.estimator import _reg_grid
 
-        for variant in ("reg1", "reg2", "reg3"):
-            grid = _reg_grid(6, variant)
-            for _ in range(50):
-                a, b, c = (int(x) for x in rng.integers(1, 7, 3))
-                assert grid[a - 1, b - 1, c - 1] == pytest.approx(
-                    reg_term(a, b, c, variant), abs=1e-12
-                )
+        grid = _reg_grid(6)
+        for _ in range(50):
+            a, b, c = (int(x) for x in rng.integers(1, 7, 3))
+            assert grid[a - 1, b - 1, c - 1] == pytest.approx(reg_term(a, b, c, "reg3"), abs=1e-12)
 
 
 class TestRegularize:
@@ -217,14 +211,12 @@ class TestRegularize:
     def test_w1_returns_raw_on_unimodal_rows(self, rng):
         for _ in range(30):
             dm = self.strict_unimodal_matrix(rng)
-            p = EstimationParams(w=1.0)
-            assert regularize(dm, p) == raw_estimates(dm)
+            assert regularize(dm, w=1.0) == raw_estimates(dm)
 
     def test_consensus(self):
         row = [0.9, 0.1, 0.8, 0.7, 0.6, 0.5]
         dm = make_matrix([row] * 6)
-        p = EstimationParams()
-        assert regularize(dm, p) == [2] * 6
+        assert regularize(dm) == [2] * 6
 
     def test_matches_brute_force(self, rng):
         for q1_max in (1, 2, 6):
@@ -248,9 +240,7 @@ class TestRegularize:
                     if sum(s == OK for s in status) < 3:
                         status = [OK] * k
                 dm = make_matrix(rows.tolist(), status=status)
-                for variant in ("reg1", "reg2", "reg3"):
-                    p = EstimationParams(w=w, reg_variant=variant)
-                    assert regularize(dm, p) == brute_force_regularize(dm, p)
+                assert regularize(dm, w) == brute_force_regularize(dm, w)
 
     def test_shallow_minimum_pulled_to_neighbors(self):
         # Neighbors firmly at 4; the middle row has a slightly better value
@@ -263,36 +253,33 @@ class TestRegularize:
         shallow[6] = 0.50
         shallow[3] = 0.55
         dm = make_matrix([firm, shallow, firm])
-        p = EstimationParams(w=0.92, reg_variant="reg3")
         assert raw_estimates(dm)[1] == 7
-        result = regularize(dm, p)
+        result = regularize(dm)
         assert result == [4, 4, 4]
-        assert result == brute_force_regularize(dm, p)
+        assert result == brute_force_regularize(dm, 0.92)
 
     def test_scale_invariance(self, rng):
         # Per-row positive scaling must not change any window argmin.
         for _ in range(30):
             dm = make_matrix(rng.uniform(0.01, 1.0, (6, 6)).tolist())
-            p = EstimationParams()
-            base = regularize(dm, p)
+            base = regularize(dm)
             scales = rng.uniform(0.1, 900.0, 6)
             scaled = make_matrix((dm.d * scales[:, None]).tolist())
-            assert regularize(scaled, p) == base
+            assert regularize(scaled) == base
 
     def test_fewer_than_three_ok_rows(self):
         dm = make_matrix(
             [[0.5, 0.1], [0.4, 0.2], [np.inf, np.inf]],
             status=[OK, OK, DEGENERATE],
         )
-        p = EstimationParams()
-        assert regularize(dm, p) == raw_estimates(dm)
+        assert regularize(dm) == raw_estimates(dm)
 
     def test_infinite_candidates_never_win(self):
         rows = np.full((4, 5), 0.5)
         rows[:, 1] = 0.0
         rows[:, 4] = np.inf  # no reference data for q1=5
         dm = make_matrix(rows.tolist())
-        assert regularize(dm, EstimationParams()) == [2, 2, 2, 2]
+        assert regularize(dm) == [2, 2, 2, 2]
 
 
 class TestEstimate:
@@ -301,7 +288,7 @@ class TestEstimate:
         data = double_compress_file(
             patches[7], dctsim.constant_table(3), dctsim.constant_table(4)
         )
-        result = estimate(data, ds8, EstimationParams())
+        result = estimate(data, ds8)
         for est, status in zip(result.estimates, result.distances.status):
             if status == OK:
                 assert est == 3
@@ -311,7 +298,7 @@ class TestEstimate:
         # behavior, no correctness claim.
         img = synth_patches(seed=36, count=1)[0]
         data = jpegio.encode_baseline_gray(img, dctsim.constant_table(4))
-        result = estimate(data, ds8, EstimationParams())
+        result = estimate(data, ds8)
         assert len(result.estimates) == 15
 
     def test_always_regularizes(self, ds8):
@@ -320,21 +307,18 @@ class TestEstimate:
         data = double_compress_file(
             patches[0], dctsim.constant_table(5), dctsim.constant_table(2)
         )
-        result = estimate(data, ds8, EstimationParams())
-        assert result.estimates == regularize(result.distances, result.params)
+        result = estimate(data, ds8)
+        assert result.estimates == regularize(result.distances)
         assert result.raw_estimates == raw_estimates(result.distances)
         assert not result.warnings
-        with pytest.raises(TypeError):
-            EstimationParams(regularize=False)
 
     def test_determinism(self, ds8):
         patches = synth_patches(seed=38, count=1)
         data = double_compress_file(
             patches[0], dctsim.constant_table(2), dctsim.constant_table(6)
         )
-        p = EstimationParams()
-        r1 = estimate(data, ds8, p)
-        r2 = estimate(data, ds8, p)
+        r1 = estimate(data, ds8)
+        r2 = estimate(data, ds8)
         assert r1.estimates == r2.estimates
         assert r1.raw_estimates == r2.raw_estimates
         assert np.array_equal(r1.distances.d, r2.distances.d)
@@ -342,28 +326,16 @@ class TestEstimate:
     def test_flat_image_warning(self, ds8):
         img = GrayImage(np.full((64, 64), 64, dtype=np.uint8))
         data = double_compress_file(img, dctsim.constant_table(2), dctsim.constant_table(3))
-        result = estimate(data, ds8, EstimationParams())
+        result = estimate(data, ds8)
         assert result.estimates == [None] * 15
         assert result.warnings
 
     def test_grid_is_the_datasets(self, ds8):
-        # The params carry no q1 grid: estimates range over ds8's 1..8.
+        # The q1 grid is the dataset's: estimates range over ds8's 1..8.
         data = double_compress_file(
             synth_patches(seed=39, count=1)[0], dctsim.constant_table(3), dctsim.constant_table(2)
         )
-        result = estimate(data, ds8, EstimationParams())
+        result = estimate(data, ds8)
         assert result.distances.d.shape == (15, 8)
         assert any(e is not None for e in result.estimates)
         assert all(e is None or 1 <= e <= 8 for e in result.estimates)
-        with pytest.raises(TypeError):
-            EstimationParams(q1_max=8)
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            EstimationParams(w=1.5)
-        with pytest.raises(TypeError):
-            EstimationParams(k=1)
-        with pytest.raises(ValueError):
-            EstimationParams(reg_variant="reg4")
-        with pytest.raises(ValueError):
-            EstimationParams(n_candidates=0)

@@ -105,11 +105,6 @@ class TestRoundTrip:
 
 
 class TestEncoderErrors:
-    def test_too_small(self):
-        img = GrayImage(np.full((4, 12), 5, dtype=np.uint8))
-        with pytest.raises(ValueError):
-            jpegio.encode_baseline_gray(img, dctsim.constant_table(1))
-
     def test_bad_table(self):
         with pytest.raises(ValueError):
             QuantTable(np.zeros(64, dtype=int))
@@ -138,17 +133,6 @@ class TestParserErrors:
         img = GrayImage(np.full((8, 8), 77, dtype=np.uint8))
         return jpegio.encode_baseline_gray(img, dctsim.constant_table(2))
 
-    def test_not_a_jpeg(self):
-        with pytest.raises(jpegio.JpegFormatError):
-            jpegio.parse_jpeg(b"P5 2 2 255 junk")
-
-    def test_progressive_rejected(self):
-        data = bytearray(self.build_valid())
-        sof = data.find(b"\xff\xc0")
-        data[sof + 1] = 0xC2
-        with pytest.raises(jpegio.UnsupportedJpegError, match="progressive"):
-            jpegio.parse_jpeg(bytes(data))
-
     def test_arithmetic_rejected(self):
         data = bytearray(self.build_valid())
         sof = data.find(b"\xff\xc0")
@@ -167,14 +151,6 @@ class TestParserErrors:
         length = (data[dht + 2] << 8) | data[dht + 3]
         stripped = data[:dht] + data[dht + 2 + length :]
         with pytest.raises(jpegio.JpegFormatError, match="Huffman"):
-            jpegio.parse_jpeg(stripped)
-
-    def test_missing_quant_table(self):
-        data = self.build_valid()
-        dqt = data.find(b"\xff\xdb")
-        length = (data[dqt + 2] << 8) | data[dqt + 3]
-        stripped = data[:dqt] + data[dqt + 2 + length :]
-        with pytest.raises(jpegio.JpegFormatError, match="DQT"):
             jpegio.parse_jpeg(stripped)
 
     def test_duplicate_component_ids_rejected(self):
@@ -211,12 +187,6 @@ class TestParserErrors:
         with pytest.raises(jpegio.JpegFormatError) as excinfo:
             jpegio.parse_jpeg(data)
         assert str(excinfo.value) == f"component {scans[1][0]} is coded in a second scan"
-
-    def test_garbage_marker_stream(self):
-        data = bytearray(self.build_valid())
-        data[2] = 0x00  # clobber the first marker's 0xFF
-        with pytest.raises(jpegio.JpegFormatError):
-            jpegio.parse_jpeg(bytes(data))
 
     def test_overfull_huffman_code_space_rejected(self):
         # Three 1-bit codes: the third has no code left.
@@ -520,10 +490,6 @@ class TestPgm:
         with pytest.raises(jpegio.PgmError):
             jpegio.read_pgm(b"P5 2 2 255 " + bytes([1, 2, 3]))
 
-    def test_bad_magic(self):
-        with pytest.raises(jpegio.PgmError):
-            jpegio.read_pgm(b"P6 1 1 255 abc")
-
     @pytest.mark.parametrize(
         "data, message",
         [
@@ -578,7 +544,3 @@ class TestCropCenter:
                 off = (dim - side) // 2
                 assert np.array_equal(crop.pixels, img.pixels[off : off + side, off : off + side])
                 assert (dim - side) - off >= off  # extra goes right/bottom
-
-    def test_too_large(self, rng):
-        with pytest.raises(ValueError):
-            jpegio.crop_center(synth_patch(rng, side=16), 17)
