@@ -36,6 +36,7 @@ from .jpegio import JpegError, PgmError, read_pgm, crop_center
 from .refdata import (
     DatasetFormatError,
     ReferenceDataset,
+    count_width,
     deserialize,
     map_file,
     write_reference,
@@ -184,9 +185,16 @@ def _echo_summary(
 @click.argument("dataset", type=click.Path())
 @click.option("--verbose", is_flag=True, help="List the record counts of every sub-dataset.")
 def info_cmd(dataset: str, verbose: bool) -> None:
-    """Summarize a reference dataset file, as `build` does."""
+    """Summarize a reference dataset file, as `build` does, and the bytes of its columns."""
     ds = _load_dataset(dataset)
     click.echo(f"{dataset}: {os.path.getsize(dataset)} bytes")
+    records, bins, wide = (int(bounds[-1]) for bounds in (ds.bounds, ds.bin_bounds, ds.wide_bounds))
+    c = count_width(ds.patch_side)
+    narrow = (np.diff(ds.bin_bounds) > 0) & (np.diff(ds.wide_bounds) == 0)
+    click.echo(
+        f"column bytes: keys {8 * records}, lengths {c * records}, values {bins + wide}, "
+        f"bins {c * bins}; i1 values in {np.count_nonzero(narrow)} of {narrow.size} sections"
+    )
     _echo_summary(ds.q1_max, ds.k, ds.patch_side, ds.source_count, np.diff(ds.bounds), verbose)
 
 

@@ -142,7 +142,10 @@ def regularize(d: DistanceMatrix, w: float = W) -> list[int | None]:
     vote. A candidate without data ranks worst in the data term only, so a
     smooth triplet can still pick it, at an infinite distance. With fewer
     than 3 usable coefficients the raw estimates are returned unchanged.
+    Raises ValueError for a w outside [0, 1] or NaN.
     """
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"w {w} out of range [0, 1]")
     ok_rows = [i for i, s in enumerate(d.status) if s == OK]
     m = len(ok_rows)
     if m < 3:

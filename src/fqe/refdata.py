@@ -3,10 +3,11 @@
 Every raw patch is double-compressed with all pairs of constant matrices
 (M_q1, M_q2); the DC histogram and the pooled AC histograms of coefficients
 2..k land in the dc and ac sections of that (q1, q2), indexed by the
-Laplacian fit (mu for DC, beta for AC). A dataset is the bytes of its FQE4
-file, which the build writes one q1 at a time. Each section's records are a
-contiguous run sorted by key, so that nearest-key windows are contiguous
-slices and the chi-square scan over a window is one vectorized pass.
+Laplacian fit (mu for DC, beta for AC). A dataset is the bytes of its FQE5
+file, which the build writes one q1 at a time, each column as narrow as its
+values. Each section's records are a contiguous run sorted by key, so that
+nearest-key windows are contiguous slices and the chi-square scan over a
+window is one vectorized pass.
 ReferenceDataset.section(q1, q2, kind) is the one way to a section's
 records; scoring one keeps nothing per bin.
 """
@@ -40,7 +41,9 @@ class PackedRecords:
 
     keys is sorted ascending; record i owns the support values[offsets[i]:offsets[i+1]]
     with matching integer bin counts bins. Every record has count samples
-    behind it, as a float: the block count of the dataset's patches.
+    behind it, as a float: the block count of the dataset's patches. values
+    are int8 or int16 and bins uint8 or uint16, as a dataset file stores them;
+    from_items gives int16 and uint16.
     """
 
     def __init__(self, keys, offsets, values, bins, count: float):
@@ -89,16 +92,19 @@ class SubDataset:
 
 @dataclass(eq=False)
 class ReferenceDataset:
-    """A view of the bytes of an FQE4 file, data.
+    """A view of the bytes of an FQE5 file, data.
 
     Section s = 2 * ((q1 - 1) * q1_max + q2 - 1) + (0 for dc, 1 for ac) owns
     records bounds[s]:bounds[s + 1] and bins bin_bounds[s]:bin_bounds[s + 1]
     of the dataset, in the block of its q1, which starts at byte blocks[q1 - 1].
-    A record's bins sum to the block count of a patch, (patch_side / 8)^2,
-    and keys are sorted within each section. The PackedRecords of a
-    (q1, q2, kind) section, views of data with its own record offsets, is
-    made and its records checked the first time section() asks for it, and
-    then kept: 8 bytes per record, and nothing per bin.
+    Its values are int16 when it owns bins wide_bounds[s]:wide_bounds[s + 1]
+    of the int16 values, that is when that run is not empty, and int8
+    otherwise. A record's bins sum to the block count of a patch,
+    (patch_side / 8)^2, and keys are sorted within each section. The
+    PackedRecords of a (q1, q2, kind) section, views of data with its own
+    record offsets, is made and its records checked the first time
+    section() asks for it, and then kept: 8 bytes per record, and nothing
+    per bin.
     """
 
     q1_max: int
@@ -109,6 +115,7 @@ class ReferenceDataset:
     bounds: np.ndarray = field(repr=False)
     bin_bounds: np.ndarray = field(repr=False)
     blocks: np.ndarray = field(repr=False)
+    wide_bounds: np.ndarray = field(repr=False)
     # The CRC trailer of data, and the file that load_dataset mapped.
     crc: int = field(repr=False)
     path: str | None = None
@@ -135,14 +142,25 @@ class ReferenceDataset:
             first, end = 2 * self.q1_max * (q1 - 1), 2 * self.q1_max * q1
             r, r0, r1, r_end = (int(self.bounds[i]) for i in (first, s, s + 1, end))
             b, b0, b1, b_end = (int(self.bin_bounds[i]) for i in (first, s, s + 1, end))
-            # The q1's block holds the keys and lengths of its records, then
-            # the values and bins of its bins; the section is a run of each.
-            pos, n_rec, n_bins = int(self.blocks[q1 - 1]), r_end - r, b_end - b
-            keys = np.frombuffer(self.data, "<f8", r1 - r0, pos + 8 * (r0 - r))
-            lengths = np.frombuffer(self.data, "<u2", r1 - r0, pos + 8 * n_rec + 2 * (r0 - r))
-            pos += 10 * n_rec + 2 * (b0 - b)
-            values = np.frombuffer(self.data, "<i2", b1 - b0, pos)
-            bins = np.frombuffer(self.data, "<u2", b1 - b0, pos + 2 * n_bins)
+            w, w0, w1, w_end = (int(self.wide_bounds[i]) for i in (first, s, s + 1, end))
+            # The q1's block holds the keys of its records, the int16 values,
+            # the support lengths of its records, the counts of its bins, then
+            # the int8 values; the section is a run of each, and its values are
+            # int16 when it owns some of the block's int16 values.
+            c = count_width(self.patch_side)
+            n_rec, n_bins, n_wide = r_end - r, b_end - b, w_end - w
+            keys_at = int(self.blocks[q1 - 1])
+            wide_at = keys_at + 8 * n_rec
+            lengths_at = wide_at + 2 * n_wide
+            bins_at = lengths_at + c * n_rec
+            narrow_at = bins_at + c * n_bins
+            keys = np.frombuffer(self.data, "<f8", r1 - r0, keys_at + 8 * (r0 - r))
+            lengths = np.frombuffer(self.data, f"<u{c}", r1 - r0, lengths_at + c * (r0 - r))
+            bins = np.frombuffer(self.data, f"<u{c}", b1 - b0, bins_at + c * (b0 - b))
+            if w1 > w0:
+                values = np.frombuffer(self.data, "<i2", b1 - b0, wide_at + 2 * (w0 - w))
+            else:
+                values = np.frombuffer(self.data, "<i1", b1 - b0, narrow_at + b0 - b - (w0 - w))
             offsets = np.zeros(r1 - r0 + 1, dtype=np.int64)
             np.cumsum(lengths, out=offsets[1:])
             where, n = f"section ({q1}, {q2}, {kind})", (self.patch_side // 8) ** 2
@@ -255,16 +273,17 @@ def write_reference(
     k: int = 15,
     jobs: int | None = None,
 ) -> tuple[int, np.ndarray]:
-    """Build the reference dataset from raw patches, writing its FQE4 file to fh as it goes.
+    """Build the reference dataset from raw patches, writing its FQE5 file to fh as it goes.
 
     Deterministic given the patch sequence and parameters, independent of
     the worker count and of the batch split. Sections are q1-major, so the
     build runs q1 by q1 (_q1_records) and writes each q1's block once it is
-    done, in q1 order. In-process, only the batches' forward DCTs and one
-    q1's records are held; with jobs above 1 and two or more batches, pool
-    workers build whole q1s, and the q1s they finish before the writer
-    reaches them wait in this process. Returns the file size and the record
-    count of every section.
+    done, in q1 order, with the value width of each of its sections.
+    In-process, only the batches' forward DCTs and one q1's records are
+    held; with jobs above 1 and two or more batches, pool workers build
+    whole q1s, and the q1s they finish before the writer reaches them wait
+    in this process. Returns the file size and the record count of every
+    section.
     """
     if not patches:
         raise ValueError("cannot build a reference dataset from no patches")
@@ -301,17 +320,26 @@ def write_reference(
         crc = zlib.crc32(piece, crc)
         size += memoryview(piece).nbytes
 
-    records, bins = [], []
+    counts = f"<u{count_width(side)}"
+    records, bins, widths = [], [], []
     try:
         header = _MAGIC + _HEADER.pack(_VERSION, q1_max, k, side, len(patches))
         write(header.ljust(_HEADER_SIZE, b"\0"))
-        for n_records, n_bins, *block in results:
+        for n_records, n_bins, keys, lengths, values, bin_counts in results:
             records.append(n_records)
             bins.append(n_bins)
-            # Popped, so that no part of this q1 is held while the next is built.
-            for dtype in _COLUMNS:
-                write(block.pop(0).astype(dtype, copy=False))
+            widths.append(_value_widths(values, n_bins))
+            wide = np.repeat(widths[-1] == 2, n_bins)
+            # Each column is dropped once written, and no part of this q1 is
+            # held while the next is built.
+            write(keys.astype("<f8", copy=False))
+            write(values[wide].astype("<i2", copy=False))
+            write(lengths.astype(counts, copy=False))
+            write(bin_counts.astype(counts, copy=False))
+            del keys, lengths, bin_counts
+            write(values[~wide].astype("<i1"))
             write(bytes(-size % 8))
+            del values, wide
     finally:
         if pool is not None:
             # After a failed task, the q1s not yet started are not run.
@@ -319,8 +347,20 @@ def write_reference(
     records = np.concatenate(records)
     write(records.astype("<u4"))
     write(np.concatenate(bins).astype("<u8"))
+    write(np.concatenate(widths))
     fh.write(struct.pack("<I", crc))
     return size + 4, records
+
+
+def _value_widths(values: np.ndarray, n_bins: np.ndarray) -> np.ndarray:
+    """The value width of each section, of n_bins[s] bins of values in turn: 1
+    (int8) when all its values lie in -128..127, as an empty section's do, else 2."""
+    widths = np.ones(n_bins.size, dtype=np.uint8)
+    full = n_bins > 0
+    starts = (np.cumsum(n_bins) - n_bins)[full]
+    lo, hi = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
+    widths[full] += (lo < -0x80) | (hi > 0x7F)
+    return widths
 
 
 def build_reference(
@@ -329,7 +369,7 @@ def build_reference(
     k: int = 15,
     jobs: int | None = None,
 ) -> ReferenceDataset:
-    """Build the reference dataset from raw patches: the FQE4 file of write_reference, in memory."""
+    """Build the reference dataset from raw patches: the FQE5 file of write_reference, in memory."""
     fh = io.BytesIO()
     write_reference(fh, patches, q1_max, k, jobs)
     return deserialize(fh.getbuffer())
@@ -380,16 +420,19 @@ def _q1_in_worker(q1: int):
 
 
 def mass_table(h: CoeffHistogram) -> tuple[np.ndarray, float]:
-    """The query's mass at every int16 record value, and its total mass.
+    """The query's mass at every int16 record value, then at every int8 one, and its total mass.
 
-    Entry v.view(uint16) of the table holds h's mass at value v, or 0.0
-    where v is not in h's support. Support values outside int16 match no
-    record value and are left out, not wrapped onto one. The total is summed
+    Entry v.view(uint16) of the table holds h's mass at int16 value v, and
+    entry 65536 + v.view(uint8) its mass at int8 value v, or 0.0 where v is
+    not in h's support. Support values outside a width match no record value
+    of that width and are left out, not wrapped onto one. The total is summed
     by the reduction batch_min_distance applies to each record.
     """
-    table = np.zeros(1 << 16)
+    table = np.zeros(_WIDE_TABLE + 0x100)
     inside = (h.support >= -0x8000) & (h.support <= 0x7FFF)
     table[h.support[inside].astype(np.int16).view(np.uint16)] = h.mass[inside]
+    inside = (h.support >= -0x80) & (h.support <= 0x7F)
+    table[_WIDE_TABLE:][h.support[inside].astype(np.int8).view(np.uint8)] = h.mass[inside]
     return table, float(np.add.reduceat(h.mass, [0])[0])
 
 
@@ -399,7 +442,8 @@ def batch_min_distance(
     """Smallest chi-square distance from a query to its n nearest-key records.
 
     table and total are mass_table(h) of the query h; one gather from the
-    table gives the query mass at every record bin of the window. The
+    table gives the query mass at every record bin of the window: from its
+    256 int8 entries, which stay in cache, for int8 values. The
     window's masses, its bin counts over the shared sample count, are made
     per call and not kept. Returns inf when the section is empty. An exact
     zero is kept for a record whose support and masses match h bit for bit.
@@ -408,7 +452,11 @@ def batch_min_distance(
         return float("inf")
     lo, hi = _nearest_window(packed.keys, key, n)
     start, end = int(packed.offsets[lo]), int(packed.offsets[hi])
-    x = np.take(table, packed.values[start:end].view(np.uint16))
+    values = packed.values[start:end]
+    if values.dtype == np.int8:
+        x = np.take(table[_WIDE_TABLE:], values.view(np.uint8))
+    else:
+        x = np.take(table, values.view(np.uint16))
     mass = packed.bins[start:end].astype(np.float64)
     mass /= packed.count
 
@@ -427,25 +475,28 @@ def batch_min_distance(
 
 
 # ---------------------------------------------------------------------------
-# Serialization (FQE4), little-endian: a 32-byte header; per q1, one block of
-# its records (keys f8 and support lengths u2 per record, then support values
-# i2 and bin counts u2 per bin) zero-padded to 8 bytes; a footer of each
-# (q1, q2) x (dc, ac) section's record count (u4), in row-major order, then
-# its bin count (u8); and a CRC-32 trailer over everything before it. Every
-# record's sample count is the header's (patch side / 8)^2.
+# Serialization (FQE5), little-endian: a 32-byte header; per q1, one block of
+# keys f8 per record, the values of its i2 sections, support lengths per
+# record and bin counts per bin (both u1 or u2, by count_width), then the
+# values of its i1 sections, zero-padded to 8 bytes, so that every run is
+# aligned to its width; a footer of each (q1, q2) x (dc, ac) section's record
+# count (u4), in row-major order, then its bin count (u8), then its value
+# width (u1: 1 or 2 bytes); and a CRC-32 trailer over everything before it.
+# Every record's sample count is the header's (patch side / 8)^2.
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"FQE4"
-_VERSION = 4
+_MAGIC = b"FQE5"
+_VERSION = 5
 _HEADER = struct.Struct("<HBBHI")
 _HEADER_SIZE = 32
 _KINDS = ("dc", "ac")
-_COLUMNS = ("<f8", "<u2", "<i2", "<u2")
 _MAX_BIN = 0xFFFF
+# Entries of mass_table for int16 values; the int8 ones follow.
+_WIDE_TABLE = 1 << 16
 
 
 def check_header(q1_max: int, k: int, patch_side: int) -> None:
-    """Raise ValueError naming the first FQE4 header field out of range: the one
+    """Raise ValueError naming the first FQE5 header field out of range: the one
     rule of write_reference and deserialize. A u16 bin count must hold (side / 8)^2."""
     if not 1 <= q1_max <= 255:
         raise ValueError(f"q1_max {q1_max}, not 1 to 255")
@@ -457,13 +508,19 @@ def check_header(q1_max: int, k: int, patch_side: int) -> None:
         raise ValueError(f"patch side {patch_side}, not 8 to 2040 by 8: over {_MAX_BIN} blocks")
 
 
+def count_width(patch_side: int) -> int:
+    """The bytes of a support length and of a bin count, by the header's patch
+    side: 1 when a patch's block count, which bounds both, is at most 255, else 2."""
+    return 1 if (patch_side // 8) ** 2 <= 0xFF else 2
+
+
 def serialize(ds: ReferenceDataset) -> bytes:
-    """The FQE4 file of ds: the bytes it is a view of."""
+    """The FQE5 file of ds: the bytes it is a view of."""
     return bytes(ds.data)
 
 
 def deserialize(data: bytes | memoryview | mmap.mmap) -> ReferenceDataset:
-    """The dataset of an FQE4 buffer, a view of data.
+    """The dataset of an FQE5 buffer, a view of data.
 
     Checks the CRC trailer, the header, the footer and the size here; a
     section checks its records when it is first made.
@@ -475,7 +532,7 @@ def deserialize(data: bytes | memoryview | mmap.mmap) -> ReferenceDataset:
     if zlib.crc32(memoryview(data)[:-4]) != crc_stored:
         raise DatasetFormatError("dataset checksum mismatch")
     magic = bytes(data[:4])
-    if magic in (b"FQE1", b"FQE2", b"FQE3"):
+    if magic in (b"FQE1", b"FQE2", b"FQE3", b"FQE4"):
         raise DatasetFormatError(
             f"{magic.decode()} dataset files are no longer supported; "
             "rebuild the dataset with `fqe build`"
@@ -491,24 +548,33 @@ def deserialize(data: bytes | memoryview | mmap.mmap) -> ReferenceDataset:
         raise DatasetFormatError(f"dataset declares {exc}") from None
 
     n_sections = len(_KINDS) * q1_max * q1_max
-    footer = size - 4 - 12 * n_sections
+    footer = size - 4 - 13 * n_sections
     if footer < _HEADER_SIZE:
         raise DatasetFormatError("dataset file is truncated")
     records = np.frombuffer(data, "<u4", n_sections, footer).astype(np.int64)
     bins = np.frombuffer(data, "<u8", n_sections, footer + 4 * n_sections)
-    # A bin takes 4 bytes of the file, so no count above size fits, and
-    # the int64 sums below cannot overflow.
+    widths = np.frombuffer(data, "u1", n_sections, footer + 12 * n_sections)
+    # A bin takes 2 bytes of the file or more, so no count above size fits,
+    # and the int64 sums below cannot overflow.
     if (bins > size).any():
         raise DatasetFormatError("dataset file size does not match its footer")
     bins = bins.astype(np.int64)
-    blocks = (10 * records + 4 * bins).reshape(q1_max, -1).sum(axis=1)
+    # The writer gives an empty section width 1, so a width other than the
+    # writer's fails here, or moves the size of its block by the bins of its
+    # section: by more than the padding can take up when they are 8 or more.
+    if not ((widths == 1) | (widths == 2) & (bins > 0)).all():
+        raise DatasetFormatError("dataset value widths are not 1 or 2 bytes, 1 when empty")
+    c = count_width(patch_side)
+    blocks = ((8 + c) * records + (c + widths) * bins).reshape(q1_max, -1).sum(axis=1)
     blocks += -blocks % 8
     if _HEADER_SIZE + blocks.sum() != footer:
         raise DatasetFormatError("dataset file size does not match its footer")
-    bounds, bin_bounds = (np.append(0, np.cumsum(counts)) for counts in (records, bins))
+    bounds, bin_bounds, wide_bounds = (
+        np.append(0, np.cumsum(counts)) for counts in (records, bins, bins * (widths == 2))
+    )
     return ReferenceDataset(
         q1_max, k, patch_side, source_count, data, bounds, bin_bounds,
-        _HEADER_SIZE + np.cumsum(blocks) - blocks, crc_stored,
+        _HEADER_SIZE + np.cumsum(blocks) - blocks, wide_bounds, crc_stored,
     )
 
 

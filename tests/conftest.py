@@ -57,19 +57,36 @@ def write_pgm(img: GrayImage) -> bytes:
     return header + img.pixels.tobytes()
 
 
-def with_first_bin(blob: bytes, count: int) -> bytes:
-    """An FQE4 dataset file with its first bin count set to count, under a fresh CRC.
+def first_block(blob: bytes) -> dict[str, int]:
+    """Where each column of q1 1's block starts in an FQE5 dataset file, with
+    the block's record and bin totals and the byte width of its counts.
 
-    That bin is in q1 1's block, after the keys and lengths of the block's
-    records and the values of its bins, whose counts the footer gives.
+    The block holds the keys (f8) of its records, the values of its i2
+    sections, the support lengths and bin counts (u1 when the header's patch
+    side gives at most 255 blocks, else u2), then the values of its i1
+    sections. The footer gives each section's records, bins and value width.
     """
-    q1_max, n_sections = blob[6], 2 * blob[6] ** 2
-    footer = len(blob) - 4 - 12 * n_sections
-    n_rec = int(np.frombuffer(blob, "<u4", 2 * q1_max, footer).sum())
-    n_bins = int(np.frombuffer(blob, "<u8", 2 * q1_max, footer + 4 * n_sections).sum())
-    first = 32 + 10 * n_rec + 2 * n_bins
+    q1_max, side = blob[6], struct.unpack_from("<H", blob, 8)[0]
+    n_sections = 2 * q1_max**2
+    footer = len(blob) - 4 - 13 * n_sections
+    records = np.frombuffer(blob, "<u4", 2 * q1_max, footer)
+    bins = np.frombuffer(blob, "<u8", 2 * q1_max, footer + 4 * n_sections).astype(np.int64)
+    widths = np.frombuffer(blob, "u1", 2 * q1_max, footer + 12 * n_sections)
+    at = {"width": 1 if (side // 8) ** 2 <= 255 else 2}
+    at["records"], at["bins"] = int(records.sum()), int(bins.sum())
+    at["keys"] = 32
+    at["wide"] = at["keys"] + 8 * at["records"]
+    at["lengths"] = at["wide"] + 2 * int(bins[widths == 2].sum())
+    at["counts"] = at["lengths"] + at["width"] * at["records"]
+    at["narrow"] = at["counts"] + at["width"] * at["bins"]
+    return at
+
+
+def with_first_bin(blob: bytes, count: int) -> bytes:
+    """An FQE5 dataset file with its first bin count set to count, under a fresh CRC."""
+    at = first_block(blob)
     body = bytearray(blob[:-4])
-    body[first : first + 2] = struct.pack("<H", count)
+    body[at["counts"] : at["counts"] + at["width"]] = count.to_bytes(at["width"], "little")
     return bytes(body) + struct.pack("<I", zlib.crc32(body))
 
 

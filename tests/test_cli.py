@@ -5,6 +5,7 @@ import hashlib
 import json
 import mmap
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -353,10 +354,22 @@ class TestInfo:
             result = runner.invoke(main, ["info", str(out), *flags])
             assert result.exit_code == 0, result.output
             lines = result.output.splitlines()
+            # info's second line, the bytes of each column, is not build's.
             assert lines[0] == f"{out}: {out.stat().st_size} bytes"
-            assert built[-len(lines)] == f"wrote {out}: {out.stat().st_size} bytes"
-            assert lines[1:] == built[-len(lines) + 1 :]
+            assert built[-len(lines) + 1] == f"wrote {out}: {out.stat().st_size} bytes"
+            assert lines[2:] == built[-len(lines) + 2 :]
         assert lines[-3] == "q1_max=4 k=15 patch_side=64 source_count=6"
+        # The columns, the 32-byte header, the 13-byte footer entry of each
+        # of the 32 sections, the CRC and at most 7 bytes of padding per q1.
+        columns = re.fullmatch(
+            r"column bytes: keys (\d+), lengths (\d+), values (\d+), bins (\d+); "
+            r"i1 values in (\d+) of 32 sections",
+            lines[1],
+        )
+        assert columns, lines[1]
+        *sizes, narrow = map(int, columns.groups())
+        padding = out.stat().st_size - sum(sizes) - 32 - 13 * 32 - 4
+        assert 0 <= padding < 8 * 4 and 0 < narrow < 32
         # One line per (q1, q2), q1-major: the (dc, ac) record counts of the
         # file's footer, which are also the lengths of its sections.
         ds = refdata.load_dataset(out)
@@ -796,11 +809,11 @@ def test_unloadable_dataset_exits_3(tmp_path, runner, monkeypatch, command, kind
 )
 def test_bin_sum_mismatch_exits_3(tmp_path, raw_dir, runner, argv):
     # The first bin count of a q1_max 2 file, in record 0 of section
-    # (1, 1, dc), set to 60000 under a fresh CRC: the file loads, and the
+    # (1, 1, dc), set to 200 under a fresh CRC: the file loads, and the
     # section fails when first made. QF2 = 100 makes every q2 factor 1.
     path = tmp_path / "ref.fqe"
     build(runner, raw_dir, path, "--q1-max", "2")
-    path.write_bytes(with_first_bin(path.read_bytes(), 60000))
+    path.write_bytes(with_first_bin(path.read_bytes(), 200))
     corpus = make_corpus(runner, raw_dir, tmp_path / "corpus", "--qf1", "80", "--qf2", "100")
     if argv[0] == "estimate":
         image = next(p for p in sorted(corpus.iterdir()) if p.suffix == ".jpg")

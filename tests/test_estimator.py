@@ -213,6 +213,16 @@ class TestRegularize:
             dm = self.strict_unimodal_matrix(rng)
             assert regularize(dm, w=1.0) == raw_estimates(dm)
 
+    @pytest.mark.parametrize("w", [float("nan"), -0.01, 1.01, 5.0, float("inf")])
+    def test_w_outside_unit_interval_rejected(self, rng, w):
+        # Checked before the usable coefficients are counted, so a matrix
+        # with too few of them rejects it too.
+        for k in (8, 2):
+            with pytest.raises(ValueError) as failed:
+                regularize(self.strict_unimodal_matrix(rng, k=k), w)
+            assert str(failed.value) == f"w {w} out of range [0, 1]"
+        assert regularize(self.strict_unimodal_matrix(rng), 0.0)
+
     def test_consensus(self):
         row = [0.9, 0.1, 0.8, 0.7, 0.6, 0.5]
         dm = make_matrix([row] * 6)

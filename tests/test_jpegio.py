@@ -104,14 +104,6 @@ class TestRoundTrip:
         assert np.abs(twos - dctsim.round_half_away(ones / 2.0)).max() <= 1
 
 
-class TestEncoderErrors:
-    def test_bad_table(self):
-        with pytest.raises(ValueError):
-            QuantTable(np.zeros(64, dtype=int))
-        with pytest.raises(ValueError):
-            QuantTable(np.full(64, 256))
-
-
 class TestAnnexKCodes:
     def test_encoder_codes_pinned(self):
         # Annex K.3 tables K.3 and K.5, independent of the code walk that
@@ -139,11 +131,6 @@ class TestParserErrors:
         data[sof + 1] = 0xC9
         with pytest.raises(jpegio.UnsupportedJpegError, match="arithmetic"):
             jpegio.parse_jpeg(bytes(data))
-
-    def test_truncated_scan(self):
-        data = self.build_valid()
-        with pytest.raises(jpegio.JpegFormatError):
-            jpegio.parse_jpeg(data[:-12])
 
     def test_missing_huffman_table(self):
         data = self.build_valid()
@@ -321,6 +308,9 @@ TINY = GrayImage(np.full((8, 8), 77, dtype=np.uint8))
 SHORT = GrayImage(np.full((4, 12), 77, dtype=np.uint8))
 # (reader, its arguments, exception type, message)
 READER_ERRORS = [(jpegio.parse_jpeg, (data,), *outcome) for data, *outcome in PARSE_ERRORS] + [
+    # A scan cut short in its last 12 bytes: the parser reads on into a marker.
+    (jpegio.parse_jpeg, (jpegio.encode_baseline_gray(TINY, dctsim.constant_table(2))[:-12],),
+     FORMAT, "truncated segment header"),
     (jpegio.read_pgm, (b"P6 1 1 255 x",), jpegio.PgmError, "not a binary PGM (P5) stream"),
     (jpegio.crop_center, (TINY, 0), ValueError, "crop side must be positive"),
     (jpegio.crop_center, (TINY, 9), ValueError, "crop side 9 exceeds image size 8x8"),
@@ -486,10 +476,6 @@ class TestPgm:
         data = b"P5 1 1 %d " % maxval + raster
         assert jpegio.read_pgm(data).pixels[0, 0] == pixel
 
-    def test_truncated(self):
-        with pytest.raises(jpegio.PgmError):
-            jpegio.read_pgm(b"P5 2 2 255 " + bytes([1, 2, 3]))
-
     @pytest.mark.parametrize(
         "data, message",
         [
@@ -500,6 +486,7 @@ class TestPgm:
             (b"P5 1 1 0 ", "unsupported PGM maxval 0"),
             (b"P5 1 1 65536 ", "unsupported PGM maxval 65536"),
             (b"P5 1 1 255", "missing whitespace before PGM raster"),
+            (b"P5 2 2 255 " + bytes([1, 2, 3]), "truncated PGM pixel data"),
             (b"P5 2 1 65535 " + bytes(3), "truncated PGM pixel data"),
             (b"P5 2 1 15\n" + bytes([3, 200]), "PGM sample 200 exceeds maxval 15"),
             (b"P5 2 1 1000 " + bytes([3, 0xE8, 3, 0xE9]), "PGM sample 1001 exceeds maxval 1000"),
