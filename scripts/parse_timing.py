@@ -14,8 +14,8 @@ per parse; the round's ratio is the change's over the parent's.
 It writes BENCH_<label>.json to --out-dir (this repository's root by
 default): per input the sides' per-round times with their quartiles, the
 peaks, the ratio's quartiles and the rounds the change won. The files are
-made once into scripts/.cache/<key>, keyed by a sha256 over the sources
-they are made from (KEYED), and read from there by every later run.
+made once into scripts/.cache/<key>, keyed by perfbench/inputs.cache_key
+over the sources they are made from, and read from there by every later run.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ INPUTS = {
 }
 QUARTILES = ("q1", "median", "q3")
 CACHE = checkouts.ROOT / "scripts" / ".cache"
-# The files make_inputs reads to make its input files, and this script.
-KEYED = ("src/**/*.py", "tests/conftest.py", "tests/jpegwriter.py", "perfbench/inputs.py",
-         "scripts/parse_timing.py")
 
 
 def make_inputs(folder: Path) -> None:
@@ -79,13 +76,12 @@ def make_inputs(folder: Path) -> None:
 
 
 def inputs_key() -> str:
-    """sha256 over the path and bytes of every KEYED file of this checkout."""
-    h = hashlib.sha256()
-    for pattern in KEYED:
-        for path in sorted(checkouts.ROOT.glob(pattern)):
-            h.update(path.relative_to(checkouts.ROOT).as_posix().encode() + b"\0")
-            h.update(path.read_bytes())
-    return h.hexdigest()
+    """perfbench/inputs.cache_key, which covers src/, tests/conftest.py and inputs.py,
+    over the digests of the other files the inputs are made from: tests/jpegwriter.py
+    and this script."""
+    made_by = (checkouts.ROOT / "tests" / "jpegwriter.py", Path(__file__))
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in made_by]
+    return checkouts.inputs().cache_key(*digests)
 
 
 def cached_inputs(cache: Path = CACHE) -> dict[str, list[bytes]]:

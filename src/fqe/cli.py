@@ -36,7 +36,8 @@ from .jpegio import JpegError, PgmError, read_pgm, crop_center
 from .refdata import (
     DatasetFormatError,
     ReferenceDataset,
-    count_width,
+    check_header,
+    column_bytes,
     deserialize,
     map_file,
     write_reference,
@@ -77,21 +78,12 @@ def main() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _patch_side(ctx: click.Context, param: click.Parameter, value: int) -> int:
-    # u16 bin counts hold at most 65535 blocks per patch: 255 x 255 at side 2040.
-    if value % 8 or not 8 <= value <= 2040:
-        raise click.BadParameter(f"{value} is not a multiple of 8 from 8 to 2040")
-    return value
-
-
 @main.command()
 @click.option("--raw-dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--q1-max", default=22, show_default=True, type=click.IntRange(1, 255))
-@click.option("--k", default=15, show_default=True, type=click.IntRange(2, 64))
-@click.option(
-    "--patch", default=64, show_default=True, callback=_patch_side, help="Center-crop side."
-)
+@click.option("--q1-max", default=22, show_default=True)
+@click.option("--k", default=15, show_default=True)
+@click.option("--patch", default=64, show_default=True, help="Center-crop side.")
 @click.option(
     "--jobs", type=click.IntRange(min=1), help="Worker processes, each building whole q1s "
     "(default: the CPU count); patches of 512 8x8 blocks or fewer in all build in-process. "
@@ -103,6 +95,10 @@ def build(
     raw_dir: str, out: str, q1_max: int, k: int, patch: int, jobs: int | None, verbose: bool
 ) -> None:
     """Build a reference dataset from a directory of PGM images."""
+    try:
+        check_header(q1_max, k, patch)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     n_jobs = jobs or os.cpu_count() or 1
     paths = sorted(Path(raw_dir).glob("*.pgm"))
     patches: list[GrayImage] = []
@@ -188,14 +184,15 @@ def info_cmd(dataset: str, verbose: bool) -> None:
     """Summarize a reference dataset file, as `build` does, and the bytes of its columns."""
     ds = _load_dataset(dataset)
     click.echo(f"{dataset}: {os.path.getsize(dataset)} bytes")
-    records, bins, wide = (int(bounds[-1]) for bounds in (ds.bounds, ds.bin_bounds, ds.wide_bounds))
-    c = count_width(ds.patch_side)
-    narrow = (np.diff(ds.bin_bounds) > 0) & (np.diff(ds.wide_bounds) == 0)
+    records, bins, widths = ds.footer()
+    sizes = column_bytes(ds.q1_max, ds.patch_side, records, bins, widths).sum(axis=0)
+    keys, wide, lengths, counts, narrow = sizes.tolist()
+    i1 = np.count_nonzero((bins > 0) & (widths == 1))
     click.echo(
-        f"column bytes: keys {8 * records}, lengths {c * records}, values {bins + wide}, "
-        f"bins {c * bins}; i1 values in {np.count_nonzero(narrow)} of {narrow.size} sections"
+        f"column bytes: keys {keys}, lengths {lengths}, values {wide + narrow}, "
+        f"bins {counts}; i1 values in {i1} of {bins.size} sections"
     )
-    _echo_summary(ds.q1_max, ds.k, ds.patch_side, ds.source_count, np.diff(ds.bounds), verbose)
+    _echo_summary(ds.q1_max, ds.k, ds.patch_side, ds.source_count, records, verbose)
 
 
 # ---------------------------------------------------------------------------
@@ -206,22 +203,11 @@ def info_cmd(dataset: str, verbose: bool) -> None:
 def _result_rows(result: EstimationResult) -> list[dict]:
     dm = result.distances
     rows = []
-    for i in range(dm.k):
-        status = dm.status[i]
-        raw = result.raw_estimates[i]
-        est = result.estimates[i]
-        raw_dist = float(dm.d[i][raw - 1]) if raw is not None else None
-        est_dist = float(dm.d[i][est - 1]) if est is not None else None
+    for i, (raw, est) in enumerate(zip(result.raw_estimates, result.estimates)):
+        raw_dist, est_dist = (None if q is None else float(dm.d[i][q - 1]) for q in (raw, est))
         rows.append(
-            {
-                "position": i + 1,
-                "q2": dm.q2[i],
-                "status": status,
-                "raw": raw,
-                "estimate": est,
-                "raw_distance": raw_dist,
-                "estimate_distance": est_dist,
-            }
+            {"position": i + 1, "q2": dm.q2[i], "status": dm.status[i], "raw": raw,
+             "estimate": est, "raw_distance": raw_dist, "estimate_distance": est_dist}
         )
     return rows
 
@@ -361,13 +347,11 @@ def make_corpus(
                 f"{path}: --patch {patch} exceeds the {img.width}x{img.height} image"
             )
         if crop == "center":
-            x = (img.width - patch) // 2
-            y = (img.height - patch) // 2
-            cropped = crop_center(img, patch)
+            x, y = (img.width - patch) // 2, (img.height - patch) // 2
         else:
             x = int(rng.integers(0, img.width - patch + 1))
             y = int(rng.integers(0, img.height - patch + 1))
-            cropped = GrayImage(img.pixels[y : y + patch, x : x + patch].copy())
+        cropped = GrayImage(img.pixels[y : y + patch, x : x + patch].copy())
         crops.append((path.stem, x, y, cropped))
 
     out = Path(out_dir)

@@ -184,7 +184,9 @@ def evaluate_corpus(corpus_dir: Path, ds: ReferenceDataset, jobs: int = 1) -> di
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with tempfile.TemporaryDirectory() as tmp, ProcessPoolExecutor(jobs) as pool:
+        # The pool starts every worker at once; more than map's tasks of 8 images would idle.
+        workers = min(jobs, -(-len(work) // 8))
+        with tempfile.TemporaryDirectory() as tmp, ProcessPoolExecutor(workers) as pool:
             path = ds.path
             if path is None:
                 path = str(Path(tmp) / "ref.fqe")

@@ -96,8 +96,9 @@ class ReferenceDataset:
 
     Section s = 2 * ((q1 - 1) * q1_max + q2 - 1) + (0 for dc, 1 for ac) owns
     records bounds[s]:bounds[s + 1] and bins bin_bounds[s]:bin_bounds[s + 1]
-    of the dataset, in the block of its q1, which starts at byte blocks[q1 - 1].
-    Its values are int16 when it owns bins wide_bounds[s]:wide_bounds[s + 1]
+    of the dataset, a run of each column of its q1's block: the columns
+    start at the bytes columns[q1 - 1], in the order of column_bytes. Its
+    values are int16 when it owns bins wide_bounds[s]:wide_bounds[s + 1]
     of the int16 values, that is when that run is not empty, and int8
     otherwise. A record's bins sum to the block count of a patch,
     (patch_side / 8)^2, and keys are sorted within each section. The
@@ -114,7 +115,7 @@ class ReferenceDataset:
     data: bytes | memoryview | mmap.mmap = field(repr=False)
     bounds: np.ndarray = field(repr=False)
     bin_bounds: np.ndarray = field(repr=False)
-    blocks: np.ndarray = field(repr=False)
+    columns: np.ndarray = field(repr=False)
     wide_bounds: np.ndarray = field(repr=False)
     # The CRC trailer of data, and the file that load_dataset mapped.
     crc: int = field(repr=False)
@@ -130,6 +131,10 @@ class ReferenceDataset:
             for q1, q2 in itertools.product(range(1, self.q1_max + 1), repeat=2)
         }
 
+    def footer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each section's record count, bin count and value width, as the footer has them."""
+        return np.diff(self.bounds), np.diff(self.bin_bounds), 1 + (np.diff(self.wide_bounds) > 0)
+
     def section(self, q1: int, q2: int, kind: str) -> PackedRecords:
         """The records of (q1, q2) of one kind, "dc" or "ac"; made on first use, then kept."""
         if not (1 <= q1 <= self.q1_max and 1 <= q2 <= self.q1_max):
@@ -139,21 +144,12 @@ class ReferenceDataset:
         s = 2 * ((q1 - 1) * self.q1_max + q2 - 1) + _KINDS.index(kind)
         packed = self._made.get(s)
         if packed is None:
-            first, end = 2 * self.q1_max * (q1 - 1), 2 * self.q1_max * q1
-            r, r0, r1, r_end = (int(self.bounds[i]) for i in (first, s, s + 1, end))
-            b, b0, b1, b_end = (int(self.bin_bounds[i]) for i in (first, s, s + 1, end))
-            w, w0, w1, w_end = (int(self.wide_bounds[i]) for i in (first, s, s + 1, end))
-            # The q1's block holds the keys of its records, the int16 values,
-            # the support lengths of its records, the counts of its bins, then
-            # the int8 values; the section is a run of each, and its values are
-            # int16 when it owns some of the block's int16 values.
+            first = 2 * self.q1_max * (q1 - 1)
+            r, r0, r1 = (int(self.bounds[i]) for i in (first, s, s + 1))
+            b, b0, b1 = (int(self.bin_bounds[i]) for i in (first, s, s + 1))
+            w, w0, w1 = (int(self.wide_bounds[i]) for i in (first, s, s + 1))
             c = count_width(self.patch_side)
-            n_rec, n_bins, n_wide = r_end - r, b_end - b, w_end - w
-            keys_at = int(self.blocks[q1 - 1])
-            wide_at = keys_at + 8 * n_rec
-            lengths_at = wide_at + 2 * n_wide
-            bins_at = lengths_at + c * n_rec
-            narrow_at = bins_at + c * n_bins
+            keys_at, wide_at, lengths_at, bins_at, narrow_at = self.columns[q1 - 1].tolist()
             keys = np.frombuffer(self.data, "<f8", r1 - r0, keys_at + 8 * (r0 - r))
             lengths = np.frombuffer(self.data, f"<u{c}", r1 - r0, lengths_at + c * (r0 - r))
             bins = np.frombuffer(self.data, f"<u{c}", b1 - b0, bins_at + c * (b0 - b))
@@ -502,7 +498,7 @@ def check_header(q1_max: int, k: int, patch_side: int) -> None:
         raise ValueError(f"q1_max {q1_max}, not 1 to 255")
     if not 2 <= k <= 64:
         raise ValueError(f"k {k}, not 2 to 64")
-    if patch_side % 8 or patch_side == 0:
+    if patch_side % 8 or patch_side <= 0:
         raise ValueError(f"patch side {patch_side}, not 8 to 2040 by 8")
     if (patch_side // 8) ** 2 > _MAX_BIN:
         raise ValueError(f"patch side {patch_side}, not 8 to 2040 by 8: over {_MAX_BIN} blocks")
@@ -512,6 +508,19 @@ def count_width(patch_side: int) -> int:
     """The bytes of a support length and of a bin count, by the header's patch
     side: 1 when a patch's block count, which bounds both, is at most 255, else 2."""
     return 1 if (patch_side // 8) ** 2 <= 0xFF else 2
+
+
+def column_bytes(
+    q1_max: int, patch_side: int, records: np.ndarray, bins: np.ndarray, widths: np.ndarray
+) -> np.ndarray:
+    """The bytes of the columns of each q1's block, a (q1_max, 5) array: keys, i2 values,
+    support lengths, bin counts and i1 values, in file order, before the block's padding.
+    From the header's q1_max and patch side and each section's footer entries."""
+    c = count_width(patch_side)
+    n_records, n_bins, n_wide = (
+        counts.reshape(q1_max, -1).sum(axis=1) for counts in (records, bins, bins * (widths == 2))
+    )
+    return np.stack([8 * n_records, 2 * n_wide, c * n_records, c * n_bins, n_bins - n_wide], 1)
 
 
 def serialize(ds: ReferenceDataset) -> bytes:
@@ -564,17 +573,18 @@ def deserialize(data: bytes | memoryview | mmap.mmap) -> ReferenceDataset:
     # section: by more than the padding can take up when they are 8 or more.
     if not ((widths == 1) | (widths == 2) & (bins > 0)).all():
         raise DatasetFormatError("dataset value widths are not 1 or 2 bytes, 1 when empty")
-    c = count_width(patch_side)
-    blocks = ((8 + c) * records + (c + widths) * bins).reshape(q1_max, -1).sum(axis=1)
+    sizes = column_bytes(q1_max, patch_side, records, bins, widths)
+    blocks = sizes.sum(axis=1)
     blocks += -blocks % 8
     if _HEADER_SIZE + blocks.sum() != footer:
         raise DatasetFormatError("dataset file size does not match its footer")
+    columns = (_HEADER_SIZE + np.cumsum(blocks) - blocks)[:, None] + np.cumsum(sizes, 1) - sizes
     bounds, bin_bounds, wide_bounds = (
         np.append(0, np.cumsum(counts)) for counts in (records, bins, bins * (widths == 2))
     )
     return ReferenceDataset(
-        q1_max, k, patch_side, source_count, data, bounds, bin_bounds,
-        _HEADER_SIZE + np.cumsum(blocks) - blocks, wide_bounds, crc_stored,
+        q1_max, k, patch_side, source_count, data, bounds, bin_bounds, columns, wide_bounds,
+        crc_stored,
     )
 
 

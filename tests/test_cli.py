@@ -211,15 +211,17 @@ class TestBuild:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--q1-max", "0", "0 is not in the range 1<=x<=255."),
-            ("--q1-max", "256", "256 is not in the range 1<=x<=255."),
-            ("--k", "1", "1 is not in the range 2<=x<=64."),
-            ("--k", "65", "65 is not in the range 2<=x<=64."),
-            ("--patch", "60", "60 is not a multiple of 8 from 8 to 2040"),
-            ("--patch", "0", "0 is not a multiple of 8 from 8 to 2040"),
-            ("--patch", "2048", "2048 is not a multiple of 8 from 8 to 2040"),
-            ("--jobs", "0", "0 is not in the range x>=1."),
-            ("--jobs", "-3", "-3 is not in the range x>=1."),
+            # The header fields take refdata.check_header's rule and text.
+            ("--q1-max", "0", "q1_max 0, not 1 to 255"),
+            ("--q1-max", "256", "q1_max 256, not 1 to 255"),
+            ("--k", "1", "k 1, not 2 to 64"),
+            ("--k", "65", "k 65, not 2 to 64"),
+            ("--patch", "60", "patch side 60, not 8 to 2040 by 8"),
+            ("--patch", "0", "patch side 0, not 8 to 2040 by 8"),
+            ("--patch", "-8", "patch side -8, not 8 to 2040 by 8"),
+            ("--patch", "2048", "patch side 2048, not 8 to 2040 by 8: over 65535 blocks"),
+            ("--jobs", "0", "Invalid value for '--jobs': 0 is not in the range x>=1."),
+            ("--jobs", "-3", "Invalid value for '--jobs': -3 is not in the range x>=1."),
         ],
     )
     def test_bad_arguments_are_usage_errors(self, tmp_path, runner, flag, value, message):
@@ -233,7 +235,7 @@ class TestBuild:
         )
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        assert f"Invalid value for '{flag}': {message}" in result.output
+        assert result.output.endswith(f"\nError: {message}\n"), result.output
         assert not out.exists()
 
     def test_rebuild_replaces_the_file_under_a_mapping(self, tmp_path, raw_dir, runner):

@@ -63,6 +63,45 @@ def test_default_params_on_a_small_grid_file(pinned_corpus, tmp_path):
     assert report["images"] == 8 and report["overall"]["overall"]["total"] == 8 * 15
 
 
+@pytest.mark.parametrize(
+    "qf1, jobs, workers", [("85", 64, 1), ("50,60,70,80,90", 2, 2), ("50,60,70,80,90", 64, 3)]
+)
+def test_pool_has_at_most_one_worker_per_8_images(
+    pinned_corpus, tmp_path, monkeypatch, qf1, jobs, workers
+):
+    # A pool starts all its workers at once, and map hands them 8 images a
+    # task: 4 or 20 images make 1 or 3 tasks. This pool runs them in-process.
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+        def map(self, task, items, chunksize):
+            return map(task, items)
+
+    out = tmp_path / "corpus"
+    result = CliRunner().invoke(
+        main,
+        ["make-corpus", "--raw-dir", str(pinned_corpus.parent / "raw"), "--out-dir", str(out),
+         "--qf1", qf1, "--qf2", "90"],
+    )
+    assert result.exit_code == 0, result.output
+    ds = build_reference(synth_patches(seed=72, count=6), q1_max=4, k=15)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    try:
+        assert evaluate_corpus(out, ds, jobs=jobs) == evaluate_corpus(out, ds, jobs=1)
+    finally:
+        corpus._mapped.cache_clear()  # the temporary dataset file is gone
+    assert started == [workers]
+
+
 def test_file_under_two_labels_counts_under_each(tmp_path):
     ds = build_reference(synth_patches(seed=73, count=4), q1_max=6, k=15)
     m3 = constant_table(3)

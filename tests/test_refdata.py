@@ -828,6 +828,13 @@ class TestSerialization:
         assert str(written.value) == field
         assert str(read.value) == f"dataset declares {field}"
 
+    @pytest.mark.parametrize("side", [-8, -64, -2048])
+    def test_negative_patch_side_rejected(self, side):
+        # Neither a patch nor the header's u16 field has a negative side, but
+        # fqe build checks its --patch value by this rule.
+        with pytest.raises(ValueError, match=exactly(f"patch side {side}, not 8 to 2040 by 8")):
+            refdata.check_header(2, 4, side)
+
     @pytest.mark.parametrize("k", [0, 1, 65, 200])
     def test_bad_k_rejected(self, k):
         # write_reference takes k in 2..64 only; the header's k byte follows q1_max.

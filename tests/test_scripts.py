@@ -124,7 +124,7 @@ def test_parse_timing_makes_its_inputs_once_per_key(tmp_path, monkeypatch):
 
     monkeypatch.setattr(parse_timing, "make_inputs", make_inputs)
     key = parse_timing.inputs_key()
-    assert len(key) == 64 and key == parse_timing.inputs_key()
+    assert len(key) == 16 and key == parse_timing.inputs_key()
     first = parse_timing.cached_inputs(tmp_path)
     assert parse_timing.cached_inputs(tmp_path) == first
     assert len(made) == 1 and [p.name for p in tmp_path.iterdir()] == [key]
