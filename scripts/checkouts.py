@@ -14,6 +14,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+# The source of vmhwm_kb(), for the code that scripts run in a child process:
+# the process's peak resident set size so far, in kB (Linux).
+VMHWM_KB = """
+def vmhwm_kb():
+    status = dict(line.split(":", 1) for line in open("/proc/self/status"))
+    return int(status["VmHWM"].split()[0])
+"""
+
+
 def sides(parent: Path, change: Path = ROOT) -> dict[str, Path]:
     """The two checkouts by side name, parent first."""
     return {"parent": Path(parent).resolve(), "change": Path(change).resolve()}

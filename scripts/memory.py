@@ -1,4 +1,4 @@
-"""Memory and time of `fqe build` and `fqe evaluate` and their workers, parent against change.
+"""Memory and time of `fqe build`, `fqe evaluate` and `fqe estimate`, parent against change.
 
     python3 scripts/memory.py --parent-checkout ../parent --out BENCH_memory.json
 
@@ -12,20 +12,27 @@ alternating, each command in a fresh process of the checkout under test:
   double-compressed corpus (RAW_IMAGES images of side SIDE, seed
   CORPUS_SEED, at each QF1 in QF1, then QF2) against the dataset file that
   the checkout's own build has just written, so that the two checkouts may
-  write different file formats.
+  write different file formats;
+- `fqe estimate --format json`, one request per process, on each of the
+  COLD_IMAGES 1 MP images of seed COLD_IMAGE_SEED that
+  scripts/parse_timing.py makes as gray-1mp, against a dataset of
+  COLD_PATCHES patches (seed COLD_DATASET_SEED) that the checkout builds
+  itself first, as `fqe build --jobs 1` ("cold dataset").
 
 Each run reports the command's wall seconds and its process's VmHWM before
-(after imports) and after the command. While it runs, each pool worker's
-Pss, Rss and private memory (Private_Clean + Private_Dirty) are read from
-/proc/<pid>/smaps_rollup every INTERVAL seconds and their peaks kept. Pss
-splits a shared page among the processes that map it, so it shows what a
-worker costs the host; Rss and VmHWM count shared pages in full. Builds
-also give their median seconds as ms per patch and their VmHWM above start
-per patch, and change_parent_seconds_ratio divides the change's median
-seconds by the parent's for each command. Every build of one checkout must
-write the same bytes and every report must be identical, or the script
-exits 1; the two checkouts' datasets may differ, and checkouts_agree says
-whether they did. Linux only.
+(after imports) and after the command, and the difference. While it runs,
+each pool worker's Pss, Rss and private memory (Private_Clean +
+Private_Dirty) are read from /proc/<pid>/smaps_rollup every INTERVAL
+seconds and their peaks kept. Pss splits a shared page among the
+processes that map it, so it shows what a worker costs the host; Rss and
+VmHWM count shared pages in full. Builds also give their median seconds as
+ms per patch and their VmHWM above start per patch, and
+change_parent_seconds_ratio divides the change's median seconds by the
+parent's for each command. Every build of one checkout must
+write the same bytes, and every report, and every estimate of one image,
+must be identical across runs and checkouts, or the script exits 1; the two
+checkouts' datasets may differ, and checkouts_agree says whether they did.
+Linux only.
 """
 
 from __future__ import annotations
@@ -53,6 +60,11 @@ SIDE = 64  # corpus image side
 CORPUS_SEED = 1301
 QF1 = "60,70,80,90"
 QF2 = "90"
+COLD_PATCHES = 16  # estimate dataset patches
+COLD_DATASET_SEED = 9501
+COLD_IMAGES = 4  # estimate images
+COLD_IMAGE_SEED = 2021
+COLD_SIDE = 1024
 REPEATS = 3
 INTERVAL = 0.02  # seconds between samples
 
@@ -61,11 +73,7 @@ INTERVAL = 0.02  # seconds between samples
 DRIVER = """
 import json, multiprocessing, sys, time
 from fqe.cli import main
-
-def vmhwm_kb():
-    status = dict(line.split(":", 1) for line in open("/proc/self/status"))
-    return int(status["VmHWM"].split()[0])
-
+""" + checkouts.VMHWM_KB + """
 multiprocessing.set_start_method(sys.argv[1])
 start = vmhwm_kb()
 t0 = time.perf_counter()
@@ -107,8 +115,9 @@ def workers_of(pid: int) -> list[int]:
     return found
 
 
-def run_once(checkout: Path, method: str, argv: list[str], output: Path) -> dict:
-    """`fqe argv` under method in checkout, its workers sampled; the sha256 of output."""
+def run_once(checkout: Path, method: str, argv: list[str], output: Path | None) -> dict:
+    """`fqe argv` under method in checkout, its workers sampled; the sha256 of
+    output, or of what the command printed when output is None."""
     proc = subprocess.Popen(
         [sys.executable, "-c", DRIVER, method, *argv],
         cwd=checkout, env=checkouts.child_env(checkout),
@@ -131,22 +140,33 @@ def run_once(checkout: Path, method: str, argv: list[str], output: Path) -> dict
         time.sleep(INTERVAL)
     stdout, stderr = proc.communicate()
     checkouts.check(f"fqe {argv[0]} under {method} in {checkout}", proc.returncode, stderr)
+    *printed, last = stdout.splitlines(keepends=True)
+    content = "".join(printed).encode() if output is None else output.read_bytes()
     return {
-        **json.loads(stdout.splitlines()[-1]),
+        **json.loads(last),
         "workers": [peaks[pid] for pid in sorted(peaks)],
-        "sha256": hashlib.sha256(output.read_bytes()).hexdigest(),
+        "sha256": hashlib.sha256(content).hexdigest(),
     }
 
 
-def commands(raw: Path, corpus: Path, dataset: Path, report_dir: Path) -> dict[str, tuple]:
-    """Each command by name: its start method, fqe argv and output file, builds first."""
-    build = ["build", "--raw-dir", str(raw), "--out", str(dataset), "--q1-max", str(Q1_MAX),
-             "--k", str(K)]
-    evaluate = ["evaluate", "--corpus-dir", str(corpus), "--dataset", str(dataset),
+def commands(work: Path) -> dict[str, tuple]:
+    """Each command by name: its start method, fqe argv and output file (None for
+    what it prints), each dataset's build before the commands that read it."""
+    dataset, report_dir, cold = work / "ref.fqe", work / "report", work / "cold.fqe"
+    build = ["build", "--raw-dir", str(work / "raw"), "--out", str(dataset), "--q1-max",
+             str(Q1_MAX), "--k", str(K)]
+    evaluate = ["evaluate", "--corpus-dir", str(work / "corpus"), "--dataset", str(dataset),
                 "--out-dir", str(report_dir), "--jobs", str(JOBS)]
+    cold_build = ["build", "--raw-dir", str(work / "cold-raw"), "--out", str(cold), "--q1-max",
+                  str(Q1_MAX), "--k", str(K), "--jobs", "1"]
+    images = sorted((work / "cold").glob("*.jpg"))
     return {
         **{f"build, jobs {j}": ("fork", [*build, "--jobs", str(j)], dataset) for j in (1, 2)},
         **{f"evaluate, {m}": (m, evaluate, report_dir / "report.json") for m in METHODS},
+        f"cold dataset, {COLD_PATCHES} patches": ("fork", cold_build, cold),
+        **{f"estimate, {image.name}": ("fork", ["estimate", "--image", str(image), "--dataset",
+                                                str(cold), "--format", "json"], None)
+           for image in images},
     }
 
 
@@ -161,6 +181,7 @@ def summarize(name: str, runs: list[dict]) -> dict:
         "seconds": seconds,
         "start_vmhwm_mb": median_mb([run["start_kb"] for run in runs]),
         "end_vmhwm_mb": median_mb([run["end_kb"] for run in runs]),
+        "vmhwm_above_start_mb": median_mb([run["end_kb"] - run["start_kb"] for run in runs]),
         "worker_pss_mb": median_mb([w["pss_kb"] for w in workers]),
         "worker_private_mb": median_mb([w["private_kb"] for w in workers]),
         "worker_rss_mb": median_mb([w["rss_kb"] for w in workers]),
@@ -182,19 +203,25 @@ def seconds_ratios(summary: dict) -> dict:
     }
 
 
-def write_inputs(raw: Path, corpus: Path) -> None:
-    """The build's PGM patches in raw; the corpus, made from its own by `fqe make-corpus`."""
-    conftest = checkouts.inputs().load_conftest()
+def write_inputs(work: Path) -> None:
+    """In work: the builds' PGM patches in raw and cold-raw; the corpus, made from
+    its own by `fqe make-corpus`; the estimate images in cold."""
+    bench = checkouts.inputs()
+    conftest = bench.load_conftest()
     from fqe import cli
 
-    corpus_raw = corpus.with_name("corpus-raw")
-    for out, patches in ((raw, conftest.synth_patches(BUILD_SEED, PATCHES)),
-                         (corpus_raw, conftest.synth_patches(CORPUS_SEED, RAW_IMAGES, SIDE))):
+    for out, patches in (
+        (work / "raw", conftest.synth_patches(BUILD_SEED, PATCHES)),
+        (work / "corpus-raw", conftest.synth_patches(CORPUS_SEED, RAW_IMAGES, SIDE)),
+        (work / "cold-raw", conftest.synth_patches(COLD_DATASET_SEED, COLD_PATCHES)),
+    ):
         out.mkdir()
         for i, patch in enumerate(patches):
             (out / f"p{i:03d}.pgm").write_bytes(conftest.write_pgm(patch))
-    cli.main(["make-corpus", "--raw-dir", str(corpus_raw), "--out-dir", str(corpus),
-              "--qf1", QF1, "--qf2", QF2], standalone_mode=False)
+    cli.main(["make-corpus", "--raw-dir", str(work / "corpus-raw"), "--out-dir",
+              str(work / "corpus"), "--qf1", QF1, "--qf2", QF2], standalone_mode=False)
+    (work / "cold").mkdir()
+    bench.write_images(work / "cold", COLD_IMAGE_SEED, COLD_IMAGES, COLD_SIDE, K)
 
 
 def main(argv=None) -> int:
@@ -206,8 +233,8 @@ def main(argv=None) -> int:
     sides = checkouts.sides(args.parent_checkout)
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        todo = commands(work / "raw", work / "corpus", work / "ref.fqe", work / "report")
-        write_inputs(work / "raw", work / "corpus")
+        write_inputs(work)
+        todo = commands(work)
         runs = {side: {name: [] for name in todo} for side in sides}
         for i, order in enumerate(checkouts.orders(REPEATS)):
             for side in order:
@@ -226,19 +253,31 @@ def main(argv=None) -> int:
                        for run in r})
 
     datasets = {side: digests(side, "build") for side in sides}
+    cold_datasets = {side: digests(side, "cold dataset") for side in sides}
     reports = {d for side in sides for d in digests(side, "evaluate")}
-    identical = all(len(d) == 1 for d in datasets.values()) and len(reports) == 1
+    estimates = {name: sorted({d for side in sides for d in digests(side, name)})
+                 for name in todo if name.startswith("estimate")}
+    identical = (
+        all(len(d) == 1 for d in [*datasets.values(), *cold_datasets.values()])
+        and len(reports) == 1
+        and all(len(d) == 1 for d in estimates.values())
+    )
     out = {
         **checkouts.header(__file__, argv, sides),
         "build": {"patches": PATCHES, "seed": BUILD_SEED, "side": 64, "q1_max": Q1_MAX, "k": K},
         "corpus": {"images": len(QF1.split(",")) * RAW_IMAGES, "qf1": QF1, "qf2": QF2,
                    "seed": CORPUS_SEED, "side": SIDE},
         "evaluate_jobs": JOBS,
+        "estimate": {"dataset_patches": COLD_PATCHES, "dataset_seed": COLD_DATASET_SEED,
+                     "images": COLD_IMAGES, "image_seed": COLD_IMAGE_SEED, "side": COLD_SIDE},
         "repeats": REPEATS,
         "dataset_sha256": datasets,
+        "cold_dataset_sha256": cold_datasets,
         "report_sha256": sorted(reports),
+        "estimate_sha256": estimates,
         "outputs_identical": identical,
-        "checkouts_agree": len({d for side in datasets.values() for d in side}) == 1,
+        "checkouts_agree": all(len({d for side in kind.values() for d in side}) == 1
+                               for kind in (datasets, cold_datasets)),
         "summary": summary,
         "change_parent_seconds_ratio": seconds_ratio,
         "runs": runs,

@@ -5,11 +5,15 @@
 Makes the INPUTS below with this checkout, imports both checkouts' fqe into
 this one process and times them input by input. Each side parses every file
 once untimed, which builds its decode tables, and hashes its component
-grids (or its error); the sides must agree on every file, or the script
-exits 1. One more parse of the first file gives each side's tracemalloc
-peak. Each of --rounds rounds then parses every file with both sides,
-alternating file by file which goes first, and takes each side's median ms
-per parse; the round's ratio is the change's over the parent's.
+grids as little-endian int32, whatever their dtype (or its error); the
+sides must agree on every file, or the script exits 1. A second, timed pass
+sets how many passes over the files a round makes: enough that each side's
+share of a round takes at least MIN_ROUND_S. Each of --rounds rounds then
+parses every file with both sides, alternating file by file which goes
+first, and takes each side's median ms per parse; the round's ratio is the
+change's over the parent's. Each side's memory peak is the VmHWM of a fresh
+process of its checkout that parses the input's first file once, above its
+VmHWM after the imports.
 
 It writes BENCH_<label>.json to --out-dir (this repository's root by
 default): per input the sides' per-round times with their quartiles, the
@@ -23,12 +27,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
-import tracemalloc
 from pathlib import Path
 
 import checkouts
@@ -43,6 +48,22 @@ INPUTS = {
 }
 QUARTILES = ("q1", "median", "q3")
 CACHE = checkouts.ROOT / "scripts" / ".cache"
+MIN_ROUND_S = 0.05
+
+# Run in the checkout under test: parse the JPEG on stdin once, then print
+# the VmHWM it raised above the level after the imports, in kB.
+PEAK_SCRIPT = """
+import sys
+from fqe import jpegio
+""" + checkouts.VMHWM_KB + """
+data = sys.stdin.buffer.read()
+start = vmhwm_kb()
+try:
+    jpegio.parse_jpeg(data)
+except jpegio.JpegError:
+    pass
+print(vmhwm_kb() - start)
+"""
 
 
 def make_inputs(folder: Path) -> None:
@@ -115,38 +136,56 @@ def digest(parsed) -> str:
         return f"{type(parsed).__name__}: {parsed}"
     h = hashlib.sha256()
     for cid, grid in sorted(parsed.component_coeffs.items()):
-        h.update(f"{cid} {grid.shape}".encode() + grid.tobytes())
+        h.update(f"{cid} {grid.shape}".encode() + grid.astype("<i4").tobytes())
     return h.hexdigest()
+
+
+def peak_mb(checkout: Path, data: bytes) -> float:
+    """The VmHWM that one parse of data raises in a fresh process of checkout, in MB."""
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_SCRIPT], input=data, capture_output=True,
+        env=checkouts.child_env(checkout),
+    )
+    checkouts.check(f"a parse in {checkout}", done.returncode, done.stderr.decode())
+    return int(done.stdout) / 1024
+
+
+def pass_seconds(jpegio, blobs: list[bytes]) -> float:
+    """The seconds of one pass of jpegio over blobs."""
+    t0 = time.perf_counter()
+    for data in blobs:
+        parse(jpegio, data)
+    return time.perf_counter() - t0
 
 
 def time_input(jpegios: dict, blobs: list[bytes], rounds: int) -> dict:
     """Time both sides' jpegio (by side name) on blobs; one input's entry.
 
-    File i of round r takes order r + i, so each file swaps order every round.
+    A round makes enough passes over blobs that each side's share takes at
+    least MIN_ROUND_S. Pass p over file i of round r takes order r + p + i,
+    so each file swaps order every pass and every round.
     """
     digests = {side: [digest(parse(j, data)) for data in blobs] for side, j in jpegios.items()}
-    peaks = {}
-    for side, jpegio in jpegios.items():
-        tracemalloc.start()
-        parse(jpegio, blobs[0])
-        peaks[side] = tracemalloc.get_traced_memory()[1] / 1e6
-        tracemalloc.stop()
-    orders = checkouts.orders(rounds + len(blobs))
+    fastest = min(pass_seconds(jpegio, blobs) for jpegio in jpegios.values())
+    passes = max(1, math.ceil(MIN_ROUND_S / fastest))
+    orders = checkouts.orders(rounds + passes + len(blobs))
     ms: dict[str, list[float]] = {side: [] for side in jpegios}
     for r in range(rounds):
         times: dict[str, list[float]] = {side: [] for side in jpegios}
-        for i, data in enumerate(blobs):
-            for side in orders[r + i]:
-                t0 = time.perf_counter()
-                parse(jpegios[side], data)
-                times[side].append(time.perf_counter() - t0)
+        for p in range(passes):
+            for i, data in enumerate(blobs):
+                for side in orders[r + p + i]:
+                    t0 = time.perf_counter()
+                    parse(jpegios[side], data)
+                    times[side].append(time.perf_counter() - t0)
         for side, t in times.items():
             ms[side].append(1e3 * statistics.median(t))
     ratios = [c / p for p, c in zip(ms["parent"], ms["change"])]
-    entry = {"files": len(blobs), "grids_equal": digests["parent"] == digests["change"]}
+    entry = {"files": len(blobs), "passes_per_round": passes,
+             "grids_equal": digests["parent"] == digests["change"]}
     for side in jpegios:
         entry[side] = {"ms_per_parse": dict(zip(QUARTILES, checkouts.quartiles(ms[side]))),
-                       "runs_ms": ms[side], "peak_mb": peaks[side]}
+                       "runs_ms": ms[side]}
     entry["ratio"] = dict(zip(QUARTILES, checkouts.quartiles(ratios)))
     entry["change_won"] = sum(ratio < 1 for ratio in ratios)
     return entry
@@ -169,10 +208,13 @@ def main(argv=None) -> int:
     for name, description in INPUTS.items():
         entry = results[name] = {"description": description,
                                  **time_input(jpegios, files[name], args.rounds)}
+        for side, path in sides.items():
+            entry[side]["parse_vmhwm_mb"] = peak_mb(path, files[name][0])
         parent, change, ratio = entry["parent"], entry["change"], entry["ratio"]
         print(f"{name:16s} parent {parent['ms_per_parse']['median']:8.2f} ms  change "
               f"{change['ms_per_parse']['median']:8.2f} ms  ratio {ratio['median']:.3f} "
-              f"[{ratio['q1']:.3f}, {ratio['q3']:.3f}]  won {entry['change_won']}/{args.rounds}"
+              f"[{ratio['q1']:.3f}, {ratio['q3']:.3f}]  won {entry['change_won']}/{args.rounds}  "
+              f"VmHWM +{parent['parse_vmhwm_mb']:.2f}/+{change['parse_vmhwm_mb']:.2f} MB"
               + ("" if entry["grids_equal"] else "  GRIDS DIFFER"), flush=True)
     record = {**checkouts.header(__file__, argv, sides), "rounds": args.rounds,
               "inputs": results}

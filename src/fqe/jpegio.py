@@ -108,7 +108,8 @@ class FrameInfo:
 @dataclass
 class ParsedJpeg:
     """Quant tables keyed by component id, luminance grid, frame metadata,
-    and the quantized zig-zag blocks of every scanned component by id."""
+    and the quantized zig-zag blocks of every scanned component by id, as
+    int16 grids."""
 
     tables: dict[int, QuantTable]
     coeffs: CoeffGrid
@@ -883,7 +884,7 @@ class _Parser:
 
         outputs = []
         for comp in scan_comps:
-            arr = np.zeros((comp.blocks_w * comp.blocks_h, 64), dtype=np.int32)
+            arr = np.zeros((comp.blocks_w * comp.blocks_h, 64), dtype=np.int16)
             self.comp_coeffs[comp.comp_id] = arr
             outputs.append(arr)
 

@@ -100,7 +100,10 @@ class CoeffGrid:
 
     values has shape (height_blocks * width_blocks, 64); each row is one
     8x8 block in zig-zag order, blocks in row-major order. DC terms are
-    absolute (differential decoding already applied).
+    absolute (differential decoding already applied). values is int16: an
+    int16 array is kept as it is, without a copy; any other array is cast
+    after a check that every value lies in [-32768, 32767], and raises
+    ValueError otherwise. Baseline coefficients fit in 16 bits (T.81 Annex F).
     """
 
     width_blocks: int
@@ -110,13 +113,19 @@ class CoeffGrid:
     def __post_init__(self) -> None:
         if self.width_blocks < 1 or self.height_blocks < 1:
             raise ValueError("block dimensions must be positive")
-        arr = np.asarray(self.values, dtype=np.int32)
+        arr = np.asarray(self.values)
         expected = self.width_blocks * self.height_blocks
         if arr.shape != (expected, 64):
             raise ValueError(
                 f"values shape {arr.shape} does not match "
                 f"{expected} blocks of 64 coefficients"
             )
+        if arr.dtype != np.int16:
+            lo, hi = arr.min(), arr.max()
+            # Written so that NaN fails the check too.
+            if not (lo >= -32768 and hi <= 32767):
+                raise ValueError(f"coefficient values {lo}..{hi} do not fit in int16")
+            arr = arr.astype(np.int16)
         self.values = arr
 
     @property

@@ -80,6 +80,10 @@ DOMAIN_ERRORS = [
     (CoeffGrid, (0, 1, np.zeros((0, 64))), ValueError, "block dimensions must be positive"),
     (CoeffGrid, (2, 1, np.zeros((1, 64))), ValueError,
      "values shape (1, 64) does not match 2 blocks of 64 coefficients"),
+    (CoeffGrid, (1, 1, 32768 * np.eye(1, 64, dtype=np.int64)), ValueError,
+     "coefficient values 0..32768 do not fit in int16"),
+    (CoeffGrid, (1, 1, np.full((1, 64), np.nan)), ValueError,
+     "coefficient values nan..nan do not fit in int16"),
     (CoeffGrid(1, 1, np.zeros((1, 64))).coefficient, (0,), IndexError,
      "coefficient index 0 out of range"),
     (build_histogram, (np.array([], dtype=np.int64),), ValueError,

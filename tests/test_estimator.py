@@ -322,6 +322,21 @@ class TestEstimate:
         assert result.raw_estimates == raw_estimates(result.distances)
         assert not result.warnings
 
+    @pytest.mark.parametrize("kept, warned", [((2, 3, 5), False), ((2, 3), True)])
+    def test_three_usable_coefficients_are_enough_to_regularize(self, ds8, kept, warned):
+        # q2 factors above ds8's q1_max of 8 leave only the kept positions ok.
+        zz = np.full(64, 20)
+        zz[np.array(kept) - 1] = 2
+        patch = synth_patches(seed=31, count=20)[7]
+        data = double_compress_file(patch, dctsim.constant_table(3), QuantTable.from_zigzag(zz))
+        result = estimate(data, ds8)
+        status = result.distances.status
+        assert [i + 1 for i, s in enumerate(status) if s == OK] == list(kept)
+        assert result.estimates == regularize(result.distances)
+        assert result.warnings == (
+            ["fewer than 3 usable coefficients: regularization skipped"] if warned else []
+        )
+
     def test_determinism(self, ds8):
         patches = synth_patches(seed=38, count=1)
         data = double_compress_file(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fqe import dctsim, jpegio
-from fqe.types import GrayImage, QuantTable
+from fqe.types import CoeffGrid, GrayImage, QuantTable
 
 from conftest import synth_patch, synth_patches, write_pgm
 from jpegwriter import (
@@ -51,6 +51,8 @@ class TestRoundTrip:
             table = QuantTable(rng.integers(1, 23, 64))
             parsed = jpegio.parse_jpeg(jpegio.encode_baseline_gray(img, table))
             assert parsed.luma_table == table
+            assert parsed.coeffs.values.dtype == np.int16
+            assert parsed.coeffs.values is parsed.component_coeffs[1]
             assert np.array_equal(parsed.coeffs.values, encoder_reference_grid(img, table))
 
     def test_odd_dimensions(self, rng):
@@ -102,6 +104,19 @@ class TestRoundTrip:
             jpegio.encode_baseline_gray(img, dctsim.constant_table(2))
         ).coeffs.values
         assert np.abs(twos - dctsim.round_half_away(ones / 2.0)).max() <= 1
+
+
+class TestCoeffGrid:
+    def test_int16_values_are_kept_without_a_copy(self):
+        values = np.zeros((2, 64), dtype=np.int16)
+        assert CoeffGrid(2, 1, values).values is values
+
+    def test_other_values_are_cast_to_int16_when_they_fit(self):
+        values = np.zeros((1, 64), dtype=np.int64)
+        values[0, :2] = -32768, 32767
+        grid = CoeffGrid(1, 1, values)
+        assert grid.values.dtype == np.int16 and np.array_equal(grid.values, values)
+        assert CoeffGrid(1, 1, values.tolist()) == grid
 
 
 class TestAnnexKCodes:
@@ -215,7 +230,7 @@ class TestParserErrors:
 
     @pytest.mark.parametrize("category", [12, 32])
     def test_dc_category_above_11_rejected(self, category):
-        # Category 32 used to overflow the int32 grid with OverflowError.
+        # Category 32 used to overflow the grid with OverflowError.
         data = self.hand_built(8, 8, category, "0" + "1" * category + "0")
         with pytest.raises(jpegio.JpegFormatError, match="category"):
             jpegio.parse_jpeg(data)

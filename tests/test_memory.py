@@ -3,8 +3,13 @@
 import hashlib
 import os
 
+from click.testing import CliRunner
+
 import memory
 from checkouts import ROOT
+from fqe.cli import main
+from fqe.corpus import double_compress_file
+from fqe.dctsim import constant_table
 from conftest import synth_patches, write_pgm
 
 
@@ -25,6 +30,7 @@ def test_medians_over_runs_and_over_every_worker():
     s = memory.summarize("evaluate, fork", runs)
     assert s["seconds"] == 4.0
     assert s["start_vmhwm_mb"] == 100_000 / 1024 and s["end_vmhwm_mb"] == 160_000 / 1024
+    assert s["vmhwm_above_start_mb"] == 60_000 / 1024
     assert s["workers_seen"] == 3
     assert (s["worker_pss_mb"], s["worker_rss_mb"], s["worker_private_mb"]) == (50, 100, 25)
 
@@ -70,3 +76,20 @@ def test_one_build_in_a_fresh_process(tmp_path):
     assert done["seconds"] > 0 and 0 < done["start_kb"] <= done["end_kb"]
     assert done["workers"] == []
     assert done["sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_one_estimate_in_a_fresh_process_hashes_what_it_prints(tmp_path):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    patches = synth_patches(seed=7, count=3)
+    for i, patch in enumerate(patches):
+        (raw / f"p{i}.pgm").write_bytes(write_pgm(patch))
+    dataset, image = tmp_path / "ref.fqe", tmp_path / "img.jpg"
+    main(["build", "--raw-dir", str(raw), "--out", str(dataset), "--q1-max", "4", "--jobs", "1"],
+         standalone_mode=False)
+    image.write_bytes(double_compress_file(patches[0], constant_table(3), constant_table(2)))
+    argv = ["estimate", "--image", str(image), "--dataset", str(dataset), "--format", "json"]
+    done = memory.run_once(ROOT, "fork", argv, None)
+    printed = CliRunner().invoke(main, argv).output
+    assert done["sha256"] == hashlib.sha256(printed.encode()).hexdigest()
+    assert 0 < done["start_kb"] <= done["end_kb"] and done["workers"] == []

@@ -1,6 +1,7 @@
 """Every script under scripts/ starts, and the checkout plumbing they share works."""
 
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -112,6 +113,37 @@ def test_parse_timing_reports_a_differing_digest(two_copies, image):
     assert parse_timing.digest(parse_timing.parse(a.jpegio, image[:40])).startswith("Jpeg")
 
 
+def test_parse_timing_repeats_a_short_input_within_a_round(monkeypatch, two_copies, image):
+    a, b = two_copies
+    parse_timing = load_script(checkouts.ROOT / "scripts" / "parse_timing.py")
+    monkeypatch.setattr(parse_timing, "pass_seconds", lambda jpegio, blobs: 0.02)
+    calls = []
+
+    class Counted:
+        JpegError = b.jpegio.JpegError
+
+        @staticmethod
+        def parse_jpeg(data):
+            calls.append(data)
+            return b.jpegio.parse_jpeg(data)
+
+    entry = parse_timing.time_input({"parent": a.jpegio, "change": Counted}, [image] * 2, 2)
+    assert entry["passes_per_round"] == 3  # 0.05 s over 0.02 s, rounded up
+    assert len(calls) == 2 + 2 * 3 * 2  # the digests, then rounds x passes x files
+
+
+def test_parse_timing_digests_values_at_one_width_and_peaks_in_a_child(two_copies, image):
+    a, _ = two_copies
+    parse_timing = load_script(checkouts.ROOT / "scripts" / "parse_timing.py")
+    parsed = a.jpegio.parse_jpeg(image)
+    digest = parse_timing.digest(parsed)
+    parsed.component_coeffs[1] = parsed.component_coeffs[1].astype(np.int64)
+    assert parse_timing.digest(parsed) == digest
+    assert parse_timing.peak_mb(checkouts.ROOT, image) >= 0
+    with pytest.raises(RuntimeError, match="a parse in"):
+        parse_timing.peak_mb(checkouts.ROOT / "missing", image)
+
+
 def test_parse_timing_makes_its_inputs_once_per_key(tmp_path, monkeypatch):
     parse_timing = load_script(checkouts.ROOT / "scripts" / "parse_timing.py")
     made = []
@@ -133,3 +165,29 @@ def test_parse_timing_makes_its_inputs_once_per_key(tmp_path, monkeypatch):
     monkeypatch.setattr(parse_timing, "inputs_key", lambda: "other")
     parse_timing.cached_inputs(tmp_path)
     assert len(made) == 2 and [p.name for p in tmp_path.iterdir()] == ["other"]
+
+
+def run_same_answers(parent: Path) -> subprocess.CompletedProcess:
+    script = checkouts.ROOT / "scripts" / "same_answers.py"
+    argv = ["--parent-checkout", str(parent), "--reference", "4", "--per-cell", "2"]
+    return subprocess.run(
+        [sys.executable, str(script), *argv], capture_output=True, text=True, timeout=60
+    )
+
+
+def test_same_answers_against_itself_and_a_changed_weight(tmp_path):
+    same = run_same_answers(checkouts.ROOT)
+    assert same.returncode == 0, same.stderr
+    assert '"images": 10' in same.stdout and '"same_answers": true' in same.stdout
+    # A copy whose regularizer weighs only the smoothness term answers
+    # otherwise, at a coefficient the estimates name.
+    shutil.copytree(
+        checkouts.ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    estimator = tmp_path / "src" / "fqe" / "estimator.py"
+    source = estimator.read_text()
+    assert "\nW = 0.92\n" in source
+    estimator.write_text(source.replace("\nW = 0.92\n", "\nW = 0.0\n"))
+    differ = run_same_answers(tmp_path)
+    assert differ.returncode == 1, differ.stderr
+    assert differ.stdout.startswith("answers differ: qf60/img000.jpg: estimates at coefficient ")
