@@ -7,13 +7,17 @@ Runs perfbench/run.py of the parent checkout and of --checkout (the change;
 this one by default) with the given workload, run length and trace flag,
 --pairs pairs in all (10 by default), seed --seed + i for pair i,
 alternating which side runs first. A run in place can read slower than the
-same code run from a clone, so both sides are best run from clones. It
-writes the first pair as BENCH_<label>-parent-<workload>.json and
-BENCH_<label>-change-<workload>.json ("-trace" appended for traced runs)
-to --out-dir (this repository's root by default). Each file holds the
-run's command, its provenance line (git SHA, seed, dataset size, cpu_count
-and the rest of what run.py prints), its output digests (estimates or
-dataset blob) and its final metrics object (run.py's last line).
+same code run from a clone, so both sides are best run from clones. Once
+every pair has run, it writes the first pair as
+BENCH_<label>-parent-<workload>.json and BENCH_<label>-change-<workload>.json
+("-trace" appended for traced runs) to --out-dir (this repository's root by
+default). Each file holds the run's command, its provenance line (git SHA,
+seed, dataset size, cpu_count and the rest of what run.py prints), its
+output digests (estimates or dataset blob) and its final metrics object
+(run.py's last line). The change's file also holds every pair ("pairs":
+by seed, each side's exit code, compared metrics and digests) and the
+summary printed below ("summary": per metric, summarize's fields, the unit
+and the verdict).
 
 It then prints, for each end-to-end metric of BENCHMARK.json (each
 per-layer metric for traced runs), both sides' medians and quartiles and
@@ -117,40 +121,43 @@ def run_pairs(args) -> int:
     contract = json.loads((args.checkout / "BENCHMARK.json").read_text())
     suffix = "-trace" if args.trace else ""
     paths = sides(args.parent_checkout, args.checkout)
-    values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
-    digests: dict[str, list[dict]] = {"parent": [], "change": []}
+    # A traced run reports the per-layer metrics only.
+    compared = contract["per_layer" if args.trace else "end_to_end"]
+    names = {metric["name"] for metric in compared}
+    first: dict[str, dict] = {}
+    pairs = []
     worst = 0
     for i, order in enumerate(orders(args.pairs)):
+        pair = {"seed": args.seed + i}
         for side in order:
             content, code = record(
                 paths[side], args.workload, args.seed + i, args.seconds, args.trace
             )
             worst = max(worst, code)
             metrics = content["result"]["metrics"]
-            for name, m in metrics.items():
-                values[side].setdefault(name, []).append(m["value"])
-            if i == 0:
-                out = args.out_dir / f"BENCH_{args.label}-{side}-{args.workload}{suffix}.json"
-                out.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
-                print(out)
-            digests[side].append(content["digests"])
+            first.setdefault(side, content)
+            pair[side] = {"exit": code, "digests": content["digests"],
+                          "metrics": {n: m["value"] for n, m in metrics.items() if n in names}}
             shown = " ".join(f"{k}={v.split()[0]}" for k, v in content["digests"].items())
             print(f"pair {i} seed {args.seed + i} {side}: exit {code} {shown}", flush=True)
+        pairs.append(pair)
+    digests = {side: [pair[side]["digests"] for pair in pairs] for side in paths}
     differ = differing_pairs(digests["parent"], digests["change"])
     for i in differ:
         print(f"pair {i} seed {args.seed + i}: DIGESTS DIFFER: parent {digests['parent'][i]} "
               f"change {digests['change'][i]}")
     if not differ:
         print(f"digests: parent and change equal in all {args.pairs} pairs")
-    # A traced run reports the per-layer metrics only.
-    for metric in contract["per_layer" if args.trace else "end_to_end"]:
+    summary = {}
+    for metric in compared:
         name = metric["name"]
-        if name not in values["parent"] or name not in values["change"]:
+        runs = {side: [pair[side]["metrics"][name] for pair in pairs
+                       if name in pair[side]["metrics"]] for side in paths}
+        if not runs["parent"] or not runs["change"]:
             continue
-        s = summarize(
-            values["parent"][name], values["change"][name], metric["better"], metric.get("bound")
-        )
+        s = summarize(runs["parent"], runs["change"], metric["better"], metric.get("bound"))
         p, c = s["parent"], s["change"]
+        verdict = None
         regression = ""
         if s["regression"] is not None:
             verdict = (
@@ -159,11 +166,17 @@ def run_pairs(args) -> int:
                 else "no regression"
             )
             regression = f"; {verdict} beyond the {metric['bound']:.0%} bound"
+        summary[name] = {**s, "unit": metric["unit"], "verdict": verdict}
         print(
             f"{name}: parent {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}] -> change {c[1]:.4g} "
             f"[{c[0]:.4g}, {c[2]:.4g}] {metric['unit']}; change won {s['wins']}/{s['pairs']} "
             f"({s['ties']} ties); gain {'holds' if s['gain'] else 'not shown'}{regression}"
         )
+    first["change"] = {**first["change"], "pairs": pairs, "summary": summary}
+    for side, content in first.items():
+        out = args.out_dir / f"BENCH_{args.label}-{side}-{args.workload}{suffix}.json"
+        out.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
+        print(out)
     return 1 if worst or differ else 0
 
 

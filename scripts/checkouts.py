@@ -1,17 +1,31 @@
 """What the scripts here share to measure a parent checkout against this one:
 the sides "parent" (--parent-checkout) and "change" (this checkout), run in
-child processes in alternating order or imported into one process by load_fqe.
+child processes in alternating order or imported into one process by load_fqe,
+and the JPEG input sets they parse, made once into scripts/.cache.
 """
 
 import functools
+import hashlib
 import importlib.util
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+INPUTS = {
+    "gray-64": "96 64x64 gray images of the evaluate workload, seed 2011 (sequential decoder)",
+    "gray-1mp": "12 1 MP gray images of the estimate-cold workload, seeds 2021-2023 (lanes)",
+    "color-420": "1 MP YCbCr 4:2:0, one interleaved scan (tests/jpegwriter.py): a quality-90 "
+                 "mosaic as luma, half-size ones as chroma",
+    "color-420-rst64": "the color-420 grids with a restart every 64 MCUs",
+    "gray-1mp-rst1": "the color-420 luma as one gray scan, a restart after every MCU (no lanes)",
+}
+CACHE = ROOT / "scripts" / ".cache"
 
 
 # The source of vmhwm_kb(), for the code that scripts run in a child process:
@@ -97,3 +111,58 @@ def load_fqe(checkout: Path, name: str):
         raise ValueError(f"a module named {name} is already loaded")
     package = Path(checkout).resolve() / "src" / "fqe"
     return load_module(name, package / "__init__.py", submodule_search_locations=[str(package)])
+
+
+def make_inputs(folder: Path) -> None:
+    """Write every input set as folder/<name>/**/*.jpg."""
+    bench = inputs()
+    from fqe import dctsim, jpegio
+
+    writer = load_module("jpegwriter", ROOT / "tests" / "jpegwriter.py")
+    for name in INPUTS:
+        (folder / name).mkdir()
+    bench.write_images(folder / "gray-64", 2011, 96, 64, 15)
+    for seed in (2021, 2022, 2023):
+        (folder / "gray-1mp" / str(seed)).mkdir()
+        bench.write_images(folder / "gray-1mp" / str(seed), seed, 4, 1024, 15)
+
+    def grid(side: int, seed: int):
+        image = bench.tiled(seed, 1, side)[0]
+        data = jpegio.encode_baseline_gray(image, dctsim.standard_table(90))
+        return jpegio.parse_jpeg(data).coeffs.values
+
+    luma, cb, cr = grid(1024, 2041), grid(512, 2042), grid(512, 2043)
+    components = [(1, 2, 2), (2, 1, 1), (3, 1, 1)]
+    grids = {1: luma, 2: cb, 3: cr}
+    for name, interval in (("color-420", 0), ("color-420-rst64", 64)):
+        data = writer.encode_grids(1024, 1024, components, [[1, 2, 3]], grids, interval)
+        (folder / name / "img000.jpg").write_bytes(data)
+    # The 4:2:0 luma grid is in MCU raster order; as a gray scan it is a
+    # 2048x512 image of the same blocks.
+    data = writer.encode_grids(512, 2048, [(1, 1, 1)], [[1]], {1: luma}, 1)
+    (folder / "gray-1mp-rst1" / "img000.jpg").write_bytes(data)
+
+
+def inputs_key() -> str:
+    """perfbench/inputs.cache_key (src/, tests/conftest.py and inputs.py) over the
+    digests of tests/jpegwriter.py and this module, which make the inputs too."""
+    made_by = (ROOT / "tests" / "jpegwriter.py", Path(__file__))
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in made_by]
+    return inputs().cache_key(*digests)
+
+
+def cached_inputs() -> Path:
+    """CACHE/<inputs_key()>, which holds each input set as <name>/**/*.jpg.
+
+    make_inputs makes it on first use in a temporary folder, renamed into place,
+    so a run cut short leaves no half-made set; other keys' folders are removed.
+    """
+    folder = CACHE / inputs_key()
+    if not folder.is_dir():
+        CACHE.mkdir(parents=True, exist_ok=True)
+        for stale in CACHE.iterdir():
+            shutil.rmtree(stale)
+        tmp = Path(tempfile.mkdtemp(dir=CACHE, prefix=".making-"))
+        make_inputs(tmp)
+        tmp.rename(folder)
+    return folder

@@ -14,10 +14,10 @@ alternating, each command in a fresh process of the checkout under test:
   the checkout's own build has just written, so that the two checkouts may
   write different file formats;
 - `fqe estimate --format json`, one request per process, on each of the
-  COLD_IMAGES 1 MP images of seed COLD_IMAGE_SEED that
-  scripts/parse_timing.py makes as gray-1mp, against a dataset of
-  COLD_PATCHES patches (seed COLD_DATASET_SEED) that the checkout builds
-  itself first, as `fqe build --jobs 1` ("cold dataset").
+  COLD_IMAGES 1 MP images of seed COLD_IMAGE_SEED in the cached gray-1mp
+  input set (checkouts.cached_inputs), against a dataset of COLD_PATCHES
+  patches (seed COLD_DATASET_SEED) that the checkout builds itself first,
+  as `fqe build --jobs 1` ("cold dataset").
 
 Each run reports the command's wall seconds and its process's VmHWM before
 (after imports) and after the command, and the difference. While it runs,
@@ -159,7 +159,7 @@ def commands(work: Path) -> dict[str, tuple]:
                 "--out-dir", str(report_dir), "--jobs", str(JOBS)]
     cold_build = ["build", "--raw-dir", str(work / "cold-raw"), "--out", str(cold), "--q1-max",
                   str(Q1_MAX), "--k", str(K), "--jobs", "1"]
-    images = sorted((work / "cold").glob("*.jpg"))
+    images = sorted((checkouts.cached_inputs() / "gray-1mp" / str(COLD_IMAGE_SEED)).glob("*.jpg"))
     return {
         **{f"build, jobs {j}": ("fork", [*build, "--jobs", str(j)], dataset) for j in (1, 2)},
         **{f"evaluate, {m}": (m, evaluate, report_dir / "report.json") for m in METHODS},
@@ -205,9 +205,8 @@ def seconds_ratios(summary: dict) -> dict:
 
 def write_inputs(work: Path) -> None:
     """In work: the builds' PGM patches in raw and cold-raw; the corpus, made from
-    its own by `fqe make-corpus`; the estimate images in cold."""
-    bench = checkouts.inputs()
-    conftest = bench.load_conftest()
+    its own by `fqe make-corpus`."""
+    conftest = checkouts.inputs().load_conftest()
     from fqe import cli
 
     for out, patches in (
@@ -220,8 +219,6 @@ def write_inputs(work: Path) -> None:
             (out / f"p{i:03d}.pgm").write_bytes(conftest.write_pgm(patch))
     cli.main(["make-corpus", "--raw-dir", str(work / "corpus-raw"), "--out-dir",
               str(work / "corpus"), "--qf1", QF1, "--qf2", QF2], standalone_mode=False)
-    (work / "cold").mkdir()
-    bench.write_images(work / "cold", COLD_IMAGE_SEED, COLD_IMAGES, COLD_SIDE, K)
 
 
 def main(argv=None) -> int:

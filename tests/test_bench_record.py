@@ -97,28 +97,65 @@ def test_differing_pairs_names_each_pair_that_differs():
         bench_record.differing_pairs([a], [])
 
 
-def test_pairs_exit_1_and_name_the_pair_whose_digests_differ(tmp_path, monkeypatch, capsys):
+@pytest.fixture
+def pairs_args(tmp_path, monkeypatch):
+    """run_pairs' arguments for 3 pairs of fake runs: the parent reads 10 ms and
+    the change 8 ms + seed % 10 / 2; the change's estimates differ at seed 12."""
     metric = {"name": "latency_ms_p50", "unit": "ms", "better": "lower", "bound": 0.24}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [metric], "per_layer": []}))
 
     def fake_record(checkout, workload, seed, seconds, trace):
         side = "change" if checkout == tmp_path else "parent"
         estimates = "sha256=bad" if side == "change" and seed == 12 else "sha256=good"
+        latency = 10.0 if side == "parent" else 8.0 + seed % 10 / 2
         content = {
             "digests": {"estimates": estimates},
-            "result": {"metrics": {"latency_ms_p50": {"value": 10.0}}},
+            "result": {"metrics": {"latency_ms_p50": {"value": latency},
+                                   "parse.ms": {"value": 1.0}}},
         }
         return content, 0
 
     monkeypatch.setattr(bench_record, "record", fake_record)
-    args = argparse.Namespace(
+    return argparse.Namespace(
         checkout=tmp_path, parent_checkout=tmp_path / "parent", workload="evaluate",
         seed=10, pairs=3, seconds=1.0, trace=0, label="t", out_dir=tmp_path,
     )
-    assert bench_record.run_pairs(args) == 1
+
+
+def test_pairs_exit_1_and_name_the_pair_whose_digests_differ(pairs_args, capsys):
+    assert bench_record.run_pairs(pairs_args) == 1
     out = capsys.readouterr().out
     assert "pair 2 seed 12: DIGESTS DIFFER" in out
     assert "pair 0 seed 10: DIGESTS" not in out and "pair 1 seed 11: DIGESTS" not in out
-    args.seed = 20
-    assert bench_record.run_pairs(args) == 0
+    pairs_args.seed = 20
+    assert bench_record.run_pairs(pairs_args) == 0
     assert "digests: parent and change equal in all 3 pairs" in capsys.readouterr().out
+
+
+def test_the_change_record_holds_every_pair_and_the_summary(pairs_args, tmp_path):
+    assert bench_record.run_pairs(pairs_args) == 1
+    parent = json.loads((tmp_path / "BENCH_t-parent-evaluate.json").read_text())
+    change = json.loads((tmp_path / "BENCH_t-change-evaluate.json").read_text())
+    # Both keep the first pair's run as before; only the change's file holds the rest.
+    assert parent["result"]["metrics"]["latency_ms_p50"]["value"] == 10.0
+    assert change["result"]["metrics"]["latency_ms_p50"]["value"] == 8.0
+    assert "pairs" not in parent and "summary" not in parent
+    assert change["pairs"] == [
+        {
+            "seed": seed,
+            "parent": {"exit": 0, "metrics": {"latency_ms_p50": 10.0},
+                       "digests": {"estimates": "sha256=good"}},
+            "change": {"exit": 0, "metrics": {"latency_ms_p50": latency},
+                       "digests": {"estimates": estimates}},
+        }
+        for seed, latency, estimates in [
+            (10, 8.0, "sha256=good"), (11, 8.5, "sha256=good"), (12, 9.0, "sha256=bad")
+        ]
+    ]
+    assert change["summary"] == {
+        "latency_ms_p50": {
+            "unit": "ms", "parent": [10.0, 10.0, 10.0], "change": [8.25, 8.5, 8.75],
+            "pairs": 3, "wins": 3, "ties": 0, "gain": True, "regression": False,
+            "unresolved": False, "verdict": "no regression",
+        }
+    }

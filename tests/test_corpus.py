@@ -153,3 +153,14 @@ def test_worker_rejects_a_dataset_file_with_another_crc(tmp_path):
     assert str(info.value) == (
         f"dataset {path} changed since it was loaded: CRC {crc:08x}, expected {crc ^ 1:08x}"
     )
+
+
+def test_a_field_past_the_csv_limit_is_a_value_error_naming_the_manifest(tmp_path):
+    # csv.field_size_limit() is 131072 characters unless a program raises it.
+    header = "filename,label,crop_x,crop_y," + ",".join(f"q1_{i}" for i in range(1, 16))
+    row = "x" * 200_000 + ".jpg,qf80,0,0," + ",".join(["3"] * 15)
+    manifest = tmp_path / corpus.MANIFEST_NAME
+    manifest.write_text(f"{header}\n{row}\n")
+    with pytest.raises(ValueError) as info:
+        corpus.read_manifest(manifest)
+    assert str(info.value) == f"manifest {manifest}: field larger than field limit (131072)"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fqe import dctsim, jpegio
+from fqe.stats import CoeffHistogram
 from fqe.types import CoeffGrid, GrayImage, QuantTable
 
 from conftest import synth_patch, synth_patches, write_pgm
@@ -117,6 +118,24 @@ class TestCoeffGrid:
         grid = CoeffGrid(1, 1, values)
         assert grid.values.dtype == np.int16 and np.array_equal(grid.values, values)
         assert CoeffGrid(1, 1, values.tolist()) == grid
+
+    def test_n_blocks(self):
+        assert CoeffGrid(3, 2, np.zeros((6, 64), dtype=np.int16)).n_blocks == 6
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        CoeffHistogram(np.array([0]), np.array([1.0]), 1),
+        QuantTable(np.ones(64)),
+        GrayImage(np.zeros((8, 8), np.uint8)),
+        CoeffGrid(1, 1, np.zeros((1, 64), dtype=np.int16)),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_equality_with_another_type_is_left_to_it(value):
+    assert value.__eq__(object()) is NotImplemented
+    assert value != object() and not value == object()
 
 
 class TestAnnexKCodes:
